@@ -5,7 +5,8 @@
 
 `run -` reads the script from stdin.  Exit status: 0 clean, 1 a check
 command failed, 2 the script did not parse (lexical, syntax or name
-error), 3 a well-formed statement failed at runtime.  JSON output is
+error) or an option was invalid (such as --samples below 1), 3 a
+well-formed statement failed at runtime.  JSON output is
 deterministic for a given script and seed; the text format adds
 per-statement timings.
 """
@@ -22,6 +23,13 @@ from .errors import DslError
 from .suite import render_table, run_check_suite, suite_to_json
 
 
+def _sample_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gradcalc",
@@ -35,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for sampling checks (default 0)")
-    run.add_argument("--samples", type=int, default=8,
+    run.add_argument("--samples", type=_sample_count, default=8,
                      help="sample points per probabilistic check (default 8)")
 
     suite = sub.add_parser("check-suite", help="run the verification battery")

@@ -1,14 +1,18 @@
 """Lifts of functions, forms, fields and connections to prolonged charts.
 
 The order-r prolongation of a chart replaces each variable x by the
-family x = x_0, x_1, ..., x_r.  The lambda-lift of a function f is the
-coefficient extraction
+family x = x_0, x_1, ..., x_r, the coordinates of the Weil functor of
+the truncated algebra R[t]/(t^(r+1)).  The lambda-lift of a function f
+is the coefficient extraction
 
     f^(lambda) = coefficient of t^lambda in f(sum_mu t^mu x_mu),
 
 a polynomial on the prolonged chart; lambda outside 0..r gives zero, and
-r = 0 lifts are the identity.  Lifts of tensors are generated from the
-function lift and the basis rules
+r = 0 lifts are the identity.  All lifts f^(0), ..., f^(r) together form
+the jet of f: a list of r+1 polynomials multiplied by the truncated
+Cauchy product (f*g)_k = sum_{i+j=k} f_i g_j, k <= r, so t never appears
+as a variable.  Lifts of tensors are generated from the function lift
+and the basis rules
 
     (dx)^(lambda)   = dx_lambda,
     (d/dx)^(lambda) = d/d(x_{r-lambda}),
@@ -19,12 +23,11 @@ These choices make the top lift X^(r) of a vector field the complete
 (flow) lift and X^(0) the vertical lift.
 
 All lift operations take a LiftContext so repeated lifts share one
-prolonged chart object (charts compare by identity).
+prolonged chart object (charts compare by identity) and its caches.
 """
 
 from __future__ import annotations
 
-from itertools import product as _cartesian
 from typing import Mapping
 
 from .charts import Chart, prolong_chart, tangent_chart, vb_split
@@ -44,34 +47,26 @@ __all__ = [
 class LiftContext:
     """Prolongation bookkeeping: base chart, order r, prolonged chart.
 
-    The deformation parameter t lives in a private scratch chart (the
-    prolonged variables plus one weight-zero variable); it never appears
-    in results.
+    Jets are computed in R[t]/(t^(r+1)) with coefficients on the prolonged
+    chart.  The context caches the jet of every power x_v^e it has met
+    (bounded by the distinct powers lifted) and the expanded coefficient
+    jets of the last tensor passed to lift_tensor, so lifting one tensor
+    at every lambda in turn expands it once.  The name _t stays reserved
+    for the lift parameter.
     """
 
-    __slots__ = ("base", "r", "total", "_scratch", "_t", "_images")
+    __slots__ = ("base", "r", "total", "_powers", "_last")
 
     def __init__(self, base: Chart, r: int):
         if r < 0:
             raise GradcalcError("prolongation order must be >= 0")
+        if "_t" in base.names:
+            raise GradcalcError("variable name _t is reserved for the lift parameter")
         self.base = base
         self.r = r
         self.total = prolong_chart(base, r)
-        names = self.total.names + ("_t",)
-        if "_t" in base.names:
-            raise GradcalcError("variable name _t is reserved for the lift parameter")
-        weights = self.total.weights + ((0,) * self.total.grading_count,)
-        self._scratch = Chart(names, weights, self.total.n_graded, "scratch")
-        self._t = self.total.dim
-        images = {}
-        for i in range(base.dim):
-            acc = Poly.zero(self._scratch)
-            for mu in range(r + 1):
-                xm = Poly.variable(self._scratch, self.var(i, mu))
-                tm = Poly.variable(self._scratch, self._t) ** mu
-                acc = acc + xm * tm
-            images[i] = acc
-        self._images = images
+        self._powers = {}
+        self._last = (None, [])
 
     def var(self, i: int, mu: int) -> int:
         """Prolonged-chart index of level mu of base variable i."""
@@ -79,28 +74,51 @@ class LiftContext:
             raise GradcalcError(f"level {mu} outside 0..{self.r}")
         return mu * self.base.dim + i
 
+    def _power_jet(self, v: int, e: int) -> dict:
+        """Sparse jet {level: Poly} of x_v^e, built once per (v, e).
+
+        Built by repeated multiplication, so every lower power of x_v is
+        cached on the way.
+        """
+        powers = self._powers
+        if (v, 1) not in powers:
+            powers[(v, 1)] = {mu: Poly.variable(self.total, self.var(v, mu))
+                              for mu in range(self.r + 1)}
+        k = e
+        while (v, k) not in powers:
+            k -= 1
+        for k in range(k + 1, e + 1):
+            powers[(v, k)] = _jet_mul(powers[(v, k - 1)], powers[(v, 1)], self.r)
+        return powers[(v, e)]
+
     def __repr__(self) -> str:
         return f"<LiftContext r={self.r} of {self.base!r}>"
 
 
+def _jet_mul(a: dict, b: dict, r: int) -> dict:
+    """Truncated Cauchy product of two sparse jets {level: Poly}."""
+    out: dict = {}
+    for i, ai in a.items():
+        for j, bj in b.items():
+            if i + j <= r:
+                _acc(out, i + j, ai * bj)
+    return out
+
+
 def lift_function_jets(f: Poly, ctx: LiftContext) -> list:
-    """All lifts f^(0), ..., f^(r) in one substitution pass."""
+    """All lifts f^(0), ..., f^(r): the jet of f in R[t]/(t^(r+1))."""
     if f.chart is not ctx.base:
         raise ChartMismatchError("function does not live on the context's base chart")
-    g = f.substitute(ctx._images, target=ctx._scratch)
-    buckets: list = [dict() for _ in range(ctx.r + 1)]
-    t = ctx._t
-    for mono, coef in g.terms.items():
-        k = 0
-        rest = mono
-        for pos, (v, e) in enumerate(mono):
-            if v == t:
-                k = e
-                rest = mono[:pos] + mono[pos + 1:]
-                break
-        if k <= ctx.r:
-            buckets[k][rest] = coef
-    return [Poly(ctx.total, b) for b in buckets]
+    r = ctx.r
+    total = ctx.total
+    out: dict = {}
+    for mono, coef in f.terms.items():
+        jet = {0: Poly.const(total, coef)}
+        for v, e in mono:
+            jet = _jet_mul(jet, ctx._power_jet(v, e), r)
+        for k, p in jet.items():
+            _acc(out, k, p)
+    return [out[k] if k in out else Poly.zero(total) for k in range(r + 1)]
 
 
 def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:
@@ -110,31 +128,40 @@ def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:
     return lift_function_jets(f, ctx)[lam]
 
 
+def _level_assignments(slots: int, r: int, low: int, high: int):
+    """Tuples in [0, r]^slots whose sum lies in [low, high], in product order."""
+    if slots == 0:
+        if low <= 0 <= high:
+            yield ()
+        return
+    reach = (slots - 1) * r
+    for v in range(min(r, high) + 1):
+        if low - v > reach:
+            continue
+        for rest in _level_assignments(slots - 1, r, low - v, high - v):
+            yield (v,) + rest
+
+
 def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     """The lambda-lift of an arbitrary (q, p) tensor field.
 
     Distributes lambda over the coefficient and every basis factor of each
-    stored component; symmetry tags survive.  Zero outside 0..r.
+    expanded component; symmetry tags survive.  Zero outside 0..r.  The
+    coefficient jets of the last tensor lifted on ctx are reused, so
+    lifting one tensor at every lambda expands it once.
     """
     if t.chart is not ctx.base:
         raise ChartMismatchError("tensor does not live on the context's base chart")
     r = ctx.r
     if lam < 0 or lam > r:
         return TensorField.zero(ctx.total, t.q, t.p, t.contra_sym, t.cov_sym)
+    if ctx._last[0] is not t:
+        ctx._last = (t, [(up, down, lift_function_jets(coef, ctx))
+                         for (up, down), coef in t.expand().items()])
     out: dict = {}
-    levels = range(r + 1)
-    for (up, down), coef in t.expand().items():
-        jets = lift_function_jets(coef, ctx)
-        slots = len(up) + len(down)
-        if slots == 0:
-            _acc(out, ((), ()), jets[lam])
-            continue
-        for assign in _cartesian(levels, repeat=slots):
-            s = sum(assign)
-            mu0 = lam - s
-            if mu0 < 0 or mu0 > r:
-                continue
-            c = jets[mu0]
+    for up, down, jets in ctx._last[1]:
+        for assign in _level_assignments(len(up) + len(down), r, lam - r, lam):
+            c = jets[lam - sum(assign)]
             if not c:
                 continue
             nu = assign[:len(up)]
@@ -282,12 +309,8 @@ def lift_linear_connection(conn: LinearConnection, ctx: LiftContext) -> LinearCo
                     e = rho - lev_k - lev_b
                     if e < 0 or e > r:
                         continue
-                    je = jets[e]
-                    if not je:
-                        continue
                     key = (ctx.var(k, lev_k), ctx.var(a, rho), ctx.var(b, lev_b))
-                    prev = lifted.get(key)
-                    lifted[key] = je if prev is None else prev + je
+                    _acc(lifted, key, jets[e])
     return LinearConnection(ctx.total, conn.vb_component, lifted)
 
 

@@ -8,8 +8,6 @@ ox).  Components are emitted in sorted order so rendering is deterministic.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 __all__ = ["render_poly", "render_tensor", "poly_to_json", "tensor_to_json", "chart_to_json"]
 
 
@@ -115,7 +113,3 @@ def chart_to_json(chart) -> dict:
                  for n, w in zip(chart.names, chart.weights)],
         "n_graded": list(chart.n_graded),
     }
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(x)

@@ -11,6 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .charts import Chart
+from .errors import GradcalcError
 from .poly import Poly
 from .tensor import TensorField
 
@@ -31,7 +32,15 @@ def random_fraction(rng: random.Random, low: int = -5, high: int = 5,
 
 def sample_points(chart: Chart, seed: int, count: int = 8,
                   low: int = -5, high: int = 5) -> list:
-    """Random rational points with nonzero coordinates."""
+    """Random rational points with nonzero coordinates.
+
+    Raises GradcalcError when count < 1 (a sampled check would pass
+    vacuously) or when [low, high] holds no nonzero integer.
+    """
+    if count < 1:
+        raise GradcalcError(f"sample count must be at least 1, got {count}")
+    if low > high or low == high == 0:
+        raise GradcalcError(f"sample range [{low}, {high}] holds no nonzero integer")
     rng = random.Random(seed)
     pts = []
     for _ in range(count):

@@ -35,7 +35,7 @@ from gradcalc.checkers import (
 )
 from gradcalc.errors import GradcalcError, ValenceError
 from gradcalc.poly import ANY_DEGREE, Poly
-from gradcalc.sampling import random_multivector, random_poly
+from gradcalc.sampling import random_multivector, random_poly, sample_points
 from gradcalc.tensor import (
     TensorField,
     coordinate_one_form,
@@ -276,6 +276,31 @@ def test_is_involutive():
     r = is_involutive(bad, seed=5)
     assert not r.verdict
     assert "generators 0,1" in r.witness and "leaves the span at" in r.witness
+
+
+def test_sampled_checks_reject_empty_samples():
+    # samples < 1 used to give a vacuous PASS for this non-involutive span
+    x = Poly.variable(E3, 0)
+    bad = Distribution(E3, (dvf(E3, "x"), dvf(E3, "y") + dvf(E3, "z") * x))
+    assert not is_involutive(bad, samples=8).verdict
+    for samples in (0, -1):
+        with pytest.raises(GradcalcError, match="sample count"):
+            is_involutive(bad, samples=samples)
+        with pytest.raises(GradcalcError, match="sample count"):
+            is_weighted_distribution(bad, samples=samples)
+
+
+def test_sample_points_validation():
+    # a 0-dim chart draws no coordinates, so a missing range check cannot hang
+    empty = make_chart([], [])
+    with pytest.raises(GradcalcError, match="no nonzero integer"):
+        sample_points(empty, 0, count=1, low=0, high=0)
+    with pytest.raises(GradcalcError, match="no nonzero integer"):
+        sample_points(E2, 0, count=1, low=3, high=-3)
+    with pytest.raises(GradcalcError, match="sample count"):
+        sample_points(E2, 0, count=0)
+    pts = sample_points(E2, 0, count=3, low=0, high=1)
+    assert pts == [{0: 1, 1: 1}] * 3
 
 
 def test_is_weighted_distribution():

@@ -312,6 +312,15 @@ def test_cli_parse_error_text_goes_to_stderr(tmp_path, capsys):
     assert "syntax error at line 1, col 14" in err
 
 
+def test_cli_rejects_sample_count_below_one(tmp_path, capsys):
+    path = _write(tmp_path, CLEAN)
+    for bad in ("0", "-1"):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", path, "--samples", bad])
+        assert ei.value.code == 2
+        assert "--samples: must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_missing_file(capsys):
     assert main(["run", "/no/such/file.gc"]) == 2
     assert "cannot read" in capsys.readouterr().err

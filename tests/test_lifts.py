@@ -1,8 +1,11 @@
 """Prolongation lifts of functions, tensors, distributions, connections."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcalc.calculus import lie_bracket, vf_apply
 from gradcalc.charts import Chart, make_chart, tangent_chart
@@ -10,6 +13,7 @@ from gradcalc.checkers import Distribution
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
 from gradcalc.lifts import (
     LiftContext,
+    _level_assignments,
     covariant_derivative,
     horizontal_fields,
     lift_distribution,
@@ -23,9 +27,11 @@ from gradcalc.lifts import (
     linear_connection,
     tangent_connection,
 )
+from gradcalc.oracle import taylor_lift_oracle
 from gradcalc.poly import Poly
 from gradcalc.render import render_tensor
-from gradcalc.sampling import random_poly, random_vector_field
+from gradcalc.sampling import (random_form, random_multivector, random_poly,
+                               random_tensor, random_vector_field, random_vv_form)
 from gradcalc.tensor import (
     coordinate_one_form,
     coordinate_vector_field,
@@ -119,7 +125,6 @@ def test_lift_displays_frozen():
 
 
 def test_lift_tensor_range_and_tags():
-    from gradcalc.sampling import random_form
     rng = random.Random(2)
     ctx = LiftContext(E2, 1)
     w = random_form(rng, E2, 2, max_terms=1, max_degree=1)
@@ -247,3 +252,98 @@ def test_lifted_connection_commutation_spot():
                                            lift_vector_field(x, lam, ctx),
                                            lift_vector_field(y, mu, ctx))
                 assert got == lift_vector_field(nab, lam + mu - 1, ctx)
+
+
+# -- the truncated-jet kernel against the Taylor oracle ------------------------
+
+CHARTS = {n: make_chart(["x", "y", "z"][:n], [0] * n) for n in (1, 2, 3)}
+
+
+@st.composite
+def base_polys(draw):
+    """A polynomial of total degree <= 6 with exponents up to 5."""
+    dim = draw(st.integers(1, 3))
+    chart = CHARTS[dim]
+    exps = st.lists(st.integers(0, 5), min_size=dim, max_size=dim).filter(
+        lambda es: sum(es) <= 6)
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    entries = draw(st.lists(st.tuples(exps, coefs), max_size=3))
+    return Poly.from_terms(chart, [
+        (tuple((v, e) for v, e in enumerate(es) if e), c) for es, c in entries])
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_polys(), st.integers(0, 4))
+def test_jets_match_taylor_oracle(f, r):
+    ctx = LiftContext(f.chart, r)
+    jets = lift_function_jets(f, ctx)
+    assert len(jets) == r + 1
+    for lam in range(r + 1):
+        assert jets[lam] == taylor_lift_oracle(f, lam, ctx)
+
+
+def oracle_lift_table(t, lam, ctx):
+    """Expanded lambda-lift of t rebuilt from oracle-lifted coefficients."""
+    r = ctx.r
+    out = {}
+    for (up, down), coef in t.expand().items():
+        for assign in product(range(r + 1), repeat=len(up) + len(down)):
+            mu0 = lam - sum(assign)
+            if not 0 <= mu0 <= r:
+                continue
+            nup = tuple(ctx.var(i, r - v) for i, v in zip(up, assign))
+            ndown = tuple(ctx.var(j, k) for j, k in zip(down, assign[len(up):]))
+            key = (nup, ndown)
+            out[key] = out.get(key, Poly.zero(ctx.total)) + taylor_lift_oracle(coef, mu0, ctx)
+    return {k: v for k, v in out.items() if v}
+
+
+def random_tensor_of_kind(rng, chart, kind):
+    opts = dict(max_terms=2, max_degree=3)
+    if kind == "form":
+        return random_form(rng, chart, 2, **opts)
+    if kind == "multivector":
+        return random_multivector(rng, chart, 2, **opts)
+    if kind == "vv_form":
+        return random_vv_form(rng, chart, 2, **opts)
+    return random_tensor(rng, chart, rng.randint(0, 2), rng.randint(0, 2), **opts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from(["form", "multivector", "vv_form", "plain"]))
+def test_lift_tensor_matches_oracle_table(seed, dim, r, kind):
+    chart = CHARTS[dim]
+    t = random_tensor_of_kind(random.Random(seed), chart, kind)
+    ctx = LiftContext(chart, r)
+    for lam in range(r + 1):
+        lifted = lift_tensor(t, lam, ctx)
+        assert (lifted.contra_sym, lifted.cov_sym) == (t.contra_sym, t.cov_sym)
+        assert lifted.expand() == oracle_lift_table(t, lam, ctx)
+
+
+def lift_table(t):
+    # chart-free view, so lifts on distinct contexts compare
+    return {k: p.terms for k, p in t.expand().items()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 3))
+def test_tensor_jet_reuse_never_goes_stale(seed, r):
+    rng = random.Random(seed)
+    t1 = random_tensor_of_kind(rng, E2, "plain")
+    t2 = random_tensor_of_kind(rng, E2, "form")
+    ctx = LiftContext(E2, r)
+    for t in (t1, t2, t1):
+        for lam in range(r + 1):
+            fresh = lift_tensor(t, lam, LiftContext(E2, r))
+            assert lift_table(lift_tensor(t, lam, ctx)) == lift_table(fresh)
+
+
+def test_level_assignments_match_filtered_product():
+    for slots in range(5):
+        for r in range(5):
+            for lam in range(-1, r + 2):
+                want = [a for a in product(range(r + 1), repeat=slots)
+                        if lam - r <= sum(a) <= lam]
+                assert list(_level_assignments(slots, r, lam - r, lam)) == want
