@@ -40,7 +40,7 @@ from .lifts import (
     LiftContext, LinearConnection, covariant_derivative, horizontal_fields,
     lift_distribution, lift_function, lift_linear_connection, lift_one_form,
     lift_tensor, lift_vector_field, lift_weight_vector_field,
-    linear_connection, tangent_connection,
+    tangent_connection,
 )
 from .checkers import (
     BundleMap, CheckReport, Distribution, Section, algebroid_bracket,
@@ -79,7 +79,7 @@ __all__ = [
     # lifts
     "LiftContext", "lift_function", "lift_tensor", "lift_vector_field",
     "lift_one_form", "lift_weight_vector_field", "lift_distribution",
-    "LinearConnection", "linear_connection", "tangent_connection",
+    "LinearConnection", "tangent_connection",
     "lift_linear_connection", "horizontal_fields", "covariant_derivative",
     # checkers
     "CheckReport", "Distribution", "Section", "BundleMap",

@@ -66,17 +66,23 @@ class Chart:
         except KeyError:
             raise GradcalcError(f"chart has no variable named {name!r}") from None
 
+    def check_component(self, component: int) -> int:
+        """The grading component index, if the chart has that component."""
+        if not 0 <= component < self.grading_count:
+            raise GradcalcError("no such grading component")
+        return component
+
     def weight(self, var: int, component: int = 0) -> int:
-        return self.weights[var][component]
+        return self.weights[var][self.check_component(component)]
 
     def degree(self, component: int = 0) -> int:
         """Largest absolute weight in the component; 0 for an empty chart."""
-        if not self.weights:
-            return 0
-        return max(abs(w[component]) for w in self.weights)
+        c = self.check_component(component)
+        return max((abs(w[c]) for w in self.weights), default=0)
 
     def component_weights(self, component: int = 0) -> tuple[int, ...]:
-        return tuple(w[component] for w in self.weights)
+        c = self.check_component(component)
+        return tuple(w[c] for w in self.weights)
 
     def __repr__(self) -> str:
         label = self.label or "chart"
@@ -196,8 +202,7 @@ def phase_shifted_cotangent_chart(chart: Chart, k: int, component: int = 0) -> C
     vector-bundle component.  Requires k >= every weight in the component,
     so the shifted component stays N-graded.
     """
-    if component < 0 or component >= chart.grading_count:
-        raise GradcalcError("no such grading component")
+    chart.check_component(component)
     top = max((w[component] for w in chart.weights), default=0)
     if k < top:
         raise GradcalcError(
@@ -220,8 +225,6 @@ def vb_split(chart: Chart, vb_component: int) -> tuple[tuple[int, ...], tuple[in
     The component must be N-graded with weights in {0, 1}; weight-0
     variables are the base, weight-1 variables the fibre.
     """
-    if vb_component < 0 or vb_component >= chart.grading_count:
-        raise GradcalcError("no such grading component")
     ws = chart.component_weights(vb_component)
     if any(w not in (0, 1) for w in ws):
         raise GradcalcError(

@@ -27,11 +27,11 @@ from .calculus import (
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import ANY_DEGREE, Poly, degree_of_function
+from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function
 from .render import render_tensor
 from .sampling import sample_points
 from .tensor import (
-    TensorField, compose_11, degree_of_tensor, identity_tensor,
+    TensorField, _acc, compose_11, degree_of_tensor, identity_tensor,
     wedge, weight_vector_field,
 )
 
@@ -43,7 +43,7 @@ __all__ = [
     "is_weighted_pn", "sharp_map", "flat_map",
     "rank_at_point", "is_involutive", "is_weighted_distribution",
     "is_weighted_contact", "section_degree", "algebroid_bracket",
-    "rational_rank", "invert_rational_matrix",
+    "rational_rank",
 ]
 
 
@@ -176,7 +176,7 @@ def is_weighted_nijenhuis(n: TensorField, component: int = 0) -> CheckReport:
     d = degree_of_tensor(n, component)
     t = is_nijenhuis(n)
     degrees = {"expected": 0, "computed": _deg_str(d)}
-    if not (d is ANY_DEGREE or d == 0):
+    if not degree_matches(d, 0):
         return CheckReport(False, witness=f"degree is {_deg_str(d)}, not 0", degrees=degrees)
     if not t.verdict:
         return CheckReport(False, witness=t.witness, degrees=degrees)
@@ -233,10 +233,7 @@ def is_weighted_pn(lam: TensorField, n: TensorField, k: int,
     for ((i, l), _), a in le.items():
         for ((j,), (l2,)), b in ne.items():
             if l2 == l:
-                key = (i, j)
-                prev = nl.get(key)
-                v = a * b
-                nl[key] = v if prev is None else prev + v
+                _acc(nl, (i, j), a * b)
     for i in range(dim):
         for j in range(i, dim):
             left = nl.get((i, j), Poly.zero(lam.chart))
@@ -271,34 +268,7 @@ def sharp_map(lam: TensorField, k: int | None = None, component: int = 0) -> Bun
     momenta functions sum_l p_l lam^{lj} are formed on the k-shifted
     cotangent chart and each must be homogeneous of the weight of x^j.
     """
-    if (lam.q, lam.p) != (2, 0):
-        raise ValenceError("expected a bivector")
-    chart = lam.chart
-    le = lam.expand()
-    dim = chart.dim
-    matrix = tuple(tuple(le.get(((l, j), ()), Poly.zero(chart))
-                         for j in range(dim)) for l in range(dim))
-    report = None
-    if k is not None:
-        phase = phase_shifted_cotangent_chart(chart, k, component)
-        degrees = {}
-        ok = True
-        bad = None
-        for j in range(dim):
-            e = Poly.zero(phase)
-            for l in range(dim):
-                c = matrix[l][j]
-                if c:
-                    e = e + Poly.variable(phase, dim + l) * c.reindex(phase)
-            d = degree_of_function(e, component)
-            degrees[chart.names[j]] = _deg_str(d)
-            if not (d is ANY_DEGREE or d == chart.weights[j][component]):
-                ok = False
-                if bad is None:
-                    bad = f"momentum entry for {chart.names[j]} has degree {_deg_str(d)}, " \
-                          f"expected {chart.weights[j][component]}"
-        report = CheckReport(ok, witness=bad, degrees=degrees)
-    return BundleMap(matrix, report)
+    return _bundle_map(lam, True, k, component)
 
 
 def flat_map(w: TensorField, k: int | None = None, component: int = 0) -> BundleMap:
@@ -308,34 +278,39 @@ def flat_map(w: TensorField, k: int | None = None, component: int = 0) -> Bundle
     velocity pairings sum_l v^l w_{lj} are formed on the tangent chart
     and each must be homogeneous of weight k minus the weight of x^j.
     """
-    if (w.q, w.p) != (0, 2):
-        raise ValenceError("expected a two-form")
-    chart = w.chart
-    we = w.expand()
+    return _bundle_map(w, False, k, component)
+
+
+def _bundle_map(t: TensorField, sharp: bool, k: int | None, component: int) -> BundleMap:
+    """sharp_map of a bivector (sharp) or flat_map of a two-form (not sharp)."""
+    valence, what = ((2, 0), "a bivector") if sharp else ((0, 2), "a two-form")
+    if (t.q, t.p) != valence:
+        raise ValenceError(f"expected {what}")
+    chart = t.chart
+    te = t.expand()
     dim = chart.dim
-    matrix = tuple(tuple(we.get(((), (l, j)), Poly.zero(chart))
+    matrix = tuple(tuple(te.get(((l, j), ()) if sharp else ((), (l, j)), Poly.zero(chart))
                          for j in range(dim)) for l in range(dim))
     report = None
     if k is not None:
-        tc = tangent_chart(chart)
+        chart.check_component(component)
+        graded = phase_shifted_cotangent_chart(chart, k, component) if sharp else \
+            tangent_chart(chart)
         degrees = {}
-        ok = True
         bad = None
         for j in range(dim):
-            e = Poly.zero(tc)
+            e = Poly.zero(graded)
             for l in range(dim):
                 c = matrix[l][j]
                 if c:
-                    e = e + Poly.variable(tc, dim + l) * c.reindex(tc)
+                    e = e + Poly.variable(graded, dim + l) * c.reindex(graded)
             d = degree_of_function(e, component)
             degrees[chart.names[j]] = _deg_str(d)
-            want = k - chart.weights[j][component]
-            if not (d is ANY_DEGREE or d == want):
-                ok = False
-                if bad is None:
-                    bad = f"velocity entry for {chart.names[j]} has degree {_deg_str(d)}, " \
-                          f"expected {want}"
-        report = CheckReport(ok, witness=bad, degrees=degrees)
+            want = chart.weights[j][component] if sharp else k - chart.weights[j][component]
+            if bad is None and not degree_matches(d, want):
+                bad = f"{'momentum' if sharp else 'velocity'} entry for {chart.names[j]} " \
+                      f"has degree {_deg_str(d)}, expected {want}"
+        report = CheckReport(bad is None, witness=bad, degrees=degrees)
     return BundleMap(matrix, report)
 
 
@@ -367,29 +342,6 @@ def rational_rank(rows: list) -> int:
         if rank == len(m):
             break
     return rank
-
-
-def invert_rational_matrix(rows: list) -> list:
-    """Exact inverse of a square matrix of Fractions."""
-    n = len(rows)
-    m = [list(map(Fraction, r)) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            raise GradcalcError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = m[col][col]
-        m[col] = [a / pv for a in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    return [row[n:] for row in m]
 
 
 # -- distributions ------------------------------------------------------------

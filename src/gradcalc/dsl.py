@@ -5,7 +5,7 @@ One statement per line; # starts a comment.  A small script:
     chart M { x:0, y:0 }
     vf X on M = x * d/dy
     lift X lambda=1 r=1 as X1
-    check poisson L
+    degree X1
 
 Statement forms:
 
@@ -17,17 +17,20 @@ Statement forms:
     lift NAME lambda=INT r=INT [as NAME]        (distributions: r only)
     prolong CHART r=INT [as NAME]
     lift-connection NAME r=INT [as NAME]
-    bracket lie|schouten|fn|nr NAME NAME [as NAME]
+    bracket KIND NAME NAME [as NAME]
     d NAME [as NAME]
     liederiv NAME NAME [as NAME]
     covd NAME NAME NAME [as NAME]
     degree NAME [component=INT]
     eval NAME at (var=RAT, ...)
-    check KIND args                   (see _CHECKS for the kinds)
-    oracle lift NAME lambda=INT r=INT
-    oracle concomitant NAME NAME NAME NAME
-    oracle spotcheck NAME NAME
+    check KIND args
+    oracle FORM args
     print NAME
+
+The command table _COMMANDS declares every command form once: its
+names and the object kinds they must refer to, its key=INT parameters,
+whether it takes `as NAME`, and its runner.  The bracket and check kinds
+and the oracle forms, with their arguments, are listed there.
 
 Expressions are polynomials over the chart variables extended with the
 basis symbols d/dx (vector) and dx (covector) and the operators + - * ^
@@ -45,6 +48,7 @@ from __future__ import annotations
 
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,11 +67,11 @@ from .errors import DslError, GradcalcError
 from .lifts import (LiftContext, LinearConnection, covariant_derivative,
                     lift_distribution, lift_function, lift_linear_connection,
                     lift_tensor, tangent_connection)
-from .oracle import (SamplePlan, identity_spot_check,
+from .oracle import (SamplePlan, evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
 from .poly import ANY_DEGREE, Poly
 from .render import chart_to_json, render_poly, render_tensor, tensor_to_json
-from .tensor import (TensorField, coordinate_one_form,
+from .tensor import (TensorField, _acc, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
 
@@ -167,7 +171,8 @@ class ConnStmt:
 @dataclass(frozen=True)
 class CmdStmt:
     op: str
-    args: dict
+    form: Form
+    args: dict              # names as written, key=INT values, "as", "kind", "point"
     line: int
     src: str
 
@@ -256,6 +261,21 @@ class _Parser:
             return self.expect("ident", "name").text
         return None
 
+    def point(self) -> tuple:
+        """at (var=RAT, ...)"""
+        self.expect_word("at")
+        self.expect("lparen", "'('")
+        point = []
+        while True:
+            var = self.expect("ident", "variable").text
+            self.expect("equals")
+            point.append((var, self._rational()))
+            if not (self.peek() and self.peek().kind == "comma"):
+                break
+            self.next()
+        self.expect("rparen", "')'")
+        return tuple(point)
+
     # expressions
 
     def expr(self) -> tuple:
@@ -320,13 +340,6 @@ class _Parser:
             return node
         raise DslError(f"unexpected {t.text!r} in expression", "syntax",
                        t.line, t.col)
-
-
-_BRACKET_KINDS = ("lie", "schouten", "fn", "nr")
-_CHECKS = ("poisson", "weighted", "nijenhuis", "weighted-poisson",
-           "weighted-nijenhuis", "almost-complex", "almost-product",
-           "almost-tangent", "pn", "involutive", "weighted-distribution",
-           "contact")
 
 
 def _parse_statement(tokens: list, line_no: int, src: str):
@@ -431,146 +444,34 @@ def _parse_statement(tokens: list, line_no: int, src: str):
         p.done()
         return ConnStmt(name, chart, tuple(entries), line_no, src)
 
-    if word == "lift":
-        t = p.peek()
-        if t is not None and t.kind == "minus":
+    if word == "lift" and p.peek() is not None and p.peek().kind == "minus":
+        p.next()
+        p.expect_word("connection")
+        word = "lift-connection"
+    form = _COMMANDS.get(word)
+    if form is None:
+        raise DslError(f"unknown statement {word!r}", "syntax", line_no, head.col)
+    args = {}
+    if isinstance(form, Choice):
+        kind = p.expect("ident", form.label).text
+        while form.hyphens and p.peek() and p.peek().kind == "minus":
             p.next()
-            p.expect_word("connection")
-            name = p.expect("ident", "connection name").text
-            r = p._kv("r")
-            alias = p._opt_as()
-            p.done()
-            return CmdStmt("lift-connection", {"name": name, "r": r,
-                                               "as": alias}, line_no, src)
-        name = p.expect("ident", "name").text
-        lam = None
-        t = p.peek()
-        if t is not None and t.kind == "ident" and t.text == "lambda":
-            lam = p._kv("lambda")
-        r = p._kv("r")
-        alias = p._opt_as()
-        p.done()
-        return CmdStmt("lift", {"name": name, "lambda": lam, "r": r,
-                                "as": alias}, line_no, src)
-
-    if word == "prolong":
-        name = p.expect("ident", "chart name").text
-        r = p._kv("r")
-        alias = p._opt_as()
-        p.done()
-        return CmdStmt("prolong", {"name": name, "r": r, "as": alias},
-                       line_no, src)
-
-    if word == "bracket":
-        kind = p.expect("ident", "bracket kind").text
-        if kind not in _BRACKET_KINDS:
-            raise DslError(f"unknown bracket kind {kind!r}", "syntax",
-                           line_no, head.col)
-        a = p.expect("ident", "name").text
-        b = p.expect("ident", "name").text
-        alias = p._opt_as()
-        p.done()
-        return CmdStmt("bracket", {"kind": kind, "a": a, "b": b,
-                                   "as": alias}, line_no, src)
-
-    if word == "d":
-        name = p.expect("ident", "name").text
-        alias = p._opt_as()
-        p.done()
-        return CmdStmt("d", {"name": name, "as": alias}, line_no, src)
-
-    if word == "liederiv":
-        x = p.expect("ident", "vector field").text
-        k = p.expect("ident", "tensor").text
-        alias = p._opt_as()
-        p.done()
-        return CmdStmt("liederiv", {"x": x, "k": k, "as": alias}, line_no, src)
-
-    if word == "covd":
-        c = p.expect("ident", "connection").text
-        x = p.expect("ident", "vector field").text
-        y = p.expect("ident", "vector field").text
-        alias = p._opt_as()
-        p.done()
-        return CmdStmt("covd", {"conn": c, "x": x, "y": y, "as": alias},
-                       line_no, src)
-
-    if word == "degree":
-        name = p.expect("ident", "name").text
-        comp = p._opt_kv("component", 0)
-        p.done()
-        return CmdStmt("degree", {"name": name, "component": comp},
-                       line_no, src)
-
+            kind += "-" + p.expect("ident", form.label).text
+        if kind not in form.forms:
+            raise DslError(f"unknown {form.noun} {kind!r}", "syntax", line_no,
+                           head.col)
+        args["kind"] = kind
+        form = form.forms[kind]
+    for key, label, _ in form.args:
+        args[key] = p.expect("ident", label).text
     if word == "eval":
-        name = p.expect("ident", "name").text
-        p.expect_word("at")
-        p.expect("lparen", "'('")
-        point = []
-        var = p.expect("ident", "variable").text
-        p.expect("equals")
-        point.append((var, p._rational()))
-        while p.peek() and p.peek().kind == "comma":
-            p.next()
-            var = p.expect("ident", "variable").text
-            p.expect("equals")
-            point.append((var, p._rational()))
-        p.expect("rparen", "')'")
-        p.done()
-        return CmdStmt("eval", {"name": name, "point": tuple(point)},
-                       line_no, src)
-
-    if word == "check":
-        kind = p.expect("ident", "check kind").text
-        while p.peek() and p.peek().kind == "minus":
-            p.next()
-            kind += "-" + p.expect("ident", "check kind").text
-        if kind not in _CHECKS:
-            raise DslError(f"unknown check kind {kind!r}", "syntax",
-                           line_no, head.col)
-        args = {"kind": kind}
-        if kind == "pn":
-            args["a"] = p.expect("ident", "name").text
-            args["b"] = p.expect("ident", "name").text
-        else:
-            args["a"] = p.expect("ident", "name").text
-        if kind in ("weighted", "weighted-poisson", "pn", "contact"):
-            args["k"] = p._kv("k")
-        if kind == "contact":
-            args["n"] = p._kv("n")
-        args["component"] = p._opt_kv("component", 0)
-        p.done()
-        return CmdStmt("check", args, line_no, src)
-
-    if word == "oracle":
-        sub = p.expect("ident", "oracle kind").text
-        if sub == "lift":
-            name = p.expect("ident", "function name").text
-            lam = p._kv("lambda")
-            r = p._kv("r")
-            p.done()
-            return CmdStmt("oracle", {"sub": "lift", "name": name,
-                                      "lambda": lam, "r": r}, line_no, src)
-        if sub == "concomitant":
-            names = [p.expect("ident", "name").text for _ in range(4)]
-            p.done()
-            return CmdStmt("oracle", {"sub": "concomitant", "names": tuple(names)},
-                           line_no, src)
-        if sub == "spotcheck":
-            a = p.expect("ident", "name").text
-            b = p.expect("ident", "name").text
-            p.done()
-            return CmdStmt("oracle", {"sub": "spotcheck", "a": a, "b": b},
-                           line_no, src)
-        raise DslError(f"unknown oracle form {sub!r}", "syntax", line_no,
-                       head.col)
-
-    if word == "print":
-        name = p.expect("ident", "name").text
-        p.done()
-        return CmdStmt("print", {"name": name}, line_no, src)
-
-    raise DslError(f"unknown statement {word!r}", "syntax", line_no, head.col)
+        args["point"] = p.point()
+    for key, default in form.params:
+        args[key] = p._kv(key) if default is _REQUIRED else p._opt_kv(key, default)
+    if form.alias:
+        args["as"] = p._opt_as()
+    p.done()
+    return CmdStmt(word, form, args, line_no, src)
 
 
 # -- static name resolution ----------------------------------------------------
@@ -644,52 +545,13 @@ def _resolve(script: Script) -> None:
                 check_expr(e, vars_, st.chart)
             define(st.name, "connection", st.line)
         else:
-            a = st.args
-            op = st.op
-            if op == "lift":
-                need(a["name"], ("tensor", "dist"), st.line)
-            elif op == "prolong":
-                need(a["name"], ("chart",), st.line)
-            elif op == "lift-connection":
-                need(a["name"], ("connection",), st.line)
-            elif op == "bracket":
-                need(a["a"], ("tensor",), st.line)
-                need(a["b"], ("tensor",), st.line)
-            elif op == "d":
-                need(a["name"], ("tensor",), st.line)
-            elif op == "liederiv":
-                need(a["x"], ("tensor",), st.line)
-                need(a["k"], ("tensor",), st.line)
-            elif op == "covd":
-                need(a["conn"], ("connection",), st.line)
-                need(a["x"], ("tensor",), st.line)
-                need(a["y"], ("tensor",), st.line)
-            elif op in ("degree", "eval"):
-                need(a["name"], ("tensor",), st.line)
-            elif op == "check":
-                want = ("dist",) if a["kind"] in ("involutive",
-                                                  "weighted-distribution") else ("tensor",)
-                need(a["a"], want, st.line)
-                if "b" in a:
-                    need(a["b"], ("tensor",), st.line)
-            elif op == "oracle":
-                if a["sub"] == "lift":
-                    need(a["name"], ("tensor",), st.line)
-                elif a["sub"] == "concomitant":
-                    for nm in a["names"]:
-                        need(nm, ("tensor",), st.line)
-                else:
-                    need(a["a"], ("tensor",), st.line)
-                    need(a["b"], ("tensor",), st.line)
-            elif op == "print":
-                need(a["name"], ("chart", "tensor", "dist", "connection"),
-                     st.line)
-            alias = a.get("as")
+            for key, _, want in st.form.args:
+                need(st.args[key], want, st.line)
+            alias = st.args.get("as")
             if alias:
-                new_kind = {"lift": None, "prolong": "chart",
-                            "lift-connection": "connection"}.get(op, "tensor")
-                if new_kind is None:
-                    new_kind = kinds[a["name"]]
+                new_kind = st.form.alias
+                if new_kind == "same":
+                    new_kind = kinds[st.args[st.form.args[0][0]]]
                 define(alias, new_kind, st.line)
 
 
@@ -725,22 +587,13 @@ class OutputRecord:
         return out
 
 
-def _deg_json(d):
-    if d is ANY_DEGREE:
-        return "any"
-    return d
-
-
 class _Env:
     """Execution state: named charts, tensors, distributions, connections."""
 
     def __init__(self, seed: int, samples: int):
         self.seed = seed
         self.samples = samples
-        self.charts: dict = {}
-        self.tensors: dict = {}
-        self.dists: dict = {}
-        self.conns: dict = {}       # name -> (LinearConnection, base Chart)
+        self.objects: dict = {}     # every kind shares one namespace
         self._contexts: dict = {}
 
     def context(self, chart: Chart, r: int) -> LiftContext:
@@ -751,12 +604,9 @@ class _Env:
             self._contexts[key] = ctx
         return ctx
 
-    def bind(self, name: str | None, kind: str, value) -> None:
-        if not name:
-            return
-        store = {"tensor": self.tensors, "chart": self.charts,
-                 "dist": self.dists, "connection": self.conns}[kind]
-        store[name] = value
+    def bind(self, name: str | None, value) -> None:
+        if name:
+            self.objects[name] = value
 
 
 def _eval_expr(node: tuple, chart: Chart) -> TensorField:
@@ -797,17 +647,8 @@ def _eval_expr(node: tuple, chart: Chart) -> TensorField:
     raise GradcalcError(f"unknown expression node {op!r}")
 
 
-def _tensor_record(st, env: _Env, t: TensorField, alias: str | None) -> OutputRecord:
-    env.bind(alias, "tensor", t)
-    text = render_tensor(t)
-    return OutputRecord(st.src, st.op if isinstance(st, CmdStmt) else "decl",
-                        True,
-                        {"result": tensor_to_json(t)},
-                        [text])
-
-
 def _run_decl(st: DeclStmt, env: _Env) -> OutputRecord:
-    chart = env.charts[st.chart]
+    chart = env.objects[st.chart]
     t = _eval_expr(st.expr, chart)
     if st.kind == "fn":
         want = (0, 0)
@@ -833,7 +674,7 @@ def _run_decl(st: DeclStmt, env: _Env) -> OutputRecord:
         ps = st.tag if t.p >= 2 else "none"
         if (t.contra_sym, t.cov_sym) != (cs, ps):
             t = tagged(t, contra_sym=cs, cov_sym=ps)
-    env.bind(st.name, "tensor", t)
+    env.bind(st.name, t)
     return OutputRecord(st.src, "decl", True,
                         {"name": st.name, "result": tensor_to_json(t)},
                         [f"{st.name} = {render_tensor(t)}"])
@@ -846,7 +687,7 @@ def _run_chart(st: ChartStmt, env: _Env) -> OutputRecord:
     if any(len(w) != d for w in weights):
         raise GradcalcError("inconsistent weight vector lengths")
     chart = make_chart(names, weights, label=st.name)
-    env.bind(st.name, "chart", chart)
+    env.bind(st.name, chart)
     return OutputRecord(st.src, "chart", True,
                         {"name": st.name, "result": chart_to_json(chart)},
                         [f"chart {st.name}: " + ", ".join(
@@ -855,10 +696,10 @@ def _run_chart(st: ChartStmt, env: _Env) -> OutputRecord:
 
 
 def _run_dist(st: DistStmt, env: _Env) -> OutputRecord:
-    chart = env.charts[st.chart]
+    chart = env.objects[st.chart]
     gens = tuple(_eval_expr(e, chart) for e in st.exprs)
     d = Distribution(chart, gens)
-    env.bind(st.name, "dist", d)
+    env.bind(st.name, d)
     return OutputRecord(st.src, "dist", True,
                         {"name": st.name,
                          "generators": [tensor_to_json(g) for g in gens]},
@@ -866,231 +707,278 @@ def _run_dist(st: DistStmt, env: _Env) -> OutputRecord:
 
 
 def _run_conn(st: ConnStmt, env: _Env) -> OutputRecord:
-    chart = env.charts[st.chart]
-    gamma = {}
+    chart = env.objects[st.chart]
+    gamma: dict = {}
     for up, lo1, lo2, e in st.entries:
         v = _eval_expr(e, chart)
         if v.q or v.p:
             raise GradcalcError("Christoffel symbols must be scalar")
         key = (chart.index(lo1), chart.index(up), chart.index(lo2))
-        prev = gamma.get(key)
-        sym = v.scalar_part()
-        gamma[key] = sym if prev is None else prev + sym
+        _acc(gamma, key, v.scalar_part())
     conn = tangent_connection(chart, gamma)
-    env.bind(st.name, "connection", (conn, chart))
+    env.bind(st.name, conn)
     return OutputRecord(st.src, "connection", True,
                         {"name": st.name, "symbols": len(conn.gamma)},
                         [f"{st.name}: connection with {len(st.entries)} symbols"])
 
 
-def _lookup_tensor(env: _Env, name: str) -> TensorField:
-    t = env.tensors.get(name)
-    if t is None:
-        raise GradcalcError(f"{name!r} is not a tensor")
-    return t
+def _tensor_result(st: CmdStmt, env: _Env, a: dict, t: TensorField) -> OutputRecord:
+    env.bind(a["as"], t)
+    text = render_tensor(t)
+    return OutputRecord(st.src, st.op, True, {"result": tensor_to_json(t)}, [text])
+
+
+def _run_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    x = a["name"]
+    if isinstance(x, Distribution):
+        if a["lambda"] is not None:
+            raise GradcalcError("distributions lift wholesale: drop lambda=")
+        lifted = lift_distribution(x, env.context(x.chart, a["r"]))
+        env.bind(a["as"], lifted)
+        return OutputRecord(st.src, "lift", True,
+                            {"generators": [tensor_to_json(g)
+                                            for g in lifted.generators]},
+                            [f"lifted distribution with {len(lifted.generators)} generators"])
+    if a["lambda"] is None:
+        raise GradcalcError("tensor lifts need lambda=")
+    ctx = env.context(x.chart, a["r"])
+    return _tensor_result(st, env, a, lift_tensor(x, a["lambda"], ctx))
+
+
+def _run_prolong(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    total = env.context(a["name"], a["r"]).total
+    env.bind(a["as"], total)
+    return OutputRecord(st.src, "prolong", True, {"result": chart_to_json(total)},
+                        [f"prolonged chart with {total.dim} variables"])
+
+
+def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    conn = a["name"]
+    lifted = lift_linear_connection(conn, env.context(conn.chart, a["r"]))
+    env.bind(a["as"], lifted)
+    return OutputRecord(st.src, "lift-connection", True,
+                        {"symbols": len(lifted.gamma)},
+                        [f"lifted connection with {len(lifted.gamma)} symbols"])
+
+
+def _run_degree(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    d = degree_of_tensor(a["name"], a["component"])
+    if d is ANY_DEGREE:
+        text = "degree = any (zero tensor)"
+    elif d is None:
+        text = "not homogeneous"
+    else:
+        text = f"degree = {d}"
+    return OutputRecord(st.src, "degree", True,
+                        {"degree": "any" if d is ANY_DEGREE else d}, [text])
+
+
+def _run_eval(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    t = a["name"]
+    values = evaluate_tensor_at(t, dict(a["point"]))
+    names = t.chart.names
+    rows = []
+    lines = []
+    for (up, down) in sorted(values):
+        v = values[(up, down)]
+        rows.append({"up": [names[i] for i in up],
+                     "down": [names[j] for j in down],
+                     "value": str(v)})
+        where = ",".join(names[i] for i in up) + ";" + \
+            ",".join(names[j] for j in down)
+        lines.append(f"({where}) = {v}" if (up or down) else str(v))
+    if not rows:
+        lines = ["0"]
+    return OutputRecord(st.src, "eval", True, {"values": rows}, lines)
+
+
+def _run_print(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    x = a["name"]
+    if isinstance(x, Chart):
+        return OutputRecord(st.src, "print", True, {"result": chart_to_json(x)},
+                            [repr(x)])
+    if isinstance(x, Distribution):
+        return OutputRecord(st.src, "print", True,
+                            {"generators": [tensor_to_json(g)
+                                            for g in x.generators]},
+                            [render_tensor(g) for g in x.generators])
+    if isinstance(x, LinearConnection):
+        names = x.chart.names
+        lines = [f"G {names[ai]} {names[k]} {names[b]} = {render_poly(g)}"
+                 for (k, ai, b), g in sorted(x.gamma.items())]
+        return OutputRecord(st.src, "print", True, {"symbols": len(x.gamma)},
+                            lines or ["flat connection"])
+    return OutputRecord(st.src, "print", True,
+                        {"result": tensor_to_json(x)}, [render_tensor(x)])
+
+
+def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    t = a["name"]
+    if t.q or t.p:
+        raise GradcalcError("oracle lift takes a function")
+    f = t.scalar_part()
+    ctx = env.context(t.chart, a["r"])
+    main = lift_function(f, a["lambda"], ctx)
+    other = taylor_lift_oracle(f, a["lambda"], ctx)
+    agree = main == other
+    line = "oracle lift: " + ("agree" if agree else "DISAGREE")
+    return OutputRecord(st.src, "oracle", agree,
+                        {"oracle": "taylor-lift", "agree": agree,
+                         "result": {"text": render_poly(main)}},
+                        [line, render_poly(main)], is_check=True)
+
+
+def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    lam, n, alpha, beta = a["lam"], a["n"], a["alpha"], a["beta"]
+    direct = insert_form(tensor_product(alpha, beta), concomitant(lam, n))
+    other = koszul_concomitant_oracle(lam, n, alpha, beta)
+    agree = direct == other
+    line = "oracle concomitant: " + ("agree" if agree else "DISAGREE")
+    return OutputRecord(st.src, "oracle", agree,
+                        {"oracle": "koszul-concomitant", "agree": agree,
+                         "result": tensor_to_json(direct)},
+                        [line, render_tensor(direct)], is_check=True)
+
+
+def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    plan = SamplePlan(seed=env.seed, count=env.samples)
+    rep = identity_spot_check(a["a"], a["b"], plan)
+    line = "oracle spotcheck: " + ("agree" if rep.verdict else
+                                   f"DISAGREE ({rep.witness})")
+    return OutputRecord(st.src, "oracle", bool(rep.verdict),
+                        {"oracle": "spot-check", "check": rep.to_json()},
+                        [line], is_check=True)
+
+
+# -- the command table ---------------------------------------------------------
+#
+# Every command keyword maps to one Form, or to a Choice whose second word
+# selects the Form.  Runners reach the engine through module-level names
+# looked up at call time (the lambda bodies below), never through function
+# objects stored in the table, so a wrapper bound over such a name sees
+# every call.
+
+_REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Form:
+    """One command form.
+
+    args: (key, parse label, object kinds) for each positional name.
+    run(st, env, a): builds the record; a maps each positional key to its
+    object and carries the key=INT values, "as" and "kind".
+    params: (key, default) for each key=INT in order; _REQUIRED marks a
+    key that must be given.
+    alias: the kind `as NAME` binds ("same" for the kind of the first
+    argument), or None where `as` is not accepted.
+    """
+
+    args: tuple
+    run: Callable
+    params: tuple = ()
+    alias: str | None = None
+
+
+@dataclass(frozen=True)
+class Choice:
+    """A command whose second word (label) selects one of its forms."""
+
+    label: str
+    noun: str               # in "unknown {noun} 'word'"
+    forms: dict
+    hyphens: bool = False   # the word may be hyphenated
+
+
+def _tensor_op(args: tuple, fn) -> Form:
+    """Form of a command whose result is the tensor fn(a)."""
+    return Form(args, lambda st, env, a: _tensor_result(st, env, a, fn(a)),
+                alias="tensor")
+
+
+def _check(args: tuple, params: tuple, fn) -> Form:
+    """Form of a check kind; fn(env, a) returns the CheckReport."""
+    def run(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+        rep = fn(env, a)
+        line = f"check {a['kind']}: " + ("PASS" if rep.verdict else
+                                         f"FAIL ({rep.witness})")
+        return OutputRecord(st.src, "check", bool(rep.verdict),
+                            {"check": rep.to_json()}, [line], is_check=True)
+    return Form(args, run, params + (("component", 0),))
+
+
+_T = ("tensor",)
+_NAME = (("name", "name", _T),)
+_A = (("a", "name", _T),)
+_AB = (("a", "name", _T), ("b", "name", _T))
+_DIST = (("a", "name", ("dist",)),)
+_K = ("k", _REQUIRED)
+_R = ("r", _REQUIRED)
+
+_COMMANDS = {
+    "lift": Form((("name", "name", ("tensor", "dist")),), _run_lift,
+                 (("lambda", None), _R), alias="same"),
+    "prolong": Form((("name", "chart name", ("chart",)),), _run_prolong, (_R,),
+                    alias="chart"),
+    "lift-connection": Form((("name", "connection name", ("connection",)),),
+                            _run_lift_connection, (_R,), alias="connection"),
+    "bracket": Choice("bracket kind", "bracket kind", {
+        "lie": _tensor_op(_AB, lambda a: lie_bracket(a["a"], a["b"])),
+        "schouten": _tensor_op(_AB, lambda a: schouten_bracket(a["a"], a["b"])),
+        "fn": _tensor_op(_AB, lambda a: fn_bracket(a["a"], a["b"])),
+        "nr": _tensor_op(_AB, lambda a: nr_bracket(a["a"], a["b"])),
+    }),
+    "d": _tensor_op(_NAME, lambda a: exterior_derivative(a["name"])),
+    "liederiv": _tensor_op((("x", "vector field", _T), ("k", "tensor", _T)),
+                           lambda a: lie_derivative(a["x"], a["k"])),
+    "covd": _tensor_op((("conn", "connection", ("connection",)),
+                        ("x", "vector field", _T), ("y", "vector field", _T)),
+                       lambda a: covariant_derivative(a["conn"], a["x"], a["y"])),
+    "degree": Form(_NAME, _run_degree, (("component", 0),)),
+    "eval": Form(_NAME, _run_eval),
+    "check": Choice("check kind", "check kind", hyphens=True, forms={
+        "poisson": _check(_A, (), lambda env, a: is_poisson(a["a"])),
+        "weighted": _check(_A, (_K,), lambda env, a: is_weighted_tensor(
+            a["a"], a["k"], component=a["component"])),
+        "nijenhuis": _check(_A, (), lambda env, a: is_nijenhuis(a["a"])),
+        "weighted-poisson": _check(_A, (_K,), lambda env, a: is_weighted_poisson(
+            a["a"], a["k"], component=a["component"])),
+        "weighted-nijenhuis": _check(_A, (), lambda env, a: is_weighted_nijenhuis(
+            a["a"], component=a["component"])),
+        "almost-complex": _check(_A, (), lambda env, a: is_almost_complex(a["a"])),
+        "almost-product": _check(_A, (), lambda env, a: is_almost_product(a["a"])),
+        "almost-tangent": _check(_A, (), lambda env, a: is_almost_tangent(a["a"])),
+        "pn": _check(_AB, (_K,), lambda env, a: is_weighted_pn(
+            a["a"], a["b"], a["k"], component=a["component"])),
+        "involutive": _check(_DIST, (), lambda env, a: is_involutive(
+            a["a"], seed=env.seed, samples=env.samples)),
+        "weighted-distribution": _check(_DIST, (), lambda env, a: is_weighted_distribution(
+            a["a"], component=a["component"], seed=env.seed, samples=env.samples)),
+        "contact": _check(_A, (_K, ("n", _REQUIRED)), lambda env, a: is_weighted_contact(
+            a["a"], a["k"], a["n"], component=a["component"])),
+    }),
+    "oracle": Choice("oracle kind", "oracle form", {
+        "lift": Form((("name", "function name", _T),), _run_oracle_lift,
+                     (("lambda", _REQUIRED), _R)),
+        "concomitant": Form(tuple((key, "name", _T) for key in
+                                  ("lam", "n", "alpha", "beta")),
+                            _run_oracle_concomitant),
+        "spotcheck": Form(_AB, _run_oracle_spotcheck),
+    }),
+    "print": Form((("name", "name", ("chart", "tensor", "dist", "connection")),),
+                  _run_print),
+}
 
 
 def _run_cmd(st: CmdStmt, env: _Env) -> OutputRecord:
-    op = st.op
-    a = st.args
+    a = dict(st.args)
+    for key, _, _ in st.form.args:
+        a[key] = env.objects[a[key]]
+    return st.form.run(st, env, a)
 
-    if op == "lift":
-        if a["name"] in env.dists:
-            if a["lambda"] is not None:
-                raise GradcalcError("distributions lift wholesale: drop lambda=")
-            d = env.dists[a["name"]]
-            ctx = env.context(d.chart, a["r"])
-            lifted = lift_distribution(d, ctx)
-            env.bind(a.get("as"), "dist", lifted)
-            return OutputRecord(st.src, "lift", True,
-                                {"generators": [tensor_to_json(g)
-                                                for g in lifted.generators]},
-                                [f"lifted distribution with {len(lifted.generators)} generators"])
-        t = _lookup_tensor(env, a["name"])
-        if a["lambda"] is None:
-            raise GradcalcError("tensor lifts need lambda=")
-        ctx = env.context(t.chart, a["r"])
-        out = lift_tensor(t, a["lambda"], ctx)
-        return _tensor_record(st, env, out, a.get("as"))
 
-    if op == "prolong":
-        chart = env.charts[a["name"]]
-        ctx = env.context(chart, a["r"])
-        env.bind(a.get("as"), "chart", ctx.total)
-        return OutputRecord(st.src, "prolong", True,
-                            {"result": chart_to_json(ctx.total)},
-                            [f"prolonged chart with {ctx.total.dim} variables"])
-
-    if op == "lift-connection":
-        conn, base = env.conns[a["name"]]
-        ctx = env.context(conn.chart, a["r"])
-        lifted = lift_linear_connection(conn, ctx)
-        env.bind(a.get("as"), "connection", (lifted, base))
-        return OutputRecord(st.src, "lift-connection", True,
-                            {"symbols": len(lifted.gamma)},
-                            [f"lifted connection with {len(lifted.gamma)} symbols"])
-
-    if op == "bracket":
-        x = _lookup_tensor(env, a["a"])
-        y = _lookup_tensor(env, a["b"])
-        fn = {"lie": lie_bracket, "schouten": schouten_bracket,
-              "fn": fn_bracket, "nr": nr_bracket}[a["kind"]]
-        return _tensor_record(st, env, fn(x, y), a.get("as"))
-
-    if op == "d":
-        t = _lookup_tensor(env, a["name"])
-        return _tensor_record(st, env, exterior_derivative(t), a.get("as"))
-
-    if op == "liederiv":
-        x = _lookup_tensor(env, a["x"])
-        k = _lookup_tensor(env, a["k"])
-        return _tensor_record(st, env, lie_derivative(x, k), a.get("as"))
-
-    if op == "covd":
-        conn, _ = env.conns[a["conn"]]
-        x = _lookup_tensor(env, a["x"])
-        y = _lookup_tensor(env, a["y"])
-        return _tensor_record(st, env, covariant_derivative(conn, x, y),
-                              a.get("as"))
-
-    if op == "degree":
-        t = _lookup_tensor(env, a["name"])
-        d = degree_of_tensor(t, a["component"])
-        if d is ANY_DEGREE:
-            text = "degree = any (zero tensor)"
-        elif d is None:
-            text = "not homogeneous"
-        else:
-            text = f"degree = {d}"
-        return OutputRecord(st.src, "degree", True, {"degree": _deg_json(d)},
-                            [text])
-
-    if op == "eval":
-        t = _lookup_tensor(env, a["name"])
-        from .oracle import evaluate_tensor_at
-        point = dict(a["point"])
-        values = evaluate_tensor_at(t, point)
-        names = t.chart.names
-        rows = []
-        lines = []
-        for (up, down) in sorted(values):
-            v = values[(up, down)]
-            rows.append({"up": [names[i] for i in up],
-                         "down": [names[j] for j in down],
-                         "value": str(v)})
-            where = ",".join(names[i] for i in up) + ";" + \
-                ",".join(names[j] for j in down)
-            lines.append(f"({where}) = {v}" if (up or down) else str(v))
-        if not rows:
-            lines = ["0"]
-        return OutputRecord(st.src, "eval", True, {"values": rows}, lines)
-
-    if op == "check":
-        kind = a["kind"]
-        comp = a["component"]
-        if kind in ("involutive", "weighted-distribution"):
-            d = env.dists.get(a["a"])
-            if d is None:
-                raise GradcalcError(f"{a['a']!r} is not a distribution")
-            if kind == "involutive":
-                rep = is_involutive(d, seed=env.seed, samples=env.samples)
-            else:
-                rep = is_weighted_distribution(d, component=comp,
-                                               seed=env.seed,
-                                               samples=env.samples)
-        else:
-            t = _lookup_tensor(env, a["a"])
-            if kind == "poisson":
-                rep = is_poisson(t)
-            elif kind == "weighted":
-                rep = is_weighted_tensor(t, a["k"], component=comp)
-            elif kind == "nijenhuis":
-                rep = is_nijenhuis(t)
-            elif kind == "weighted-poisson":
-                rep = is_weighted_poisson(t, a["k"], component=comp)
-            elif kind == "weighted-nijenhuis":
-                rep = is_weighted_nijenhuis(t, component=comp)
-            elif kind == "almost-complex":
-                rep = is_almost_complex(t)
-            elif kind == "almost-product":
-                rep = is_almost_product(t)
-            elif kind == "almost-tangent":
-                rep = is_almost_tangent(t)
-            elif kind == "pn":
-                n = _lookup_tensor(env, a["b"])
-                rep = is_weighted_pn(t, n, a["k"], component=comp)
-            elif kind == "contact":
-                rep = is_weighted_contact(t, a["k"], a["n"], component=comp)
-            else:
-                raise GradcalcError(f"unhandled check {kind!r}")
-        line = f"check {kind}: " + ("PASS" if rep.verdict else
-                                    f"FAIL ({rep.witness})")
-        return OutputRecord(st.src, "check", bool(rep.verdict),
-                            {"check": rep.to_json()}, [line], is_check=True)
-
-    if op == "oracle":
-        sub = a["sub"]
-        if sub == "lift":
-            t = _lookup_tensor(env, a["name"])
-            if t.q or t.p:
-                raise GradcalcError("oracle lift takes a function")
-            f = t.scalar_part()
-            ctx = env.context(t.chart, a["r"])
-            main = lift_function(f, a["lambda"], ctx)
-            other = taylor_lift_oracle(f, a["lambda"], ctx)
-            agree = main == other
-            line = "oracle lift: " + ("agree" if agree else "DISAGREE")
-            return OutputRecord(st.src, "oracle", agree,
-                                {"oracle": "taylor-lift", "agree": agree,
-                                 "result": {"text": render_poly(main)}},
-                                [line, render_poly(main)], is_check=True)
-        if sub == "concomitant":
-            lam, n, alpha, beta = (_lookup_tensor(env, nm) for nm in a["names"])
-            direct = insert_form(tensor_product(alpha, beta),
-                                 concomitant(lam, n))
-            other = koszul_concomitant_oracle(lam, n, alpha, beta)
-            agree = direct == other
-            line = "oracle concomitant: " + ("agree" if agree else "DISAGREE")
-            return OutputRecord(st.src, "oracle", agree,
-                                {"oracle": "koszul-concomitant", "agree": agree,
-                                 "result": tensor_to_json(direct)},
-                                [line, render_tensor(direct)], is_check=True)
-        x = _lookup_tensor(env, a["a"])
-        y = _lookup_tensor(env, a["b"])
-        plan = SamplePlan(seed=env.seed, count=env.samples)
-        rep = identity_spot_check(x, y, plan)
-        line = "oracle spotcheck: " + ("agree" if rep.verdict else
-                                       f"DISAGREE ({rep.witness})")
-        return OutputRecord(st.src, "oracle", bool(rep.verdict),
-                            {"oracle": "spot-check", "check": rep.to_json()},
-                            [line], is_check=True)
-
-    if op == "print":
-        name = a["name"]
-        if name in env.charts:
-            chart = env.charts[name]
-            return OutputRecord(st.src, "print", True,
-                                {"result": chart_to_json(chart)},
-                                [repr(chart)])
-        if name in env.dists:
-            d = env.dists[name]
-            return OutputRecord(st.src, "print", True,
-                                {"generators": [tensor_to_json(g)
-                                                for g in d.generators]},
-                                [render_tensor(g) for g in d.generators])
-        if name in env.conns:
-            conn, _ = env.conns[name]
-            names = conn.chart.names
-            lines = [f"G {names[ai]} {names[k]} {names[b]} = {render_poly(g)}"
-                     for (k, ai, b), g in sorted(conn.gamma.items())]
-            return OutputRecord(st.src, "print", True,
-                                {"symbols": len(conn.gamma)},
-                                lines or ["flat connection"])
-        t = _lookup_tensor(env, name)
-        return OutputRecord(st.src, "print", True,
-                            {"result": tensor_to_json(t)}, [render_tensor(t)])
-
-    raise GradcalcError(f"unhandled command {op!r}")
+_RUNNERS = {ChartStmt: _run_chart, DeclStmt: _run_decl, DistStmt: _run_dist,
+            ConnStmt: _run_conn, CmdStmt: _run_cmd}
 
 
 def execute(script: Script, seed: int = 0, samples: int = 8):
@@ -1105,16 +993,7 @@ def execute(script: Script, seed: int = 0, samples: int = 8):
     for st in script.statements:
         t0 = time.perf_counter()
         try:
-            if isinstance(st, ChartStmt):
-                rec = _run_chart(st, env)
-            elif isinstance(st, DeclStmt):
-                rec = _run_decl(st, env)
-            elif isinstance(st, DistStmt):
-                rec = _run_dist(st, env)
-            elif isinstance(st, ConnStmt):
-                rec = _run_conn(st, env)
-            else:
-                rec = _run_cmd(st, env)
+            rec = _RUNNERS[type(st)](st, env)
         except GradcalcError as e:
             msg = e.args[0] if e.args else str(e)
             rec = OutputRecord(st.src, "error", False,

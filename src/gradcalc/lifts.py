@@ -39,7 +39,7 @@ __all__ = [
     "LiftContext", "lift_function", "lift_function_jets",
     "lift_vector_field", "lift_one_form", "lift_tensor",
     "lift_weight_vector_field", "lift_distribution",
-    "LinearConnection", "linear_connection", "tangent_connection",
+    "LinearConnection", "tangent_connection",
     "lift_linear_connection", "horizontal_fields", "covariant_derivative",
 ]
 
@@ -191,8 +191,7 @@ def lift_weight_vector_field(ctx: LiftContext, component: int = 0) -> TensorFiel
     is the weight field of the inherited grading on the prolonged chart.
     """
     base = ctx.base
-    if not 0 <= component < base.grading_count:
-        raise GradcalcError("no such grading component")
+    base.check_component(component)
     comps = {}
     for i in range(base.dim):
         w = base.weights[i][component]
@@ -212,7 +211,7 @@ def lift_distribution(d, ctx: LiftContext):
     gens = []
     for x in d.generators:
         for nu in range(ctx.r + 1):
-            gens.append(lift_vector_field(x, nu, ctx))
+            gens.append(lift_tensor(x, nu, ctx))
     return Distribution(ctx.total, tuple(gens))
 
 
@@ -251,10 +250,6 @@ class LinearConnection:
 
     def __repr__(self) -> str:
         return f"<LinearConnection on {self.chart!r} with {len(self.gamma)} symbols>"
-
-
-def linear_connection(chart: Chart, vb_component: int, gamma: Mapping) -> LinearConnection:
-    return LinearConnection(chart, vb_component, gamma)
 
 
 def tangent_connection(base_chart: Chart, gamma: Mapping) -> LinearConnection:

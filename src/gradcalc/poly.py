@@ -289,13 +289,8 @@ class Poly:
                     nm = m[:pos] + m[pos + 1:]
                 else:
                     nm = m[:pos] + ((v, e - 1),) + m[pos + 1:]
-                nc = c * e
-                prev = out.get(nm)
-                s = nc if prev is None else prev + nc
-                if s:
-                    out[nm] = s
-                elif prev is not None:
-                    del out[nm]
+                # distinct monomials stay distinct and c * e != 0
+                out[nm] = c * e
                 break
         return Poly(self.chart, out)
 

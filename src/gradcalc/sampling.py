@@ -13,7 +13,7 @@ from itertools import combinations
 from .charts import Chart
 from .errors import GradcalcError
 from .poly import Poly
-from .tensor import TensorField
+from .tensor import TensorField, _acc
 
 __all__ = [
     "sample_points", "random_fraction", "random_poly",
@@ -140,7 +140,5 @@ def random_tensor(rng: random.Random, chart: Chart, q: int, p: int,
     for _ in range(rng.randint(1, max_components)):
         up = tuple(rng.randrange(chart.dim) for _ in range(q))
         down = tuple(rng.randrange(chart.dim) for _ in range(p))
-        poly = random_poly(rng, chart, **poly_opts)
-        prev = comps.get((up, down))
-        comps[(up, down)] = poly if prev is None else prev + poly
-    return TensorField(chart, q, p, {k: v for k, v in comps.items() if v})
+        _acc(comps, (up, down), random_poly(rng, chart, **poly_opts))
+    return TensorField(chart, q, p, comps)

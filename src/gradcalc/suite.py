@@ -31,7 +31,7 @@ from .render import render_tensor
 from .sampling import (random_form, random_multivector, random_one_form,
                        random_poly, random_tensor, random_vector_field,
                        random_vv_form, sample_points)
-from .tensor import (coordinate_one_form, coordinate_vector_field, compose_11,
+from .tensor import (_acc, coordinate_one_form, coordinate_vector_field, compose_11,
                      degree_of_tensor, identity_tensor, insert_form,
                      insert_multivector, tensor_product, wedge,
                      weight_vector_field)
@@ -357,10 +357,8 @@ def criterion_connection_lifts(seed: int, extra: int = 20) -> CriterionResult:
         gamma = {}
         for _ in range(rng.randint(1, 3)):
             key = tuple(rng.randrange(dim) for _ in range(3))
-            g = random_poly(rng, m)
-            prev = gamma.get(key)
-            gamma[key] = g if prev is None else prev + g
-        check(m, {k: v for k, v in gamma.items() if v}, f"random-{case}")
+            _acc(gamma, key, random_poly(rng, m))
+        check(m, gamma, f"random-{case}")
         if bad:
             break
     detail = bad[0] if bad else \

@@ -321,8 +321,7 @@ def identity_tensor(chart: Chart) -> TensorField:
 
 def weight_vector_field(chart: Chart, component: int = 0) -> TensorField:
     """The weight (Euler) vector field: sum of w_i x^i d/dx^i."""
-    if not 0 <= component < chart.grading_count:
-        raise GradcalcError("no such grading component")
+    chart.check_component(component)
     comps = {}
     for i in range(chart.dim):
         w = chart.weights[i][component]
@@ -495,8 +494,7 @@ def degree_of_tensor(t: TensorField, component: int = 0) -> object:
     None when inhomogeneous.
     """
     chart = t.chart
-    if not 0 <= component < chart.grading_count:
-        raise GradcalcError("no such grading component")
+    chart.check_component(component)
     ws = chart.weights
     seen = None
     for (up, down), coef in t.components.items():

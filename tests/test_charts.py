@@ -20,6 +20,16 @@ def test_make_chart_basics():
     assert m.n_graded == (True,)
 
 
+def test_component_out_of_range_raises():
+    m = make_chart(["x", "y"], [0, 2])
+    for bad in (1, -1):
+        for call in (lambda: m.degree(bad), lambda: m.weight(0, bad),
+                     lambda: m.component_weights(bad)):
+            with pytest.raises(GradcalcError, match="no such grading component"):
+                call()
+    assert make_chart([], []).degree() == 0
+
+
 def test_make_chart_multi_component_and_z_grading():
     m = make_chart(["a", "b"], [(1, 0), (-1, 1)])
     assert m.grading_count == 2

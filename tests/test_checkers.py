@@ -15,7 +15,6 @@ from gradcalc.checkers import (
     Section,
     algebroid_bracket,
     flat_map,
-    invert_rational_matrix,
     is_almost_complex,
     is_almost_product,
     is_almost_tangent,
@@ -239,25 +238,16 @@ def test_flat_map():
     assert bm.report.degrees == {"x": "1", "y": "0"}
     with pytest.raises(ValenceError):
         flat_map(dvf(w, "x"))
+    # the tangent chart has one more component than w; -1 must not reach it
+    for bad in (1, -1):
+        with pytest.raises(GradcalcError, match="no such grading component"):
+            flat_map(om, k=1, component=bad)
 
 
 def test_rational_linear_algebra():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([]) == 0
     assert rational_rank([[0, 0], [0, 0]]) == 0
-    inv = invert_rational_matrix([[2, 1], [1, 1]])
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
-    rng = random.Random(21)
-    for _ in range(5):
-        m = [[Fraction(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
-        if rational_rank(m) < 3:
-            continue
-        inv = invert_rational_matrix(m)
-        prod = [[sum(m[i][k] * inv[k][j] for k in range(3)) for j in range(3)]
-                for i in range(3)]
-        assert prod == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    with pytest.raises(GradcalcError):
-        invert_rational_matrix([[1, 2], [2, 4]])
 
 
 def test_rank_at_point():

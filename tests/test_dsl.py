@@ -1,11 +1,13 @@
 """Script language: grammar, diagnostics, records, exit codes, CLI."""
 
 import json
+import os
 import random
+import re
 
 import pytest
 
-from gradcalc import __version__
+from gradcalc import __version__, dsl
 from gradcalc.charts import make_chart
 from gradcalc.cli import main
 from gradcalc.dsl import parse, records_to_json, run_text
@@ -338,3 +340,175 @@ def test_cli_version(capsys):
         main(["--version"])
     assert ei.value.code == 0
     assert capsys.readouterr().out.strip() == f"gradcalc {__version__}"
+
+
+def test_cli_out_of_range_component_is_semantic_error(tmp_path, capsys):
+    for check in ("weighted-poisson L k=1", "weighted L k=1", "pn L J k=1",
+                  "weighted-nijenhuis J"):
+        path = _write(tmp_path, "chart M { x:0, y:1 }\n"
+                                "tensor(2,0) antisym L on M = d/dx ^^ d/dy\n"
+                                "tensor(1,1) J on M = 0\n"
+                                f"check {check} component=1\n")
+        assert main(["run", path, "--format", "json"]) == 3
+        rec = json.loads(capsys.readouterr().out)["records"][-1]
+        assert rec["error"] == {"kind": "semantic", "line": 4,
+                                "message": "no such grading component"}
+
+
+# -- the command table ---------------------------------------------------------
+
+DIAG_PRELUDE = """\
+chart M { x:0, y:1 }
+fn f on M = x
+vf X on M = x*d/dy
+tensor(2,0) antisym L on M = d/dx ^^ d/dy
+tensor(1,1) J on M = d/dx ox dx
+dist D on M = span(d/dx)
+connection G on M { G x x x = 1 }
+"""
+
+# One malformed line per command form and failure mode: missing name,
+# wrong-kind name, unknown sub-kind, missing or misspelt key=, trailing
+# input, and `as` where the form takes no alias.  Each is (line, error
+# kind, column, message); the line number is always 8.
+DIAGNOSTICS = [
+    ("lift", "syntax", 5, "unexpected end of line"),
+    ("lift 3 r=1", "syntax", 6, "expected name, got '3'"),
+    ("lift G lambda=1 r=1", "name", None, "'G' is a connection, expected tensor or dist"),
+    ("lift f lambda=1", "syntax", 16, "unexpected end of line"),
+    ("lift f lambda=1 rr=1", "syntax", 17, "expected 'r', got 'rr'"),
+    ("lift f r=1 lambda=1", "syntax", 12, "trailing input 'lambda'"),
+    ("lift f lambda=1 r=1 X", "syntax", 21, "trailing input 'X'"),
+    ("lift f lambda=1 r=1 as", "syntax", 23, "unexpected end of line"),
+    ("lift f lambda=1 r=1 as 3", "syntax", 24, "expected name, got '3'"),
+    ("lift -", "syntax", 7, "unexpected end of line"),
+    ("lift - conection G r=1", "syntax", 8, "expected 'connection', got 'conection'"),
+    ("lift - connection 3 r=1", "syntax", 19, "expected connection name, got '3'"),
+    ("lift - connection f r=1", "name", None, "'f' is a tensor, expected connection"),
+    ("lift - connection G", "syntax", 20, "unexpected end of line"),
+    ("lift - connection G r=1 as H extra", "syntax", 30, "trailing input 'extra'"),
+    ("prolong 3 r=1", "syntax", 9, "expected chart name, got '3'"),
+    ("prolong f r=1", "name", None, "'f' is a tensor, expected chart"),
+    ("prolong M", "syntax", 10, "unexpected end of line"),
+    ("prolong M r=x", "syntax", 13, "expected integer, got 'x'"),
+    ("bracket", "syntax", 8, "unexpected end of line"),
+    ("bracket 3 f f", "syntax", 9, "expected bracket kind, got '3'"),
+    ("bracket foo f f", "syntax", 1, "unknown bracket kind 'foo'"),
+    ("bracket lie f", "syntax", 14, "unexpected end of line"),
+    ("bracket lie f 3", "syntax", 15, "expected name, got '3'"),
+    ("bracket lie G f", "name", None, "'G' is a connection, expected tensor"),
+    ("bracket lie f f f", "syntax", 17, "trailing input 'f'"),
+    ("d", "syntax", 2, "unexpected end of line"),
+    ("d 3", "syntax", 3, "expected name, got '3'"),
+    ("d D", "name", None, "'D' is a dist, expected tensor"),
+    ("d f f", "syntax", 5, "trailing input 'f'"),
+    ("d f as X", "name", None, "'X' is already defined"),
+    ("liederiv X", "syntax", 11, "unexpected end of line"),
+    ("liederiv 3 f", "syntax", 10, "expected vector field, got '3'"),
+    ("liederiv X 3", "syntax", 12, "expected tensor, got '3'"),
+    ("liederiv X M", "name", None, "'M' is a chart, expected tensor"),
+    ("covd 3 X X", "syntax", 6, "expected connection, got '3'"),
+    ("covd G 3 X", "syntax", 8, "expected vector field, got '3'"),
+    ("covd G X 3", "syntax", 10, "expected vector field, got '3'"),
+    ("covd X X X", "name", None, "'X' is a tensor, expected connection"),
+    ("covd G X", "syntax", 9, "unexpected end of line"),
+    ("degree 3", "syntax", 8, "expected name, got '3'"),
+    ("degree D", "name", None, "'D' is a dist, expected tensor"),
+    ("degree f as g", "syntax", 10, "trailing input 'as'"),
+    ("degree f componnt=1", "syntax", 10, "trailing input 'componnt'"),
+    ("degree f component=", "syntax", 20, "unexpected end of line"),
+    ("eval 3 at (x=1)", "syntax", 6, "expected name, got '3'"),
+    ("eval G at (x=1)", "name", None, "'G' is a connection, expected tensor"),
+    ("eval f (x=1)", "syntax", 8, "expected 'at', got '('"),
+    ("eval f at (3=1)", "syntax", 12, "expected variable, got '3'"),
+    ("eval f at (x=1", "syntax", 15, "unexpected end of line"),
+    ("eval f at (x=1) as g", "syntax", 17, "trailing input 'as'"),
+    ("check", "syntax", 6, "unexpected end of line"),
+    ("check 3 f", "syntax", 7, "expected check kind, got '3'"),
+    ("check bogus f", "syntax", 1, "unknown check kind 'bogus'"),
+    ("check weighted-bogus L", "syntax", 1, "unknown check kind 'weighted-bogus'"),
+    ("check weighted- L", "syntax", 1, "unknown check kind 'weighted-L'"),
+    ("check poisson", "syntax", 14, "unexpected end of line"),
+    ("check poisson 3", "syntax", 15, "expected name, got '3'"),
+    ("check poisson D", "name", None, "'D' is a dist, expected tensor"),
+    ("check involutive L", "name", None, "'L' is a tensor, expected dist"),
+    ("check weighted L", "syntax", 17, "unexpected end of line"),
+    ("check weighted L kk=1", "syntax", 18, "expected 'k', got 'kk'"),
+    ("check weighted L k=1 component=x", "syntax", 32, "expected integer, got 'x'"),
+    ("check contact f k=1", "syntax", 20, "unexpected end of line"),
+    ("check contact f n=1 k=1", "syntax", 17, "expected 'k', got 'n'"),
+    ("check poisson L k=1", "syntax", 17, "trailing input 'k'"),
+    ("check poisson L as Q", "syntax", 17, "trailing input 'as'"),
+    ("check pn L", "syntax", 11, "unexpected end of line"),
+    ("check pn L D k=1", "name", None, "'D' is a dist, expected tensor"),
+    ("oracle", "syntax", 7, "unexpected end of line"),
+    ("oracle 3", "syntax", 8, "expected oracle kind, got '3'"),
+    ("oracle bogus f", "syntax", 1, "unknown oracle form 'bogus'"),
+    ("oracle lift 3 lambda=1 r=1", "syntax", 13, "expected function name, got '3'"),
+    ("oracle lift f r=1", "syntax", 15, "expected 'lambda', got 'r'"),
+    ("oracle lift f lambda=1 r=1 as g", "syntax", 28, "trailing input 'as'"),
+    ("oracle concomitant L J f", "syntax", 25, "unexpected end of line"),
+    ("oracle spotcheck 3 f", "syntax", 18, "expected name, got '3'"),
+    ("oracle spotcheck X G", "name", None, "'G' is a connection, expected tensor"),
+    ("print", "syntax", 6, "unexpected end of line"),
+    ("print 3", "syntax", 7, "expected name, got '3'"),
+    ("print Zz", "name", None, "'Zz' is not defined"),
+    ("print f g", "syntax", 9, "trailing input 'g'"),
+    ("print f as g", "syntax", 9, "trailing input 'as'"),
+    ("frob f", "syntax", 1, "unknown statement 'frob'"),
+]
+
+
+@pytest.mark.parametrize("line,kind,col,message", DIAGNOSTICS)
+def test_command_diagnostics(line, kind, col, message):
+    with pytest.raises(DslError) as ei:
+        parse(DIAG_PRELUDE + line + "\n")
+    e = ei.value
+    assert (e.kind, e.line, e.col, e.args[0]) == (kind, 8, col, message)
+
+
+CHECK_PRELUDE = """\
+chart M { x:0, y:1 }
+chart C { t:2, u:1, v:1 }
+tensor(2,0) antisym L on M = d/dx ^^ d/dy
+tensor(1,1) J on M = d/dx ox dx
+dist D on M = span(d/dx, x*d/dy)
+form a on C = dt + u*dv
+"""
+
+CHECK_LINES = {
+    "poisson": "check poisson L",
+    "weighted": "check weighted L k=1",
+    "nijenhuis": "check nijenhuis J",
+    "weighted-poisson": "check weighted-poisson L k=1",
+    "weighted-nijenhuis": "check weighted-nijenhuis J",
+    "almost-complex": "check almost-complex J",
+    "almost-product": "check almost-product J",
+    "almost-tangent": "check almost-tangent J",
+    "pn": "check pn L J k=1",
+    "involutive": "check involutive D",
+    "weighted-distribution": "check weighted-distribution D",
+    "contact": "check contact a k=2 n=1",
+}
+
+
+def _check_kinds() -> list:
+    return list(dsl._COMMANDS["check"].forms)
+
+
+def test_every_check_kind_runs():
+    assert sorted(CHECK_LINES) == sorted(_check_kinds())
+    for kind in _check_kinds():
+        records, code = run(CHECK_PRELUDE + CHECK_LINES[kind] + "\n")
+        assert code in (0, 1), kind
+        rec = records[-1]
+        assert rec.kind == "check" and rec.is_check
+        assert rec.text[0].startswith(f"check {kind}: ")
+
+
+def test_readme_lists_the_check_kinds():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    listed = re.search(r"Check kinds:(.*?)\.\s", text, re.S).group(1)
+    assert re.findall(r"`([a-z-]+)`", listed) == _check_kinds()

@@ -13,6 +13,7 @@ from gradcalc.checkers import Distribution
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
 from gradcalc.lifts import (
     LiftContext,
+    LinearConnection,
     _level_assignments,
     covariant_derivative,
     horizontal_fields,
@@ -24,7 +25,6 @@ from gradcalc.lifts import (
     lift_tensor,
     lift_vector_field,
     lift_weight_vector_field,
-    linear_connection,
     tangent_connection,
 )
 from gradcalc.oracle import taylor_lift_oracle
@@ -184,10 +184,10 @@ def test_tangent_connection_structure():
     assert conn.fibre == (2, 3)
     assert names_of(conn) == {("x", "y_dot", "x_dot")}
     with pytest.raises(GradcalcError):
-        linear_connection(conn.chart, conn.vb_component, {(2, 3, 2): 1})
+        LinearConnection(conn.chart, conn.vb_component, {(2, 3, 2): 1})
     xdot = Poly.variable(conn.chart, 2)
     with pytest.raises(GradcalcError):
-        linear_connection(conn.chart, conn.vb_component, {(0, 3, 2): xdot})
+        LinearConnection(conn.chart, conn.vb_component, {(0, 3, 2): xdot})
 
 
 def test_covariant_derivative():
