@@ -38,9 +38,8 @@ from .calculus import (
 )
 from .lifts import (
     LiftContext, LinearConnection, covariant_derivative, horizontal_fields,
-    lift_distribution, lift_function, lift_linear_connection, lift_one_form,
-    lift_tensor, lift_vector_field, lift_weight_vector_field,
-    tangent_connection,
+    lift_distribution, lift_function, lift_linear_connection, lift_tensor,
+    lift_weight_vector_field, tangent_connection,
 )
 from .checkers import (
     BundleMap, CheckReport, Distribution, Section, algebroid_bracket,
@@ -77,8 +76,8 @@ __all__ = [
     "schouten_bracket", "fn_bracket", "nr_bracket", "nijenhuis_torsion",
     "concomitant",
     # lifts
-    "LiftContext", "lift_function", "lift_tensor", "lift_vector_field",
-    "lift_one_form", "lift_weight_vector_field", "lift_distribution",
+    "LiftContext", "lift_function", "lift_tensor",
+    "lift_weight_vector_field", "lift_distribution",
     "LinearConnection", "tangent_connection",
     "lift_linear_connection", "horizontal_fields", "covariant_derivative",
     # checkers

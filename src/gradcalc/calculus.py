@@ -1,40 +1,54 @@
 """Differential operators and classical brackets.
 
 Everything here is computed componentwise in one chart with exact
-rational coefficients.  The multi-term brackets (Schouten, vector-valued
-forms) are evaluated by decomposing stored components into coordinate
-decomposables -- coefficient times wedge/tensor products of coordinate
-basis fields -- and applying the defining two-argument formulas, so each
-bracket is an independent code path and not a reduction to another one.
+rational coefficients.  Each bracket is a direct formula over the stored
+components of its arguments, so it is an independent code path and not
+a reduction to another bracket.  A stored (1, k) component is written
+f d_m ox dx^I (key ((m,), I), I increasing), a stored multivector
+component f d_I; every index sequence below is sorted with the sign of
+its permutation, and a sequence with a repeated index gives zero.
+Removing m from position p of J (0-based) is written J - m and costs
+the sign (-1)^p; d_v f is the partial derivative.
 
-Sign conventions:
-
-* d(f dx^I) = df ^^ dx^I with the unnormalized wedge;
+* d(f dx^I) = sum_v d_v f dx^(v, I), the unnormalized wedge df ^^ dx^I;
 * [X, Y] = X(Y^k) d/dk - Y(X^k) d/dk;
-* Schouten bracket of decomposables X_1^^..^^X_k and Y_1^^..^^Y_l is
-  sum_{i,j} (-1)^(i+j) [X_i,Y_j] ^^ X_1..(no i)..X_k ^^ Y_1..(no j)..Y_l;
-* the bracket of vector-valued forms mu ox X and nu ox Y (form degrees
-  k and l) is
-    mu^^nu ox [X,Y] + mu^^L_X(nu) ox Y - L_Y(mu)^^nu ox X
-      + (-1)^k (d(mu)^^i_X(nu) ox Y + i_Y(mu)^^d(nu) ox X);
-* the algebraic bracket of the same data is
-    mu^^i_X(nu) ox Y + (-1)^k i_Y(mu)^^nu ox X.
+* Schouten: f d_I (degree k) against g d_J gives
+    (-1)^(k-1) sum_i f d_{I_i}g d_(I - I_i, J) - sum_j g d_{J_j}f d_(I, J - J_j);
+* the differential-graded (Frolicher-Nijenhuis) bracket of f d_m ox dx^I
+  (degree k) and g d_n ox dx^J, with eps = (-1)^k, is
+    f d_m(g) d_n ox dx^(I, J) - d_n(f) g d_m ox dx^(I, J)
+      + eps sum_s d_s(f) g d_n ox dx^(s, I, J - m)
+      + eps sum_s f d_s(g) d_m ox dx^(I - n, s, J),
+  the last two terms only when m is in J, resp. n is in I; on
+  decomposables this is mu^^nu ox [X,Y] + mu^^L_X(nu) ox Y
+  - L_Y(mu)^^nu ox X + (-1)^k (d(mu)^^i_X(nu) ox Y + i_Y(mu)^^d(nu) ox X);
+* the algebraic (Nijenhuis-Richardson) bracket of the same data is
+    f g d_n ox dx^(I, J - m) + eps f g d_m ox dx^(I - n, J),
+  each term only when m is in J, resp. n is in I; on decomposables this
+  is mu^^i_X(nu) ox Y + (-1)^k i_Y(mu)^^nu ox X.
 """
 
 from __future__ import annotations
 
 from .errors import ChartMismatchError, ValenceError
 from .poly import Poly
-from .tensor import (
-    TensorField, _acc, _from_expanded, coordinate_vector_field,
-    insert_multivector, tensor_product, wedge, wedge_list,
-)
+from .tensor import TensorField, _acc, _from_expanded, _sort_with_parity
 
 __all__ = [
     "exterior_derivative", "lie_bracket", "lie_derivative",
     "schouten_bracket", "fn_bracket", "nr_bracket",
     "nijenhuis_torsion", "concomitant",
 ]
+
+
+def _acc_sorted(out: dict, up: tuple, idx: tuple, coef: Poly, sign: int = 1) -> None:
+    """Add sign * coef at (up, idx sorted), signed by the sorting permutation.
+
+    A repeated index in idx makes the term zero and drops it.
+    """
+    s, down = _sort_with_parity(idx)
+    if s:
+        _acc(out, (up, down), coef if s * sign == 1 else -coef)
 
 
 def _require_form(w: TensorField) -> None:
@@ -61,22 +75,11 @@ def _require_vvform(a: TensorField) -> None:
 def exterior_derivative(w: TensorField) -> TensorField:
     """Exterior derivative of a (0, p) antisymmetric form."""
     _require_form(w)
-    chart = w.chart
     out: dict = {}
     for (_, down), coef in w.components.items():
-        for var in sorted(coef.variables_used()):
-            dcoef = coef.diff(var)
-            if not dcoef:
-                continue
-            if var in down:
-                continue
-            pos = 0
-            while pos < len(down) and down[pos] < var:
-                pos += 1
-            key = down[:pos] + (var,) + down[pos:]
-            _acc(out, ((), key), dcoef if pos % 2 == 0 else -dcoef)
-    return TensorField(chart, 0, w.p + 1,
-                       out, cov_sym="antisym" if w.p + 1 >= 2 else "none")
+        for var in coef.variables_used():
+            _acc_sorted(out, (), (var,) + down, coef.diff(var))
+    return TensorField(w.chart, 0, w.p + 1, out, cov_sym="antisym")
 
 
 def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
@@ -156,9 +159,7 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
 def schouten_bracket(a: TensorField, b: TensorField) -> TensorField:
     """Schouten bracket of multivector fields (degrees k, l >= 1).
 
-    Stored components f dx-wedge are decomposed with the coefficient
-    attached to the first factor, and the decomposable formula is expanded
-    through lie_bracket.  Output degree is k + l - 1.
+    Component formula in the module docstring.  Output degree k + l - 1.
     """
     if a.chart is not b.chart:
         raise ChartMismatchError("tensors live on different charts")
@@ -167,95 +168,63 @@ def schouten_bracket(a: TensorField, b: TensorField) -> TensorField:
     k, l = a.q, b.q
     if k < 1 or l < 1:
         raise ValenceError("schouten_bracket needs multivector degrees >= 1")
-    chart = a.chart
-    n = k + l - 1
-    result = TensorField.zero(chart, n, 0, contra_sym="antisym")
+    out: dict = {}
     for (ua, _), f in a.components.items():
-        xs = [coordinate_vector_field(chart, i) for i in ua]
-        xs[0] = xs[0] * f
         for (ub, _), g in b.components.items():
-            ys = [coordinate_vector_field(chart, j) for j in ub]
-            ys[0] = ys[0] * g
-            for i in range(k):
-                for j in range(l):
-                    br = lie_bracket(xs[i], ys[j])
-                    if br.is_zero():
-                        continue
-                    rest = xs[:i] + xs[i + 1:] + ys[:j] + ys[j + 1:]
-                    term = wedge_list([br] + rest) if rest else br
-                    if (i + j) % 2 == 1:
-                        term = -term
-                    result = result + term
-    return result
-
-
-def _vv_decompose(a: TensorField):
-    """Split a vector-valued form into (k-form, coordinate field) pairs."""
-    chart = a.chart
-    for ((m,), down), coef in a.components.items():
-        mu = TensorField(chart, 0, len(down), {((), down): coef},
-                         cov_sym="antisym" if len(down) >= 2 else "none")
-        yield mu, m
-
-
-def _vv(mu: TensorField, m: int) -> TensorField:
-    """form ox coordinate field m, stored with the form's antisym tag."""
-    chart = mu.chart
-    comps = {((m,), down): coef for (_, down), coef in mu.components.items()}
-    return TensorField(chart, 1, mu.p, comps, cov_sym=mu.cov_sym)
+            for i, v in enumerate(ua):
+                d = g.diff(v)
+                if d:
+                    _acc_sorted(out, (), ua[:i] + ua[i + 1:] + ub, f * d,
+                                (-1) ** (i + k - 1))
+            for j, v in enumerate(ub):
+                d = f.diff(v)
+                if d:
+                    _acc_sorted(out, (), ua + ub[:j] + ub[j + 1:], g * d,
+                                -(-1) ** j)
+    return TensorField(a.chart, k + l - 1, 0,
+                       {(up, ()): c for (_, up), c in out.items()},
+                       contra_sym="antisym")
 
 
 def fn_bracket(a: TensorField, b: TensorField) -> TensorField:
     """Differential-graded bracket of vector-valued forms.
 
-    For decomposables mu ox X (degree k) and nu ox Y (degree l) the value
-    is mu^^nu ox [X,Y] + mu^^L_X(nu) ox Y - L_Y(mu)^^nu ox X
-    + (-1)^k (d(mu)^^i_X(nu) ox Y + i_Y(mu)^^d(nu) ox X); on vector fields
+    Component formula in the module docstring; on vector fields
     (k = l = 0) this is the commutator.  Output degree k + l.
     """
     if a.chart is not b.chart:
         raise ChartMismatchError("tensors live on different charts")
     _require_vvform(a)
     _require_vvform(b)
-    k, l = a.p, b.p
-    chart = a.chart
-    sign_k = 1 if k % 2 == 0 else -1
-    result = TensorField.zero(chart, 1, k + l,
-                              cov_sym="antisym" if k + l >= 2 else "none")
-    for mu, m in _vv_decompose(a):
-        x = coordinate_vector_field(chart, m)
-        dmu = exterior_derivative(mu)
-        for nu, n in _vv_decompose(b):
-            y = coordinate_vector_field(chart, n)
-            # [x, y] = 0 for coordinate fields, so the first term drops.
-            lx_nu = lie_derivative(x, nu)
-            if lx_nu:
-                result = result + _vv(wedge(mu, lx_nu), n)
-            ly_mu = lie_derivative(y, mu)
-            if ly_mu:
-                result = result - _vv(wedge(ly_mu, nu), m)
-            ix_nu = insert_multivector(x, nu) if l >= 1 else None
-            if ix_nu is not None and ix_nu:
-                t = wedge(dmu, ix_nu)
-                if sign_k == -1:
-                    t = -t
-                result = result + _vv(t, n)
-            iy_mu = insert_multivector(y, mu) if k >= 1 else None
-            if iy_mu is not None and iy_mu:
-                dnu = exterior_derivative(nu)
-                t = wedge(iy_mu, dnu)
-                if sign_k == -1:
-                    t = -t
-                result = result + _vv(t, m)
-    return result
+    eps = (-1) ** a.p
+    out: dict = {}
+    for ((m,), da), f in a.components.items():
+        for ((n,), db), g in b.components.items():
+            d = g.diff(m)
+            if d:
+                _acc_sorted(out, (n,), da + db, f * d)
+            d = f.diff(n)
+            if d:
+                _acc_sorted(out, (m,), da + db, d * g, -1)
+            if m in db:
+                p = db.index(m)
+                rest = db[:p] + db[p + 1:]
+                for s in f.variables_used():
+                    _acc_sorted(out, (n,), (s,) + da + rest, f.diff(s) * g,
+                                eps * (-1) ** p)
+            if n in da:
+                p = da.index(n)
+                rest = da[:p] + da[p + 1:]
+                for s in g.variables_used():
+                    _acc_sorted(out, (m,), rest + (s,) + db, f * g.diff(s),
+                                eps * (-1) ** p)
+    return TensorField(a.chart, 1, a.p + b.p, out, cov_sym="antisym")
 
 
 def nr_bracket(a: TensorField, b: TensorField) -> TensorField:
     """Algebraic bracket of vector-valued forms.
 
-    For decomposables mu ox X (degree k) and nu ox Y (degree l) the value
-    is mu^^i_X(nu) ox Y + (-1)^k i_Y(mu)^^nu ox X; insertion of a vector
-    into a 0-form is zero.  Output degree k + l - 1.
+    Component formula in the module docstring.  Output degree k + l - 1.
     """
     if a.chart is not b.chart:
         raise ChartMismatchError("tensors live on different charts")
@@ -264,26 +233,17 @@ def nr_bracket(a: TensorField, b: TensorField) -> TensorField:
     k, l = a.p, b.p
     if k + l < 1:
         raise ValenceError("algebraic bracket of two vector fields is zero-degree; need k + l >= 1")
-    chart = a.chart
-    sign_k = 1 if k % 2 == 0 else -1
-    result = TensorField.zero(chart, 1, k + l - 1,
-                              cov_sym="antisym" if k + l - 1 >= 2 else "none")
-    for mu, m in _vv_decompose(a):
-        x = coordinate_vector_field(chart, m)
-        for nu, n in _vv_decompose(b):
-            y = coordinate_vector_field(chart, n)
-            if l >= 1:
-                ix_nu = insert_multivector(x, nu)
-                if ix_nu:
-                    result = result + _vv(wedge(mu, ix_nu), n)
-            if k >= 1:
-                iy_mu = insert_multivector(y, mu)
-                if iy_mu:
-                    t = wedge(iy_mu, nu)
-                    if sign_k == -1:
-                        t = -t
-                    result = result + _vv(t, m)
-    return result
+    out: dict = {}
+    for ((m,), da), f in a.components.items():
+        for ((n,), db), g in b.components.items():
+            if m in db:
+                p = db.index(m)
+                _acc_sorted(out, (n,), da + db[:p] + db[p + 1:], f * g, (-1) ** p)
+            if n in da:
+                p = da.index(n)
+                _acc_sorted(out, (m,), da[:p] + da[p + 1:] + db, f * g,
+                            (-1) ** (k + p))
+    return TensorField(a.chart, 1, k + l - 1, out, cov_sym="antisym")
 
 
 def nijenhuis_torsion(n: TensorField) -> TensorField:

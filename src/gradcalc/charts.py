@@ -29,6 +29,7 @@ __all__ = [
     "Chart",
     "make_chart",
     "prolong_chart",
+    "prolonged_names",
     "tangent_chart",
     "cotangent_chart",
     "phase_shifted_cotangent_chart",
@@ -150,17 +151,16 @@ def prolong_chart(chart: Chart, r: int) -> Chart:
     """
     if r < 0:
         raise GradcalcError("prolongation order must be >= 0")
-    names = list(chart.names)
-    weights = [w + (0,) for w in chart.weights]
-    added = []
-    for mu in range(1, r + 1):
-        for i, n in enumerate(chart.names):
-            added.append(f"{n}_{mu}")
-            weights.append(chart.weights[i] + (mu,))
+    added = prolonged_names(chart.names, r)
     _fresh_names(chart, added)
-    names.extend(added)
-    return Chart(tuple(names), tuple(weights), chart.n_graded + (True,),
+    weights = tuple(w + (mu,) for mu in range(r + 1) for w in chart.weights)
+    return Chart(chart.names + tuple(added), weights, chart.n_graded + (True,),
                  f"{chart.label or 'chart'}^T{r}")
+
+
+def prolonged_names(names, r: int) -> list[str]:
+    """Names of prolongation levels 1..r, level by level: x_1, y_1, x_2, ..."""
+    return [f"{n}_{mu}" for mu in range(1, r + 1) for n in names]
 
 
 def tangent_chart(chart: Chart) -> Chart:

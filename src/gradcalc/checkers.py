@@ -346,33 +346,24 @@ def rational_rank(rows: list) -> int:
 
 # -- distributions ------------------------------------------------------------
 
+def _row(x: TensorField, point: dict) -> list:
+    """Values of a vector field's components at one rational point."""
+    row = [Fraction(0)] * x.chart.dim
+    for ((i,), _), c in x.components.items():
+        row[i] = c.evaluate(point)
+    return row
+
+
 def rank_at_point(d: Distribution, point: dict) -> int:
     """Exact rank of the generator span at one rational point."""
-    dim = d.chart.dim
-    rows = []
-    for x in d.generators:
-        row = [Fraction(0)] * dim
-        for ((i,), _), c in x.components.items():
-            row[i] = c.evaluate(point)
-        rows.append(row)
-    return rational_rank(rows)
+    return rational_rank([_row(x, point) for x in d.generators])
 
 
 def _membership_by_rank(d: Distribution, extra: TensorField, points: list):
     """Point where adding extra raises the span's rank, or None."""
-    dim = d.chart.dim
     for pt in points:
-        rows = []
-        for x in d.generators:
-            row = [Fraction(0)] * dim
-            for ((i,), _), c in x.components.items():
-                row[i] = c.evaluate(pt)
-            rows.append(row)
-        base_rank = rational_rank(rows)
-        row = [Fraction(0)] * dim
-        for ((i,), _), c in extra.components.items():
-            row[i] = c.evaluate(pt)
-        if rational_rank(rows + [row]) != base_rank:
+        rows = [_row(x, pt) for x in d.generators]
+        if rational_rank(rows + [_row(extra, pt)]) != rational_rank(rows):
             return pt
     return None
 

@@ -56,7 +56,7 @@ from . import __version__
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
                        lie_bracket, lie_derivative, nr_bracket,
                        schouten_bracket)
-from .charts import Chart, make_chart
+from .charts import Chart, make_chart, prolonged_names
 from .checkers import (Distribution, is_almost_complex, is_almost_product,
                        is_almost_tangent, is_involutive, is_nijenhuis,
                        is_poisson, is_weighted_contact,
@@ -553,6 +553,9 @@ def _resolve(script: Script) -> None:
                 if new_kind == "same":
                     new_kind = kinds[st.args[st.form.args[0][0]]]
                 define(alias, new_kind, st.line)
+                if new_kind == "chart":
+                    base = chart_vars[st.args["name"]]
+                    chart_vars[alias] = base | set(prolonged_names(base, st.args["r"]))
 
 
 def parse(text: str) -> Script:

@@ -36,8 +36,7 @@ from .poly import Poly
 from .tensor import TensorField, _acc, _from_expanded, weight_vector_field
 
 __all__ = [
-    "LiftContext", "lift_function", "lift_function_jets",
-    "lift_vector_field", "lift_one_form", "lift_tensor",
+    "LiftContext", "lift_function", "lift_function_jets", "lift_tensor",
     "lift_weight_vector_field", "lift_distribution",
     "LinearConnection", "tangent_connection",
     "lift_linear_connection", "horizontal_fields", "covariant_derivative",
@@ -170,18 +169,6 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
             ndown = tuple(ctx.var(j, k) for j, k in zip(down, kappa))
             _acc(out, (nup, ndown), c)
     return _from_expanded(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
-
-
-def lift_vector_field(x: TensorField, lam: int, ctx: LiftContext) -> TensorField:
-    if (x.q, x.p) != (1, 0):
-        raise ValenceError("expected a vector field")
-    return lift_tensor(x, lam, ctx)
-
-
-def lift_one_form(w: TensorField, lam: int, ctx: LiftContext) -> TensorField:
-    if (w.q, w.p) != (0, 1):
-        raise ValenceError("expected a one-form")
-    return lift_tensor(w, lam, ctx)
 
 
 def lift_weight_vector_field(ctx: LiftContext, component: int = 0) -> TensorField:

@@ -373,6 +373,7 @@ def degree_of_function(f: Poly, component: int = 0) -> object:
     Returns the common weight of all monomials, ANY_DEGREE for the zero
     polynomial, or None when f is inhomogeneous.
     """
+    f.chart.check_component(component)
     if not f.terms:
         return ANY_DEGREE
     it = iter(f.terms)
@@ -385,6 +386,7 @@ def degree_of_function(f: Poly, component: int = 0) -> object:
 
 def homogeneous_components(f: Poly, component: int = 0) -> dict:
     """Split f into its weight-homogeneous parts: {weight: Poly}."""
+    f.chart.check_component(component)
     parts: dict = {}
     for m, c in f.terms.items():
         w = weight_of_monomial(m, f.chart, component)

@@ -353,18 +353,6 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     return _from_expanded(a.chart, a.q + b.q, a.p + b.p, out, cs, ps)
 
 
-def _merge_signed(i: tuple, j: tuple):
-    """Signed merge of two strictly increasing tuples; None on overlap."""
-    if set(i) & set(j):
-        return None
-    inv = 0
-    for x in i:
-        for y in j:
-            if x > y:
-                inv += 1
-    return (1 if inv % 2 == 0 else -1), tuple(sorted(i + j))
-
-
 def _wedge_keys(t: TensorField):
     """Stored keys of a pure antisymmetric tensor as increasing tuples."""
     if t.q and t.p:
@@ -393,12 +381,10 @@ def wedge(a: TensorField, b: TensorField) -> TensorField:
     out: dict = {}
     for i, ca in ka.items():
         for j, cb in kb.items():
-            m = _merge_signed(i, j)
-            if m is None:
-                continue
-            sign, key = m
-            coef = ca * cb
-            _acc(out, key, coef if sign == 1 else -coef)
+            sign, key = _sort_with_parity(i + j)
+            if sign:
+                coef = ca * cb
+                _acc(out, key, coef if sign == 1 else -coef)
     deg = da + db
     if ba == 0:
         comps = {(k, ()): v for k, v in out.items()}

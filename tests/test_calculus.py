@@ -1,5 +1,6 @@
 """Exterior derivative, Lie/Schouten/vv-form brackets, torsion, concomitant."""
 
+import itertools
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from gradcalc.calculus import (
 from gradcalc.charts import make_chart
 from gradcalc.errors import ValenceError
 from gradcalc.poly import Poly
+from gradcalc.render import render_tensor
 from gradcalc.sampling import (
     random_form,
     random_multivector,
@@ -293,3 +295,74 @@ def test_concomitant_vanishes_on_identity():
     for _ in range(8):
         lam = rmv(rng, 2)
         assert concomitant(lam, identity_tensor(E3)).is_zero()
+
+
+def _jacobi_holds(bracket, a, b, c, sign):
+    return bracket(a, bracket(b, c)) == (bracket(bracket(a, b), c)
+                                         + bracket(b, bracket(a, c)) * sign)
+
+
+def test_schouten_graded_jacobi():
+    rng = random.Random(17)
+    for case in range(216):
+        k, l, m = 1 + case % 3, 1 + case // 3 % 3, 1 + case // 9 % 3
+        a, b, c = rmv(rng, k), rmv(rng, l), rmv(rng, m)
+        sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
+        assert _jacobi_holds(schouten_bracket, a, b, c, sign)
+
+
+def test_fn_graded_jacobi():
+    rng = random.Random(18)
+    for case in range(216):
+        k, l, m = case % 3, case // 3 % 3, case // 9 % 3
+        a, b, c = rvv(rng, k), rvv(rng, l), rvv(rng, m)
+        sign = -1 if (k * l) % 2 else 1
+        assert _jacobi_holds(fn_bracket, a, b, c, sign)
+
+
+def test_nr_graded_jacobi():
+    rng = random.Random(19)
+    for case in range(216):
+        k, l, m = 1 + case % 3, 1 + case // 3 % 3, case // 9 % 3
+        a, b, c = rvv(rng, k), rvv(rng, l), rvv(rng, m)
+        sign = -1 if ((k - 1) * (l - 1)) % 2 else 1
+        assert _jacobi_holds(nr_bracket, a, b, c, sign)
+
+
+def test_schouten_of_bivector_from_partials():
+    # [L,L]^{ijk} = 2 sum_l (L^{il} d_l L^{jk} + L^{jl} d_l L^{ki} + L^{kl} d_l L^{ij})
+    rng = random.Random(20)
+    for _ in range(25):
+        lam = rmv(rng, 2)
+        ll = schouten_bracket(lam, lam)
+        entry = {(i, j): lam.component((i, j), ()) for i in range(3) for j in range(3)}
+        for i, j, k in itertools.permutations(range(3)):
+            want = Poly.zero(E3)
+            for s in range(3):
+                want = (want + entry[i, s] * entry[j, k].diff(s)
+                        + entry[j, s] * entry[k, i].diff(s)
+                        + entry[k, s] * entry[i, j].diff(s))
+            assert ll.component((i, j, k), ()) == want * 2
+
+
+def test_bracket_results_frozen():
+    x, y, z = (Poly.variable(E3, i) for i in range(3))
+    lam = TensorField.from_components(
+        E3, 2, 0, {((0, 1), ()): z, ((1, 2), ()): x * y}, contra_sym="antisym")
+    s = schouten_bracket(lam, lam)
+    assert render_tensor(s) == "2*x*z*d/dx ^^ d/dy ^^ d/dz"
+    assert (s.q, s.p, s.contra_sym, s.cov_sym) == (3, 0, "antisym", "none")
+    n = TensorField.from_components(
+        E3, 1, 1, {((0,), (2,)): y, ((2,), (1,)): x * x, ((1,), (1,)): z})
+    t = fn_bracket(n, n)
+    assert render_tensor(t) == (
+        "-4*x*y*d/dx ox dx ^^ dy + 2*z*d/dx ox dy ^^ dz + 2*z*d/dy ox dy ^^ dz"
+        " + (2*x^2 - 4*x*y)*d/dz ox dy ^^ dz")
+    assert (t.q, t.p, t.contra_sym, t.cov_sym) == (1, 2, "none", "antisym")
+    w = TensorField.from_components(
+        E3, 1, 2, {((1,), (0, 2)): x, ((0,), (1, 2)): y * z}, cov_sym="antisym")
+    u = nr_bracket(w, n)
+    assert render_tensor(u) == (
+        "-y*z^2*d/dx ox dy ^^ dz - x^3*d/dy ox dx ^^ dy + x*z*d/dy ox dx ^^ dz"
+        " + x^3*d/dz ox dx ^^ dz")
+    assert (u.q, u.p, u.contra_sym, u.cov_sym) == (1, 2, "none", "antisym")

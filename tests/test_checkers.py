@@ -334,6 +334,8 @@ def test_section_degree():
     u = Poly.variable(e, 1)
     with pytest.raises(GradcalcError):
         section_degree(Section(e, 1, {1: u}))
+    with pytest.raises(GradcalcError, match="no such grading component"):
+        section_degree(Section(e, 1, {1: x * x}, graded_component=-1))
 
 
 def test_algebroid_bracket_recovers_lie():

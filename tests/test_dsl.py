@@ -335,6 +335,17 @@ def test_cli_stdin(monkeypatch, capsys):
     assert "x" in capsys.readouterr().out
 
 
+def test_declaration_on_prolonged_chart_alias(monkeypatch, capsys):
+    import io
+    prelude = "chart M { x:0 }\nprolong M r=1 as M1\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(prelude + "fn f on M1 = x_1\nprint f\n"))
+    assert main(["run", "-"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].strip() == "x_1"
+    monkeypatch.setattr("sys.stdin", io.StringIO(prelude + "fn g on M1 = x_2\n"))
+    assert main(["run", "-"]) == 2
+    assert "x_2 not in M1" in capsys.readouterr().err
+
+
 def test_cli_version(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["--version"])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gradcalc.calculus import lie_bracket, vf_apply
 from gradcalc.charts import Chart, make_chart, tangent_chart
 from gradcalc.checkers import Distribution
-from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
+from gradcalc.errors import ChartMismatchError, GradcalcError
 from gradcalc.lifts import (
     LiftContext,
     LinearConnection,
@@ -21,9 +21,7 @@ from gradcalc.lifts import (
     lift_function,
     lift_function_jets,
     lift_linear_connection,
-    lift_one_form,
     lift_tensor,
-    lift_vector_field,
     lift_weight_vector_field,
     tangent_connection,
 )
@@ -107,9 +105,9 @@ def test_basis_rules():
         ctx = LiftContext(E2, r)
         for i in range(2):
             for lam in range(r + 1):
-                assert lift_one_form(coordinate_one_form(E2, i), lam, ctx) == \
+                assert lift_tensor(coordinate_one_form(E2, i), lam, ctx) == \
                     coordinate_one_form(ctx.total, ctx.var(i, lam))
-                assert lift_vector_field(coordinate_vector_field(E2, i), lam, ctx) == \
+                assert lift_tensor(coordinate_vector_field(E2, i), lam, ctx) == \
                     coordinate_vector_field(ctx.total, ctx.var(i, r - lam))
 
 
@@ -117,11 +115,11 @@ def test_lift_displays_frozen():
     ctx = LiftContext(E2, 1)
     x = Poly.variable(E2, 0)
     vf = coordinate_vector_field(E2, "y") * x
-    assert render_tensor(lift_vector_field(vf, 1, ctx)) == "x*d/dy + x_1*d/dy_1"
-    assert render_tensor(lift_vector_field(vf, 0, ctx)) == "x*d/dy_1"
+    assert render_tensor(lift_tensor(vf, 1, ctx)) == "x*d/dy + x_1*d/dy_1"
+    assert render_tensor(lift_tensor(vf, 0, ctx)) == "x*d/dy_1"
     a = coordinate_one_form(E2, "y") * x
-    assert render_tensor(lift_one_form(a, 1, ctx)) == "x_1*dy + x*dy_1"
-    assert render_tensor(lift_one_form(a, 0, ctx)) == "x*dy"
+    assert render_tensor(lift_tensor(a, 1, ctx)) == "x_1*dy + x*dy_1"
+    assert render_tensor(lift_tensor(a, 0, ctx)) == "x*dy"
 
 
 def test_lift_tensor_range_and_tags():
@@ -134,10 +132,6 @@ def test_lift_tensor_range_and_tags():
     assert gone.is_zero() and gone.chart is ctx.total and gone.cov_sym == "antisym"
     with pytest.raises(ChartMismatchError):
         lift_tensor(coordinate_vector_field(E1, 0), 0, ctx)
-    with pytest.raises(ValenceError):
-        lift_vector_field(coordinate_one_form(E2, 0), 0, ctx)
-    with pytest.raises(ValenceError):
-        lift_one_form(coordinate_vector_field(E2, 0), 0, ctx)
 
 
 def test_lift_bracket_shift_spot():
@@ -148,9 +142,9 @@ def test_lift_bracket_shift_spot():
     y = random_vector_field(rng, E2, max_terms=2, max_degree=2)
     for lam in range(3):
         for mu in range(3):
-            lhs = lie_bracket(lift_vector_field(x, lam, ctx),
-                              lift_vector_field(y, mu, ctx))
-            assert lhs == lift_vector_field(lie_bracket(x, y), lam + mu - 2, ctx)
+            lhs = lie_bracket(lift_tensor(x, lam, ctx),
+                              lift_tensor(y, mu, ctx))
+            assert lhs == lift_tensor(lie_bracket(x, y), lam + mu - 2, ctx)
 
 
 def test_weight_field_lift():
@@ -170,8 +164,8 @@ def test_lift_distribution():
     dl = lift_distribution(d, ctx)
     assert dl.chart is ctx.total
     assert len(dl.generators) == 4
-    assert dl.generators[0] == lift_vector_field(d.generators[0], 0, ctx)
-    assert dl.generators[3] == lift_vector_field(d.generators[1], 1, ctx)
+    assert dl.generators[0] == lift_tensor(d.generators[0], 0, ctx)
+    assert dl.generators[3] == lift_tensor(d.generators[1], 1, ctx)
     other = LiftContext(E1, 1)
     with pytest.raises(ChartMismatchError):
         lift_distribution(d, other)
@@ -249,9 +243,9 @@ def test_lifted_connection_commutation_spot():
         for lam in (0, 1):
             for mu in (0, 1):
                 got = covariant_derivative(lifted,
-                                           lift_vector_field(x, lam, ctx),
-                                           lift_vector_field(y, mu, ctx))
-                assert got == lift_vector_field(nab, lam + mu - 1, ctx)
+                                           lift_tensor(x, lam, ctx),
+                                           lift_tensor(y, mu, ctx))
+                assert got == lift_tensor(nab, lam + mu - 1, ctx)
 
 
 # -- the truncated-jet kernel against the Taylor oracle ------------------------

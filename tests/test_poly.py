@@ -147,6 +147,16 @@ def test_degree_of_function():
     assert not degree_matches(None, 0)
 
 
+def test_grading_component_is_checked():
+    c = make_chart(["x", "y"], [(1, 0), (0, 3)])
+    f = Poly.variable(c, 1)
+    assert degree_of_function(f, 1) == 3
+    for bad in (-1, 2):
+        for split in (degree_of_function, homogeneous_components):
+            with pytest.raises(GradcalcError, match="no such grading component"):
+                split(f, bad)
+
+
 def test_homogeneous_components_sum_back():
     rng = random.Random(7)
     for _ in range(20):
