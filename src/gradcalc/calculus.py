@@ -41,14 +41,16 @@ __all__ = [
 ]
 
 
-def _acc_sorted(out: dict, up: tuple, idx: tuple, coef: Poly, sign: int = 1) -> None:
-    """Add sign * coef at (up, idx sorted), signed by the sorting permutation.
+def _acc_sorted(out: dict, up: tuple, idx: tuple, f: Poly, g: Poly, sign: int = 1) -> None:
+    """Add sign * f * g at (up, idx sorted), signed by the sorting permutation.
 
-    A repeated index in idx makes the term zero and drops it.
+    A repeated index in idx makes the term zero and drops it before the
+    product f * g is formed.
     """
     s, down = _sort_with_parity(idx)
     if s:
-        _acc(out, (up, down), coef if s * sign == 1 else -coef)
+        c = f * g
+        _acc(out, (up, down), c if s * sign == 1 else -c)
 
 
 def _require_form(w: TensorField) -> None:
@@ -78,7 +80,11 @@ def exterior_derivative(w: TensorField) -> TensorField:
     out: dict = {}
     for (_, down), coef in w.components.items():
         for var in coef.variables_used():
-            _acc_sorted(out, (), (var,) + down, coef.diff(var))
+            if var in down:
+                continue  # dx^var ^^ dx^down repeats an index
+            s, idx = _sort_with_parity((var,) + down)
+            d = coef.diff(var)
+            _acc(out, ((), idx), d if s == 1 else -d)
     return TensorField(w.chart, 0, w.p + 1, out, cov_sym="antisym")
 
 
@@ -174,12 +180,12 @@ def schouten_bracket(a: TensorField, b: TensorField) -> TensorField:
             for i, v in enumerate(ua):
                 d = g.diff(v)
                 if d:
-                    _acc_sorted(out, (), ua[:i] + ua[i + 1:] + ub, f * d,
+                    _acc_sorted(out, (), ua[:i] + ua[i + 1:] + ub, f, d,
                                 (-1) ** (i + k - 1))
             for j, v in enumerate(ub):
                 d = f.diff(v)
                 if d:
-                    _acc_sorted(out, (), ua + ub[:j] + ub[j + 1:], g * d,
+                    _acc_sorted(out, (), ua + ub[:j] + ub[j + 1:], g, d,
                                 -(-1) ** j)
     return TensorField(a.chart, k + l - 1, 0,
                        {(up, ()): c for (_, up), c in out.items()},
@@ -202,21 +208,21 @@ def fn_bracket(a: TensorField, b: TensorField) -> TensorField:
         for ((n,), db), g in b.components.items():
             d = g.diff(m)
             if d:
-                _acc_sorted(out, (n,), da + db, f * d)
+                _acc_sorted(out, (n,), da + db, f, d)
             d = f.diff(n)
             if d:
-                _acc_sorted(out, (m,), da + db, d * g, -1)
+                _acc_sorted(out, (m,), da + db, d, g, -1)
             if m in db:
                 p = db.index(m)
                 rest = db[:p] + db[p + 1:]
                 for s in f.variables_used():
-                    _acc_sorted(out, (n,), (s,) + da + rest, f.diff(s) * g,
+                    _acc_sorted(out, (n,), (s,) + da + rest, f.diff(s), g,
                                 eps * (-1) ** p)
             if n in da:
                 p = da.index(n)
                 rest = da[:p] + da[p + 1:]
                 for s in g.variables_used():
-                    _acc_sorted(out, (m,), rest + (s,) + db, f * g.diff(s),
+                    _acc_sorted(out, (m,), rest + (s,) + db, f, g.diff(s),
                                 eps * (-1) ** p)
     return TensorField(a.chart, 1, a.p + b.p, out, cov_sym="antisym")
 
@@ -238,10 +244,10 @@ def nr_bracket(a: TensorField, b: TensorField) -> TensorField:
         for ((n,), db), g in b.components.items():
             if m in db:
                 p = db.index(m)
-                _acc_sorted(out, (n,), da + db[:p] + db[p + 1:], f * g, (-1) ** p)
+                _acc_sorted(out, (n,), da + db[:p] + db[p + 1:], f, g, (-1) ** p)
             if n in da:
                 p = da.index(n)
-                _acc_sorted(out, (m,), da[:p] + da[p + 1:] + db, f * g,
+                _acc_sorted(out, (m,), da[:p] + da[p + 1:] + db, f, g,
                             (-1) ** (k + p))
     return TensorField(a.chart, 1, k + l - 1, out, cov_sym="antisym")
 

@@ -47,14 +47,19 @@ class LiftContext:
     """Prolongation bookkeeping: base chart, order r, prolonged chart.
 
     Jets are computed in R[t]/(t^(r+1)) with coefficients on the prolonged
-    chart.  The context caches the jet of every power x_v^e it has met
-    (bounded by the distinct powers lifted) and the expanded coefficient
-    jets of the last tensor passed to lift_tensor, so lifting one tensor
-    at every lambda in turn expands it once.  The name _t stays reserved
-    for the lift parameter.
+    chart.  The context has one jet cache, keyed by monomial: the jet of
+    each monomial it has met, with coefficient 1, so a function's jet is
+    the sum of coefficient * cached jet over its terms.  A power x_v^e is
+    the monomial ((v, e),); building one caches the lower powers of x_v,
+    and a product of powers caches its leading factors, so the cache is
+    bounded by the distinct monomials lifted and their factors.  Besides
+    the cache, the context keeps the expanded coefficient jets of the last
+    tensor passed to lift_tensor, so lifting one tensor at every lambda in
+    turn expands it once.  The name _t stays reserved for the lift
+    parameter.
     """
 
-    __slots__ = ("base", "r", "total", "_powers", "_last")
+    __slots__ = ("base", "r", "total", "_jets", "_last")
 
     def __init__(self, base: Chart, r: int):
         if r < 0:
@@ -64,7 +69,7 @@ class LiftContext:
         self.base = base
         self.r = r
         self.total = prolong_chart(base, r)
-        self._powers = {}
+        self._jets = {(): {0: Poly.const(self.total, 1)}}
         self._last = (None, [])
 
     def var(self, i: int, mu: int) -> int:
@@ -73,22 +78,34 @@ class LiftContext:
             raise GradcalcError(f"level {mu} outside 0..{self.r}")
         return mu * self.base.dim + i
 
-    def _power_jet(self, v: int, e: int) -> dict:
-        """Sparse jet {level: Poly} of x_v^e, built once per (v, e).
+    def _monomial_jet(self, mono: tuple) -> dict:
+        """Sparse jet {level: Poly} of one monomial, built once per monomial.
 
-        Built by repeated multiplication, so every lower power of x_v is
-        cached on the way.
+        A product of powers is its leading factors' jet times the jet of
+        its last power; a power x_v^e is built by repeated multiplication
+        from the highest cached power of x_v, so every lower power is
+        cached on the way and large exponents do not recurse.
         """
-        powers = self._powers
-        if (v, 1) not in powers:
-            powers[(v, 1)] = {mu: Poly.variable(self.total, self.var(v, mu))
-                              for mu in range(self.r + 1)}
+        jets = self._jets
+        jet = jets.get(mono)
+        if jet is not None:
+            return jet
+        if len(mono) > 1:
+            jet = _jet_mul(self._monomial_jet(mono[:-1]),
+                           self._monomial_jet(mono[-1:]), self.r)
+            jets[mono] = jet
+            return jet
+        (v, e), = mono
+        one = ((v, 1),)
+        if one not in jets:
+            jets[one] = {mu: Poly.variable(self.total, self.var(v, mu))
+                         for mu in range(self.r + 1)}
         k = e
-        while (v, k) not in powers:
+        while ((v, k),) not in jets:
             k -= 1
         for k in range(k + 1, e + 1):
-            powers[(v, k)] = _jet_mul(powers[(v, k - 1)], powers[(v, 1)], self.r)
-        return powers[(v, e)]
+            jets[((v, k),)] = _jet_mul(jets[((v, k - 1),)], jets[one], self.r)
+        return jets[mono]
 
     def __repr__(self) -> str:
         return f"<LiftContext r={self.r} of {self.base!r}>"
@@ -108,16 +125,11 @@ def lift_function_jets(f: Poly, ctx: LiftContext) -> list:
     """All lifts f^(0), ..., f^(r): the jet of f in R[t]/(t^(r+1))."""
     if f.chart is not ctx.base:
         raise ChartMismatchError("function does not live on the context's base chart")
-    r = ctx.r
-    total = ctx.total
     out: dict = {}
     for mono, coef in f.terms.items():
-        jet = {0: Poly.const(total, coef)}
-        for v, e in mono:
-            jet = _jet_mul(jet, ctx._power_jet(v, e), r)
-        for k, p in jet.items():
-            _acc(out, k, p)
-    return [out[k] if k in out else Poly.zero(total) for k in range(r + 1)]
+        for k, p in ctx._monomial_jet(mono).items():
+            _acc(out, k, p * coef)
+    return [out[k] if k in out else Poly.zero(ctx.total) for k in range(ctx.r + 1)]
 
 
 def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:

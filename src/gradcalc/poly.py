@@ -4,7 +4,7 @@ Representation
 --------------
 A monomial is a tuple of (variable index, exponent) pairs, sorted by
 variable index, with every exponent >= 1.  The empty tuple is the constant
-monomial.  A polynomial is a dict mapping monomials to nonzero Fraction
+monomial.  A polynomial is a dict mapping monomials to nonzero rational
 coefficients; the empty dict is the zero polynomial.  Both are canonical:
 two polynomials on the same chart are equal iff their dicts are equal.
 
@@ -13,8 +13,15 @@ different chart objects raises ChartMismatchError even when the variable
 tables agree; use reindex() to move a polynomial onto another chart by
 variable name.
 
-Coefficients are fractions.Fraction throughout, so all arithmetic is
-exact.  There is no division by non-constant polynomials.
+Coefficients are exact rationals: the constructors, scalar
+multiplication and division store a whole number as an int and any
+other value as a fractions.Fraction, so products of integer
+polynomials never pay for a gcd.  Arithmetic between stored
+coefficients may still leave a whole Fraction (Fraction(1, 2) * 2).
+Equality is unaffected, because Fraction(2) == 2 with equal hashes, and
+so is rendering, because both print as 2.  No coefficient is ever a
+float.  constant_value() and evaluate() return Fraction.  There is no
+division by non-constant polynomials.
 """
 
 from __future__ import annotations
@@ -32,8 +39,14 @@ __all__ = [
 
 Monomial = tuple  # tuple[tuple[int, int], ...]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _coef(value):
+    """A coefficient in stored form: int when whole, else Fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 class _AnyDegree:
@@ -115,7 +128,7 @@ class Poly:
 
     @staticmethod
     def const(chart: Chart, value) -> "Poly":
-        c = Fraction(value)
+        c = _coef(value)
         return Poly(chart, {(): c} if c else {})
 
     @staticmethod
@@ -124,14 +137,14 @@ class Poly:
             var = chart.index(var)
         if not 0 <= var < chart.dim:
             raise GradcalcError(f"variable index {var} out of range")
-        return Poly(chart, {((var, 1),): _ONE})
+        return Poly(chart, {((var, 1),): 1})
 
     @staticmethod
     def from_terms(chart: Chart, entries: Iterable) -> "Poly":
         """Sum arbitrary (monomial, coefficient) pairs into canonical form."""
         acc: dict = {}
         for m, c in entries:
-            c = Fraction(c)
+            c = _coef(c)
             if not c:
                 continue
             prev = acc.get(m)
@@ -156,7 +169,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise GradcalcError("polynomial is not constant")
-        return self.terms.get((), _ZERO)
+        return Fraction(self.terms.get((), 0))
 
     def total_degree(self) -> int:
         """Largest monomial degree; 0 for the zero polynomial."""
@@ -221,7 +234,7 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = _coef(other)
             if not c:
                 return Poly(self.chart, {})
             return Poly(self.chart, {m: k * c for m, k in self.terms.items()})
@@ -245,10 +258,9 @@ class Poly:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 raise ZeroDivisionError("division by zero")
-            return self * (1 / c)
+            return self * Fraction(1, other)
         if isinstance(other, Poly) and other.is_constant():
             return self / other.constant_value()
         raise GradcalcError("can only divide by a nonzero constant")
@@ -337,11 +349,12 @@ class Poly:
         if missing:
             names = ", ".join(self.chart.names[v] for v in sorted(missing))
             raise GradcalcError(f"evaluation point misses variables: {names}")
-        total = _ZERO
+        at = {var: Fraction(point[var]) for var in used}
+        total = Fraction(0)
         for m, c in self.terms.items():
             v = c
             for var, e in m:
-                v *= Fraction(point[var]) ** e
+                v *= at[var] ** e
             total += v
         return total
 

@@ -1,12 +1,14 @@
 """Prolongation lifts of functions, tensors, distributions, connections."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcalc import lifts
 from gradcalc.calculus import lie_bracket, vf_apply
 from gradcalc.charts import Chart, make_chart, tangent_chart
 from gradcalc.checkers import Distribution
@@ -341,3 +343,56 @@ def test_level_assignments_match_filtered_product():
                 want = [a for a in product(range(r + 1), repeat=slots)
                         if lam - r <= sum(a) <= lam]
                 assert list(_level_assignments(slots, r, lam - r, lam)) == want
+
+
+# -- the per-context monomial-jet cache ------------------------------------------
+
+def jet_terms(jets):
+    # chart-free view, so jets on distinct contexts compare
+    return [p.terms for p in jets]
+
+
+def test_monomial_jet_cache_holds_no_coefficient():
+    chart = CHARTS[3]
+    mono = ((0, 2), (1, 1))
+    ctx = LiftContext(chart, 3)
+    for coef in (1, -3, Fraction(5, 7)):
+        f = Poly.from_terms(chart, [(mono, coef)])
+        jets = lift_function_jets(f, ctx)
+        assert jet_terms(jets) == jet_terms(lift_function_jets(f, LiftContext(chart, 3)))
+        for lam in range(4):
+            assert jets[lam] == taylor_lift_oracle(f, lam, ctx)
+
+
+def test_monomials_sharing_factors_lift_on_one_context():
+    # powers and products met in any order: the cache tells x^3 from x and x*y from x*z
+    chart = CHARTS[3]
+    ctx = LiftContext(chart, 2)
+    monos = [((0, 3),), ((0, 1),), ((0, 2), (1, 1)), ((0, 2),), ((0, 2), (1, 2)),
+             ((1, 2),), ((0, 1), (1, 1), (2, 1)), ((0, 1), (2, 1)), ((0, 1), (1, 1)),
+             ((2, 4),), ()]
+    for mono in monos:
+        f = Poly.from_terms(chart, [(mono, 2), (((1, 1),), -1)])
+        for lam in range(3):
+            assert lift_function(f, lam, ctx) == taylor_lift_oracle(f, lam, ctx)
+
+
+def test_seen_monomial_lifts_without_jet_products(monkeypatch):
+    calls = []
+    jet_mul = lifts._jet_mul
+
+    def counted(a, b, r):
+        calls.append(r)
+        return jet_mul(a, b, r)
+
+    monkeypatch.setattr(lifts, "_jet_mul", counted)
+    chart = CHARTS[3]
+    ctx = LiftContext(chart, 3)
+    x2y = Poly.from_terms(chart, [(((0, 2), (1, 1)), 1)])
+    lift_function_jets(x2y, ctx)
+    assert len(calls) == 2  # x * x, then x^2 * y
+    calls.clear()
+    lift_function_jets(x2y * Fraction(-5, 2), ctx)
+    # x^2 and x were cached on the way to x^2 * y
+    lift_function_jets(Poly.from_terms(chart, [(((0, 2),), 3), (((0, 1),), 1), ((), 4)]), ctx)
+    assert calls == []

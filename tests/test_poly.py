@@ -17,15 +17,22 @@ M = make_chart(["x", "y", "z"], [1, 2, 0], label="M")
 x, y, z = (Poly.variable(M, i) for i in range(3))
 
 
-def rand_poly(rng, chart=M, terms=4, deg=3):
+def rand_coef(rng, whole=False):
+    """A rational coefficient; whole ones come as int or as Fraction(2n, 2)."""
+    if not whole:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+    n = rng.randint(-6, 6)
+    return n if rng.random() < 0.5 else Fraction(2 * n, 2)
+
+
+def rand_poly(rng, chart=M, terms=4, deg=3, whole=False):
     entries = []
     for _ in range(rng.randint(0, terms)):
         counts = {}
         for _ in range(rng.randint(0, deg)):
             v = rng.randrange(chart.dim)
             counts[v] = counts.get(v, 0) + 1
-        entries.append((tuple(sorted(counts.items())),
-                        Fraction(rng.randint(-6, 6), rng.randint(1, 4))))
+        entries.append((tuple(sorted(counts.items())), rand_coef(rng, whole)))
     return Poly.from_terms(chart, entries)
 
 
@@ -181,3 +188,83 @@ def test_chart_mismatch_rejected():
     n = make_chart(["u"], [0], label="N")
     with pytest.raises(ChartMismatchError):
         x + Poly.variable(n, 0)
+
+
+# -- the coefficient invariant: whole numbers stored as int, never a float ----
+
+def all_fraction(p):
+    """The same polynomial with every coefficient stored as a Fraction."""
+    return Poly(p.chart, {m: Fraction(c) for m, c in p.terms.items()})
+
+
+def apply_op(op, a, b, k):
+    """One step of a random expression in a, b and a small integer k."""
+    if op == "add":
+        return a + b
+    if op == "sub":
+        return a - b
+    if op == "mul":
+        return a * b
+    if op == "div":
+        divisor = Fraction(k, 3) if k % 2 else k + 1  # never zero
+        return a / (Poly.const(M, divisor) if k < 0 else divisor)
+    if op == "pow":
+        return a ** (k % 3)
+    if op == "diff":
+        return a.diff(k % M.dim)
+    images = {v: Poly.variable(M, v) for v in range(M.dim)}
+    images[k % M.dim] = b
+    return a.substitute(images)
+
+
+OPS = ("add", "sub", "mul", "div", "pow", "diff", "substitute")
+
+
+@given(st.integers(0, 10 ** 9), st.booleans(), st.booleans(),
+       st.lists(st.tuples(st.sampled_from(OPS), st.integers(-3, 3)), max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_int_coefficients_match_all_fraction_reference(seed, a_whole, b_whole, steps):
+    rng = random.Random(seed)
+    a = rand_poly(rng, whole=a_whole)
+    b = rand_poly(rng, whole=b_whole)
+    ref_a, ref_b = all_fraction(a), all_fraction(b)
+    ints_only = a_whole and b_whole
+    for op, k in steps:
+        a, ref_a = apply_op(op, a, b, k), apply_op(op, ref_a, ref_b, k)
+        ints_only = ints_only and op != "div"
+        assert a == ref_a and ref_a == a
+        assert repr(a) == repr(ref_a)
+        for c in a.terms.values():
+            assert type(c) in (int, Fraction)
+            if ints_only:
+                assert type(c) is int
+    assert a.evaluate({0: 2, 1: -1, 2: Fraction(1, 3)}) == \
+        ref_a.evaluate({0: 2, 1: -1, 2: Fraction(1, 3)})
+
+
+def test_constructors_store_whole_coefficients_as_int():
+    for value in (3, -7, Fraction(4, 2), 2.0, True):
+        c = Poly.const(M, value).terms[()]
+        assert type(c) is int and c == value
+    assert type(Poly.variable(M, "x").terms[((0, 1),)]) is int
+    p = Poly.from_terms(M, [(((0, 1),), Fraction(6, 3)), ((), Fraction(1, 2)),
+                            (((1, 1),), 0.25)])
+    assert {m: type(c) for m, c in p.terms.items()} == {
+        ((0, 1),): int, (): Fraction, ((1, 1),): Fraction}
+    assert p.terms[((1, 1),)] == Fraction(1, 4)
+    assert repr(Poly.const(M, Fraction(4, 2))) == "2"
+    half = x / 2
+    assert half.terms == {((0, 1),): Fraction(1, 2)}
+    assert type(half.terms[((0, 1),)]) is Fraction
+    assert half / Fraction(1, 2) == x
+    assert (half * Fraction(6, 3)).terms == x.terms
+    assert type((x * Fraction(6, 3)).terms[((0, 1),)]) is int
+
+
+def test_constant_value_and_evaluate_return_fraction():
+    for p in (Poly.zero(M), Poly.const(M, 3), Poly.const(M, Fraction(1, 2))):
+        assert type(p.constant_value()) is Fraction
+        assert type(p.evaluate({})) is Fraction
+    v = (x * 2 + y).evaluate({0: 3, 1: 1, 2: 5})
+    assert type(v) is Fraction and v == 7
+    assert Poly.const(M, 3).constant_value() == 3
