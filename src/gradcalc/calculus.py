@@ -41,16 +41,24 @@ __all__ = [
 ]
 
 
-def _acc_sorted(out: dict, up: tuple, idx: tuple, f: Poly, g: Poly, sign: int = 1) -> None:
+def _acc_sorted(out: dict, up: tuple, idx: tuple, f: Poly, g: Poly, sign: int = 1,
+                f_var: int | None = None, g_var: int | None = None) -> None:
     """Add sign * f * g at (up, idx sorted), signed by the sorting permutation.
 
-    A repeated index in idx makes the term zero and drops it before the
-    product f * g is formed.
+    f_var / g_var, when given, replace f / g by its partial derivative in
+    that variable; callers pass only variables the factor uses, so the
+    derivative is nonzero.  A repeated index in idx makes the term zero
+    and drops it before any derivative or the product f * g is formed.
     """
     s, down = _sort_with_parity(idx)
-    if s:
-        c = f * g
-        _acc(out, (up, down), c if s * sign == 1 else -c)
+    if not s:
+        return
+    if f_var is not None:
+        f = f.diff(f_var)
+    if g_var is not None:
+        g = g.diff(g_var)
+    c = f * g
+    _acc(out, (up, down), c if s * sign == 1 else -c)
 
 
 def _require_form(w: TensorField) -> None:
@@ -175,18 +183,18 @@ def schouten_bracket(a: TensorField, b: TensorField) -> TensorField:
     if k < 1 or l < 1:
         raise ValenceError("schouten_bracket needs multivector degrees >= 1")
     out: dict = {}
+    bs = [(ub, g, g.variables_used()) for (ub, _), g in b.components.items()]
     for (ua, _), f in a.components.items():
-        for (ub, _), g in b.components.items():
+        f_vars = f.variables_used()
+        for ub, g, g_vars in bs:
             for i, v in enumerate(ua):
-                d = g.diff(v)
-                if d:
-                    _acc_sorted(out, (), ua[:i] + ua[i + 1:] + ub, f, d,
-                                (-1) ** (i + k - 1))
+                if v in g_vars:
+                    _acc_sorted(out, (), ua[:i] + ua[i + 1:] + ub, f, g,
+                                (-1) ** (i + k - 1), g_var=v)
             for j, v in enumerate(ub):
-                d = f.diff(v)
-                if d:
-                    _acc_sorted(out, (), ua + ub[:j] + ub[j + 1:], g, d,
-                                -(-1) ** j)
+                if v in f_vars:
+                    _acc_sorted(out, (), ua + ub[:j] + ub[j + 1:], g, f,
+                                -(-1) ** j, g_var=v)
     return TensorField(a.chart, k + l - 1, 0,
                        {(up, ()): c for (_, up), c in out.items()},
                        contra_sym="antisym")
@@ -204,26 +212,26 @@ def fn_bracket(a: TensorField, b: TensorField) -> TensorField:
     _require_vvform(b)
     eps = (-1) ** a.p
     out: dict = {}
+    bs = [(n, db, g, g.variables_used()) for ((n,), db), g in b.components.items()]
     for ((m,), da), f in a.components.items():
-        for ((n,), db), g in b.components.items():
-            d = g.diff(m)
-            if d:
-                _acc_sorted(out, (n,), da + db, f, d)
-            d = f.diff(n)
-            if d:
-                _acc_sorted(out, (m,), da + db, d, g, -1)
+        f_vars = f.variables_used()
+        for n, db, g, g_vars in bs:
+            if m in g_vars:
+                _acc_sorted(out, (n,), da + db, f, g, g_var=m)
+            if n in f_vars:
+                _acc_sorted(out, (m,), da + db, f, g, -1, f_var=n)
             if m in db:
                 p = db.index(m)
                 rest = db[:p] + db[p + 1:]
-                for s in f.variables_used():
-                    _acc_sorted(out, (n,), (s,) + da + rest, f.diff(s), g,
-                                eps * (-1) ** p)
+                for s in f_vars:
+                    _acc_sorted(out, (n,), (s,) + da + rest, f, g,
+                                eps * (-1) ** p, f_var=s)
             if n in da:
                 p = da.index(n)
                 rest = da[:p] + da[p + 1:]
-                for s in g.variables_used():
-                    _acc_sorted(out, (m,), rest + (s,) + db, f, g.diff(s),
-                                eps * (-1) ** p)
+                for s in g_vars:
+                    _acc_sorted(out, (m,), rest + (s,) + db, f, g,
+                                eps * (-1) ** p, g_var=s)
     return TensorField(a.chart, 1, a.p + b.p, out, cov_sym="antisym")
 
 

@@ -27,10 +27,13 @@ Statement forms:
     oracle FORM args
     print NAME
 
-The command table _COMMANDS declares every command form once: its
-names and the object kinds they must refer to, its key=INT parameters,
-whether it takes `as NAME`, and its runner.  The bracket and check kinds
-and the oracle forms, with their arguments, are listed there.
+The table _COMMANDS declares every statement form once, declarations
+included, keyed by its keyword: the names it takes and the object kinds
+they must refer to (a declaration's CHART is one), its key=INT
+parameters, whether it takes `as NAME`, the parser of its body, the kind
+a declared NAME binds, and its runner.  Every statement is parsed,
+resolved and run through its entry; the bracket and check kinds and the
+oracle forms, with their arguments, are listed there too.
 
 Expressions are polynomials over the chart variables extended with the
 basis symbols d/dx (vector) and dx (covector) and the operators + - * ^
@@ -130,49 +133,10 @@ def _lex_line(text: str, line_no: int) -> list:
 # -- statement AST -------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ChartStmt:
-    name: str
-    entries: tuple          # ((var, (w, ...)), ...)
-    line: int
-    src: str
-
-
-@dataclass(frozen=True)
-class DeclStmt:
-    kind: str               # fn | vf | form | tensor
-    q: int
-    p: int
-    tag: str                # none | antisym | sym
-    name: str
-    chart: str
-    expr: tuple
-    line: int
-    src: str
-
-
-@dataclass(frozen=True)
-class DistStmt:
-    name: str
-    chart: str
-    exprs: tuple
-    line: int
-    src: str
-
-
-@dataclass(frozen=True)
-class ConnStmt:
-    name: str
-    chart: str
-    entries: tuple          # ((up, lo1, lo2, expr), ...)
-    line: int
-    src: str
-
-
-@dataclass(frozen=True)
 class CmdStmt:
     op: str
     form: Form
-    args: dict              # names as written, key=INT values, "as", "kind", "point"
+    args: dict              # see Form; names as written, not yet looked up
     line: int
     src: str
 
@@ -261,20 +225,61 @@ class _Parser:
             return self.expect("ident", "name").text
         return None
 
+    def parenthesized(self, item: Callable) -> tuple:
+        """( item, ... ) with at least one item."""
+        self.expect("lparen", "'('")
+        out = [item()]
+        while self.peek() and self.peek().kind == "comma":
+            self.next()
+            out.append(item())
+        self.expect("rparen", "')'")
+        return tuple(out)
+
+    def braced(self, what: str, entry: Callable) -> tuple:
+        """{ entry, ... }; empty entries between commas are skipped."""
+        self.expect("lbrace", "'{'")
+        out = []
+        while True:
+            t = self.peek()
+            if t is None:
+                raise DslError(f"unterminated {what} block", "syntax",
+                               self.line, len(self.src) + 1)
+            if t.kind == "rbrace":
+                self.next()
+                return tuple(out)
+            if t.kind == "comma":
+                self.next()
+            else:
+                out.append(entry())
+
     def point(self) -> tuple:
         """at (var=RAT, ...)"""
         self.expect_word("at")
-        self.expect("lparen", "'('")
-        point = []
-        while True:
-            var = self.expect("ident", "variable").text
-            self.expect("equals")
-            point.append((var, self._rational()))
-            if not (self.peek() and self.peek().kind == "comma"):
-                break
-            self.next()
-        self.expect("rparen", "')'")
-        return tuple(point)
+        return self.parenthesized(self.coordinate)
+
+    def coordinate(self) -> tuple:
+        """var=RAT"""
+        var = self.expect("ident", "variable").text
+        self.expect("equals")
+        return var, self._rational()
+
+    def weight(self) -> tuple:
+        """var:WEIGHT, WEIGHT = INT or (INT, INT, ...)"""
+        var = self.expect("ident", "variable name").text
+        self.expect("colon", "':'")
+        t = self.peek()
+        if t is not None and t.kind == "lparen":
+            return var, self.parenthesized(self._int)
+        return var, (self._int(),)
+
+    def christoffel(self) -> tuple:
+        """G up lo lo = expr, as ((up, lo, lo), expr)"""
+        self.expect_word("G")
+        idx = (self.expect("ident", "upper index").text,
+               self.expect("ident", "lower index").text,
+               self.expect("ident", "lower index").text)
+        self.expect("equals")
+        return idx, self.expr()
 
     # expressions
 
@@ -342,108 +347,87 @@ class _Parser:
                        t.line, t.col)
 
 
-def _parse_statement(tokens: list, line_no: int, src: str):
+# -- statement bodies ----------------------------------------------------------
+#
+# A body parses what follows the keyword (and the kind word of a Choice)
+# into the statement's args.  A declaration stores the NAME it declares
+# under "as", like the alias of a command, and each expression with the
+# chart indices it names under "exprs", so that _resolve checks both.
+
+def _command_body(p: _Parser, form: Form, a: dict) -> None:
+    """NAME ... [key=INT ...] [as NAME]"""
+    for key, label, _ in form.args:
+        a[key] = p.expect("ident", label).text
+    for key, default in form.params:
+        a[key] = p._kv(key) if default is _REQUIRED else p._opt_kv(key, default)
+    if form.alias:
+        a["as"] = p._opt_as()
+
+
+def _eval_body(p: _Parser, form: Form, a: dict) -> None:
+    """NAME at (var=RAT, ...)"""
+    _command_body(p, form, a)
+    a["point"] = p.point()
+
+
+def _chart_body(p: _Parser, form: Form, a: dict) -> None:
+    """NAME { var:WEIGHT, ... }"""
+    a["as"] = p.expect("ident", "chart name").text
+    a["entries"] = p.braced("chart", p.weight)
+    p.done()                # trailing input is reported before an empty block
+    if not a["entries"]:
+        raise DslError("chart declares no variables", "syntax", p.line, 1)
+
+
+def _on_chart(p: _Parser, form: Form, a: dict) -> None:
+    """NAME on CHART, the chart being the form's one argument"""
+    a["as"] = p.expect("ident", "name").text
+    p.expect_word("on")
+    _command_body(p, form, a)
+
+
+def _expr_body(p: _Parser, form: Form, a: dict) -> None:
+    """NAME on CHART = expr"""
+    _on_chart(p, form, a)
+    p.expect("equals")
+    a["exprs"] = (((), p.expr()),)
+
+
+def _tensor_body(p: _Parser, form: Form, a: dict) -> None:
+    """(q,p) [antisym|sym] NAME on CHART = expr"""
+    p.expect("lparen", "'('")
+    a["q"] = p._int()
+    p.expect("comma", "','")
+    a["p"] = p._int()
+    p.expect("rparen", "')'")
+    a["tag"] = "none"
+    t = p.peek()
+    if t is not None and t.kind == "ident" and t.text in ("antisym", "sym"):
+        a["tag"] = p.next().text
+    if a["q"] < 0 or a["p"] < 0:
+        raise DslError("tensor valence must be non-negative", "syntax", p.line,
+                       p.toks[0].col)
+    _expr_body(p, form, a)
+
+
+def _dist_body(p: _Parser, form: Form, a: dict) -> None:
+    """NAME on CHART = span(expr, ...)"""
+    _on_chart(p, form, a)
+    p.expect("equals")
+    p.expect_word("span")
+    a["exprs"] = tuple(((), e) for e in p.parenthesized(p.expr))
+
+
+def _connection_body(p: _Parser, form: Form, a: dict) -> None:
+    """NAME on CHART { G up lo lo = expr, ... }"""
+    _on_chart(p, form, a)
+    a["exprs"] = p.braced("connection", p.christoffel)
+
+
+def _parse_statement(tokens: list, line_no: int, src: str) -> CmdStmt:
     p = _Parser(tokens, line_no, src)
     head = p.expect("ident", "statement keyword")
     word = head.text
-
-    if word == "chart":
-        name = p.expect("ident", "chart name").text
-        p.expect("lbrace", "'{'")
-        entries = []
-        while True:
-            t = p.peek()
-            if t is None:
-                raise DslError("unterminated chart block", "syntax", line_no,
-                               len(src) + 1)
-            if t.kind == "rbrace":
-                p.next()
-                break
-            if t.kind == "comma":
-                p.next()
-                continue
-            var = p.expect("ident", "variable name").text
-            p.expect("colon", "':'")
-            t = p.peek()
-            if t is not None and t.kind == "lparen":
-                p.next()
-                ws = [p._int()]
-                while p.peek() and p.peek().kind == "comma":
-                    p.next()
-                    ws.append(p._int())
-                p.expect("rparen", "')'")
-                entries.append((var, tuple(ws)))
-            else:
-                entries.append((var, (p._int(),)))
-        p.done()
-        if not entries:
-            raise DslError("chart declares no variables", "syntax", line_no, 1)
-        return ChartStmt(name, tuple(entries), line_no, src)
-
-    if word in ("fn", "vf", "form", "tensor"):
-        q = p_val = -1
-        tag = "none"
-        if word == "tensor":
-            p.expect("lparen", "'('")
-            q = p._int()
-            p.expect("comma", "','")
-            p_val = p._int()
-            p.expect("rparen", "')'")
-            t = p.peek()
-            if t is not None and t.kind == "ident" and t.text in ("antisym", "sym"):
-                tag = p.next().text
-            if q < 0 or p_val < 0:
-                raise DslError("tensor valence must be non-negative", "syntax",
-                               line_no, head.col)
-        name = p.expect("ident", "name").text
-        p.expect_word("on")
-        chart = p.expect("ident", "chart name").text
-        p.expect("equals")
-        expr = p.expr()
-        p.done()
-        return DeclStmt(word, q, p_val, tag, name, chart, expr, line_no, src)
-
-    if word == "dist":
-        name = p.expect("ident", "name").text
-        p.expect_word("on")
-        chart = p.expect("ident", "chart name").text
-        p.expect("equals")
-        p.expect_word("span")
-        p.expect("lparen", "'('")
-        exprs = [p.expr()]
-        while p.peek() and p.peek().kind == "comma":
-            p.next()
-            exprs.append(p.expr())
-        p.expect("rparen", "')'")
-        p.done()
-        return DistStmt(name, chart, tuple(exprs), line_no, src)
-
-    if word == "connection":
-        name = p.expect("ident", "name").text
-        p.expect_word("on")
-        chart = p.expect("ident", "chart name").text
-        p.expect("lbrace", "'{'")
-        entries = []
-        while True:
-            t = p.peek()
-            if t is None:
-                raise DslError("unterminated connection block", "syntax",
-                               line_no, len(src) + 1)
-            if t.kind == "rbrace":
-                p.next()
-                break
-            if t.kind == "comma":
-                p.next()
-                continue
-            p.expect_word("G")
-            up = p.expect("ident", "upper index").text
-            lo1 = p.expect("ident", "lower index").text
-            lo2 = p.expect("ident", "lower index").text
-            p.expect("equals")
-            entries.append((up, lo1, lo2, p.expr()))
-        p.done()
-        return ConnStmt(name, chart, tuple(entries), line_no, src)
-
     if word == "lift" and p.peek() is not None and p.peek().kind == "minus":
         p.next()
         p.expect_word("connection")
@@ -462,14 +446,7 @@ def _parse_statement(tokens: list, line_no: int, src: str):
                            head.col)
         args["kind"] = kind
         form = form.forms[kind]
-    for key, label, _ in form.args:
-        args[key] = p.expect("ident", label).text
-    if word == "eval":
-        args["point"] = p.point()
-    for key, default in form.params:
-        args[key] = p._kv(key) if default is _REQUIRED else p._opt_kv(key, default)
-    if form.alias:
-        args["as"] = p._opt_as()
+    form.body(p, form, args)
     p.done()
     return CmdStmt(word, form, args, line_no, src)
 
@@ -490,8 +467,14 @@ def _expr_names(node: tuple):
 
 
 def _resolve(script: Script) -> None:
-    """Check chart references, expression variables, and object names."""
+    """Check chart references, expression variables, and object names.
+
+    Each statement's names are checked, then each of its expressions
+    (the chart indices it names before its variables), and only then is
+    the name it defines bound.
+    """
     kinds: dict = {}
+    chart_vars: dict = {}
 
     def need(name: str, want: tuple, line: int) -> None:
         k = kinds.get(name)
@@ -506,56 +489,32 @@ def _resolve(script: Script) -> None:
             raise DslError(f"{name!r} is already defined", "name", line)
         kinds[name] = kind
 
-    def check_expr(node: tuple, chart_vars: set, chart_name: str) -> None:
-        for ref in _expr_names(node):
-            if ref[0] == "dvf":
-                if ref[1] not in chart_vars:
-                    raise DslError(f"{ref[1]} not in {chart_name}", "name",
-                                   ref[2], ref[3])
-            else:
-                nm = ref[1]
-                if nm in chart_vars:
-                    continue
-                if nm.startswith("d") and nm[1:] in chart_vars:
-                    continue
-                raise DslError(f"{nm} not in {chart_name}", "name",
-                               ref[2], ref[3])
-
-    chart_vars: dict = {}
     for st in script.statements:
-        if isinstance(st, ChartStmt):
-            define(st.name, "chart", st.line)
-            chart_vars[st.name] = {v for v, _ in st.entries}
-        elif isinstance(st, DeclStmt):
-            need(st.chart, ("chart",), st.line)
-            check_expr(st.expr, chart_vars[st.chart], st.chart)
-            define(st.name, "tensor", st.line)
-        elif isinstance(st, DistStmt):
-            need(st.chart, ("chart",), st.line)
-            for e in st.exprs:
-                check_expr(e, chart_vars[st.chart], st.chart)
-            define(st.name, "dist", st.line)
-        elif isinstance(st, ConnStmt):
-            need(st.chart, ("chart",), st.line)
-            vars_ = chart_vars[st.chart]
-            for up, lo1, lo2, e in st.entries:
-                for v in (up, lo1, lo2):
-                    if v not in vars_:
-                        raise DslError(f"{v} not in {st.chart}", "name", st.line)
-                check_expr(e, vars_, st.chart)
-            define(st.name, "connection", st.line)
-        else:
-            for key, _, want in st.form.args:
-                need(st.args[key], want, st.line)
-            alias = st.args.get("as")
-            if alias:
-                new_kind = st.form.alias
-                if new_kind == "same":
-                    new_kind = kinds[st.args[st.form.args[0][0]]]
-                define(alias, new_kind, st.line)
-                if new_kind == "chart":
-                    base = chart_vars[st.args["name"]]
-                    chart_vars[alias] = base | set(prolonged_names(base, st.args["r"]))
+        form, a = st.form, st.args
+        for key, _, want in form.args:
+            need(a[key], want, st.line)
+        for idx, node in a.get("exprs", ()):
+            chart = a["chart"]
+            vars_ = chart_vars[chart]
+            for v in idx:
+                if v not in vars_:
+                    raise DslError(f"{v} not in {chart}", "name", st.line)
+            for op, nm, line, col in _expr_names(node):
+                # a variable dq may name the covector of chart variable q
+                if nm not in vars_ and not (op == "var" and nm.startswith("d")
+                                            and nm[1:] in vars_):
+                    raise DslError(f"{nm} not in {chart}", "name", line, col)
+        new = a.get("as")
+        if new:
+            kind = form.binds or form.alias
+            if kind == "same":
+                kind = kinds[a[form.args[0][0]]]
+            define(new, kind, st.line)
+            if form.binds == "chart":
+                chart_vars[new] = {v for v, _ in a["entries"]}
+            elif kind == "chart":
+                base = chart_vars[a["name"]]
+                chart_vars[new] = base | set(prolonged_names(base, a["r"]))
 
 
 def parse(text: str) -> Script:
@@ -650,79 +609,77 @@ def _eval_expr(node: tuple, chart: Chart) -> TensorField:
     raise GradcalcError(f"unknown expression node {op!r}")
 
 
-def _run_decl(st: DeclStmt, env: _Env) -> OutputRecord:
-    chart = env.objects[st.chart]
-    t = _eval_expr(st.expr, chart)
-    if st.kind == "fn":
+def _run_chart(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    name, entries = a["as"], a["entries"]
+    weights = [w for _, w in entries]
+    d = len(weights[0])
+    if any(len(w) != d for w in weights):
+        raise GradcalcError("inconsistent weight vector lengths")
+    chart = make_chart([v for v, _ in entries], weights, label=name)
+    env.bind(name, chart)
+    return OutputRecord(st.src, "chart", True,
+                        {"name": name, "result": chart_to_json(chart)},
+                        [f"chart {name}: " + ", ".join(
+                            f"{n}:{list(w) if d > 1 else w[0]}"
+                            for n, w in entries)])
+
+
+def _run_decl(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    name, chart = a["as"], a["chart"]
+    t = _eval_expr(a["exprs"][0][1], chart)
+    if st.op == "fn":
         want = (0, 0)
-    elif st.kind == "vf":
+    elif st.op == "vf":
         want = (1, 0)
-    elif st.kind == "form":
+    elif st.op == "form":
         if t.q != 0 or t.p < 1:
-            raise GradcalcError(f"form {st.name} has valence ({t.q},{t.p})")
+            raise GradcalcError(f"form {name} has valence ({t.q},{t.p})")
         want = (0, t.p)
     else:
-        want = (st.q, st.p)
+        want = (a["q"], a["p"])
     if (t.q, t.p) != want:
         if t.is_zero():
             # a zero scalar stands for the zero tensor of any valence
             t = TensorField.from_components(chart, want[0], want[1], {})
         else:
             raise GradcalcError(
-                f"{st.name} evaluates to valence ({t.q},{t.p}), declared {want}")
-    if st.kind == "form" and t.p >= 2 and t.cov_sym != "antisym":
+                f"{name} evaluates to valence ({t.q},{t.p}), declared {want}")
+    if st.op == "form" and t.p >= 2 and t.cov_sym != "antisym":
         t = tagged(t, cov_sym="antisym")
-    if st.kind == "tensor" and st.tag != "none":
-        cs = st.tag if t.q >= 2 else "none"
-        ps = st.tag if t.p >= 2 else "none"
+    if st.op == "tensor" and a["tag"] != "none":
+        cs = a["tag"] if t.q >= 2 else "none"
+        ps = a["tag"] if t.p >= 2 else "none"
         if (t.contra_sym, t.cov_sym) != (cs, ps):
             t = tagged(t, contra_sym=cs, cov_sym=ps)
-    env.bind(st.name, t)
+    env.bind(name, t)
     return OutputRecord(st.src, "decl", True,
-                        {"name": st.name, "result": tensor_to_json(t)},
-                        [f"{st.name} = {render_tensor(t)}"])
+                        {"name": name, "result": tensor_to_json(t)},
+                        [f"{name} = {render_tensor(t)}"])
 
 
-def _run_chart(st: ChartStmt, env: _Env) -> OutputRecord:
-    names = [v for v, _ in st.entries]
-    weights = [w for _, w in st.entries]
-    d = len(weights[0])
-    if any(len(w) != d for w in weights):
-        raise GradcalcError("inconsistent weight vector lengths")
-    chart = make_chart(names, weights, label=st.name)
-    env.bind(st.name, chart)
-    return OutputRecord(st.src, "chart", True,
-                        {"name": st.name, "result": chart_to_json(chart)},
-                        [f"chart {st.name}: " + ", ".join(
-                            f"{n}:{list(w) if d > 1 else w[0]}"
-                            for n, w in st.entries)])
-
-
-def _run_dist(st: DistStmt, env: _Env) -> OutputRecord:
-    chart = env.objects[st.chart]
-    gens = tuple(_eval_expr(e, chart) for e in st.exprs)
-    d = Distribution(chart, gens)
-    env.bind(st.name, d)
+def _run_dist(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    gens = tuple(_eval_expr(e, a["chart"]) for _, e in a["exprs"])
+    env.bind(a["as"], Distribution(a["chart"], gens))
     return OutputRecord(st.src, "dist", True,
-                        {"name": st.name,
+                        {"name": a["as"],
                          "generators": [tensor_to_json(g) for g in gens]},
-                        [f"{st.name} = span of {len(gens)} fields"])
+                        [f"{a['as']} = span of {len(gens)} fields"])
 
 
-def _run_conn(st: ConnStmt, env: _Env) -> OutputRecord:
-    chart = env.objects[st.chart]
+def _run_conn(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    chart = a["chart"]
     gamma: dict = {}
-    for up, lo1, lo2, e in st.entries:
+    for (up, lo1, lo2), e in a["exprs"]:
         v = _eval_expr(e, chart)
         if v.q or v.p:
             raise GradcalcError("Christoffel symbols must be scalar")
         key = (chart.index(lo1), chart.index(up), chart.index(lo2))
         _acc(gamma, key, v.scalar_part())
     conn = tangent_connection(chart, gamma)
-    env.bind(st.name, conn)
+    env.bind(a["as"], conn)
     return OutputRecord(st.src, "connection", True,
-                        {"name": st.name, "symbols": len(conn.gamma)},
-                        [f"{st.name}: connection with {len(st.entries)} symbols"])
+                        {"name": a["as"], "symbols": len(conn.gamma)},
+                        [f"{a['as']}: connection with {len(a['exprs'])} symbols"])
 
 
 def _tensor_result(st: CmdStmt, env: _Env, a: dict, t: TensorField) -> OutputRecord:
@@ -855,8 +812,8 @@ def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
 
 # -- the command table ---------------------------------------------------------
 #
-# Every command keyword maps to one Form, or to a Choice whose second word
-# selects the Form.  Runners reach the engine through module-level names
+# Every statement keyword maps to one Form, or to a Choice whose second
+# word selects the Form.  Runners reach the engine through module-level names
 # looked up at call time (the lambda bodies below), never through function
 # objects stored in the table, so a wrapper bound over such a name sees
 # every call.
@@ -866,21 +823,31 @@ _REQUIRED = object()
 
 @dataclass(frozen=True)
 class Form:
-    """One command form.
+    """One statement form, a declaration or a command.
 
-    args: (key, parse label, object kinds) for each positional name.
-    run(st, env, a): builds the record; a maps each positional key to its
-    object and carries the key=INT values, "as" and "kind".
+    args: (key, parse label, object kinds) for each positional name;
+    the CHART of a declaration is one.
+    run(st, env, a): builds the record; a is st.args with each positional
+    key mapped to its object.
     params: (key, default) for each key=INT in order; _REQUIRED marks a
     key that must be given.
     alias: the kind `as NAME` binds ("same" for the kind of the first
     argument), or None where `as` is not accepted.
+    body(p, form, a): parses what follows the keyword into a.
+    binds: the kind a declaration's NAME binds; None for a command.
+
+    st.args holds the names as written, the key=INT values, "kind" (the
+    second word of a Choice), "as" (the name the statement defines),
+    "point" (eval), "entries" (chart), "q", "p", "tag" (tensor) and
+    "exprs": each expression of a declaration as (chart indices, expr).
     """
 
     args: tuple
     run: Callable
     params: tuple = ()
     alias: str | None = None
+    body: Callable = _command_body
+    binds: str | None = None
 
 
 @dataclass(frozen=True)
@@ -917,8 +884,16 @@ _AB = (("a", "name", _T), ("b", "name", _T))
 _DIST = (("a", "name", ("dist",)),)
 _K = ("k", _REQUIRED)
 _R = ("r", _REQUIRED)
+_ON = (("chart", "chart name", ("chart",)),)     # the CHART of a declaration
 
 _COMMANDS = {
+    "chart": Form((), _run_chart, body=_chart_body, binds="chart"),
+    "fn": Form(_ON, _run_decl, body=_expr_body, binds="tensor"),
+    "vf": Form(_ON, _run_decl, body=_expr_body, binds="tensor"),
+    "form": Form(_ON, _run_decl, body=_expr_body, binds="tensor"),
+    "tensor": Form(_ON, _run_decl, body=_tensor_body, binds="tensor"),
+    "dist": Form(_ON, _run_dist, body=_dist_body, binds="dist"),
+    "connection": Form(_ON, _run_conn, body=_connection_body, binds="connection"),
     "lift": Form((("name", "name", ("tensor", "dist")),), _run_lift,
                  (("lambda", None), _R), alias="same"),
     "prolong": Form((("name", "chart name", ("chart",)),), _run_prolong, (_R,),
@@ -938,7 +913,7 @@ _COMMANDS = {
                         ("x", "vector field", _T), ("y", "vector field", _T)),
                        lambda a: covariant_derivative(a["conn"], a["x"], a["y"])),
     "degree": Form(_NAME, _run_degree, (("component", 0),)),
-    "eval": Form(_NAME, _run_eval),
+    "eval": Form(_NAME, _run_eval, body=_eval_body),
     "check": Choice("check kind", "check kind", hyphens=True, forms={
         "poisson": _check(_A, (), lambda env, a: is_poisson(a["a"])),
         "weighted": _check(_A, (_K,), lambda env, a: is_weighted_tensor(
@@ -973,17 +948,6 @@ _COMMANDS = {
 }
 
 
-def _run_cmd(st: CmdStmt, env: _Env) -> OutputRecord:
-    a = dict(st.args)
-    for key, _, _ in st.form.args:
-        a[key] = env.objects[a[key]]
-    return st.form.run(st, env, a)
-
-
-_RUNNERS = {ChartStmt: _run_chart, DeclStmt: _run_decl, DistStmt: _run_dist,
-            ConnStmt: _run_conn, CmdStmt: _run_cmd}
-
-
 def execute(script: Script, seed: int = 0, samples: int = 8):
     """Run a parsed script.
 
@@ -995,8 +959,11 @@ def execute(script: Script, seed: int = 0, samples: int = 8):
     any_check_failed = False
     for st in script.statements:
         t0 = time.perf_counter()
+        a = dict(st.args)
+        for key, _, _ in st.form.args:
+            a[key] = env.objects[a[key]]
         try:
-            rec = _RUNNERS[type(st)](st, env)
+            rec = st.form.run(st, env, a)
         except GradcalcError as e:
             msg = e.args[0] if e.args else str(e)
             rec = OutputRecord(st.src, "error", False,

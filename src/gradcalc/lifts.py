@@ -187,19 +187,12 @@ def lift_weight_vector_field(ctx: LiftContext, component: int = 0) -> TensorFiel
     """Lift of the base weight field: sum over levels of w_i x^i_mu d/dx^i_mu.
 
     Equals the top lift (lambda = r) of the base weight vector field and
-    is the weight field of the inherited grading on the prolonged chart.
+    is the weight field of the inherited grading on the prolonged chart,
+    which gives every level the base weight.  The component must exist
+    on the base chart, so the added jet component is rejected.
     """
-    base = ctx.base
-    base.check_component(component)
-    comps = {}
-    for i in range(base.dim):
-        w = base.weights[i][component]
-        if not w:
-            continue
-        for mu in range(ctx.r + 1):
-            v = ctx.var(i, mu)
-            comps[((v,), ())] = Poly.variable(ctx.total, v) * w
-    return TensorField(ctx.total, 1, 0, comps)
+    ctx.base.check_component(component)
+    return weight_vector_field(ctx.total, component)
 
 
 def lift_distribution(d, ctx: LiftContext):

@@ -171,12 +171,6 @@ class Poly:
             raise GradcalcError("polynomial is not constant")
         return Fraction(self.terms.get((), 0))
 
-    def total_degree(self) -> int:
-        """Largest monomial degree; 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        return max(mono_total_degree(m) for m in self.terms)
-
     def variables_used(self) -> set:
         used = set()
         for m in self.terms:

@@ -56,18 +56,6 @@ def _sort_with_parity(idx: tuple) -> tuple:
     return sign, tuple(lst)
 
 
-def _canon_block(idx: tuple, sym: str):
-    """Canonical (sign, key) for one index block; None when annihilated."""
-    if sym == "none" or len(idx) < 2:
-        return 1, idx
-    if sym == "sym":
-        return 1, tuple(sorted(idx))
-    sign, key = _sort_with_parity(idx)
-    if sign == 0:
-        return None
-    return sign, key
-
-
 def _is_canonical(idx: tuple, sym: str) -> bool:
     if sym == "none" or len(idx) < 2:
         return True

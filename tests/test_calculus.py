@@ -366,3 +366,18 @@ def test_bracket_results_frozen():
         "-y*z^2*d/dx ox dy ^^ dz - x^3*d/dy ox dx ^^ dy + x*z*d/dy ox dx ^^ dz"
         " + x^3*d/dz ox dx ^^ dz")
     assert (u.q, u.p, u.contra_sym, u.cov_sym) == (1, 2, "none", "antisym")
+
+
+def test_brackets_take_no_derivative_of_a_dropped_term(monkeypatch):
+    # every term of these brackets repeats an index, so none needs d_v
+    x, y = (Poly.variable(E2, i) for i in range(2))
+    lam = TensorField.from_components(E2, 2, 0, {((0, 1), ()): y},
+                                      contra_sym="antisym")
+    n = TensorField.from_components(E2, 1, 1, {((0,), (0,)): x})
+    taken = []
+    diff = Poly.diff
+    monkeypatch.setattr(Poly, "diff",
+                        lambda self, var: taken.append(var) or diff(self, var))
+    assert schouten_bracket(lam, lam).is_zero()
+    assert fn_bracket(n, n).is_zero()
+    assert taken == []

@@ -467,6 +467,76 @@ DIAGNOSTICS = [
     ("print f g", "syntax", 9, "trailing input 'g'"),
     ("print f as g", "syntax", 9, "trailing input 'as'"),
     ("frob f", "syntax", 1, "unknown statement 'frob'"),
+    # declarations: missing name or `on`, unknown or wrong-kind chart, a
+    # variable, d/dq or connection index not in the chart, unterminated
+    # or empty block, negative valence (reported at the keyword, also
+    # after leading whitespace), missing span, redefinition, trailing input
+    ("chart", "syntax", 6, "unexpected end of line"),
+    ("chart 3 { z:0 }", "syntax", 7, "expected chart name, got '3'"),
+    ("chart N z:0 }", "syntax", 9, "expected '{', got 'z'"),
+    ("chart N { z }", "syntax", 13, "expected ':', got '}'"),
+    ("chart N { 3:0 }", "syntax", 11, "expected variable name, got '3'"),
+    ("chart N { z:a }", "syntax", 13, "expected integer, got 'a'"),
+    ("chart N { z:(1,0 }", "syntax", 18, "expected ')', got '}'"),
+    ("chart N { z:0", "syntax", 14, "unterminated chart block"),
+    ("chart N { }", "syntax", 1, "chart declares no variables"),
+    ("chart N { } x", "syntax", 13, "trailing input 'x'"),
+    ("chart M { z:0 }", "name", None, "'M' is already defined"),
+    ("chart f { z:(1,0) }", "name", None, "'f' is already defined"),
+    ("   chart N { }", "syntax", 1, "chart declares no variables"),
+    ("fn", "syntax", 3, "unexpected end of line"),
+    ("fn 3 on M = x", "syntax", 4, "expected name, got '3'"),
+    ("fn g M = x", "syntax", 6, "expected 'on', got 'M'"),
+    ("fn g on Q = x", "name", None, "'Q' is not defined"),
+    ("fn g on f = x", "name", None, "'f' is a tensor, expected chart"),
+    ("fn g on M x", "syntax", 11, "expected equals, got 'x'"),
+    ("fn g on M = z", "name", 13, "z not in M"),
+    ("fn f on M = x", "name", None, "'f' is already defined"),
+    ("fn X on M = z", "name", 13, "z not in M"),
+    ("fn g on M = x x", "syntax", 15, "trailing input 'x'"),
+    ("vf", "syntax", 3, "unexpected end of line"),
+    ("vf Y on M = d/dq", "name", 13, "q not in M"),
+    ("vf Y on D = d/dx", "name", None, "'D' is a dist, expected chart"),
+    ("vf X on M = d/dx", "name", None, "'X' is already defined"),
+    ("form", "syntax", 5, "unexpected end of line"),
+    ("form w on M = dq", "name", 15, "dq not in M"),
+    ("form w on M = dx dy", "syntax", 18, "trailing input 'dy'"),
+    ("form L on M = dx", "name", None, "'L' is already defined"),
+    ("tensor", "syntax", 7, "unexpected end of line"),
+    ("tensor 2,0) T on M = 0", "syntax", 8, "expected '(', got '2'"),
+    ("tensor(2 0) T on M = 0", "syntax", 10, "expected ',', got '0'"),
+    ("tensor(2,0 T on M = 0", "syntax", 12, "expected ')', got 'T'"),
+    ("tensor(-1,0) T on M = 0", "syntax", 1, "tensor valence must be non-negative"),
+    ("tensor(0,-1) sym T on M = 0", "syntax", 1, "tensor valence must be non-negative"),
+    ("   tensor(0,-1) T on M = 0", "syntax", 4, "tensor valence must be non-negative"),
+    ("tensor(2,0) sym on M = 0", "syntax", 20, "expected 'on', got 'M'"),
+    ("tensor(2,0) antisym T on D = 0", "name", None, "'D' is a dist, expected chart"),
+    ("tensor(2,0) sym T on M = d/dz ox d/dx", "name", 26, "z not in M"),
+    ("tensor(1,1) J on M = 0", "name", None, "'J' is already defined"),
+    ("tensor(1,1) T on M = 0 J", "syntax", 24, "trailing input 'J'"),
+    ("dist", "syntax", 5, "unexpected end of line"),
+    ("dist E M = span(d/dx)", "syntax", 8, "expected 'on', got 'M'"),
+    ("dist E on G = span(d/dx)", "name", None, "'G' is a connection, expected chart"),
+    ("dist E on M = d/dx", "syntax", 15, "expected 'span', got 'x'"),
+    ("dist E on M = span d/dx", "syntax", 20, "expected '(', got 'x'"),
+    ("dist E on M = span(d/dx", "syntax", 24, "unexpected end of line"),
+    ("dist E on M = span(d/dx, d/dz)", "name", 26, "z not in M"),
+    ("dist D on M = span(d/dx)", "name", None, "'D' is already defined"),
+    ("dist E on M = span(d/dx) x", "syntax", 26, "trailing input 'x'"),
+    ("connection", "syntax", 11, "unexpected end of line"),
+    ("connection H M { G x x x = 1 }", "syntax", 14, "expected 'on', got 'M'"),
+    ("connection H on X { G x x x = 1 }", "name", None, "'X' is a tensor, expected chart"),
+    ("connection H on M G x x x = 1 }", "syntax", 19, "expected '{', got 'G'"),
+    ("connection H on M { H x x x = 1 }", "syntax", 21, "expected 'G', got 'H'"),
+    ("connection H on M { G x x = 1 }", "syntax", 27, "expected lower index, got '='"),
+    ("connection H on M { G x x x 1 }", "syntax", 29, "expected equals, got '1'"),
+    ("connection H on M { G x x x = 1", "syntax", 32, "unterminated connection block"),
+    ("connection H on M { G x x z = 1 }", "name", None, "z not in M"),
+    ("connection H on M { G z x x = q }", "name", None, "z not in M"),
+    ("connection H on M { G x x x = q, G z x x = 1 }", "name", 31, "q not in M"),
+    ("connection G on M { G z x x = 1 }", "name", None, "z not in M"),
+    ("connection G on M { G x x x = 1 }", "name", None, "'G' is already defined"),
+    ("connection H on M { } x", "syntax", 23, "trailing input 'x'"),
 ]
 
 
@@ -476,6 +546,69 @@ def test_command_diagnostics(line, kind, col, message):
         parse(DIAG_PRELUDE + line + "\n")
     e = ei.value
     assert (e.kind, e.line, e.col, e.args[0]) == (kind, 8, col, message)
+
+
+DECLARED = """\
+chart B { x:(1,0), y:(0,1), z:(-1,2) }
+fn f on B = x*z + 1/3
+vf X on B = x*d/dx - z*d/dy
+form w on B = dx ^^ dz + y*dy ^^ dz
+tensor(0,2) sym g on B = dx ox dz + dz ox dx + 2*dy ox dy
+dist D on B = span(d/dx, x*d/dz)
+connection C on B { G x y z = x, G z z z = -1/2 }
+print C
+"""
+
+
+def _tensor_json(valence, components, text, cov_sym="none"):
+    return {"type": "tensor", "valence": valence, "contra_sym": "none",
+            "cov_sym": cov_sym,
+            "components": [{"up": up, "down": down, "coef": coef}
+                           for up, down, coef in components],
+            "text": text}
+
+
+def test_declaration_records_frozen():
+    records, code = run(DECLARED)
+    assert code == 0
+    assert [r.text for r in records] == [
+        ["chart B: x:[1, 0], y:[0, 1], z:[-1, 2]"],
+        ["f = x*z + 1/3"],
+        ["X = x*d/dx - z*d/dy"],
+        ["w = dx ^^ dz + y*dy ^^ dz"],
+        ["g = dx ox dz + 2*dy ox dy"],
+        ["D = span of 2 fields"],
+        ["C: connection with 2 symbols"],
+        ["G x_dot y z_dot = x", "G z_dot z z_dot = -1/2"],
+    ]
+    stmts = DECLARED.splitlines()
+    expected = [
+        {"kind": "chart", "ok": True, "name": "B",
+         "result": {"type": "chart", "label": "B",
+                    "vars": [{"name": "x", "weights": [1, 0]},
+                             {"name": "y", "weights": [0, 1]},
+                             {"name": "z", "weights": [-1, 2]}],
+                    "n_graded": [False, True]}},
+        {"kind": "decl", "ok": True, "name": "f", "result": _tensor_json(
+            [0, 0], [([], [], "x*z + 1/3")], "x*z + 1/3")},
+        {"kind": "decl", "ok": True, "name": "X", "result": _tensor_json(
+            [1, 0], [(["x"], [], "x"), (["y"], [], "-z")], "x*d/dx - z*d/dy")},
+        {"kind": "decl", "ok": True, "name": "w", "result": _tensor_json(
+            [0, 2], [([], ["x", "z"], "1"), ([], ["y", "z"], "y")],
+            "dx ^^ dz + y*dy ^^ dz", cov_sym="antisym")},
+        {"kind": "decl", "ok": True, "name": "g", "result": _tensor_json(
+            [0, 2], [([], ["x", "z"], "1"), ([], ["y", "y"], "2")],
+            "dx ox dz + 2*dy ox dy", cov_sym="sym")},
+        {"kind": "dist", "ok": True, "name": "D", "generators": [
+            _tensor_json([1, 0], [(["x"], [], "1")], "d/dx"),
+            _tensor_json([1, 0], [(["z"], [], "x")], "x*d/dz")]},
+        {"kind": "connection", "ok": True, "name": "C", "symbols": 2},
+        {"kind": "print", "ok": True, "symbols": 2},
+    ]
+    # compared as JSON text, so the key order is pinned too
+    doc = records_to_json(records)
+    assert json.dumps(doc["records"]) == json.dumps(
+        [{"stmt": stmt, **rec} for stmt, rec in zip(stmts, expected)])
 
 
 CHECK_PRELUDE = """\
@@ -517,9 +650,22 @@ def test_every_check_kind_runs():
         assert rec.text[0].startswith(f"check {kind}: ")
 
 
-def test_readme_lists_the_check_kinds():
+def _readme() -> str:
     path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
     with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    listed = re.search(r"Check kinds:(.*?)\.\s", text, re.S).group(1)
+        return fh.read()
+
+
+def test_readme_lists_the_check_kinds():
+    listed = re.search(r"Check kinds:(.*?)\.\s", _readme(), re.S).group(1)
     assert re.findall(r"`([a-z-]+)`", listed) == _check_kinds()
+
+
+def test_readme_lists_the_statement_keywords():
+    block = re.search(r"## Script language.*?```\n(.*?)```", _readme(), re.S).group(1)
+    keywords = []
+    for line in block.splitlines():
+        for word in re.match(r"[a-z|-]+", line).group().split("|"):
+            if word not in keywords:
+                keywords.append(word)
+    assert keywords == list(dsl._COMMANDS)

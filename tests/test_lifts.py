@@ -156,6 +156,18 @@ def test_weight_field_lift():
         lift_tensor(weight_vector_field(m), 2, ctx)
     with pytest.raises(GradcalcError):
         lift_weight_vector_field(ctx, component=4)
+    # two gradings, one weight negative: the prolonged chart gives every
+    # level the base weight, so the lift is the total chart's weight field
+    b = make_chart(["x", "y", "z"], [(1, 0), (-2, 1), (0, 3)])
+    ctx = LiftContext(b, 2)
+    for c in range(b.grading_count):
+        lifted = lift_weight_vector_field(ctx, c)
+        assert lifted == weight_vector_field(ctx.total, c)
+        assert lifted == lift_tensor(weight_vector_field(b, c), 2, ctx)
+    # the jet component is valid on the total chart, not on the base
+    weight_vector_field(ctx.total, b.grading_count)
+    with pytest.raises(GradcalcError):
+        lift_weight_vector_field(ctx, b.grading_count)
 
 
 def test_lift_distribution():
