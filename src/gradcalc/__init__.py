@@ -16,6 +16,8 @@ never a floating-point approximation.  The main pieces:
 * independent oracles for cross-checking the lift and bracket paths.
 """
 
+__version__ = "0.1.0"       # before the submodules: render reads it on import
+
 from .charts import (
     Chart, cotangent_chart, make_chart, phase_shifted_cotangent_chart,
     prolong_chart, shifted_dual_grl_chart, tangent_chart, vb_split,
@@ -53,8 +55,6 @@ from .oracle import (
     SamplePlan, evaluate_tensor_at, identity_spot_check,
     koszul_concomitant_oracle, taylor_lift_oracle,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "__version__",

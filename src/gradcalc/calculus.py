@@ -31,8 +31,8 @@ the sign (-1)^p; d_v f is the partial derivative.
 from __future__ import annotations
 
 from .errors import ChartMismatchError, ValenceError
-from .poly import Poly
-from .tensor import TensorField, _acc, _from_expanded, _sort_with_parity
+from .poly import Poly, _acc
+from .tensor import TensorField, _from_expanded, _sort_with_parity
 
 __all__ = [
     "exterior_derivative", "lie_bracket", "lie_derivative",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .calculus import (
     concomitant, exterior_derivative, lie_bracket, lie_derivative,
@@ -27,11 +28,11 @@ from .calculus import (
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function
+from .poly import ANY_DEGREE, Poly, _acc, degree_matches, degree_of_function
 from .render import render_tensor
 from .sampling import sample_points
 from .tensor import (
-    TensorField, _acc, compose_11, degree_of_tensor, identity_tensor,
+    TensorField, compose_11, degree_of_tensor, identity_tensor,
     wedge, weight_vector_field,
 )
 
@@ -359,17 +360,24 @@ def rank_at_point(d: Distribution, point: dict) -> int:
     return rational_rank([_row(x, point) for x in d.generators])
 
 
-def _membership_by_rank(d: Distribution, extra: TensorField, points: list):
-    """Point where adding extra raises the span's rank, or None."""
-    for pt in points:
-        rows = [_row(x, pt) for x in d.generators]
-        if rational_rank(rows + [_row(extra, pt)]) != rational_rank(rows):
-            return pt
-    return None
-
-
 def _point_str(chart: Chart, pt: dict) -> str:
     return "(" + ", ".join(f"{chart.names[i]}={pt[i]}" for i in sorted(pt)) + ")"
+
+
+def _span_check(d: Distribution, points: list, seed: int, brackets) -> CheckReport:
+    """Fail at the first (label, bracket) that raises the generators' rank
+    at a sample point.  brackets is lazy: none is formed after a failure.
+    """
+    for label, br in brackets:
+        if br.is_zero():
+            continue
+        for pt in points:
+            rows = [_row(x, pt) for x in d.generators]
+            if rational_rank(rows + [_row(br, pt)]) != rational_rank(rows):
+                return CheckReport(
+                    False, probabilistic=True, seed=seed,
+                    witness=f"{label} leaves the span at {_point_str(d.chart, pt)}")
+    return CheckReport(True, probabilistic=True, seed=seed)
 
 
 def is_involutive(d: Distribution, seed: int = 0, samples: int = 8) -> CheckReport:
@@ -378,38 +386,19 @@ def is_involutive(d: Distribution, seed: int = 0, samples: int = 8) -> CheckRepo
     A pass is probabilistic (finitely many random points); a fail is exact
     at the witness point.
     """
-    points = sample_points(d.chart, seed, samples)
     gens = d.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            br = lie_bracket(gens[i], gens[j])
-            if br.is_zero():
-                continue
-            pt = _membership_by_rank(d, br, points)
-            if pt is not None:
-                return CheckReport(
-                    False, probabilistic=True, seed=seed,
-                    witness=f"bracket of generators {i},{j} leaves the span "
-                            f"at {_point_str(d.chart, pt)}")
-    return CheckReport(True, probabilistic=True, seed=seed)
+    return _span_check(d, sample_points(d.chart, seed, samples), seed, (
+        (f"bracket of generators {i},{j}", lie_bracket(gens[i], gens[j]))
+        for i, j in combinations(range(len(gens)), 2)))
 
 
 def is_weighted_distribution(d: Distribution, component: int = 0,
                              seed: int = 0, samples: int = 8) -> CheckReport:
     """The weight field preserves the distribution at every sample point."""
     nabla = weight_vector_field(d.chart, component)
-    points = sample_points(d.chart, seed, samples)
-    for j, x in enumerate(d.generators):
-        br = lie_bracket(nabla, x)
-        if br.is_zero():
-            continue
-        pt = _membership_by_rank(d, br, points)
-        if pt is not None:
-            return CheckReport(
-                False, probabilistic=True, seed=seed,
-                witness=f"weight-field bracket of generator {j} leaves the span "
-                        f"at {_point_str(d.chart, pt)}")
-    return CheckReport(True, probabilistic=True, seed=seed)
+    return _span_check(d, sample_points(d.chart, seed, samples), seed, (
+        (f"weight-field bracket of generator {j}", lie_bracket(nabla, x))
+        for j, x in enumerate(d.generators)))
 
 
 # -- contact ------------------------------------------------------------------

@@ -20,6 +20,7 @@ import sys
 from . import __version__
 from .dsl import execute, parse, records_to_json
 from .errors import DslError
+from .render import json_document
 from .suite import render_table, run_check_suite, suite_to_json
 
 
@@ -68,10 +69,9 @@ def _cmd_run(args) -> int:
         script = parse(text)
     except DslError as e:
         if args.format == "json":
-            doc = {"gradcalc_version": __version__, "schema": 1,
-                   "error": {"kind": e.kind, "line": e.line, "col": e.col,
-                             "message": e.args[0]}}
-            print(json.dumps(doc, indent=2))
+            print(json.dumps(json_document(error={
+                "kind": e.kind, "line": e.line, "col": e.col,
+                "message": e.args[0]}), indent=2))
         else:
             print(str(e), file=sys.stderr)
         return 2

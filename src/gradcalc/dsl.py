@@ -55,7 +55,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import __version__
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
                        lie_bracket, lie_derivative, nr_bracket,
                        schouten_bracket)
@@ -72,15 +71,14 @@ from .lifts import (LiftContext, LinearConnection, covariant_derivative,
                     lift_tensor, tangent_connection)
 from .oracle import (SamplePlan, evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
-from .poly import ANY_DEGREE, Poly
-from .render import chart_to_json, render_poly, render_tensor, tensor_to_json
-from .tensor import (TensorField, _acc, coordinate_one_form,
+from .poly import ANY_DEGREE, Poly, _acc
+from .render import (chart_to_json, json_document, render_poly, render_tensor,
+                     tensor_to_json)
+from .tensor import (TensorField, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
 
 __all__ = ["parse", "execute", "run_text", "Script", "OutputRecord"]
-
-SCHEMA = 1
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -92,6 +90,10 @@ _TOKEN_RE = re.compile(r"""
   | (?P<op>[{}(),=:+\-*/^])
   | (?P<ox>⊗)
 """, re.VERBOSE)
+
+# Binary operators by binding level, loosest first: token kind -> node op.
+_BINARY = ({"plus": "add", "minus": "sub"}, {"ox": "ox"}, {"wedge": "wedge"},
+           {"star": "mul"})
 
 _OPS = {"{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen",
         ",": "comma", "=": "equals", ":": "colon", "+": "plus",
@@ -121,8 +123,6 @@ def _lex_line(text: str, line_no: int) -> list:
         if kind != "ws":
             if kind == "op":
                 kind = _OPS[tok]
-            elif kind == "basisvf":
-                tok = tok[3:]
             elif kind == "ox" or (kind == "ident" and tok == "ox"):
                 kind, tok = "ox", "ox"
             out.append(Token(kind, tok, line_no, m.start() + 1))
@@ -283,33 +283,14 @@ class _Parser:
 
     # expressions
 
-    def expr(self) -> tuple:
-        node = self.tensor_term()
-        while self.peek() and self.peek().kind in ("plus", "minus"):
-            op = self.next().kind
-            rhs = self.tensor_term()
-            node = ("add" if op == "plus" else "sub", node, rhs)
-        return node
-
-    def tensor_term(self) -> tuple:
-        node = self.wedge_term()
-        while self.peek() and self.peek().kind == "ox":
-            self.next()
-            node = ("ox", node, self.wedge_term())
-        return node
-
-    def wedge_term(self) -> tuple:
-        node = self.product()
-        while self.peek() and self.peek().kind == "wedge":
-            self.next()
-            node = ("wedge", node, self.product())
-        return node
-
-    def product(self) -> tuple:
-        node = self.unary()
-        while self.peek() and self.peek().kind == "star":
-            self.next()
-            node = ("mul", node, self.unary())
+    def expr(self, level: int = 0) -> tuple:
+        """Left-associative chain of the operators of _BINARY[level]."""
+        if level == len(_BINARY):
+            return self.unary()
+        ops = _BINARY[level]
+        node = self.expr(level + 1)
+        while self.peek() and self.peek().kind in ops:
+            node = (ops[self.next().kind], node, self.expr(level + 1))
         return node
 
     def unary(self) -> tuple:
@@ -336,7 +317,7 @@ class _Parser:
                 return ("num", Fraction(int(t.text), int(den.text)))
             return ("num", Fraction(int(t.text)))
         if t.kind == "basisvf":
-            return ("dvf", t.text, t.line, t.col)
+            return ("dvf", t.text[3:], t.line, t.col)
         if t.kind == "ident":
             return ("var", t.text, t.line, t.col)
         if t.kind == "lparen":
@@ -376,7 +357,8 @@ def _chart_body(p: _Parser, form: Form, a: dict) -> None:
     a["entries"] = p.braced("chart", p.weight)
     p.done()                # trailing input is reported before an empty block
     if not a["entries"]:
-        raise DslError("chart declares no variables", "syntax", p.line, 1)
+        raise DslError("chart declares no variables", "syntax", p.line,
+                       p.toks[0].col)
 
 
 def _on_chart(p: _Parser, form: Form, a: dict) -> None:
@@ -454,16 +436,13 @@ def _parse_statement(tokens: list, line_no: int, src: str) -> CmdStmt:
 # -- static name resolution ----------------------------------------------------
 
 def _expr_names(node: tuple):
-    op = node[0]
-    if op in ("var", "dvf"):
+    """The ("var"|"dvf", name, line, col) leaves of an expression, in order."""
+    if node[0] in ("var", "dvf"):
         yield node
-    elif op in ("add", "sub", "mul", "ox", "wedge"):
-        yield from _expr_names(node[1])
-        yield from _expr_names(node[2])
-    elif op == "neg":
-        yield from _expr_names(node[1])
-    elif op == "pow":
-        yield from _expr_names(node[1])
+        return
+    for child in node[1:]:
+        if isinstance(child, tuple):
+            yield from _expr_names(child)
 
 
 def _resolve(script: Script) -> None:
@@ -981,8 +960,7 @@ def execute(script: Script, seed: int = 0, samples: int = 8):
 
 
 def records_to_json(records: list) -> dict:
-    return {"gradcalc_version": __version__, "schema": SCHEMA,
-            "records": [r.to_json() for r in records]}
+    return json_document(records=[r.to_json() for r in records])
 
 
 def run_text(text: str, seed: int = 0, samples: int = 8):

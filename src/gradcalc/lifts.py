@@ -32,8 +32,8 @@ from typing import Mapping
 
 from .charts import Chart, prolong_chart, tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import Poly
-from .tensor import TensorField, _acc, _from_expanded, weight_vector_field
+from .poly import Poly, _acc
+from .tensor import TensorField, _from_expanded, weight_vector_field
 
 __all__ = [
     "LiftContext", "lift_function", "lift_function_jets", "lift_tensor",
@@ -290,14 +290,9 @@ def lift_linear_connection(conn: LinearConnection, ctx: LiftContext) -> LinearCo
     lifted = {}
     for (k, a, b), g in conn.gamma.items():
         jets = lift_function_jets(g, ctx)
-        for lev_k in range(r + 1):
-            for lev_b in range(r + 1):
-                for rho in range(r + 1):
-                    e = rho - lev_k - lev_b
-                    if e < 0 or e > r:
-                        continue
-                    key = (ctx.var(k, lev_k), ctx.var(a, rho), ctx.var(b, lev_b))
-                    _acc(lifted, key, jets[e])
+        for lev_k, lev_b, e in _level_assignments(3, r, 0, r):
+            key = (ctx.var(k, lev_k), ctx.var(a, lev_k + lev_b + e), ctx.var(b, lev_b))
+            _acc(lifted, key, jets[e])
     return LinearConnection(ctx.total, conn.vb_component, lifted)
 
 

@@ -22,6 +22,11 @@ Equality is unaffected, because Fraction(2) == 2 with equal hashes, and
 so is rendering, because both print as 2.  No coefficient is ever a
 float.  constant_value() and evaluate() return Fraction.  There is no
 division by non-constant polynomials.
+
+_acc(store, key, value) is the one sparse-sum accumulator: every sparse
+sum of coefficients here and of tensor components elsewhere goes
+through it, except in the oracles, which keep their own loops to stay
+independent of the code they check.
 """
 
 from __future__ import annotations
@@ -47,6 +52,18 @@ def _coef(value):
     if not isinstance(value, Fraction):
         value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
+
+
+def _acc(store: dict, key, value) -> None:
+    """store[key] += value, keeping store free of zero entries."""
+    if not value:
+        return
+    prev = store.get(key)
+    s = value if prev is None else prev + value
+    if s:
+        store[key] = s
+    elif prev is not None:
+        del store[key]
 
 
 class _AnyDegree:
@@ -144,15 +161,7 @@ class Poly:
         """Sum arbitrary (monomial, coefficient) pairs into canonical form."""
         acc: dict = {}
         for m, c in entries:
-            c = _coef(c)
-            if not c:
-                continue
-            prev = acc.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                acc[m] = s
-            elif prev is not None:
-                del acc[m]
+            _acc(acc, m, _coef(c))
         return Poly(chart, acc)
 
     # -- predicates ----------------------------------------------------
@@ -201,12 +210,7 @@ class Poly:
             a, b = b, a
         out = dict(a)
         for m, c in b.items():
-            prev = out.get(m)
-            s = c if prev is None else prev + c
-            if s:
-                out[m] = s
-            elif prev is not None:
-                del out[m]
+            _acc(out, m, c)
         return Poly(self.chart, out)
 
     __radd__ = __add__
@@ -238,14 +242,7 @@ class Poly:
         out: dict = {}
         for ma, ca in self.terms.items():
             for mb, cb in o.terms.items():
-                m = mono_mul(ma, mb)
-                c = ca * cb
-                prev = out.get(m)
-                s = c if prev is None else prev + c
-                if s:
-                    out[m] = s
-                elif prev is not None:
-                    del out[m]
+                _acc(out, mono_mul(ma, mb), ca * cb)
         return Poly(self.chart, out)
 
     __rmul__ = __mul__

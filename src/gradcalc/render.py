@@ -8,7 +8,12 @@ ox).  Components are emitted in sorted order so rendering is deterministic.
 
 from __future__ import annotations
 
-__all__ = ["render_poly", "render_tensor", "poly_to_json", "tensor_to_json", "chart_to_json"]
+from . import __version__
+
+__all__ = ["render_poly", "render_tensor", "poly_to_json", "tensor_to_json",
+           "chart_to_json", "json_document"]
+
+SCHEMA = 1
 
 
 def _mono_str(mono, names) -> str:
@@ -113,3 +118,8 @@ def chart_to_json(chart) -> dict:
                  for n, w in zip(chart.names, chart.weights)],
         "n_graded": list(chart.n_graded),
     }
+
+
+def json_document(**body) -> dict:
+    """A JSON output document: version and schema, then body's keys in order."""
+    return {"gradcalc_version": __version__, "schema": SCHEMA, **body}

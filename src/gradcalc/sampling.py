@@ -12,8 +12,8 @@ from itertools import combinations
 
 from .charts import Chart
 from .errors import GradcalcError
-from .poly import Poly
-from .tensor import TensorField, _acc
+from .poly import Poly, _acc
+from .tensor import TensorField
 
 __all__ = [
     "sample_points", "random_fraction", "random_poly",
@@ -22,11 +22,11 @@ __all__ = [
 ]
 
 
-def random_fraction(rng: random.Random, low: int = -5, high: int = 5,
-                    nonzero: bool = False) -> Fraction:
+def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fraction:
+    """A nonzero integer of [low, high] as a Fraction; the range must hold one."""
     while True:
         v = rng.randint(low, high)
-        if v or not nonzero:
+        if v:
             return Fraction(v)
 
 
@@ -44,13 +44,14 @@ def sample_points(chart: Chart, seed: int, count: int = 8,
     rng = random.Random(seed)
     pts = []
     for _ in range(count):
-        pts.append({i: random_fraction(rng, low, high, nonzero=True)
+        pts.append({i: random_fraction(rng, low, high)
                     for i in range(chart.dim)})
     return pts
 
 
 def random_poly(rng: random.Random, chart: Chart, max_terms: int = 3,
-                max_degree: int = 2, coef_low: int = -3, coef_high: int = 3) -> Poly:
+                max_degree: int = 2) -> Poly:
+    """1..max_terms terms of degree <= max_degree, nonzero coefficients in -3..3."""
     entries = []
     for _ in range(rng.randint(1, max_terms)):
         deg = rng.randint(0, max_degree)
@@ -59,7 +60,7 @@ def random_poly(rng: random.Random, chart: Chart, max_terms: int = 3,
             v = rng.randrange(chart.dim) if chart.dim else 0
             counts[v] = counts.get(v, 0) + 1
         mono = tuple(sorted(counts.items()))
-        entries.append((mono, random_fraction(rng, coef_low, coef_high, nonzero=True)))
+        entries.append((mono, random_fraction(rng, -3, 3)))
     return Poly.from_terms(chart, entries)
 
 

@@ -14,7 +14,6 @@ import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from . import __version__
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
                        lie_bracket, lie_derivative, nijenhuis_torsion,
                        nr_bracket, schouten_bracket)
@@ -26,20 +25,18 @@ from .lifts import (LiftContext, covariant_derivative, lift_distribution,
                     lift_function, lift_linear_connection, lift_tensor,
                     tangent_connection)
 from .oracle import koszul_concomitant_oracle, taylor_lift_oracle
-from .poly import Poly
-from .render import render_tensor
+from .poly import Poly, _acc
+from .render import json_document, render_tensor
 from .sampling import (random_form, random_multivector, random_one_form,
                        random_poly, random_tensor, random_vector_field,
                        random_vv_form, sample_points)
-from .tensor import (_acc, coordinate_one_form, coordinate_vector_field, compose_11,
+from .tensor import (coordinate_one_form, coordinate_vector_field, compose_11,
                      degree_of_tensor, identity_tensor, insert_form,
                      insert_multivector, tensor_product, wedge,
                      weight_vector_field)
 
 __all__ = ["CriterionResult", "run_check_suite", "render_table",
            "suite_to_json"]
-
-SCHEMA = 1
 
 
 @dataclass
@@ -103,14 +100,14 @@ def criterion_lift_displays(seed: int) -> CriterionResult:
 
 # -- 2: bracket and derivation identities under lifts ---------------------------
 
-def criterion_bracket_battery(seed: int, cases: int = 200) -> CriterionResult:
+def criterion_bracket_battery(seed: int) -> CriterionResult:
     """Seven identities, each once per random input at every (lambda, mu)."""
     rng = _rng(seed, "bracket-battery")
     opts = dict(max_components=1, max_terms=1, max_degree=2)
     counts = dict.fromkeys(
         ("lie", "schouten", "insert", "d", "liederiv", "nr", "fn"), 0)
     bad = []
-    for case in range(cases):
+    for case in range(200):
         dim = 1 + case % 3
         r = 1 + case % 3
         m = _trivial_chart(dim)
@@ -160,12 +157,12 @@ def criterion_bracket_battery(seed: int, cases: int = 200) -> CriterionResult:
 
 # -- 3: homogeneity degree of lifts ---------------------------------------------
 
-def criterion_lift_degrees(seed: int, cases: int = 120) -> CriterionResult:
+def criterion_lift_degrees(seed: int) -> CriterionResult:
     """Jet-grading degree of any lift is lambda - q r."""
     rng = _rng(seed, "lift-degrees")
     bad = []
     n = 0
-    for case in range(cases):
+    for case in range(120):
         dim = 1 + case % 3
         r = 1 + case % 3
         m = _trivial_chart(dim)
@@ -246,7 +243,7 @@ def criterion_poisson_lifts(seed: int) -> CriterionResult:
 
 # -- 6: complex structure and endomorphism lifts --------------------------------
 
-def criterion_endomorphism_lifts(seed: int, pairs: int = 100) -> CriterionResult:
+def criterion_endomorphism_lifts(seed: int) -> CriterionResult:
     """Complete lift preserves N.N = -I, torsion, and constant products."""
     rng = _rng(seed, "endomorphism-lifts")
     m = make_chart(["x", "y"], [0, 0], label="M")
@@ -264,7 +261,7 @@ def criterion_endomorphism_lifts(seed: int, pairs: int = 100) -> CriterionResult
             bad.append(f"square at r={r}")
         if not nijenhuis_torsion(nc).is_zero():
             bad.append(f"torsion at r={r}")
-        for _ in range(pairs // 2):
+        for _ in range(50):
             n += 1
             n1 = random_tensor(rng, m, 1, 1, max_components=3, max_degree=0)
             n2 = random_tensor(rng, m, 1, 1, max_components=3, max_degree=0)
@@ -317,7 +314,7 @@ _ONE_SYMBOL_LIFTED_KEYS = {
 }
 
 
-def criterion_connection_lifts(seed: int, extra: int = 20) -> CriterionResult:
+def criterion_connection_lifts(seed: int) -> CriterionResult:
     """Lifted covariant derivative of lifts is the lift of the derivative."""
     rng = _rng(seed, "connection-lifts")
     bad = []
@@ -351,7 +348,7 @@ def criterion_connection_lifts(seed: int, extra: int = 20) -> CriterionResult:
 
     m2 = make_chart(["x", "y"], [0, 0], label="M")
     check(m2, {(0, 1, 0): Poly.const(m2, 1)}, "one-symbol")
-    for case in range(extra):
+    for case in range(20):
         dim = 2 + case % 2
         m = _trivial_chart(dim)
         gamma = {}
@@ -368,12 +365,12 @@ def criterion_connection_lifts(seed: int, extra: int = 20) -> CriterionResult:
 
 # -- 9: concomitant dual path ---------------------------------------------------
 
-def criterion_concomitant(seed: int, cases: int = 100) -> CriterionResult:
+def criterion_concomitant(seed: int) -> CriterionResult:
     """Coordinate concomitant equals the bracket-difference oracle."""
     rng = _rng(seed, "concomitant")
     bad = []
     n = 0
-    for case in range(cases):
+    for case in range(100):
         dim = 2 + case % 2
         m = _trivial_chart(dim)
         lam = random_multivector(rng, m, 2)
@@ -395,13 +392,13 @@ def criterion_concomitant(seed: int, cases: int = 100) -> CriterionResult:
 
 # -- 10: function lift oracle ---------------------------------------------------
 
-def criterion_function_lifts(seed: int, cases: int = 500) -> CriterionResult:
+def criterion_function_lifts(seed: int) -> CriterionResult:
     """Coefficient-extraction lift equals the derivative-based oracle."""
     rng = _rng(seed, "function-lifts")
     bad = []
     n = 0
     contexts: dict = {}
-    for case in range(cases):
+    for case in range(500):
         dim = 1 + case % 3
         r = 1 + case % 3
         key = (dim, r)
@@ -456,5 +453,4 @@ def render_table(results: list) -> str:
 
 
 def suite_to_json(results: list) -> dict:
-    return {"gradcalc_version": __version__, "schema": SCHEMA,
-            "suite": [r.to_json() for r in results]}
+    return json_document(suite=[r.to_json() for r in results])

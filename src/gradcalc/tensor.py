@@ -27,7 +27,7 @@ from typing import Iterable, Mapping
 
 from .charts import Chart
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import ANY_DEGREE, Poly, weight_of_monomial
+from .poly import ANY_DEGREE, Poly, _acc, weight_of_monomial
 
 __all__ = [
     "TensorField", "tensor_product", "wedge", "wedge_list", "contract",
@@ -75,17 +75,6 @@ def _block_expansion(idx: tuple, sym: str) -> list:
         s, _ = _sort_with_parity(p)
         out.append((s, p))
     return out
-
-
-def _acc(store: dict, key, value: Poly) -> None:
-    if not value:
-        return
-    prev = store.get(key)
-    s = value if prev is None else prev + value
-    if s:
-        store[key] = s
-    elif prev is not None:
-        del store[key]
 
 
 class TensorField:

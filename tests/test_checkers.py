@@ -1,11 +1,13 @@
 """Structure checks: weighted tensors, Poisson/Nijenhuis, distributions,
 contact forms, sections, the induced algebroid bracket."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+from gradcalc import checkers
 from gradcalc.calculus import lie_bracket
 from gradcalc.charts import cotangent_chart, make_chart
 from gradcalc.checkers import (
@@ -301,6 +303,43 @@ def test_is_weighted_distribution():
     r = is_weighted_distribution(bad, seed=2)
     assert not r.verdict
     assert r.witness.startswith("weight-field bracket of generator 0")
+
+
+def test_distribution_reports_pinned(monkeypatch):
+    # the whole to_json() of both span checks, witness text and key order included
+    x = Poly.variable(E3, 0)
+    good = Distribution(E3, (dvf(E3, "x"), dvf(E3, "y") * x))
+    bad = Distribution(E3, (dvf(E3, "x"), dvf(E3, "x") * 2,
+                            dvf(E3, "y") + dvf(E3, "z") * x))
+    w3 = make_chart(["x", "y", "z"], [1, 2, 0])
+    weighted = Distribution(w3, (dvf(w3, "x"),))
+    unweighted = Distribution(w3, (dvf(w3, "x"),
+                                   dvf(w3, "y") + dvf(w3, "z") * Poly.variable(w3, 0)))
+    calls = []
+    monkeypatch.setattr(checkers, "lie_bracket",
+                        lambda a, b: calls.append(1) or lie_bracket(a, b))
+    reports = [
+        (is_involutive(good, seed=5),
+         '{"verdict": "pass", "probabilistic": true, "seed": 5}'),
+        (is_involutive(bad, seed=5),
+         '{"verdict": "fail", "witness": "bracket of generators 0,2 leaves the span '
+         'at (x=4, y=-1, z=5)", "probabilistic": true, "seed": 5}'),
+        (is_involutive(bad, seed=3, samples=2),
+         '{"verdict": "fail", "witness": "bracket of generators 0,2 leaves the span '
+         'at (x=-2, y=4, z=3)", "probabilistic": true, "seed": 3}'),
+        (is_weighted_distribution(weighted, seed=2),
+         '{"verdict": "pass", "probabilistic": true, "seed": 2}'),
+        (is_weighted_distribution(unweighted, seed=2),
+         '{"verdict": "fail", "witness": "weight-field bracket of generator 1 leaves '
+         'the span at (x=-5, y=-4, z=-4)", "probabilistic": true, "seed": 2}'),
+    ]
+    for rep, want in reports:
+        assert json.dumps(rep.to_json()) == want
+    # one bracket for good; (0,1) and (0,2) for bad, none after the failure
+    assert len(calls) == 1 + 2 + 2 + 1 + 2
+    # the component is checked before the sample count
+    with pytest.raises(GradcalcError, match="no such grading component"):
+        is_weighted_distribution(weighted, component=1, samples=0)
 
 
 def test_is_weighted_contact():

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -483,7 +484,7 @@ DIAGNOSTICS = [
     ("chart N { } x", "syntax", 13, "trailing input 'x'"),
     ("chart M { z:0 }", "name", None, "'M' is already defined"),
     ("chart f { z:(1,0) }", "name", None, "'f' is already defined"),
-    ("   chart N { }", "syntax", 1, "chart declares no variables"),
+    ("   chart N { }", "syntax", 4, "chart declares no variables"),
     ("fn", "syntax", 3, "unexpected end of line"),
     ("fn 3 on M = x", "syntax", 4, "expected name, got '3'"),
     ("fn g M = x", "syntax", 6, "expected 'on', got 'M'"),
@@ -517,8 +518,8 @@ DIAGNOSTICS = [
     ("dist", "syntax", 5, "unexpected end of line"),
     ("dist E M = span(d/dx)", "syntax", 8, "expected 'on', got 'M'"),
     ("dist E on G = span(d/dx)", "name", None, "'G' is a connection, expected chart"),
-    ("dist E on M = d/dx", "syntax", 15, "expected 'span', got 'x'"),
-    ("dist E on M = span d/dx", "syntax", 20, "expected '(', got 'x'"),
+    ("dist E on M = d/dx", "syntax", 15, "expected 'span', got 'd/dx'"),
+    ("dist E on M = span d/dx", "syntax", 20, "expected '(', got 'd/dx'"),
     ("dist E on M = span(d/dx", "syntax", 24, "unexpected end of line"),
     ("dist E on M = span(d/dx, d/dz)", "name", 26, "z not in M"),
     ("dist D on M = span(d/dx)", "name", None, "'D' is already defined"),
@@ -538,6 +539,52 @@ DIAGNOSTICS = [
     ("connection G on M { G x x x = 1 }", "name", None, "'G' is already defined"),
     ("connection H on M { } x", "syntax", 23, "trailing input 'x'"),
 ]
+
+
+def _var(name, col):
+    return ("var", name, 1, col)
+
+
+def _dvf(name, col):
+    return ("dvf", name, 1, col)
+
+
+EXPRESSION_TREES = [
+    ("-x*y^2 + dx ox dy ^^ dz - 1/2*x",
+     ("sub",
+      ("add",
+       ("mul", ("neg", _var("x", 2)), ("pow", _var("y", 4), 2)),
+       ("ox", _var("dx", 10), ("wedge", _var("dy", 16), _var("dz", 22)))),
+      ("mul", ("num", Fraction(1, 2)), _var("x", 31))),
+     [_var("x", 2), _var("y", 4), _var("dx", 10), _var("dy", 16),
+      _var("dz", 22), _var("x", 31)]),
+    ("d/dx ^^ d/dy ox x*d/dz - (x - y)^2*dx",
+     ("sub",
+      ("ox",
+       ("wedge", _dvf("x", 1), _dvf("y", 9)),
+       ("mul", _var("x", 17), _dvf("z", 19))),
+      ("mul", ("pow", ("sub", _var("x", 27), _var("y", 31)), 2), _var("dx", 36))),
+     [_dvf("x", 1), _dvf("y", 9), _var("x", 17), _dvf("z", 19), _var("x", 27),
+      _var("y", 31), _var("dx", 36)]),
+    ("a - b - c ox d ^^ e * -f ^ 3",
+     ("sub",
+      ("sub", _var("a", 1), _var("b", 5)),
+      ("ox",
+       _var("c", 9),
+       ("wedge",
+        _var("d", 14),
+        ("mul", _var("e", 19), ("neg", ("pow", _var("f", 24), 3)))))),
+     [_var(n, c) for n, c in zip("abcdef", (1, 5, 9, 14, 19, 24))]),
+]
+
+
+@pytest.mark.parametrize("text,tree,names", EXPRESSION_TREES)
+def test_expression_trees_pinned(text, tree, names):
+    # + - loosest, then ox, then ^^, then *; unary minus and ^ bind tighter
+    p = dsl._Parser(dsl._lex_line(text, 1), 1, text)
+    assert p.expr() == tree
+    p.done()
+    assert list(dsl._expr_names(tree)) == names
 
 
 @pytest.mark.parametrize("line,kind,col,message", DIAGNOSTICS)

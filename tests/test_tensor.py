@@ -4,12 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gradcalc.calculus import (exterior_derivative, fn_bracket, lie_bracket,
+                               lie_derivative, nr_bracket, schouten_bracket)
 from gradcalc.charts import make_chart
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
+from gradcalc.lifts import LiftContext, lift_tensor
 from gradcalc.poly import ANY_DEGREE, Poly
 from gradcalc.render import chart_to_json, poly_to_json, render_tensor, tensor_to_json
-from gradcalc.sampling import random_form, random_one_form, random_vector_field
+from gradcalc.sampling import (random_form, random_multivector, random_one_form,
+                               random_tensor, random_vector_field, random_vv_form)
 from gradcalc.tensor import (
     TensorField,
     compose_11,
@@ -314,3 +320,72 @@ def test_random_antisym_inputs_stay_tagged():
         assert w.cov_sym == "antisym"
         assert wedge(w, coordinate_one_form(E3, "z")).cov_sym == "antisym"
         assert insert_multivector(random_vector_field(rng, E3), w).p == 1
+
+
+def _canonical_block(idx: tuple, sym: str) -> bool:
+    steps = list(zip(idx, idx[1:]))
+    if sym == "antisym":
+        return all(a < b for a, b in steps)
+    if sym == "sym":
+        return all(a <= b for a, b in steps)
+    return sym == "none"
+
+
+def assert_canonical(t: TensorField) -> None:
+    """Stored keys fit the tags, no component is zero, and every Poly is
+    canonical with int or Fraction coefficients."""
+    if t.q < 2:
+        assert t.contra_sym == "none"
+    if t.p < 2:
+        assert t.cov_sym == "none"
+    for (up, down), coef in t.components.items():
+        assert len(up) == t.q and len(down) == t.p
+        assert all(0 <= i < t.chart.dim for i in up + down)
+        assert _canonical_block(up, t.contra_sym), (up, t.contra_sym)
+        assert _canonical_block(down, t.cov_sym), (down, t.cov_sym)
+        assert coef.chart is t.chart and coef.terms
+        for mono, c in coef.terms.items():
+            assert all(e >= 1 for _, e in mono)
+            assert [v for v, _ in mono] == sorted({v for v, _ in mono})
+            assert type(c) in (int, Fraction) and c != 0
+
+
+@given(st.integers(0, 10 ** 9), st.integers(1, 2))
+@settings(max_examples=40, deadline=None)
+def test_public_results_are_canonical(seed, r):
+    # Fraction(1, 2) scalings and t - t cancellations reach every path
+    rng = random.Random(seed)
+    m = make_chart(["x", "y", "z"], [1, 0, 2], label="W")
+    opts = dict(max_terms=2, max_degree=2)
+    half = Fraction(1, 2)
+    x = random_vector_field(rng, m, **opts) * half
+    y = random_vector_field(rng, m, **opts)
+    a = random_multivector(rng, m, 2, **opts)
+    b = random_multivector(rng, m, rng.randint(1, 2), **opts) * half
+    w = random_form(rng, m, 2, **opts)
+    alpha = random_one_form(rng, m, **opts) * half
+    k = random_vv_form(rng, m, 1, **opts)
+    l = random_vv_form(rng, m, rng.randint(0, 2), **opts) * half
+    t = random_tensor(rng, m, 1, 2, **opts)
+    untagged = tensor_product(alpha, random_one_form(rng, m, **opts))
+    f = p(m, 0) * half - 1
+    results = [
+        x + y, x - y, x - x, w + untagged, w - untagged, untagged - untagged,
+        w * f, w * half, w * 0, t * p(m, 2),
+        tensor_product(x, w), tensor_product(t, alpha),
+        wedge(alpha, w), wedge(x, y), wedge(a, b),
+        insert_multivector(x, w), insert_multivector(a, t),
+        insert_form(alpha, a), insert_form(alpha, t),
+        contract(t, 0, 0), contract(t, 0, 1),
+        lie_derivative(x, t), lie_derivative(x, w), lie_derivative(y, a),
+        exterior_derivative(w), exterior_derivative(alpha),
+        exterior_derivative(scalar_field(m, f)),
+        lie_bracket(x, y), lie_bracket(x, x), schouten_bracket(a, b),
+        schouten_bracket(a, a), fn_bracket(k, l), nr_bracket(k, l),
+    ]
+    ctx = LiftContext(m, r)
+    for u in (x, a, w, t, untagged, k):
+        results += [lift_tensor(u, lam, ctx) for lam in range(-1, r + 2)]
+    for res in results:
+        assert_canonical(res)
+    assert (x - x).is_zero() and (untagged - untagged).is_zero()
