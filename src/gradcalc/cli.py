@@ -4,8 +4,9 @@
     gradcalc check-suite [--format text|json] [--seed N]
 
 `run -` reads the script from stdin.  Exit status: 0 clean, 1 a check
-command failed, 2 the script did not parse (lexical, syntax or name
-error) or an option was invalid (such as --samples below 1), 3 a
+command failed, 2 the script could not be read (missing, or not
+UTF-8) or did not parse (lexical, syntax or name error) or an option
+was invalid (such as --samples below 1), 3 a
 well-formed statement failed at runtime.  JSON output is
 deterministic for a given script and seed; the text format adds
 per-statement timings.
@@ -14,13 +15,13 @@ per-statement timings.
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 from . import __version__
 from .dsl import execute, parse, records_to_json
 from .errors import DslError
-from .render import json_document
+from .render import dumps, json_document
 from .suite import render_table, run_check_suite, suite_to_json
 
 
@@ -31,7 +32,10 @@ def _sample_count(text: str) -> int:
     return n
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so every main() call can share it."""
     ap = argparse.ArgumentParser(
         prog="gradcalc",
         description="exact tensor calculus on graded charts")
@@ -54,30 +58,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _read_script(path: str) -> str | None:
+    """The script text of a path or - (stdin); None after reporting why not."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+            # a surrogateescape stdin passes bad bytes on as lone surrogates
+            text.encode("utf-8")
+            return text
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        reason = e.strerror
+    except UnicodeError:
+        reason = "not valid UTF-8"
+    print(f"gradcalc: cannot read {path}: {reason}", file=sys.stderr)
+    return None
+
+
 def _cmd_run(args) -> int:
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(args.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            print(f"gradcalc: cannot read {args.file}: {e.strerror}",
-                  file=sys.stderr)
-            return 2
+    text = _read_script(args.file)
+    if text is None:
+        return 2
     try:
         script = parse(text)
     except DslError as e:
         if args.format == "json":
-            print(json.dumps(json_document(error={
+            print(dumps(json_document(error={
                 "kind": e.kind, "line": e.line, "col": e.col,
-                "message": e.args[0]}), indent=2))
+                "message": e.args[0]})))
         else:
             print(str(e), file=sys.stderr)
         return 2
     records, code = execute(script, seed=args.seed, samples=args.samples)
     if args.format == "json":
-        print(json.dumps(records_to_json(records), indent=2))
+        print(dumps(records_to_json(records)))
     else:
         for rec in records:
             status = "ok" if rec.ok else "FAIL"
@@ -90,7 +105,7 @@ def _cmd_run(args) -> int:
 def _cmd_suite(args) -> int:
     results, code = run_check_suite(args.seed)
     if args.format == "json":
-        print(json.dumps(suite_to_json(results), indent=2))
+        print(dumps(suite_to_json(results)))
     else:
         print(render_table(results))
     return code

@@ -54,6 +54,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
                        lie_bracket, lie_derivative, nr_bracket,
@@ -72,7 +73,7 @@ from .lifts import (LiftContext, LinearConnection, covariant_derivative,
 from .oracle import (SamplePlan, evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
 from .poly import ANY_DEGREE, Poly, _acc
-from .render import (chart_to_json, json_document, render_poly, render_tensor,
+from .render import (chart_to_json, json_document, render_poly,
                      tensor_to_json)
 from .tensor import (TensorField, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
@@ -100,8 +101,7 @@ _OPS = {"{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen",
         "-": "minus", "*": "star", "/": "slash", "^": "caret"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -200,10 +200,15 @@ class _Parser:
         return -v if neg else v
 
     def _rational(self) -> Fraction:
-        num = self._int()
+        return self._fraction(self._int())
+
+    def _fraction(self, num: int) -> Fraction:
+        """num, or num/DEN when a slash follows; DEN must not be 0."""
         if self.peek() and self.peek().kind == "slash":
             self.next()
             den = self.expect("int", "denominator")
+            if int(den.text) == 0:
+                raise DslError("division by zero", "syntax", den.line, den.col)
             return Fraction(num, int(den.text))
         return Fraction(num)
 
@@ -311,11 +316,7 @@ class _Parser:
     def atom(self) -> tuple:
         t = self.next()
         if t.kind == "int":
-            if self.peek() and self.peek().kind == "slash":
-                self.next()
-                den = self.expect("int", "denominator")
-                return ("num", Fraction(int(t.text), int(den.text)))
-            return ("num", Fraction(int(t.text)))
+            return ("num", self._fraction(int(t.text)))
         if t.kind == "basisvf":
             return ("dvf", t.text[3:], t.line, t.col)
         if t.kind == "ident":
@@ -631,9 +632,9 @@ def _run_decl(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
         if (t.contra_sym, t.cov_sym) != (cs, ps):
             t = tagged(t, contra_sym=cs, cov_sym=ps)
     env.bind(name, t)
-    return OutputRecord(st.src, "decl", True,
-                        {"name": name, "result": tensor_to_json(t)},
-                        [f"{name} = {render_tensor(t)}"])
+    res = tensor_to_json(t)
+    return OutputRecord(st.src, "decl", True, {"name": name, "result": res},
+                        [f"{name} = {res['text']}"])
 
 
 def _run_dist(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -663,8 +664,8 @@ def _run_conn(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
 
 def _tensor_result(st: CmdStmt, env: _Env, a: dict, t: TensorField) -> OutputRecord:
     env.bind(a["as"], t)
-    text = render_tensor(t)
-    return OutputRecord(st.src, st.op, True, {"result": tensor_to_json(t)}, [text])
+    res = tensor_to_json(t)
+    return OutputRecord(st.src, st.op, True, {"result": res}, [res["text"]])
 
 
 def _run_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -737,18 +738,17 @@ def _run_print(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
         return OutputRecord(st.src, "print", True, {"result": chart_to_json(x)},
                             [repr(x)])
     if isinstance(x, Distribution):
-        return OutputRecord(st.src, "print", True,
-                            {"generators": [tensor_to_json(g)
-                                            for g in x.generators]},
-                            [render_tensor(g) for g in x.generators])
+        gens = [tensor_to_json(g) for g in x.generators]
+        return OutputRecord(st.src, "print", True, {"generators": gens},
+                            [g["text"] for g in gens])
     if isinstance(x, LinearConnection):
         names = x.chart.names
         lines = [f"G {names[ai]} {names[k]} {names[b]} = {render_poly(g)}"
                  for (k, ai, b), g in sorted(x.gamma.items())]
         return OutputRecord(st.src, "print", True, {"symbols": len(x.gamma)},
                             lines or ["flat connection"])
-    return OutputRecord(st.src, "print", True,
-                        {"result": tensor_to_json(x)}, [render_tensor(x)])
+    res = tensor_to_json(x)
+    return OutputRecord(st.src, "print", True, {"result": res}, [res["text"]])
 
 
 def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -761,10 +761,11 @@ def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     other = taylor_lift_oracle(f, a["lambda"], ctx)
     agree = main == other
     line = "oracle lift: " + ("agree" if agree else "DISAGREE")
+    text = render_poly(main)
     return OutputRecord(st.src, "oracle", agree,
                         {"oracle": "taylor-lift", "agree": agree,
-                         "result": {"text": render_poly(main)}},
-                        [line, render_poly(main)], is_check=True)
+                         "result": {"text": text}},
+                        [line, text], is_check=True)
 
 
 def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -773,10 +774,11 @@ def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     other = koszul_concomitant_oracle(lam, n, alpha, beta)
     agree = direct == other
     line = "oracle concomitant: " + ("agree" if agree else "DISAGREE")
+    res = tensor_to_json(direct)
     return OutputRecord(st.src, "oracle", agree,
                         {"oracle": "koszul-concomitant", "agree": agree,
-                         "result": tensor_to_json(direct)},
-                        [line, render_tensor(direct)], is_check=True)
+                         "result": res},
+                        [line, res["text"]], is_check=True)
 
 
 def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:

@@ -4,6 +4,12 @@ The text forms round-trip through the DSL parser: polynomials render with
 explicit * and ^, contravariant basis factors as d/dx, covariant ones as
 dx, tensor products as ox, and wedge blocks as ^^ (binding tighter than
 ox).  Components are emitted in sorted order so rendering is deterministic.
+
+`dumps` is the one JSON writer for output documents.  Its bytes equal
+`json.dumps(doc, indent=2)`, but with `indent` the standard library falls
+back to its pure-Python encoder, which was the largest single cost of a
+short `gradcalc run --format json`; `dumps` walks the document once and
+escapes strings with the C `encode_basestring_ascii`.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from __future__ import annotations
 from . import __version__
 
 __all__ = ["render_poly", "render_tensor", "poly_to_json", "tensor_to_json",
-           "chart_to_json", "json_document"]
+           "chart_to_json", "json_document", "dumps"]
 
 SCHEMA = 1
 
@@ -52,39 +58,40 @@ def render_poly(f) -> str:
     return _join_signed(_poly_sign_bodies(f))
 
 
-def _coef_prefix(f):
-    """Coefficient of a tensor term: (negative?, prefix-with-trailing-*)."""
-    if f.is_constant():
-        c = f.constant_value()
-        neg = c < 0
-        a = -c if neg else c
-        return neg, ("" if a == 1 else f"{a}*")
-    parts = _poly_sign_bodies(f)
-    if len(parts) == 1:
-        neg, body = parts[0]
-        return neg, body + "*"
-    return False, "(" + _join_signed(parts) + ")*"
+def _render_components(t) -> tuple:
+    """Render each stored component once.
 
-
-def render_tensor(t) -> str:
-    """Canonical text of a tensor field; scalars render as bare polynomials."""
+    Returns the sorted (up, down, sign/body parts) of every component and
+    the tensor's canonical text, so a component's coef and the text come
+    from the same parts.  Scalars render as bare polynomials."""
+    comps = [(up, down, _poly_sign_bodies(coef))
+             for (up, down), coef in sorted(t.components.items())]
     if t.q == 0 and t.p == 0:
-        f = t.scalar_part()
-        return render_poly(f)
+        return comps, _join_signed(comps[0][2] if comps else [])
     names = t.chart.names
     contra_join = " ^^ " if t.contra_sym == "antisym" and t.q >= 2 else " ox "
     cov_join = " ^^ " if t.cov_sym == "antisym" and t.p >= 2 else " ox "
-    parts = []
-    for (up, down) in sorted(t.components):
-        coef = t.components[(up, down)]
-        neg, prefix = _coef_prefix(coef)
+    terms = []
+    for up, down, parts in comps:
+        # the coefficient as a prefix with its trailing *: a unit constant
+        # vanishes, a single term carries its sign out, a sum is bracketed
+        if len(parts) == 1:
+            neg, body = parts[0]
+            prefix = "" if body == "1" else body + "*"
+        else:
+            neg, prefix = False, "(" + _join_signed(parts) + ")*"
         blocks = []
         if up:
             blocks.append(contra_join.join(f"d/d{names[i]}" for i in up))
         if down:
             blocks.append(cov_join.join(f"d{names[j]}" for j in down))
-        parts.append((neg, prefix + " ox ".join(blocks)))
-    return _join_signed(parts)
+        terms.append((neg, prefix + " ox ".join(blocks)))
+    return comps, _join_signed(terms)
+
+
+def render_tensor(t) -> str:
+    """Canonical text of a tensor field; scalars render as bare polynomials."""
+    return _render_components(t)[1]
 
 
 def poly_to_json(f) -> dict:
@@ -93,20 +100,17 @@ def poly_to_json(f) -> dict:
 
 def tensor_to_json(t) -> dict:
     names = t.chart.names
-    comps = []
-    for (up, down) in sorted(t.components):
-        comps.append({
-            "up": [names[i] for i in up],
-            "down": [names[j] for j in down],
-            "coef": render_poly(t.components[(up, down)]),
-        })
+    comps, text = _render_components(t)
     return {
         "type": "tensor",
         "valence": [t.q, t.p],
         "contra_sym": t.contra_sym,
         "cov_sym": t.cov_sym,
-        "components": comps,
-        "text": render_tensor(t),
+        "components": [{"up": [names[i] for i in up],
+                        "down": [names[j] for j in down],
+                        "coef": _join_signed(parts)}
+                       for up, down, parts in comps],
+        "text": text,
     }
 
 
@@ -123,3 +127,54 @@ def chart_to_json(chart) -> dict:
 def json_document(**body) -> dict:
     """A JSON output document: version and schema, then body's keys in order."""
     return {"gradcalc_version": __version__, "schema": SCHEMA, **body}
+
+
+def dumps(doc) -> str:
+    """`json.dumps(doc, indent=2)` for documents of dict (str keys), list,
+    str, int, bool and None; any other type raises TypeError."""
+    # imported on first use, so that `import gradcalc` does not load json
+    from json.encoder import encode_basestring_ascii as quote
+
+    out: list = []
+    _write(doc, "\n", out, quote)
+    return "".join(out)
+
+
+def _write(x, nl: str, out: list, quote) -> None:
+    if isinstance(x, str):
+        out.append(quote(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out += (sep, quote(k), ": ")
+            _write(v, inner, out, quote)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, list):
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in x:
+            out.append(sep)
+            _write(v, inner, out, quote)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise TypeError(
+            f"Object of type {type(x).__name__} is not JSON serializable")

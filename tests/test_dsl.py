@@ -1,20 +1,28 @@
 """Script language: grammar, diagnostics, records, exit codes, CLI."""
 
+import io
 import json
 import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gradcalc import __version__, dsl
+import gradcalc
+from gradcalc import __version__, cli, dsl
 from gradcalc.charts import make_chart
 from gradcalc.cli import main
-from gradcalc.dsl import parse, records_to_json, run_text
+from gradcalc.dsl import execute, parse, records_to_json, run_text
 from gradcalc.errors import DslError
-from gradcalc.render import render_tensor
+from gradcalc.render import dumps, json_document, render_tensor
 from gradcalc.sampling import random_tensor
+from gradcalc.suite import criterion_weight_commute, suite_to_json
 
 CLEAN = """\
 chart M { x:0, y:1 }
@@ -329,15 +337,36 @@ def test_cli_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_cli_file_not_utf8(tmp_path, capsys):
+    p = tmp_path / "bad.gc"
+    p.write_bytes(b"chart M { x:0 } # \xff\xfe\n")
+    for fmt in ("text", "json"):
+        assert main(["run", str(p), "--format", fmt]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"gradcalc: cannot read {p}: not valid UTF-8\n"
+
+
+def test_cli_stdin_not_utf8(monkeypatch, capsys):
+    # a strict stdin fails to decode; a surrogateescape one (the default
+    # under a C locale) passes the bytes on as lone surrogates
+    for errors in ("strict", "surrogateescape"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+            io.BytesIO(b"chart M { x:0 } # \xff\xfe\n"), encoding="utf-8",
+            errors=errors))
+        assert main(["run", "-", "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "gradcalc: cannot read -: not valid UTF-8\n"
+
+
 def test_cli_stdin(monkeypatch, capsys):
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO("chart M { x:0 }\nfn f on M = x\nprint f\n"))
     assert main(["run", "-"]) == 0
     assert "x" in capsys.readouterr().out
 
 
 def test_declaration_on_prolonged_chart_alias(monkeypatch, capsys):
-    import io
     prelude = "chart M { x:0 }\nprolong M r=1 as M1\n"
     monkeypatch.setattr("sys.stdin", io.StringIO(prelude + "fn f on M1 = x_1\nprint f\n"))
     assert main(["run", "-"]) == 0
@@ -345,6 +374,42 @@ def test_declaration_on_prolonged_chart_alias(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO(prelude + "fn g on M1 = x_2\n"))
     assert main(["run", "-"]) == 2
     assert "x_2 not in M1" in capsys.readouterr().err
+
+
+def _fresh_process_run(path: str) -> str:
+    src = str(Path(gradcalc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "gradcalc.cli", "run", path,
+                           "--format", "json"], capture_output=True, text=True,
+                          env=env, check=False)
+    return proc.stdout
+
+
+def test_cli_parser_is_shared_and_stateless(tmp_path, capsys, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    path = _write(tmp_path, CLEAN)
+    fresh = _fresh_process_run(path)
+    seen = []
+    real_execute = cli.execute
+
+    def spy(script, seed, samples):
+        seen.append((seed, samples))
+        return real_execute(script, seed=seed, samples=samples)
+
+    monkeypatch.setattr(cli, "execute", spy)
+    main(["run", path, "--format", "json", "--seed", "7", "--samples", "3"])
+    with pytest.raises(SystemExit) as ei:
+        main(["run", path, "--samples", "0"])
+    assert ei.value.code == 2
+    capsys.readouterr()
+    assert main(["run", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == fresh
+    assert seen == [(7, 3), (0, 8)]
+    # a text run leaves nothing behind for the json run that follows
+    assert main(["run", path, "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("[ok ")
+    assert main(["run", path, "--format", "json"]) == 0
+    assert capsys.readouterr().out == fresh
 
 
 def test_cli_version(capsys):
@@ -538,6 +603,8 @@ DIAGNOSTICS = [
     ("connection G on M { G z x x = 1 }", "name", None, "z not in M"),
     ("connection G on M { G x x x = 1 }", "name", None, "'G' is already defined"),
     ("connection H on M { } x", "syntax", 23, "trailing input 'x'"),
+    ("fn f on M = 1/0", "syntax", 15, "division by zero"),
+    ("eval f at (x=1/0)", "syntax", 16, "division by zero"),
 ]
 
 
@@ -716,3 +783,61 @@ def test_readme_lists_the_statement_keywords():
             if word not in keywords:
                 keywords.append(word)
     assert keywords == list(dsl._COMMANDS)
+
+
+# -- the JSON writer -----------------------------------------------------------
+#
+# render.dumps must equal json.dumps(doc, indent=2), kept here as the
+# reference, on every document the CLI prints.
+
+_chars = st.characters() | st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\t", "\u2028", "Ä", "∧",
+     "\U0001f600"])
+_text = st.text(_chars, max_size=8)
+_leaves = (st.none() | st.booleans() | st.integers(-1000, 1000)
+           | st.integers(-10 ** 40, 10 ** 40) | _text)
+_docs = st.recursive(
+    _leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_text, kids, max_size=4),
+    max_leaves=25)
+
+
+@given(_docs)
+@settings(max_examples=100, deadline=None)
+def test_dumps_equals_json_dumps(doc):
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+def test_dumps_empty_containers_and_scalars():
+    for doc in ({}, [], [{}], {"a": []}, {"": {"": [[], {}]}}, "", 0, -1,
+                True, False, None, 2 ** 100, -(2 ** 100)):
+        assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("bad", [0.5, Fraction(1, 2), {"x": [1.0]}, (1, 2),
+                                 {1: "int key"}, {"x": {1, 2}}])
+def test_dumps_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        dumps(bad)
+
+
+def test_dumps_whole_documents(tmp_path, capsys):
+    poisson = Path(__file__).resolve().parents[1] / "demos" / "poisson.gc"
+    records, _ = execute(parse(poisson.read_text(encoding="utf-8")))
+    doc = records_to_json(records)
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+    path = _write(tmp_path, "chart Ä { x:0 }\n")
+    with pytest.raises(DslError) as ei:
+        parse("chart Ä { x:0 }\n")
+    e = ei.value
+    doc = json_document(error={"kind": e.kind, "line": e.line, "col": e.col,
+                               "message": e.args[0]})
+    assert "Ä" in e.args[0]
+    assert main(["run", path, "--format", "json"]) == 2
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+    doc = suite_to_json([criterion_weight_commute(42)])
+    assert dumps(doc) == json.dumps(doc, indent=2)

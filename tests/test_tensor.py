@@ -13,7 +13,8 @@ from gradcalc.charts import make_chart
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
 from gradcalc.lifts import LiftContext, lift_tensor
 from gradcalc.poly import ANY_DEGREE, Poly
-from gradcalc.render import chart_to_json, poly_to_json, render_tensor, tensor_to_json
+from gradcalc.render import (chart_to_json, poly_to_json, render_poly, render_tensor,
+                             tensor_to_json)
 from gradcalc.sampling import (random_form, random_multivector, random_one_form,
                                random_tensor, random_vector_field, random_vv_form)
 from gradcalc.tensor import (
@@ -350,10 +351,23 @@ def assert_canonical(t: TensorField) -> None:
             assert type(c) in (int, Fraction) and c != 0
 
 
+def assert_rendered_once(t: TensorField) -> None:
+    """The JSON text is the canonical text, and each JSON component is its
+    stored coefficient rendered as a polynomial, in sorted key order."""
+    doc = tensor_to_json(t)
+    assert doc["text"] == render_tensor(t)
+    names = t.chart.names
+    assert doc["components"] == [
+        {"up": [names[i] for i in up], "down": [names[j] for j in down],
+         "coef": render_poly(t.components[(up, down)])}
+        for up, down in sorted(t.components)]
+
+
 @given(st.integers(0, 10 ** 9), st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_public_results_are_canonical(seed, r):
-    # Fraction(1, 2) scalings and t - t cancellations reach every path
+    # Fraction(1, 2) scalings and t - t cancellations reach every path;
+    # every result also renders its text and JSON from the same parts
     rng = random.Random(seed)
     m = make_chart(["x", "y", "z"], [1, 0, 2], label="W")
     opts = dict(max_terms=2, max_degree=2)
@@ -383,9 +397,21 @@ def test_public_results_are_canonical(seed, r):
         lie_bracket(x, y), lie_bracket(x, x), schouten_bracket(a, b),
         schouten_bracket(a, a), fn_bracket(k, l), nr_bracket(k, l),
     ]
+    # scalars, zero scalars, a sym tag and constant coefficients +-1 and
+    # fractions, which render without a coefficient or as a bare number
+    dx, dy = coordinate_one_form(m, "x"), coordinate_one_form(m, "y")
+    results += [
+        scalar_field(m, f), scalar_field(m, f) - scalar_field(m, f),
+        scalar_field(m, Poly.const(m, rng.choice((-1, 1, half)))),
+        tagged(tensor_product(dx, dx) + tensor_product(alpha, alpha),
+               cov_sym="sym"),
+        coordinate_vector_field(m, "z") - coordinate_vector_field(m, "x"),
+        wedge(dx, dy) * -half + wedge(dy, coordinate_one_form(m, "z")),
+    ]
     ctx = LiftContext(m, r)
     for u in (x, a, w, t, untagged, k):
         results += [lift_tensor(u, lam, ctx) for lam in range(-1, r + 2)]
     for res in results:
         assert_canonical(res)
+        assert_rendered_once(res)
     assert (x - x).is_zero() and (untagged - untagged).is_zero()
