@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .errors import ChartMismatchError, ValenceError
 from .poly import Poly, _acc
-from .tensor import TensorField, _from_expanded, _sort_with_parity
+from .tensor import TensorField, _from_expanded, _sort_with_parity, scalar_field
 
 __all__ = [
     "exterior_derivative", "lie_bracket", "lie_derivative",
@@ -140,7 +140,6 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     if (x.q, x.p) != (1, 0):
         raise ValenceError("first argument must be a vector field")
     if t.q == 0 and t.p == 0:
-        from .tensor import scalar_field
         return scalar_field(t.chart, vf_apply(x, t.scalar_part()))
     xc = {i: c for ((i,), _), c in x.components.items()}
     out: dict = {}

@@ -4,8 +4,10 @@ A chart is an ordered list of variable names together with one integer
 weight per grading component for every variable.  A chart with grading
 count d assigns each variable a weight vector in Z^d; the homogeneity
 structure h_t acts on a variable of weight w by x |-> t^w x, one scaling
-parameter per component.  Components flagged N-graded only carry weights
->= 0; Z-graded components may carry negative weights (duals).
+parameter per component.  A component is N-graded (a graded bundle)
+exactly when none of its weights is negative; negative weights enter only
+through duals such as T*[k]M, which make their component Z-graded.  The
+flags are derived from the weights and cannot be declared.
 
 Charts are value objects compared by identity.  Every constructor below
 returns a fresh chart; combining polynomials or tensors from two different
@@ -41,13 +43,13 @@ __all__ = [
 class Chart:
     """Ordered variable table with per-variable integer weight vectors."""
 
-    __slots__ = ("names", "weights", "n_graded", "label", "_index")
+    __slots__ = ("names", "weights", "grading_count", "label", "_index")
 
     def __init__(self, names: tuple[str, ...], weights: tuple[tuple[int, ...], ...],
-                 n_graded: tuple[bool, ...], label: str = ""):
+                 grading_count: int, label: str = ""):
         self.names = names
         self.weights = weights
-        self.n_graded = n_graded
+        self.grading_count = grading_count
         self.label = label
         self._index = {n: i for i, n in enumerate(names)}
 
@@ -58,8 +60,10 @@ class Chart:
         return len(self.names)
 
     @property
-    def grading_count(self) -> int:
-        return len(self.n_graded)
+    def n_graded(self) -> tuple[bool, ...]:
+        """Per component: True when none of its weights is negative."""
+        return tuple(all(w[c] >= 0 for w in self.weights)
+                     for c in range(self.grading_count))
 
     def index(self, name: str) -> int:
         try:
@@ -95,13 +99,12 @@ class Chart:
 _NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
 
 
-def make_chart(names, weights, n_graded=None, label: str = "") -> Chart:
+def make_chart(names, weights, label: str = "") -> Chart:
     """Build a chart from variable names and weight vectors.
 
     weights maps each variable to either a single int (grading count 1) or
-    a sequence of ints, one per grading component.  n_graded gives one flag
-    per component; by default a component is flagged N-graded exactly when
-    all its weights are >= 0.
+    a sequence of ints, one per grading component.  The N-graded flags are
+    not declared: Chart.n_graded derives them from the weights.
     """
     names = tuple(names)
     if len(set(names)) != len(names):
@@ -117,19 +120,10 @@ def make_chart(names, weights, n_graded=None, label: str = "") -> Chart:
             rows.append(tuple(int(c) for c in w))
     if len(rows) != len(names):
         raise GradcalcError("one weight vector required per variable")
-    d = len(rows[0]) if rows else (len(n_graded) if n_graded else 1)
+    d = len(rows[0]) if rows else 1
     if any(len(r) != d for r in rows):
         raise GradcalcError("inconsistent weight vector lengths")
-    if n_graded is None:
-        flags = tuple(all(r[c] >= 0 for r in rows) for c in range(d))
-    else:
-        flags = tuple(bool(f) for f in n_graded)
-        if len(flags) != d:
-            raise GradcalcError("one N-graded flag required per grading component")
-        for c, f in enumerate(flags):
-            if f and any(r[c] < 0 for r in rows):
-                raise GradcalcError(f"negative weight in N-graded component {c}")
-    return Chart(names, tuple(rows), flags, label)
+    return Chart(names, tuple(rows), d, label)
 
 
 def _fresh_names(base: Chart, new_names: list[str]) -> None:
@@ -154,7 +148,7 @@ def prolong_chart(chart: Chart, r: int) -> Chart:
     added = prolonged_names(chart.names, r)
     _fresh_names(chart, added)
     weights = tuple(w + (mu,) for mu in range(r + 1) for w in chart.weights)
-    return Chart(chart.names + tuple(added), weights, chart.n_graded + (True,),
+    return Chart(chart.names + tuple(added), weights, chart.grading_count + 1,
                  f"{chart.label or 'chart'}^T{r}")
 
 
@@ -163,19 +157,24 @@ def prolonged_names(names, r: int) -> list[str]:
     return [f"{n}_{mu}" for mu in range(1, r + 1) for n in names]
 
 
+def _fibred_chart(chart: Chart, fibre_names: list[str], fibre_rows, label: str) -> Chart:
+    """The base variables with weight 0 in a new vector-bundle component,
+    then one fibre variable per base variable with its row and weight 1."""
+    _fresh_names(chart, fibre_names)
+    weights = tuple(w + (0,) for w in chart.weights) + \
+        tuple(tuple(row) + (1,) for row in fibre_rows)
+    return Chart(chart.names + tuple(fibre_names), weights,
+                 chart.grading_count + 1, label)
+
+
 def tangent_chart(chart: Chart) -> Chart:
     """Tangent prolongation: appends velocities x_dot.
 
     A velocity carries the same graded weights as its base variable plus
     weight 1 in a new N-graded vector-bundle component.
     """
-    added = [f"{n}_dot" for n in chart.names]
-    _fresh_names(chart, added)
-    names = chart.names + tuple(added)
-    weights = tuple(w + (0,) for w in chart.weights) + \
-        tuple(w + (1,) for w in chart.weights)
-    return Chart(names, weights, chart.n_graded + (True,),
-                 f"T{chart.label or 'chart'}")
+    return _fibred_chart(chart, [f"{n}_dot" for n in chart.names], chart.weights,
+                         f"T{chart.label or 'chart'}")
 
 
 def cotangent_chart(chart: Chart) -> Chart:
@@ -185,13 +184,9 @@ def cotangent_chart(chart: Chart) -> Chart:
     weight 1 in a new vector-bundle component; graded components holding a
     nonzero weight therefore become Z-graded.
     """
-    added = [f"p_{n}" for n in chart.names]
-    _fresh_names(chart, added)
-    names = chart.names + tuple(added)
-    weights = tuple(w + (0,) for w in chart.weights) + \
-        tuple(tuple(-c for c in w) + (1,) for w in chart.weights)
-    flags = tuple(all(r[c] >= 0 for r in weights) for c in range(chart.grading_count)) + (True,)
-    return Chart(names, weights, flags, f"T*{chart.label or 'chart'}")
+    return _fibred_chart(chart, [f"p_{n}" for n in chart.names],
+                         ((-c for c in w) for w in chart.weights),
+                         f"T*{chart.label or 'chart'}")
 
 
 def phase_shifted_cotangent_chart(chart: Chart, k: int, component: int = 0) -> Chart:
@@ -200,23 +195,18 @@ def phase_shifted_cotangent_chart(chart: Chart, k: int, component: int = 0) -> C
     Momentum p_x gets weight k - w in the chosen graded component (other
     components are negated as in cotangent_chart) plus weight 1 in a new
     vector-bundle component.  Requires k >= every weight in the component,
-    so the shifted component stays N-graded.
+    so no momentum weight there is negative: the component stays N-graded
+    when it was.
     """
     chart.check_component(component)
     top = max((w[component] for w in chart.weights), default=0)
     if k < top:
         raise GradcalcError(
             f"shift k={k} is smaller than the top weight {top}; component would leave the N-grading")
-    added = [f"p_{n}" for n in chart.names]
-    _fresh_names(chart, added)
-    names = chart.names + tuple(added)
-    mom = []
-    for w in chart.weights:
-        row = tuple(k - c if j == component else -c for j, c in enumerate(w))
-        mom.append(row + (1,))
-    weights = tuple(w + (0,) for w in chart.weights) + tuple(mom)
-    flags = tuple(all(r[c] >= 0 for r in weights) for c in range(chart.grading_count)) + (True,)
-    return Chart(names, weights, flags, f"T*[{k}]{chart.label or 'chart'}")
+    return _fibred_chart(chart, [f"p_{n}" for n in chart.names],
+                         ((k - c if j == component else -c for j, c in enumerate(w))
+                          for w in chart.weights),
+                         f"T*[{k}]{chart.label or 'chart'}")
 
 
 def vb_split(chart: Chart, vb_component: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -263,6 +253,5 @@ def shifted_dual_grl_chart(chart: Chart, k: int, vb_component: int,
         else:
             names.append(chart.names[i])
             rows.append(w)
-    d = chart.grading_count
-    flags = tuple(all(r[c] >= 0 for r in rows) for c in range(d))
-    return Chart(tuple(names), tuple(rows), flags, f"({chart.label or 'chart'})*[{k}]")
+    return Chart(tuple(names), tuple(rows), chart.grading_count,
+                 f"({chart.label or 'chart'})*[{k}]")

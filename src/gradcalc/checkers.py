@@ -50,12 +50,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of a structure check."""
+    """Outcome of a structure check.
+
+    A sampled verdict is one that names its seed; probabilistic is true
+    exactly then.
+    """
 
     verdict: bool
     witness: str | None = None
     degrees: dict | None = None
-    probabilistic: bool = False
     seed: int | None = None
 
     def __post_init__(self):
@@ -64,6 +67,10 @@ class CheckReport:
 
     def __bool__(self) -> bool:
         return self.verdict
+
+    @property
+    def probabilistic(self) -> bool:
+        return self.seed is not None
 
     def to_json(self) -> dict:
         out: dict = {"verdict": "pass" if self.verdict else "fail"}
@@ -375,9 +382,9 @@ def _span_check(d: Distribution, points: list, seed: int, brackets) -> CheckRepo
             rows = [_row(x, pt) for x in d.generators]
             if rational_rank(rows + [_row(br, pt)]) != rational_rank(rows):
                 return CheckReport(
-                    False, probabilistic=True, seed=seed,
+                    False, seed=seed,
                     witness=f"{label} leaves the span at {_point_str(d.chart, pt)}")
-    return CheckReport(True, probabilistic=True, seed=seed)
+    return CheckReport(True, seed=seed)
 
 
 def is_involutive(d: Distribution, seed: int = 0, samples: int = 8) -> CheckReport:

@@ -27,6 +27,8 @@ Statement forms:
     oracle FORM args
     print NAME
 
+An order r= above 100 is a semantic error.
+
 The table _COMMANDS declares every statement form once, declarations
 included, keyed by its keyword: the names it takes and the object kinds
 they must refer to (a declaration's CHART is one), its key=INT
@@ -79,7 +81,7 @@ from .tensor import (TensorField, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
 
-__all__ = ["parse", "execute", "run_text", "Script", "OutputRecord"]
+__all__ = ["parse", "execute", "Script", "OutputRecord"]
 
 _TOKEN_RE = re.compile(r"""
     (?P<ws>\s+)
@@ -521,12 +523,21 @@ class OutputRecord:
     payload: dict = field(default_factory=dict)
     text: list = field(default_factory=list)
     ms: float = 0.0
-    is_check: bool = False
+
+    @property
+    def is_check(self) -> bool:
+        """Check and oracle records: a failed one makes the script exit 1."""
+        return self.kind in ("check", "oracle")
 
     def to_json(self) -> dict:
         out = {"stmt": self.stmt, "kind": self.kind, "ok": self.ok}
         out.update(self.payload)
         return out
+
+
+# Largest prolongation order r= a script may ask for: a lift's size grows
+# with r, and r=1000 on one variable did not finish in two minutes.
+_MAX_ORDER = 100
 
 
 class _Env:
@@ -539,6 +550,8 @@ class _Env:
         self._contexts: dict = {}
 
     def context(self, chart: Chart, r: int) -> LiftContext:
+        if r > _MAX_ORDER:
+            raise GradcalcError(f"order r={r} exceeds the limit {_MAX_ORDER}")
         key = (id(chart), r)
         ctx = self._contexts.get(key)
         if ctx is None:
@@ -765,7 +778,7 @@ def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     return OutputRecord(st.src, "oracle", agree,
                         {"oracle": "taylor-lift", "agree": agree,
                          "result": {"text": text}},
-                        [line, text], is_check=True)
+                        [line, text])
 
 
 def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -778,7 +791,7 @@ def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     return OutputRecord(st.src, "oracle", agree,
                         {"oracle": "koszul-concomitant", "agree": agree,
                          "result": res},
-                        [line, res["text"]], is_check=True)
+                        [line, res["text"]])
 
 
 def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -788,7 +801,7 @@ def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
                                    f"DISAGREE ({rep.witness})")
     return OutputRecord(st.src, "oracle", bool(rep.verdict),
                         {"oracle": "spot-check", "check": rep.to_json()},
-                        [line], is_check=True)
+                        [line])
 
 
 # -- the command table ---------------------------------------------------------
@@ -854,7 +867,7 @@ def _check(args: tuple, params: tuple, fn) -> Form:
         line = f"check {a['kind']}: " + ("PASS" if rep.verdict else
                                          f"FAIL ({rep.witness})")
         return OutputRecord(st.src, "check", bool(rep.verdict),
-                            {"check": rep.to_json()}, [line], is_check=True)
+                            {"check": rep.to_json()}, [line])
     return Form(args, run, params + (("component", 0),))
 
 
@@ -963,8 +976,3 @@ def execute(script: Script, seed: int = 0, samples: int = 8):
 
 def records_to_json(records: list) -> dict:
     return json_document(records=[r.to_json() for r in records])
-
-
-def run_text(text: str, seed: int = 0, samples: int = 8):
-    """Parse and execute; parse errors surface as DslError."""
-    return execute(parse(text), seed=seed, samples=samples)

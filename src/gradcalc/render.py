@@ -69,8 +69,8 @@ def _render_components(t) -> tuple:
     if t.q == 0 and t.p == 0:
         return comps, _join_signed(comps[0][2] if comps else [])
     names = t.chart.names
-    contra_join = " ^^ " if t.contra_sym == "antisym" and t.q >= 2 else " ox "
-    cov_join = " ^^ " if t.cov_sym == "antisym" and t.p >= 2 else " ox "
+    contra_join = " ^^ " if t.contra_sym == "antisym" else " ox "
+    cov_join = " ^^ " if t.cov_sym == "antisym" else " ox "
     terms = []
     for up, down, parts in comps:
         # the coefficient as a prefix with its trailing *: a unit constant

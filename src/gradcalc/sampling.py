@@ -13,7 +13,7 @@ from itertools import combinations
 from .charts import Chart
 from .errors import GradcalcError
 from .poly import Poly, _acc
-from .tensor import TensorField
+from .tensor import TensorField, scalar_field
 
 __all__ = [
     "sample_points", "random_fraction", "random_poly",
@@ -30,22 +30,18 @@ def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fractio
             return Fraction(v)
 
 
-def sample_points(chart: Chart, seed: int, count: int = 8,
-                  low: int = -5, high: int = 5) -> list:
-    """Random rational points with nonzero coordinates.
+def sample_points(chart: Chart, seed: int, count: int = 8) -> list:
+    """Random rational points with nonzero integer coordinates in -5..5.
 
     Raises GradcalcError when count < 1 (a sampled check would pass
-    vacuously) or when [low, high] holds no nonzero integer.
+    vacuously).
     """
     if count < 1:
         raise GradcalcError(f"sample count must be at least 1, got {count}")
-    if low > high or low == high == 0:
-        raise GradcalcError(f"sample range [{low}, {high}] holds no nonzero integer")
     rng = random.Random(seed)
     pts = []
     for _ in range(count):
-        pts.append({i: random_fraction(rng, low, high)
-                    for i in range(chart.dim)})
+        pts.append({i: random_fraction(rng) for i in range(chart.dim)})
     return pts
 
 
@@ -98,25 +94,23 @@ def random_form(rng: random.Random, chart: Chart, degree: int,
                 max_components: int = 2, **poly_opts) -> TensorField:
     """Random antisymmetric (0, degree) form (may be zero if dim < degree)."""
     if degree == 0:
-        from .tensor import scalar_field
         return scalar_field(chart, random_poly(rng, chart, **poly_opts))
     comps = {}
     for key in _random_keys(rng, chart, degree, max_components, increasing=True):
         comps[((), key)] = random_poly(rng, chart, **poly_opts)
     return TensorField(chart, 0, degree, {k: v for k, v in comps.items() if v},
-                       cov_sym="antisym" if degree >= 2 else "none")
+                       cov_sym="antisym")
 
 
 def random_multivector(rng: random.Random, chart: Chart, degree: int,
                        max_components: int = 2, **poly_opts) -> TensorField:
     if degree == 0:
-        from .tensor import scalar_field
         return scalar_field(chart, random_poly(rng, chart, **poly_opts))
     comps = {}
     for key in _random_keys(rng, chart, degree, max_components, increasing=True):
         comps[(key, ())] = random_poly(rng, chart, **poly_opts)
     return TensorField(chart, degree, 0, {k: v for k, v in comps.items() if v},
-                       contra_sym="antisym" if degree >= 2 else "none")
+                       contra_sym="antisym")
 
 
 def random_vv_form(rng: random.Random, chart: Chart, degree: int,
@@ -132,7 +126,7 @@ def random_vv_form(rng: random.Random, chart: Chart, degree: int,
             m = rng.randrange(chart.dim)
             comps[((m,), ())] = random_poly(rng, chart, **poly_opts)
     return TensorField(chart, 1, degree, {k: v for k, v in comps.items() if v},
-                       cov_sym="antisym" if degree >= 2 else "none")
+                       cov_sym="antisym")
 
 
 def random_tensor(rng: random.Random, chart: Chart, q: int, p: int,

@@ -112,9 +112,9 @@ class TensorField:
             up, down = tuple(up), tuple(down)
             if len(up) != q or len(down) != p:
                 raise ValenceError(f"key {(up, down)} does not match valence ({q},{p})")
-            if not _is_canonical(up, contra_sym if q >= 2 else "none"):
+            if not _is_canonical(up, contra_sym):
                 raise ValenceError(f"non-canonical contravariant key {up} for tag {contra_sym}")
-            if not _is_canonical(down, cov_sym if p >= 2 else "none"):
+            if not _is_canonical(down, cov_sym):
                 raise ValenceError(f"non-canonical covariant key {down} for tag {cov_sym}")
             for i in up + down:
                 if not 0 <= i < chart.dim:
@@ -221,15 +221,13 @@ class TensorField:
 def _from_expanded(chart: Chart, q: int, p: int, expanded: dict,
                    contra_sym: str = "none", cov_sym: str = "none") -> TensorField:
     """Canonical tensor from an expanded table known to have the symmetry."""
-    cs = contra_sym if q >= 2 else "none"
-    ps = cov_sym if p >= 2 else "none"
     comps = {}
     for (up, down), coef in expanded.items():
         if not coef:
             continue
-        if _is_canonical(up, cs) and _is_canonical(down, ps):
+        if _is_canonical(up, contra_sym) and _is_canonical(down, cov_sym):
             comps[(up, down)] = coef
-    return TensorField(chart, q, p, comps, cs, ps)
+    return TensorField(chart, q, p, comps, contra_sym, cov_sym)
 
 
 def tagged(t: TensorField, contra_sym: str = "none", cov_sym: str = "none") -> TensorField:
@@ -239,10 +237,8 @@ def tagged(t: TensorField, contra_sym: str = "none", cov_sym: str = "none") -> T
     the same component table, so a lone dx ox dy is rejected as antisym
     rather than silently completed to dx ox dy - dy ox dx.
     """
-    cs = contra_sym if t.q >= 2 else "none"
-    ps = cov_sym if t.p >= 2 else "none"
     exp = t.expand()
-    out = _from_expanded(t.chart, t.q, t.p, exp, cs, ps)
+    out = _from_expanded(t.chart, t.q, t.p, exp, contra_sym, cov_sym)
     if out.expand() != exp:
         raise ValenceError("tensor lacks the claimed symmetry")
     return out

@@ -1,11 +1,14 @@
 """Chart construction and the derived chart builders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcalc.charts import (cotangent_chart, make_chart,
                              phase_shifted_cotangent_chart, prolong_chart,
                              shifted_dual_grl_chart, tangent_chart, vb_split)
 from gradcalc.errors import GradcalcError
+from gradcalc.render import chart_to_json
 
 
 def test_make_chart_basics():
@@ -35,8 +38,6 @@ def test_make_chart_multi_component_and_z_grading():
     assert m.grading_count == 2
     # a negative weight anywhere makes that component Z-graded
     assert m.n_graded == (False, True)
-    explicit = make_chart(["a"], [(1,)], n_graded=[False])
-    assert explicit.n_graded == (False,)
 
 
 def test_make_chart_rejects_bad_input():
@@ -46,8 +47,6 @@ def test_make_chart_rejects_bad_input():
         make_chart(["3x"], [0])
     with pytest.raises(GradcalcError):
         make_chart(["x", "y"], [(0, 1), (0,)])
-    with pytest.raises(GradcalcError):
-        make_chart(["x"], [0], n_graded=[True, True])
 
 
 def test_index_unknown_name():
@@ -134,3 +133,97 @@ def test_charts_compare_by_identity():
     b = make_chart(["x"], [0])
     assert a is not b
     assert (a == b) is False or a != b  # no structural equality
+
+
+def _chart_json(label, rows, n_graded):
+    return {"type": "chart", "label": label,
+            "vars": [{"name": n, "weights": list(w)} for n, w in rows],
+            "n_graded": n_graded}
+
+
+_E_ROWS = [("x", (1, 0, 0)), ("u", (-1, 1, 0)), ("v", (2, 1, 0))]
+
+# Each derived chart of E = {x:(1,0), u:(-1,1), v:(2,1)} (component 0
+# Z-graded, component 1 a vector-bundle grading) as (repr, chart_to_json).
+DERIVED_FROZEN = [
+    (lambda e: prolong_chart(e, 1),
+     "<E^T1 {x:(1, 0, 0), u:(-1, 1, 0), v:(2, 1, 0), x_1:(1, 0, 1), "
+     "u_1:(-1, 1, 1), v_1:(2, 1, 1)}>",
+     _chart_json("E^T1", _E_ROWS + [("x_1", (1, 0, 1)), ("u_1", (-1, 1, 1)),
+                                    ("v_1", (2, 1, 1))], [False, True, True])),
+    (tangent_chart,
+     "<TE {x:(1, 0, 0), u:(-1, 1, 0), v:(2, 1, 0), x_dot:(1, 0, 1), "
+     "u_dot:(-1, 1, 1), v_dot:(2, 1, 1)}>",
+     _chart_json("TE", _E_ROWS + [("x_dot", (1, 0, 1)), ("u_dot", (-1, 1, 1)),
+                                  ("v_dot", (2, 1, 1))], [False, True, True])),
+    (cotangent_chart,
+     "<T*E {x:(1, 0, 0), u:(-1, 1, 0), v:(2, 1, 0), p_x:(-1, 0, 1), "
+     "p_u:(1, -1, 1), p_v:(-2, -1, 1)}>",
+     _chart_json("T*E", _E_ROWS + [("p_x", (-1, 0, 1)), ("p_u", (1, -1, 1)),
+                                   ("p_v", (-2, -1, 1))], [False, False, True])),
+    (lambda e: phase_shifted_cotangent_chart(e, 2),
+     "<T*[2]E {x:(1, 0, 0), u:(-1, 1, 0), v:(2, 1, 0), p_x:(1, 0, 1), "
+     "p_u:(3, -1, 1), p_v:(0, -1, 1)}>",
+     _chart_json("T*[2]E", _E_ROWS + [("p_x", (1, 0, 1)), ("p_u", (3, -1, 1)),
+                                      ("p_v", (0, -1, 1))], [False, False, True])),
+    (lambda e: shifted_dual_grl_chart(e, 3, vb_component=1, graded_component=0),
+     "<(E)*[3] {x:(1, 0), p_u:(4, 1), p_v:(1, 1)}>",
+     _chart_json("(E)*[3]", [("x", (1, 0)), ("p_u", (4, 1)), ("p_v", (1, 1))],
+                 [True, True])),
+]
+
+
+@pytest.mark.parametrize("build,text,doc", DERIVED_FROZEN)
+def test_derived_charts_frozen(build, text, doc):
+    c = build(make_chart(["x", "u", "v"], [(1, 0), (-1, 1), (2, 1)], label="E"))
+    assert repr(c) == text
+    assert chart_to_json(c) == doc
+
+
+# One step of a constructor chain: (name, grading components it adds).
+_STEPS = (("prolong", 1), ("tangent", 1), ("cotangent", 1), ("shifted", 1),
+          ("dual", 0))
+
+
+def _step(chart, name, arg):
+    if name == "prolong":
+        return prolong_chart(chart, arg % 3)
+    if name == "tangent":
+        return tangent_chart(chart)
+    if name == "cotangent":
+        return cotangent_chart(chart)
+    c = arg % chart.grading_count
+    if name == "shifted":
+        return phase_shifted_cotangent_chart(chart, chart.degree(c) + arg % 2, c)
+    # the last component of a fibred or prolonged chart is a VB grading
+    # only when its weights lie in {0, 1}; otherwise skip the dual
+    vb = chart.grading_count - 1
+    if vb == 0 or any(w not in (0, 1) for w in chart.component_weights(vb)):
+        return None
+    return shifted_dual_grl_chart(chart, arg, vb, c if c != vb else 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 3), min_size=1, max_size=2),
+                min_size=1, max_size=2),
+       st.integers(1, 2),
+       st.lists(st.tuples(st.sampled_from(_STEPS), st.integers(0, 5)),
+                max_size=3))
+def test_chain_flags_follow_weights(rows, d, steps):
+    # n_graded says "no negative weight in the component", and each
+    # prolongation, tangent or cotangent step adds one grading component
+    names = ["x", "y"][:len(rows)]
+    chart = make_chart(names, [(r * d)[:d] for r in rows])
+    for (name, added), arg in steps:
+        try:
+            nxt = _step(chart, name, arg)
+        except GradcalcError as e:      # x_1 of a second prolongation
+            assert "collides" in str(e)
+            continue
+        if nxt is None:
+            continue
+        assert nxt.grading_count == chart.grading_count + added
+        chart = nxt
+        assert chart.n_graded == tuple(
+            all(w[c] >= 0 for w in chart.weights)
+            for c in range(chart.grading_count))

@@ -18,7 +18,7 @@ import gradcalc
 from gradcalc import __version__, cli, dsl
 from gradcalc.charts import make_chart
 from gradcalc.cli import main
-from gradcalc.dsl import execute, parse, records_to_json, run_text
+from gradcalc.dsl import execute, parse, records_to_json
 from gradcalc.errors import DslError
 from gradcalc.render import dumps, json_document, render_tensor
 from gradcalc.sampling import random_tensor
@@ -46,7 +46,7 @@ oracle spotcheck X X
 
 
 def run(text, seed=0, samples=4):
-    return run_text(text, seed=seed, samples=samples)
+    return execute(parse(text), seed=seed, samples=samples)
 
 
 def test_clean_script_exit_zero():
@@ -150,6 +150,34 @@ bracket lie f f as g
     assert rec.text == ["semantic error at line 3: lie_bracket needs two vector fields"]
     assert rec.payload == {"error": {"kind": "semantic", "line": 3,
                                      "message": "lie_bracket needs two vector fields"}}
+
+
+ORDER_PRELUDE = """\
+chart M { x:0 }
+fn f on M = x
+vf X on M = x^3*d/dx
+connection G on M { G x x x = 1 }
+"""
+
+# Every r= of a script reaches one bound: (line 5, exit code, message of
+# the error record or None).  r=101 is rejected before anything of that
+# order is built.
+ORDER_BOUND = [
+    ("prolong M r=101", 3, "order r=101 exceeds the limit 100"),
+    ("lift X lambda=1 r=101", 3, "order r=101 exceeds the limit 100"),
+    ("lift-connection G r=101", 3, "order r=101 exceeds the limit 100"),
+    ("oracle lift f lambda=1 r=101", 3, "order r=101 exceeds the limit 100"),
+    ("prolong M r=100", 0, None),
+]
+
+
+@pytest.mark.parametrize("line,code,message", ORDER_BOUND)
+def test_order_bound(line, code, message):
+    records, got = run(ORDER_PRELUDE + line + "\n")
+    assert got == code
+    if message is not None:
+        assert records[-1].payload == {"error": {"kind": "semantic", "line": 5,
+                                                 "message": message}}
 
 
 def test_semantic_error_stops_the_run():
