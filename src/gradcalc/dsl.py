@@ -51,6 +51,7 @@ error, 3 semantic error.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from collections.abc import Callable
@@ -539,6 +540,12 @@ class OutputRecord:
 # with r, and r=1000 on one variable did not finish in two minutes.
 _MAX_ORDER = 100
 
+# Largest term count a power a^e in a script may reach.  A t-term base
+# can have up to C(e+t-1, t-1) terms in its e-th power, so the bound looks
+# at the result, not at e alone: (x+y+z+1)^40 (12,341 terms) runs, ^60
+# (39,711) did not finish in a minute, and x^500 has one term.
+_MAX_POWER_TERMS = 20_000
+
 
 class _Env:
     """Execution state: named charts, tensors, distributions, connections."""
@@ -598,7 +605,13 @@ def _eval_expr(node: tuple, chart: Chart) -> TensorField:
         a = _eval_expr(node[1], chart)
         if a.q or a.p:
             raise GradcalcError("^ takes scalar bases; tensor powers are not defined")
-        return scalar_field(chart, a.scalar_part() ** node[2])
+        base, e = a.scalar_part(), node[2]
+        t = len(base.terms)
+        n = math.comb(e + t - 1, t - 1) if t else 0
+        if n > _MAX_POWER_TERMS:
+            raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
+                                f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
+        return scalar_field(chart, base ** e)
     raise GradcalcError(f"unknown expression node {op!r}")
 
 

@@ -33,7 +33,7 @@ from typing import Mapping
 from .charts import Chart, prolong_chart, tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .poly import Poly, _acc
-from .tensor import TensorField, _from_expanded, weight_vector_field
+from .tensor import TensorField, _sort_with_parity, weight_vector_field
 
 __all__ = [
     "LiftContext", "lift_function", "lift_function_jets", "lift_tensor",
@@ -53,10 +53,10 @@ class LiftContext:
     the monomial ((v, e),); building one caches the lower powers of x_v,
     and a product of powers caches its leading factors, so the cache is
     bounded by the distinct monomials lifted and their factors.  Besides
-    the cache, the context keeps the expanded coefficient jets of the last
-    tensor passed to lift_tensor, so lifting one tensor at every lambda in
-    turn expands it once.  The name _t stays reserved for the lift
-    parameter.
+    the cache, the context keeps the coefficient jets of the stored
+    components of the last tensor passed to lift_tensor, so lifting one
+    tensor at every lambda in turn lifts each stored coefficient once.
+    The name _t stays reserved for the lift parameter.
     """
 
     __slots__ = ("base", "r", "total", "_jets", "_last")
@@ -153,13 +153,35 @@ def _level_assignments(slots: int, r: int, low: int, high: int):
             yield (v,) + rest
 
 
+def _lifted_block(key: tuple, base: tuple, sym: str) -> tuple:
+    """(sign, canonical key) of one lifted index block; sign 0 drops it.
+
+    Lifted indices of distinct base indices are distinct, so an antisym
+    block sorts with the sign of its permutation.  A sym block sorts
+    without a sign, but where its base index repeats, every order of the
+    levels would reach the same sorted key: only the order with
+    non-decreasing lifted indices along each run of equal base indices
+    is kept, so the diagonal is counted once.
+    """
+    if sym == "none":
+        return 1, key
+    if sym == "antisym":
+        return _sort_with_parity(key)
+    for i in range(len(key) - 1):
+        if base[i] == base[i + 1] and key[i] > key[i + 1]:
+            return 0, key
+    return 1, tuple(sorted(key))
+
+
 def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     """The lambda-lift of an arbitrary (q, p) tensor field.
 
     Distributes lambda over the coefficient and every basis factor of each
-    expanded component; symmetry tags survive.  Zero outside 0..r.  The
-    coefficient jets of the last tensor lifted on ctx are reused, so
-    lifting one tensor at every lambda expands it once.
+    stored component, then sorts each lifted block back to its canonical
+    key (_lifted_block), so symmetry tags survive and no permutation of a
+    stored key is lifted.  Zero outside 0..r.  The coefficient jets of the
+    last tensor lifted on ctx are reused, so lifting one tensor at every
+    lambda lifts each stored coefficient once.
     """
     if t.chart is not ctx.base:
         raise ChartMismatchError("tensor does not live on the context's base chart")
@@ -167,20 +189,28 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     if lam < 0 or lam > r:
         return TensorField.zero(ctx.total, t.q, t.p, t.contra_sym, t.cov_sym)
     if ctx._last[0] is not t:
-        ctx._last = (t, [(up, down, lift_function_jets(coef, ctx))
-                         for (up, down), coef in t.expand().items()])
+        # by sign, the coefficient jets of each stored component; an antisym
+        # block can flip the sign, so its jets are negated once, not per use
+        flips = "antisym" in (t.contra_sym, t.cov_sym)
+        signed = []
+        for (up, down), coef in t.components.items():
+            jets = lift_function_jets(coef, ctx)
+            signed.append((up, down, {1: jets, -1: [-c for c in jets] if flips else None}))
+        ctx._last = (t, signed)
+    n = ctx.base.dim    # ctx.var(i, mu) is mu * n + i, inlined below
     out: dict = {}
     for up, down, jets in ctx._last[1]:
         for assign in _level_assignments(len(up) + len(down), r, lam - r, lam):
-            c = jets[lam - sum(assign)]
-            if not c:
+            mu0 = lam - sum(assign)
+            if not jets[1][mu0]:
                 continue
-            nu = assign[:len(up)]
-            kappa = assign[len(up):]
-            nup = tuple(ctx.var(i, r - v) for i, v in zip(up, nu))
-            ndown = tuple(ctx.var(j, k) for j, k in zip(down, kappa))
-            _acc(out, (nup, ndown), c)
-    return _from_expanded(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
+            su, nup = _lifted_block(tuple((r - v) * n + i for i, v in zip(up, assign)),
+                                    up, t.contra_sym)
+            sd, ndown = _lifted_block(tuple(k * n + j for j, k in zip(down, assign[t.q:])),
+                                      down, t.cov_sym)
+            if su and sd:
+                _acc(out, (nup, ndown), jets[su * sd][mu0])
+    return TensorField(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
 
 
 def lift_weight_vector_field(ctx: LiftContext, component: int = 0) -> TensorField:

@@ -12,7 +12,10 @@ which keys are stored:
 
 expand() materializes the full component table (all permutations, signs
 applied); two tensors are equal iff their expanded tables agree, so a
-wedge and its explicit tensor-product expansion compare equal.
+wedge and its explicit tensor-product expansion compare equal.  Every
+public result stores canonical keys and no zero component, so tensors
+with the same tags are compared on their stored components; only
+differently tagged ones are expanded.
 
 The wedge product is the unnormalized signed-shuffle product: on
 one-forms a ^^ b = a ox b - b ox a, with no 1/k! factors anywhere.
@@ -86,7 +89,8 @@ class TensorField:
                  contra_sym: str = "none", cov_sym: str = "none"):
         # components must already be canonical for the given tags
         if contra_sym not in _SYMS or cov_sym not in _SYMS:
-            raise ValenceError(f"unknown symmetry tag")
+            bad = ", ".join(repr(s) for s in (contra_sym, cov_sym) if s not in _SYMS)
+            raise ValenceError(f"unknown symmetry tag {bad}; expected one of {', '.join(_SYMS)}")
         self.chart = chart
         self.q = q
         self.p = p
@@ -159,8 +163,11 @@ class TensorField:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TensorField):
             return NotImplemented
-        return (self.chart is other.chart and self.q == other.q and self.p == other.p
-                and self.expand() == other.expand())
+        if self.chart is not other.chart or self.q != other.q or self.p != other.p:
+            return False
+        if self.contra_sym == other.contra_sym and self.cov_sym == other.cov_sym:
+            return self.components == other.components
+        return self.expand() == other.expand()
 
     __hash__ = None
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -177,6 +178,37 @@ def test_order_bound(line, code, message):
     assert got == code
     if message is not None:
         assert records[-1].payload == {"error": {"kind": "semantic", "line": 5,
+                                                 "message": message}}
+
+
+# Every power a^e of a script is bounded by the term count its result may
+# reach, C(e+t-1, t-1) for a t-term base: (line 2, exit code, message).
+# The count depends on t and e only, so (x+x^2+x^3+x^4)^40 stands in for
+# (x+y+z+1)^40 (both 12,341) without its four seconds of arithmetic.  A
+# 199-term square may have 19,900 terms and a 200-term square 20,100.
+POWER_BOUND = {
+    "four-terms^60": ("fn f on M = (x+y+z+1)^60", 3, "power ^60 of a 4-term "
+                      "polynomial may have 39711 terms, which exceeds the limit 20000"),
+    "four-terms^40": ("fn f on M = (x+x^2+x^3+x^4)^40", 0, None),
+    "200-terms^2": ("fn f on M = (" + "+".join(f"x^{i}" for i in range(1, 201)) + ")^2",
+                    3, "power ^2 of a 200-term polynomial may have 20100 terms, "
+                    "which exceeds the limit 20000"),
+    "199-terms^2": ("fn f on M = (" + "+".join(f"x^{i}" for i in range(1, 200)) + ")^2",
+                    0, None),
+    "one-term": ("fn f on M = x^500 - 2*(y*z)^300", 0, None),
+    "zero": ("fn f on M = (x - x)^100000", 0, None),
+}
+
+
+@pytest.mark.parametrize("line,code,message", POWER_BOUND.values(), ids=POWER_BOUND)
+def test_power_bound(line, code, message):
+    start = time.perf_counter()
+    records, got = run("chart M { x:0, y:0, z:0 }\n" + line + "\n")
+    assert got == code
+    if message is not None:
+        # rejected before any multiplication
+        assert time.perf_counter() - start < 1.0
+        assert records[-1].payload == {"error": {"kind": "semantic", "line": 2,
                                                  "message": message}}
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcalc import lifts
@@ -36,9 +36,12 @@ from gradcalc.tensor import (
     coordinate_one_form,
     coordinate_vector_field,
     scalar_field,
+    tagged,
+    tensor_product,
     vector_field,
     weight_vector_field,
 )
+from test_tensor import assert_canonical, sym_power_sum
 
 E1 = make_chart(["x"], [0])
 E2 = make_chart(["x", "y"], [0, 0])
@@ -295,6 +298,7 @@ def oracle_lift_table(t, lam, ctx):
     r = ctx.r
     out = {}
     for (up, down), coef in t.expand().items():
+        coef_lifts = [taylor_lift_oracle(coef, mu0, ctx) for mu0 in range(lam + 1)]
         for assign in product(range(r + 1), repeat=len(up) + len(down)):
             mu0 = lam - sum(assign)
             if not 0 <= mu0 <= r:
@@ -302,24 +306,45 @@ def oracle_lift_table(t, lam, ctx):
             nup = tuple(ctx.var(i, r - v) for i, v in zip(up, assign))
             ndown = tuple(ctx.var(j, k) for j, k in zip(down, assign[len(up):]))
             key = (nup, ndown)
-            out[key] = out.get(key, Poly.zero(ctx.total)) + taylor_lift_oracle(coef, mu0, ctx)
+            out[key] = out.get(key, Poly.zero(ctx.total)) + coef_lifts[mu0]
     return {k: v for k, v in out.items() if v}
 
 
 def random_tensor_of_kind(rng, chart, kind):
     opts = dict(max_terms=2, max_degree=3)
+    small = dict(max_terms=1, max_degree=1)    # for kinds with many expanded keys
     if kind == "form":
         return random_form(rng, chart, 2, **opts)
     if kind == "multivector":
         return random_multivector(rng, chart, 2, **opts)
     if kind == "vv_form":
         return random_vv_form(rng, chart, 2, **opts)
+    if kind == "sym":
+        # a sym block with repeated base indices, alone or beside an antisym block
+        t = sym_power_sum(rng, chart, rng.randint(2, 3), rng.random() < 0.5, **small)
+        if t.q == 2 and rng.random() < 0.5:
+            t = tensor_product(t, random_form(rng, chart, 2, **small))
+        return t
+    if kind == "antisym_both":
+        return (tensor_product(random_multivector(rng, chart, 2, **small),
+                               random_form(rng, chart, 2, **small))
+                + tensor_product(random_multivector(rng, chart, 2, **small),
+                                 random_form(rng, chart, 2, **small)))
+    if kind == "degree3":
+        if rng.random() < 0.5:
+            return random_form(rng, chart, 3, max_components=3, **opts)
+        return random_multivector(rng, chart, 3, max_components=3, **opts)
     return random_tensor(rng, chart, rng.randint(0, 2), rng.randint(0, 2), **opts)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10 ** 9), st.integers(1, 3), st.integers(0, 3),
-       st.sampled_from(["form", "multivector", "vv_form", "plain"]))
+       st.sampled_from(["form", "multivector", "vv_form", "plain",
+                        "sym", "antisym_both", "degree3"]))
+@example(seed=1, dim=2, r=2, kind="sym")
+@example(seed=2, dim=3, r=2, kind="sym")
+@example(seed=3, dim=3, r=2, kind="antisym_both")
+@example(seed=4, dim=3, r=2, kind="degree3")
 def test_lift_tensor_matches_oracle_table(seed, dim, r, kind):
     chart = CHARTS[dim]
     t = random_tensor_of_kind(random.Random(seed), chart, kind)
@@ -327,7 +352,21 @@ def test_lift_tensor_matches_oracle_table(seed, dim, r, kind):
     for lam in range(r + 1):
         lifted = lift_tensor(t, lam, ctx)
         assert (lifted.contra_sym, lifted.cov_sym) == (t.contra_sym, t.cov_sym)
+        assert_canonical(lifted)
         assert lifted.expand() == oracle_lift_table(t, lam, ctx)
+
+
+@pytest.mark.parametrize("contra", [False, True])
+def test_sym_lift_counts_the_diagonal_once(contra):
+    # (dx ox dx)^(1) = dx_0 ox dx_1 + dx_1 ox dx_0 at r = 1: one stored key,
+    # coefficient 1, though both level orders of (x, x) sort to it
+    basis = coordinate_vector_field if contra else coordinate_one_form
+    v = basis(E1, "x")
+    sq = tensor_product(v, v)
+    sq = tagged(sq, contra_sym="sym") if contra else tagged(sq, cov_sym="sym")
+    ctx = LiftContext(E1, 1)
+    key = ((0, 1), ()) if contra else ((), (0, 1))
+    assert lift_tensor(sq, 1, ctx).components == {key: Poly.const(ctx.total, 1)}
 
 
 def lift_table(t):

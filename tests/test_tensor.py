@@ -10,8 +10,11 @@ from hypothesis import strategies as st
 from gradcalc.calculus import (exterior_derivative, fn_bracket, lie_bracket,
                                lie_derivative, nr_bracket, schouten_bracket)
 from gradcalc.charts import make_chart
+from gradcalc.checkers import Distribution
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
-from gradcalc.lifts import LiftContext, lift_tensor
+from gradcalc.lifts import (LiftContext, covariant_derivative, horizontal_fields,
+                            lift_distribution, lift_tensor, lift_weight_vector_field,
+                            tangent_connection)
 from gradcalc.poly import ANY_DEGREE, Poly
 from gradcalc.render import (chart_to_json, poly_to_json, render_poly, render_tensor,
                              tensor_to_json)
@@ -82,6 +85,16 @@ def test_low_arity_tags_collapse():
     assert t.contra_sym == "none"
     with pytest.raises(ValenceError):
         TensorField(M, 1, 0, {}, contra_sym="skew")
+
+
+def test_unknown_symmetry_tag_is_named():
+    with pytest.raises(ValenceError) as ei:
+        TensorField(E3, 2, 0, {}, contra_sym="skew")
+    assert str(ei.value) == "unknown symmetry tag 'skew'; expected one of none, sym, antisym"
+    with pytest.raises(ValenceError, match="tag 'Sym', 'alt';"):
+        TensorField.zero(E3, 2, 2, "Sym", "alt")
+    with pytest.raises(ValenceError, match="tag 'symmetric';"):
+        tagged(TensorField.zero(E3, 0, 2), cov_sym="symmetric")
 
 
 def test_scalar_part():
@@ -363,6 +376,70 @@ def assert_rendered_once(t: TensorField) -> None:
         for up, down in sorted(t.components)]
 
 
+_OPTS = dict(max_terms=2, max_degree=2)
+
+
+def sym_power_sum(rng, chart, degree: int, contra: bool = False,
+                  **poly_opts) -> TensorField:
+    """a ox ... ox a + b ox ... ox b (degree factors each), tagged sym: a
+    sym tensor whose stored keys repeat base indices."""
+    make = random_vector_field if contra else random_one_form
+    out = TensorField.zero(chart, degree if contra else 0, 0 if contra else degree)
+    for _ in range(2):
+        a = make(rng, chart, **(poly_opts or _OPTS))
+        power = a
+        for _ in range(degree - 1):
+            power = tensor_product(power, a)
+        out = out + power
+    return tagged(out, **{"contra_sym" if contra else "cov_sym": "sym"})
+
+
+def untag(t: TensorField) -> TensorField:
+    # adding a zero of other tags stores the expanded table, untagged
+    return t + TensorField.zero(t.chart, t.q, t.p)
+
+
+# per valence, makers of tensors with every tag that valence can carry
+EQ_MAKERS = {
+    (0, 2): [lambda rng: random_form(rng, E3, 2, **_OPTS),
+             lambda rng: random_tensor(rng, E3, 0, 2, **_OPTS),
+             lambda rng: sym_power_sum(rng, E3, 2)],
+    (2, 0): [lambda rng: random_multivector(rng, E3, 2, **_OPTS),
+             lambda rng: random_tensor(rng, E3, 2, 0, **_OPTS),
+             lambda rng: sym_power_sum(rng, E3, 2, contra=True)],
+    (0, 3): [lambda rng: random_form(rng, E3, 3, max_components=3, **_OPTS),
+             lambda rng: random_tensor(rng, E3, 0, 3, **_OPTS),
+             lambda rng: sym_power_sum(rng, E3, 3)],
+    (2, 2): [lambda rng: tensor_product(random_multivector(rng, E3, 2, **_OPTS),
+                                        random_form(rng, E3, 2, **_OPTS)),
+             lambda rng: tensor_product(sym_power_sum(rng, E3, 2, contra=True),
+                                        random_form(rng, E3, 2, **_OPTS)),
+             lambda rng: random_tensor(rng, E3, 2, 2, **_OPTS)],
+    (1, 2): [lambda rng: random_vv_form(rng, E3, 2, **_OPTS),
+             lambda rng: random_tensor(rng, E3, 1, 2, **_OPTS)],
+}
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(sorted(EQ_MAKERS)))
+@settings(max_examples=60, deadline=None)
+def test_eq_agrees_with_expanded_tables(seed, valence):
+    # == compares stored components when the tags agree and expanded tables
+    # otherwise; both must give the answer of comparing expanded tables
+    rng = random.Random(seed)
+    makers = EQ_MAKERS[valence]
+    a, b, c = (rng.choice(makers)(rng) for _ in range(3))
+    forms_of_a = [a, untag(a), tagged(untag(a), a.contra_sym, a.cov_sym)]
+    pairs = [(u, v) for u in forms_of_a for v in forms_of_a]
+    pairs += [(u, v) for u in forms_of_a for v in (b, a + c, untag(a + c), a * 2)]
+    for u, v in pairs:
+        assert (u == v) == (u.expand() == v.expand())
+        assert (v == u) == (u == v)
+    assert all(u == a for u in forms_of_a)
+    if c:
+        # a nonzero perturbation, of a's tags or of others, is seen
+        assert a != a + c and untag(a) != a + c and a != untag(a + c)
+
+
 @given(st.integers(0, 10 ** 9), st.integers(1, 2))
 @settings(max_examples=40, deadline=None)
 def test_public_results_are_canonical(seed, r):
@@ -400,16 +477,25 @@ def test_public_results_are_canonical(seed, r):
     # scalars, zero scalars, a sym tag and constant coefficients +-1 and
     # fractions, which render without a coefficient or as a bare number
     dx, dy = coordinate_one_form(m, "x"), coordinate_one_form(m, "y")
+    sym = tagged(tensor_product(dx, dx) + tensor_product(alpha, alpha), cov_sym="sym")
     results += [
         scalar_field(m, f), scalar_field(m, f) - scalar_field(m, f),
         scalar_field(m, Poly.const(m, rng.choice((-1, 1, half)))),
-        tagged(tensor_product(dx, dx) + tensor_product(alpha, alpha),
-               cov_sym="sym"),
+        sym,
         coordinate_vector_field(m, "z") - coordinate_vector_field(m, "x"),
         wedge(dx, dy) * -half + wedge(dy, coordinate_one_form(m, "z")),
     ]
+    # the raw TensorField(...) producers outside the arithmetic above
+    conn = tangent_connection(m, {(0, 1, 2): f, (2, 1, 1): half})
+    results += [
+        compose_11(k, l if l.p == 1 else k * half), compose_11(k, identity_tensor(m)),
+        identity_tensor(m), weight_vector_field(m, 0),
+        covariant_derivative(conn, x, y), *horizontal_fields(conn),
+    ]
     ctx = LiftContext(m, r)
-    for u in (x, a, w, t, untagged, k):
+    results += [lift_weight_vector_field(ctx, 0),
+                *lift_distribution(Distribution(m, (x, y)), ctx).generators]
+    for u in (x, a, w, t, untagged, k, sym, sym_power_sum(rng, m, 3, contra=True)):
         results += [lift_tensor(u, lam, ctx) for lam in range(-1, r + 2)]
     for res in results:
         assert_canonical(res)
