@@ -546,6 +546,42 @@ _MAX_ORDER = 100
 # (39,711) did not finish in a minute, and x^500 has one term.
 _MAX_POWER_TERMS = 20_000
 
+# Largest work a power a^e in a script may take, in term products of the
+# repeated squaring of Poly.__pow__, each weighted by the 64-bit words of
+# its larger factor's coefficients (_power_work).  The term count alone
+# does not bound it: (x+1)^19999 has 20,000 terms, estimates 2.5e10 and
+# ran for minutes, (x+1)^3000 estimates 8.7e7 and takes 13 s, and
+# (x+1)^2000 (2.2e7, 4.7 s) and (x+y+z+1)^40 (3.1e6, 5.4 s) run.
+_MAX_POWER_WORK = 50_000_000
+
+
+def _power_work(base: Poly, e: int) -> int:
+    """Estimated work of base ** e, in coefficient-weighted term products.
+
+    Follows the squarings and products of Poly.__pow__.  The k-th power of
+    a t-term base has at most C(k+t-1, t-1) terms, and its coefficients
+    at most k*b bits, where b is the bits of the base's absolute
+    coefficient sum over a common denominator L plus the bits of L.
+    """
+    t = len(base.terms)
+    if not t:
+        return 0
+    coefs = [Fraction(c) for c in base.terms.values()]
+    den = math.lcm(*(c.denominator for c in coefs))
+    total = int(sum(abs(c) for c in coefs) * den)
+    bits = (total - 1).bit_length() + (den - 1).bit_length()
+    work, out, square = 0, 0, 1     # out = base^out, square = base^square
+    while e:
+        if e & 1:
+            work += (math.comb(out + t - 1, t - 1) * math.comb(square + t - 1, t - 1)
+                     * (1 + max(out, square) * bits // 64))
+            out += square
+        if e > 1:
+            work += math.comb(square + t - 1, t - 1) ** 2 * (1 + square * bits // 64)
+            square *= 2
+        e >>= 1
+    return work
+
 
 class _Env:
     """Execution state: named charts, tensors, distributions, connections."""
@@ -611,6 +647,11 @@ def _eval_expr(node: tuple, chart: Chart) -> TensorField:
         if n > _MAX_POWER_TERMS:
             raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
                                 f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
+        work = _power_work(base, e)
+        if work > _MAX_POWER_WORK:
+            raise GradcalcError(f"power ^{e} of a {t}-term polynomial may take {work} "
+                                f"weighted term products, which exceeds the limit "
+                                f"{_MAX_POWER_WORK}")
         return scalar_field(chart, base ** e)
     raise GradcalcError(f"unknown expression node {op!r}")
 

@@ -23,7 +23,9 @@ These choices make the top lift X^(r) of a vector field the complete
 (flow) lift and X^(0) the vertical lift.
 
 All lift operations take a LiftContext so repeated lifts share one
-prolonged chart object (charts compare by identity) and its caches.
+prolonged chart object (charts compare by identity) and its caches:
+monomial jets, level tuples, lifted index patterns and the coefficient
+jets of the last tensor lifted (see LiftContext).
 """
 
 from __future__ import annotations
@@ -47,19 +49,32 @@ class LiftContext:
     """Prolongation bookkeeping: base chart, order r, prolonged chart.
 
     Jets are computed in R[t]/(t^(r+1)) with coefficients on the prolonged
-    chart.  The context has one jet cache, keyed by monomial: the jet of
-    each monomial it has met, with coefficient 1, so a function's jet is
-    the sum of coefficient * cached jet over its terms.  A power x_v^e is
-    the monomial ((v, e),); building one caches the lower powers of x_v,
-    and a product of powers caches its leading factors, so the cache is
-    bounded by the distinct monomials lifted and their factors.  Besides
-    the cache, the context keeps the coefficient jets of the stored
-    components of the last tensor passed to lift_tensor, so lifting one
-    tensor at every lambda in turn lifts each stored coefficient once.
+    chart.  The context keeps four caches, each filled on first use:
+
+    - _jets, keyed by monomial: the jet of each monomial it has met, with
+      coefficient 1, so a function's jet is the sum of coefficient *
+      cached jet over its terms.  A power x_v^e is the monomial ((v, e),);
+      building one caches the lower powers of x_v, and a product of
+      powers caches its leading factors, so the cache is bounded by the
+      distinct monomials lifted and their factors.
+    - _levels, keyed by (slots, s): the level tuples in [0, r]^slots that
+      sum to s, in product order.  Bounded by slots <= q + p of the
+      tensors lifted and s <= slots * r.
+    - _index, keyed by an index pattern (up, down, contra_sym, cov_sym):
+      {s: [(lifted key, sign), ...]}, the canonical lifted keys of that
+      stored key over the level tuples summing to s, with the sign an
+      antisym block picks up (sym duplicates dropped, see _lifted_block).
+      An s is filled only when some lift needs it, i.e. the coefficient
+      jet at lambda - s is nonzero.  Bounded by the distinct stored keys
+      and tags lifted, times slots * r + 1 sums each.
+    - _last: the coefficient jets of the stored components of the last
+      tensor passed to lift_tensor, so lifting one tensor at every lambda
+      in turn lifts each stored coefficient once.  One entry.
+
     The name _t stays reserved for the lift parameter.
     """
 
-    __slots__ = ("base", "r", "total", "_jets", "_last")
+    __slots__ = ("base", "r", "total", "_jets", "_levels", "_index", "_last")
 
     def __init__(self, base: Chart, r: int):
         if r < 0:
@@ -70,6 +85,8 @@ class LiftContext:
         self.r = r
         self.total = prolong_chart(base, r)
         self._jets = {(): {0: Poly.const(self.total, 1)}}
+        self._levels: dict = {}
+        self._index: dict = {}
         self._last = (None, [])
 
     def var(self, i: int, mu: int) -> int:
@@ -107,6 +124,35 @@ class LiftContext:
             jets[((v, k),)] = _jet_mul(jets[((v, k - 1),)], jets[one], self.r)
         return jets[mono]
 
+    def _level_tuples(self, slots: int, s: int) -> tuple:
+        """The level tuples in [0, r]^slots summing to s, in product order."""
+        levels = self._levels.get((slots, s))
+        if levels is None:
+            levels = self._levels[(slots, s)] = tuple(_level_assignments(slots, self.r, s))
+        return levels
+
+    def _lifted_keys(self, pattern: tuple, s: int) -> list:
+        """[(lifted key, sign), ...] of one index pattern at level sum s.
+
+        Level v on a contravariant slot lifts base index i to level r - v
+        and on a covariant slot index j to level v (self.var(i, mu) is
+        mu * n + i, inlined below); each block is then sorted back to its
+        canonical key by _lifted_block.
+        """
+        up, down, contra_sym, cov_sym = pattern
+        r, n, q = self.r, self.base.dim, len(up)
+        out = []
+        for assign in self._level_tuples(q + len(down), s):
+            su, nup = _lifted_block(tuple((r - v) * n + i for i, v in zip(up, assign)),
+                                    up, contra_sym)
+            if not su:
+                continue
+            sd, ndown = _lifted_block(tuple(k * n + j for j, k in zip(down, assign[q:])),
+                                      down, cov_sym)
+            if sd:
+                out.append(((nup, ndown), su * sd))
+        return out
+
     def __repr__(self) -> str:
         return f"<LiftContext r={self.r} of {self.base!r}>"
 
@@ -125,11 +171,13 @@ def lift_function_jets(f: Poly, ctx: LiftContext) -> list:
     """All lifts f^(0), ..., f^(r): the jet of f in R[t]/(t^(r+1))."""
     if f.chart is not ctx.base:
         raise ChartMismatchError("function does not live on the context's base chart")
-    out: dict = {}
+    levels = [{} for _ in range(ctx.r + 1)]
     for mono, coef in f.terms.items():
         for k, p in ctx._monomial_jet(mono).items():
-            _acc(out, k, p * coef)
-    return [out[k] if k in out else Poly.zero(ctx.total) for k in range(ctx.r + 1)]
+            acc = levels[k]
+            for m, c in p.terms.items():
+                _acc(acc, m, coef * c)
+    return [Poly(ctx.total, terms) for terms in levels]
 
 
 def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:
@@ -139,17 +187,15 @@ def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:
     return lift_function_jets(f, ctx)[lam]
 
 
-def _level_assignments(slots: int, r: int, low: int, high: int):
-    """Tuples in [0, r]^slots whose sum lies in [low, high], in product order."""
+def _level_assignments(slots: int, r: int, s: int):
+    """Tuples in [0, r]^slots summing to s, in product order."""
     if slots == 0:
-        if low <= 0 <= high:
+        if s == 0:
             yield ()
         return
     reach = (slots - 1) * r
-    for v in range(min(r, high) + 1):
-        if low - v > reach:
-            continue
-        for rest in _level_assignments(slots - 1, r, low - v, high - v):
+    for v in range(max(0, s - reach), min(r, s) + 1):
+        for rest in _level_assignments(slots - 1, r, s - v):
             yield (v,) + rest
 
 
@@ -177,11 +223,15 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     """The lambda-lift of an arbitrary (q, p) tensor field.
 
     Distributes lambda over the coefficient and every basis factor of each
-    stored component, then sorts each lifted block back to its canonical
-    key (_lifted_block), so symmetry tags survive and no permutation of a
-    stored key is lifted.  Zero outside 0..r.  The coefficient jets of the
-    last tensor lifted on ctx are reused, so lifting one tensor at every
-    lambda lifts each stored coefficient once.
+    stored component: the coefficient takes level lambda - s and the basis
+    factors the levels of a tuple summing to s.  Each lifted block is
+    sorted back to its canonical key (_lifted_block), so symmetry tags
+    survive and no permutation of a stored key is lifted.  Zero outside
+    0..r.  Two caches of ctx carry the work between calls: _last, the
+    coefficient jets of the last tensor lifted, so lifting one tensor at
+    every lambda lifts each stored coefficient once; and _index, the
+    lifted keys of each (stored key, tags) pattern per level sum s, so a
+    pattern met again, in this tensor or another, is not lifted again.
     """
     if t.chart is not ctx.base:
         raise ChartMismatchError("tensor does not live on the context's base chart")
@@ -189,27 +239,33 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     if lam < 0 or lam > r:
         return TensorField.zero(ctx.total, t.q, t.p, t.contra_sym, t.cov_sym)
     if ctx._last[0] is not t:
-        # by sign, the coefficient jets of each stored component; an antisym
-        # block can flip the sign, so its jets are negated once, not per use
+        # per stored component: its index table, the most levels its basis
+        # factors can take, and its coefficient jets and their negatives; an
+        # antisym block can flip the sign, so the jets are negated once, not per use
         flips = "antisym" in (t.contra_sym, t.cov_sym)
-        signed = []
+        index = ctx._index
+        comps = []
         for (up, down), coef in t.components.items():
+            pattern = (up, down, t.contra_sym, t.cov_sym)
+            table = index.get(pattern)
+            if table is None:
+                table = index[pattern] = {}
             jets = lift_function_jets(coef, ctx)
-            signed.append((up, down, {1: jets, -1: [-c for c in jets] if flips else None}))
-        ctx._last = (t, signed)
-    n = ctx.base.dim    # ctx.var(i, mu) is mu * n + i, inlined below
+            comps.append((pattern, table, (len(up) + len(down)) * r, jets,
+                          [-c for c in jets] if flips else None))
+        ctx._last = (t, comps)
     out: dict = {}
-    for up, down, jets in ctx._last[1]:
-        for assign in _level_assignments(len(up) + len(down), r, lam - r, lam):
-            mu0 = lam - sum(assign)
-            if not jets[1][mu0]:
+    for pattern, table, reach, jets, negs in ctx._last[1]:
+        for s in range(max(0, lam - r), min(lam, reach) + 1):
+            jet = jets[lam - s]
+            if not jet:
                 continue
-            su, nup = _lifted_block(tuple((r - v) * n + i for i, v in zip(up, assign)),
-                                    up, t.contra_sym)
-            sd, ndown = _lifted_block(tuple(k * n + j for j, k in zip(down, assign[t.q:])),
-                                      down, t.cov_sym)
-            if su and sd:
-                _acc(out, (nup, ndown), jets[su * sd][mu0])
+            keys = table.get(s)
+            if keys is None:
+                keys = table[s] = ctx._lifted_keys(pattern, s)
+            neg = negs[lam - s] if negs else None
+            for key, sign in keys:
+                _acc(out, key, jet if sign > 0 else neg)
     return TensorField(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
 
 
@@ -312,7 +368,8 @@ def lift_linear_connection(conn: LinearConnection, ctx: LiftContext) -> LinearCo
 
     The lifted symbol attached to base level a, fibre target level rho and
     fibre source level nu is the (rho - a - nu)-lift of the original
-    symbol (zero when that exponent leaves 0..r).
+    symbol (zero when that exponent leaves 0..r).  The level triples
+    (a, nu, rho - a - nu) are the context's level tuples of sum rho <= r.
     """
     if conn.chart is not ctx.base:
         raise ChartMismatchError("connection does not live on the context's base chart")
@@ -320,9 +377,9 @@ def lift_linear_connection(conn: LinearConnection, ctx: LiftContext) -> LinearCo
     lifted = {}
     for (k, a, b), g in conn.gamma.items():
         jets = lift_function_jets(g, ctx)
-        for lev_k, lev_b, e in _level_assignments(3, r, 0, r):
-            key = (ctx.var(k, lev_k), ctx.var(a, lev_k + lev_b + e), ctx.var(b, lev_b))
-            _acc(lifted, key, jets[e])
+        for rho in range(r + 1):
+            for lev_k, lev_b, e in ctx._level_tuples(3, rho):
+                _acc(lifted, (ctx.var(k, lev_k), ctx.var(a, rho), ctx.var(b, lev_b)), jets[e])
     return LinearConnection(ctx.total, conn.vb_component, lifted)
 
 

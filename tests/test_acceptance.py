@@ -6,7 +6,7 @@ so `pytest -v tests/test_acceptance.py` reads as a pass/fail table.
 Criteria with a stated time budget assert it.
 """
 
-import shutil
+import os
 import subprocess
 import sys
 import time
@@ -14,6 +14,7 @@ import time
 from gradcalc import suite
 
 SEED = 42
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def _run(fn, number, budget_s=None):
@@ -76,14 +77,15 @@ def test_criterion_10_function_lift_oracle():
 
 
 def test_criterion_11_cli_deterministic():
-    exe = shutil.which("gradcalc")
-    cmd = [exe, "check-suite", "--seed", str(SEED), "--format", "json"] \
-        if exe else [sys.executable, "-m", "gradcalc.cli", "check-suite",
-                     "--seed", str(SEED), "--format", "json"]
+    # the checkout's own package, not whatever `gradcalc` is installed
+    cmd = [sys.executable, "-m", "gradcalc.cli", "check-suite",
+           "--seed", str(SEED), "--format", "json"]
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
     outs = []
     for _ in range(2):
         t0 = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, timeout=300)
+        proc = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
         elapsed = time.perf_counter() - t0
         assert proc.returncode == 0, proc.stderr.decode()
         assert elapsed < 300.0

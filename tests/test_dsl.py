@@ -186,6 +186,8 @@ def test_order_bound(line, code, message):
 # The count depends on t and e only, so (x+x^2+x^3+x^4)^40 stands in for
 # (x+y+z+1)^40 (both 12,341) without its four seconds of arithmetic.  A
 # 199-term square may have 19,900 terms and a 200-term square 20,100.
+# A power within the term count is also bounded by the estimated work of
+# its repeated squaring: (x+1)^19999 has 20,000 terms but huge coefficients.
 POWER_BOUND = {
     "four-terms^60": ("fn f on M = (x+y+z+1)^60", 3, "power ^60 of a 4-term "
                       "polynomial may have 39711 terms, which exceeds the limit 20000"),
@@ -197,6 +199,9 @@ POWER_BOUND = {
                     0, None),
     "one-term": ("fn f on M = x^500 - 2*(y*z)^300", 0, None),
     "zero": ("fn f on M = (x - x)^100000", 0, None),
+    "two-terms^19999": ("fn f on M = (x+1)^19999", 3, "power ^19999 of a 2-term "
+                        "polynomial may take 25251803092 weighted term products, "
+                        "which exceeds the limit 50000000"),
 }
 
 

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,6 +33,7 @@ from gradcalc.render import render_tensor
 from gradcalc.sampling import (random_form, random_multivector, random_poly,
                                random_tensor, random_vector_field, random_vv_form)
 from gradcalc.tensor import (
+    TensorField,
     coordinate_one_form,
     coordinate_vector_field,
     scalar_field,
@@ -387,13 +388,55 @@ def test_tensor_jet_reuse_never_goes_stale(seed, r):
             assert lift_table(lift_tensor(t, lam, ctx)) == lift_table(fresh)
 
 
+TAGS = ("none", "sym", "antisym")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(2, 3), st.integers(1, 3),
+       st.sampled_from([(2, 0), (0, 2), (2, 1), (1, 2), (2, 2), (3, 0)]), st.data())
+def test_index_cache_never_leaks_between_tensors(seed, dim, r, valence, data):
+    # tensors on one context share stored keys, among them sym keys with a
+    # repeated index, but differ in tags: the lifted keys of a pattern must
+    # depend on its tags and its level sum, whatever order lambda comes in
+    rng = random.Random(seed)
+    chart = CHARTS[dim]
+    q, p = valence
+    ups = list(combinations_with_replacement(range(dim), q))
+    downs = list(combinations_with_replacement(range(dim), p))
+    keys = rng.sample(list(product(ups, downs)), min(4, len(ups) * len(downs)))
+    coefs = {key: random_poly(rng, chart, max_terms=2, max_degree=2) for key in keys}
+
+    def repeats(block):
+        return len(set(block)) < len(block)
+
+    tensors = []
+    for csym, dsym in data.draw(st.lists(st.tuples(st.sampled_from(TAGS), st.sampled_from(TAGS)),
+                                         min_size=2, max_size=4)):
+        entries = {(up, down): c for (up, down), c in coefs.items()
+                   if not (csym == "antisym" and q >= 2 and repeats(up))
+                   and not (dsym == "antisym" and p >= 2 and repeats(down))}
+        tensors.append(TensorField.from_components(chart, q, p, entries, csym, dsym))
+    steps = data.draw(st.lists(st.tuples(st.integers(0, len(tensors) - 1), st.integers(0, r)),
+                               min_size=1, max_size=12))
+    ctx = LiftContext(chart, r)
+    for i, lam in steps:
+        t = tensors[i]
+        lifted = lift_tensor(t, lam, ctx)
+        fresh = lift_tensor(t, lam, LiftContext(chart, r))
+        assert_canonical(lifted)
+        assert (lifted.contra_sym, lifted.cov_sym) == (fresh.contra_sym, fresh.cov_sym)
+        assert ({k: c.terms for k, c in lifted.components.items()}
+                == {k: c.terms for k, c in fresh.components.items()})
+
+
 def test_level_assignments_match_filtered_product():
     for slots in range(5):
         for r in range(5):
-            for lam in range(-1, r + 2):
-                want = [a for a in product(range(r + 1), repeat=slots)
-                        if lam - r <= sum(a) <= lam]
-                assert list(_level_assignments(slots, r, lam - r, lam)) == want
+            ctx = LiftContext(E1, r)
+            for s in range(-1, slots * r + 2):
+                want = [a for a in product(range(r + 1), repeat=slots) if sum(a) == s]
+                assert list(_level_assignments(slots, r, s)) == want
+                assert list(ctx._level_tuples(slots, s)) == want
 
 
 # -- the per-context monomial-jet cache ------------------------------------------
