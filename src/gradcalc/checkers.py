@@ -28,12 +28,12 @@ from .calculus import (
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import ANY_DEGREE, Poly, _acc, degree_matches, degree_of_function
+from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function
 from .render import render_tensor
 from .sampling import sample_points
 from .tensor import (
-    TensorField, compose_11, degree_of_tensor, identity_tensor,
-    wedge, weight_vector_field,
+    TensorField, compose_11, contract, degree_of_tensor, identity_tensor,
+    tensor_product, wedge_list, weight_vector_field,
 )
 
 __all__ = [
@@ -137,14 +137,8 @@ def is_weighted_tensor(t: TensorField, k: int, component: int = 0) -> CheckRepor
     if chart.degree(component) != k:
         raise GradcalcError(
             f"chart degree in component {component} is {chart.degree(component)}, not k={k}")
-    nabla = weight_vector_field(chart, component)
     want = -(t.q - 1) * k
-    lhs = lie_derivative(nabla, t)
-    rhs = TensorField(chart, t.q, t.p,
-                      {key: c * want for key, c in t.components.items()},
-                      t.contra_sym, t.cov_sym) if want else \
-        TensorField.zero(chart, t.q, t.p, t.contra_sym, t.cov_sym)
-    diff = lhs - rhs
+    diff = lie_derivative(weight_vector_field(chart, component), t) - t * want
     degrees = {"expected": want, "computed": _deg_str(degree_of_tensor(t, component))}
     if diff.is_zero():
         return CheckReport(True, degrees=degrees)
@@ -194,10 +188,7 @@ def is_weighted_nijenhuis(n: TensorField, component: int = 0) -> CheckReport:
 def _square_is(n: TensorField, sign: int) -> CheckReport:
     if (n.q, n.p) != (1, 1):
         raise ValenceError("expected a (1,1) tensor")
-    sq = compose_11(n, n)
-    target = TensorField.zero(n.chart, 1, 1) if sign == 0 else \
-        identity_tensor(n.chart) * sign
-    diff = sq - target
+    diff = compose_11(n, n) - identity_tensor(n.chart) * sign
     if diff.is_zero():
         return CheckReport(True)
     return CheckReport(False, witness=_first_component(diff))
@@ -234,19 +225,11 @@ def is_weighted_pn(lam: TensorField, n: TensorField, k: int,
     if not wn.verdict:
         return CheckReport(False, witness="weighted Nijenhuis fails: " + wn.witness,
                            degrees=wn.degrees)
-    le = lam.expand()
-    ne = n.expand()
+    nl = contract(tensor_product(lam, n), 1, 0)     # lam^{il} n^j_l
     dim = lam.chart.dim
-    nl: dict = {}
-    for ((i, l), _), a in le.items():
-        for ((j,), (l2,)), b in ne.items():
-            if l2 == l:
-                _acc(nl, (i, j), a * b)
     for i in range(dim):
         for j in range(i, dim):
-            left = nl.get((i, j), Poly.zero(lam.chart))
-            right = nl.get((j, i), Poly.zero(lam.chart))
-            if left + right:
+            if nl.component((i, j), ()) + nl.component((j, i), ()):
                 names = lam.chart.names
                 return CheckReport(
                     False,
@@ -423,11 +406,7 @@ def is_weighted_contact(alpha: TensorField, k: int, n: int,
     if d is ANY_DEGREE or d != k:
         return CheckReport(False, witness=f"form degree is {_deg_str(d)}, expected {k}",
                            degrees=degrees)
-    da = exterior_derivative(alpha)
-    top = alpha
-    for _ in range(n):
-        top = wedge(top, da)
-    if top.is_zero():
+    if wedge_list([alpha] + [exterior_derivative(alpha)] * n).is_zero():
         return CheckReport(False, witness="alpha ^^ (d alpha)^n vanishes identically",
                            degrees=degrees)
     return CheckReport(True, degrees=degrees)

@@ -70,7 +70,7 @@ from .checkers import (Distribution, is_almost_complex, is_almost_product,
                        is_weighted_poisson, is_weighted_pn,
                        is_weighted_tensor)
 from .errors import DslError, GradcalcError
-from .lifts import (LiftContext, LinearConnection, covariant_derivative,
+from .lifts import (LiftContext, LinearConnection, _lift_terms, covariant_derivative,
                     lift_distribution, lift_function, lift_linear_connection,
                     lift_tensor, tangent_connection)
 from .oracle import (SamplePlan, evaluate_tensor_at, identity_spot_check,
@@ -583,6 +583,23 @@ def _power_work(base: Poly, e: int) -> int:
     return work
 
 
+# Largest term count the lifts of one script statement may reach, summed
+# over levels 0..r (_check_lift): a lift builds the jets of its
+# coefficients at every level.  Measured on a 2-core machine: lifts of
+# x^3*y^3*z^3 + x*y*z at r=20 (187,086 terms) take 0.6 s, at r=25
+# (794,111) 2.1 s and at r=30 (2,751,282) 7.3 s; lift-connection of
+# G x x y = x^3*y^3 at r=20 (204,380) takes 0.2 s and at r=60
+# (292,206,156) 33 s; oracle lift of the function above at r=5 (175,832
+# terms of its substitution) takes 1.1 s.
+_MAX_LIFT_TERMS = 500_000
+
+
+def _check_lift(r: int, terms: int) -> None:
+    if terms > _MAX_LIFT_TERMS:
+        raise GradcalcError(f"a lift to order r={r} may have {terms} terms, "
+                            f"which exceeds the limit {_MAX_LIFT_TERMS}")
+
+
 class _Env:
     """Execution state: named charts, tensors, distributions, connections."""
 
@@ -740,7 +757,9 @@ def _run_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     if isinstance(x, Distribution):
         if a["lambda"] is not None:
             raise GradcalcError("distributions lift wholesale: drop lambda=")
-        lifted = lift_distribution(x, env.context(x.chart, a["r"]))
+        ctx = env.context(x.chart, a["r"])
+        _check_lift(ctx.r, sum(sum(_lift_terms(g, ctx.r)) for g in x.generators))
+        lifted = lift_distribution(x, ctx)
         env.bind(a["as"], lifted)
         return OutputRecord(st.src, "lift", True,
                             {"generators": [tensor_to_json(g)
@@ -749,6 +768,7 @@ def _run_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     if a["lambda"] is None:
         raise GradcalcError("tensor lifts need lambda=")
     ctx = env.context(x.chart, a["r"])
+    _check_lift(ctx.r, sum(_lift_terms(x, ctx.r)))
     return _tensor_result(st, env, a, lift_tensor(x, a["lambda"], ctx))
 
 
@@ -761,7 +781,9 @@ def _run_prolong(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
 
 def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     conn = a["name"]
-    lifted = lift_linear_connection(conn, env.context(conn.chart, a["r"]))
+    ctx = env.context(conn.chart, a["r"])
+    _check_lift(ctx.r, sum(_lift_terms(conn, ctx.r)))
+    lifted = lift_linear_connection(conn, ctx)
     env.bind(a["as"], lifted)
     return OutputRecord(st.src, "lift-connection", True,
                         {"symbols": len(lifted.gamma)},
@@ -824,6 +846,8 @@ def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
         raise GradcalcError("oracle lift takes a function")
     f = t.scalar_part()
     ctx = env.context(t.chart, a["r"])
+    # the oracle substitutes without truncating: x^a takes C(a+r, a) terms
+    _check_lift(ctx.r, sum(math.prod(math.comb(e + ctx.r, e) for _, e in m) for m in f.terms))
     main = lift_function(f, a["lambda"], ctx)
     other = taylor_lift_oracle(f, a["lambda"], ctx)
     agree = main == other

@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from typing import Mapping
 
+from .calculus import vf_apply
 from .charts import Chart, prolong_chart, tangent_chart, vb_split
+from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .poly import Poly, _acc
 from .tensor import TensorField, _sort_with_parity, weight_vector_field
@@ -187,6 +189,51 @@ def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:
     return lift_function_jets(f, ctx)[lam]
 
 
+def _level_counts(exps: tuple, r: int) -> list:
+    """Terms of a monomial's lifts at levels 0..r (exact).
+
+    The lift of x^a at level s has one term per multiset of a levels in
+    0..r summing to s: a partition of s into at most a parts, since no
+    part of s <= r exceeds r.  These are counted by prod_{i<=a} 1/(1-q^i).
+    Distinct variables lift to distinct prolonged variables and every
+    coefficient is positive, so a monomial multiplies the factors of its
+    exponents.  A basis slot of a tensor takes one level: the factor of
+    a = 1.
+    """
+    counts = [1] + [0] * r
+    for a in exps:
+        for i in range(1, min(a, r) + 1):
+            for s in range(i, r + 1):       # divide by 1 - q^i
+                counts[s] += counts[s - i]
+    return counts
+
+
+def _lift_terms(t, r: int) -> list:
+    """Upper bound on the terms of each lift of t at order r, per level.
+
+    t is a TensorField or a LinearConnection, whose symbols lift like
+    coefficients with two basis slots.  Entry lam bounds the terms of
+    lift_tensor(t, lam), or of the lifted symbols at fibre level lam: the
+    sum over stored components and their monomials of _level_counts, with
+    one slot per basis factor.  It is exact for one monomial and counts no
+    cancellation or sym duplicate.
+    """
+    if isinstance(t, LinearConnection):
+        coefs = [(2, g) for g in t.gamma.values()]
+    else:
+        coefs = [(len(up) + len(down), c) for (up, down), c in t.components.items()]
+    out = [0] * (r + 1)
+    cache: dict = {}
+    for slots, coef in coefs:
+        for mono in coef.terms:
+            exps = tuple(sorted(min(e, r) for _, e in mono)) + (1,) * slots
+            counts = cache.get(exps)
+            if counts is None:
+                counts = cache[exps] = _level_counts(exps, r)
+            out = [a + b for a, b in zip(out, counts)]
+    return out
+
+
 def _level_assignments(slots: int, r: int, s: int):
     """Tuples in [0, r]^slots summing to s, in product order."""
     if slots == 0:
@@ -283,7 +330,6 @@ def lift_weight_vector_field(ctx: LiftContext, component: int = 0) -> TensorFiel
 
 def lift_distribution(d, ctx: LiftContext):
     """All lifts of every generator: spans the prolonged distribution."""
-    from .checkers import Distribution
     if d.chart is not ctx.base:
         raise ChartMismatchError("distribution does not live on the context's base chart")
     gens = []
@@ -408,10 +454,7 @@ def covariant_derivative(conn: LinearConnection, x: TensorField, y: TensorField)
     fibre_partner = {f: pos[conn.base[m]] for m, f in enumerate(conn.fibre)}
     out: dict = {}
     for ((a,), _), g in y.components.items():
-        for ((j,), _), xj in x.components.items():
-            d = g.diff(j)
-            if d:
-                _acc(out, ((a,), ()), xj * d)
+        _acc(out, ((a,), ()), vf_apply(x, g))
     for (k, a, b), g in conn.gamma.items():
         xk = x.component((pos[k],), ())
         if not xk:

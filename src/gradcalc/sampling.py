@@ -13,7 +13,7 @@ from itertools import combinations
 from .charts import Chart
 from .errors import GradcalcError
 from .poly import Poly, _acc
-from .tensor import TensorField, scalar_field
+from .tensor import TensorField, _swap, scalar_field
 
 __all__ = [
     "sample_points", "random_fraction", "random_poly",
@@ -83,11 +83,7 @@ def random_vector_field(rng: random.Random, chart: Chart, max_components: int = 
 
 def random_one_form(rng: random.Random, chart: Chart, max_components: int = 2,
                     **poly_opts) -> TensorField:
-    comps = {}
-    for _ in range(rng.randint(1, max_components)):
-        i = rng.randrange(chart.dim)
-        comps[((), (i,))] = random_poly(rng, chart, **poly_opts)
-    return TensorField(chart, 0, 1, {k: v for k, v in comps.items() if v})
+    return _swap(random_vector_field(rng, chart, max_components, **poly_opts))
 
 
 def random_form(rng: random.Random, chart: Chart, degree: int,
@@ -104,13 +100,7 @@ def random_form(rng: random.Random, chart: Chart, degree: int,
 
 def random_multivector(rng: random.Random, chart: Chart, degree: int,
                        max_components: int = 2, **poly_opts) -> TensorField:
-    if degree == 0:
-        return scalar_field(chart, random_poly(rng, chart, **poly_opts))
-    comps = {}
-    for key in _random_keys(rng, chart, degree, max_components, increasing=True):
-        comps[(key, ())] = random_poly(rng, chart, **poly_opts)
-    return TensorField(chart, degree, 0, {k: v for k, v in comps.items() if v},
-                       contra_sym="antisym")
+    return _swap(random_form(rng, chart, degree, max_components, **poly_opts))
 
 
 def random_vv_form(rng: random.Random, chart: Chart, degree: int,

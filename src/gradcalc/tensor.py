@@ -30,7 +30,7 @@ from typing import Iterable, Mapping
 
 from .charts import Chart
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import ANY_DEGREE, Poly, _acc, weight_of_monomial
+from .poly import ANY_DEGREE, Poly, _acc, degree_of_function
 
 __all__ = [
     "TensorField", "tensor_product", "wedge", "wedge_list", "contract",
@@ -225,6 +225,13 @@ class TensorField:
     __rmul__ = __mul__
 
 
+def _swap(t: TensorField) -> TensorField:
+    """The (p, q) tensor with t's two index blocks and their tags exchanged."""
+    return TensorField(t.chart, t.p, t.q,
+                       {(down, up): c for (up, down), c in t.components.items()},
+                       t.cov_sym, t.contra_sym)
+
+
 def _from_expanded(chart: Chart, q: int, p: int, expanded: dict,
                    contra_sym: str = "none", cov_sym: str = "none") -> TensorField:
     """Canonical tensor from an expanded table known to have the symmetry."""
@@ -270,15 +277,9 @@ def vector_field(chart: Chart, entries: Mapping) -> TensorField:
         _acc(comps, ((i,), ()), v)
     return TensorField(chart, 1, 0, comps)
 
+
 def one_form(chart: Chart, entries: Mapping) -> TensorField:
-    comps = {}
-    for i, v in entries.items():
-        if isinstance(i, str):
-            i = chart.index(i)
-        if not isinstance(v, Poly):
-            v = Poly.const(chart, v)
-        _acc(comps, ((), (i,)), v)
-    return TensorField(chart, 0, 1, comps)
+    return _swap(vector_field(chart, entries))
 
 
 def coordinate_vector_field(chart: Chart, var) -> TensorField:
@@ -426,15 +427,7 @@ def insert_form(w: TensorField, t: TensorField) -> TensorField:
     u = w.p
     if u > t.q:
         raise ValenceError(f"cannot insert a {u}-form into a tensor with {t.q} contravariant slots")
-    if u == 0:
-        return t * w.scalar_part()
-    we = w.expand()
-    out: dict = {}
-    for (up, down), coef in t.expand().items():
-        wv = we.get(((), up[:u]))
-        if wv is not None:
-            _acc(out, (up[u:], down), coef * wv)
-    return _from_expanded(t.chart, t.q - u, t.p, out, t.contra_sym, t.cov_sym)
+    return _swap(insert_multivector(_swap(w), _swap(t)))
 
 
 def compose_11(a: TensorField, b: TensorField) -> TensorField:
@@ -464,11 +457,14 @@ def degree_of_tensor(t: TensorField, component: int = 0) -> object:
     ws = chart.weights
     seen = None
     for (up, down), coef in t.components.items():
-        shift = sum(ws[j][component] for j in down) - sum(ws[i][component] for i in up)
-        for m in coef.terms:
-            d = weight_of_monomial(m, chart, component) + shift
-            if seen is None:
-                seen = d
-            elif seen != d:
-                return None
+        d = degree_of_function(coef, component)
+        if d is None:
+            return None
+        if d is ANY_DEGREE:
+            continue
+        d += sum(ws[j][component] for j in down) - sum(ws[i][component] for i in up)
+        if seen is None:
+            seen = d
+        elif seen != d:
+            return None
     return ANY_DEGREE if seen is None else seen

@@ -217,6 +217,49 @@ def test_power_bound(line, code, message):
                                                  "message": message}}
 
 
+LIFT_PRELUDE = """\
+chart M { x:0, y:0, z:0 }
+fn f on M = x^3*y^3*z^3 + x*y*z
+connection C on M { G x x y = x^3*y^3 }
+dist D on M = span(x^3*y^3*z^3*d/dx, d/dy)
+"""
+
+# Every lift of a script is bounded by the terms its lifts at levels 0..r
+# may have (lifts._lift_terms; the Taylor oracle counts its untruncated
+# substitution): (line 5, exit code, message).  Without the bound, r=30
+# took 7 s and lift-connection at r=60 took 33 s; r=100 did not finish.
+LIFT_BOUND = {
+    "lift-30": ("lift f lambda=30 r=30", 3, "a lift to order r=30 may have 2751282 "
+                "terms, which exceeds the limit 500000"),
+    "lift-100": ("lift f lambda=100 r=100", 3, "a lift to order r=100 may have "
+                 "28564784242 terms, which exceeds the limit 500000"),
+    "lift-lambda-0": ("lift f lambda=0 r=30", 3, "a lift to order r=30 may have 2751282 "
+                      "terms, which exceeds the limit 500000"),
+    "connection-60": ("lift-connection C r=60", 3, "a lift to order r=60 may have "
+                      "292206156 terms, which exceeds the limit 500000"),
+    "distribution-30": ("lift D r=30", 3, "a lift to order r=30 may have 12044567 "
+                        "terms, which exceeds the limit 500000"),
+    "oracle-6": ("oracle lift f lambda=6 r=6", 3, "a lift to order r=6 may have 593047 "
+                 "terms, which exceeds the limit 500000"),
+    "lift-10": ("lift f lambda=10 r=10", 0, None),
+    "connection-10": ("lift-connection C r=10", 0, None),
+    "distribution-10": ("lift D r=10", 0, None),
+    "oracle-2": ("oracle lift f lambda=2 r=2", 0, None),
+}
+
+
+@pytest.mark.parametrize("line,code,message", LIFT_BOUND.values(), ids=LIFT_BOUND)
+def test_lift_bound(line, code, message):
+    start = time.perf_counter()
+    records, got = run(LIFT_PRELUDE + line + "\n")
+    assert got == code
+    if message is not None:
+        # rejected before any lifting
+        assert time.perf_counter() - start < 1.0
+        assert records[-1].payload == {"error": {"kind": "semantic", "line": 5,
+                                                 "message": message}}
+
+
 def test_semantic_error_stops_the_run():
     records, code = run("""chart M { x:0 }
 fn f on M = x

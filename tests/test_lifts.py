@@ -490,3 +490,48 @@ def test_seen_monomial_lifts_without_jet_products(monkeypatch):
     # x^2 and x were cached on the way to x^2 * y
     lift_function_jets(Poly.from_terms(chart, [(((0, 2),), 3), (((0, 1),), 1), ((), 4)]), ctx)
     assert calls == []
+
+
+# -- the size estimate that bounds a script's lifts ---------------------------
+
+def terms_of(t: TensorField) -> int:
+    return sum(len(c.terms) for c in t.components.values())
+
+
+def test_lift_terms_spot_values():
+    # the top lift of x^3*y^3*z^3 + x*y*z at r = lambda = 5, 10, 15, 20;
+    # lift_function returns that many terms (checked at every level to r=10)
+    chart = CHARTS[3]
+    x, y, z = (Poly.variable(chart, i) for i in range(3))
+    f = scalar_field(chart, x ** 3 * y ** 3 * z ** 3 + x * y * z)
+    for r, want in ((5, 117), (10, 1527), (15, 10728), (20, 51198)):
+        assert lifts._lift_terms(f, r)[r] == want
+    for r in (5, 10):
+        jets = lift_function_jets(f.scalar_part(), LiftContext(chart, r))
+        assert lifts._lift_terms(f, r) == [len(j.terms) for j in jets]
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_polys(), st.integers(0, 4), st.integers(0, 10 ** 9),
+       st.sampled_from(["form", "multivector", "vv_form", "plain", "sym", "degree3"]))
+def test_lift_terms_bound_every_lift(f, r, seed, kind):
+    chart = f.chart
+    ctx = LiftContext(chart, r)
+    est = lifts._lift_terms(scalar_field(chart, f), r)
+    assert all(len(j.terms) <= e for j, e in zip(lift_function_jets(f, ctx), est))
+    for mono, coef in f.terms.items():
+        # one monomial: no cancellation, so the count is exact
+        one = Poly.from_terms(chart, [(mono, coef)])
+        assert lifts._lift_terms(scalar_field(chart, one), r) == \
+            [len(j.terms) for j in lift_function_jets(one, ctx)]
+    t = random_tensor_of_kind(random.Random(seed), chart, kind) * f
+    est = lifts._lift_terms(t, r)
+    assert all(terms_of(lift_tensor(t, lam, ctx)) <= est[lam] for lam in range(r + 1))
+    # a connection's symbols lift like coefficients with two basis slots;
+    # a lifted symbol's fibre target level is its level rho
+    conn = tangent_connection(chart, {(0, chart.dim - 1, 0): f})
+    cctx = LiftContext(conn.chart, r)
+    per_level = [0] * (r + 1)
+    for (_, a, _), g in lift_linear_connection(conn, cctx).gamma.items():
+        per_level[a // conn.chart.dim] += len(g.terms)
+    assert all(n <= e for n, e in zip(per_level, lifts._lift_terms(conn, r)))

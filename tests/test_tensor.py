@@ -15,13 +15,14 @@ from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
 from gradcalc.lifts import (LiftContext, covariant_derivative, horizontal_fields,
                             lift_distribution, lift_tensor, lift_weight_vector_field,
                             tangent_connection)
-from gradcalc.poly import ANY_DEGREE, Poly
+from gradcalc.poly import ANY_DEGREE, Poly, _acc
 from gradcalc.render import (chart_to_json, poly_to_json, render_poly, render_tensor,
                              tensor_to_json)
 from gradcalc.sampling import (random_form, random_multivector, random_one_form,
                                random_tensor, random_vector_field, random_vv_form)
 from gradcalc.tensor import (
     TensorField,
+    _swap,
     compose_11,
     contract,
     coordinate_one_form,
@@ -497,7 +498,112 @@ def test_public_results_are_canonical(seed, r):
                 *lift_distribution(Distribution(m, (x, y)), ctx).generators]
     for u in (x, a, w, t, untagged, k, sym, sym_power_sum(rng, m, 3, contra=True)):
         results += [lift_tensor(u, lam, ctx) for lam in range(-1, r + 2)]
+    # the block-swapped builders, on a sym block with repeated indices too
+    sym_up = sym_power_sum(rng, m, 2, contra=True)
+    results += [
+        one_form(m, {"z": f, 0: half}), one_form(m, {"x": f, 0: -f}),
+        insert_form(alpha, sym_up), insert_form(w, sym_up), insert_form(sym, sym_up),
+        insert_form(scalar_field(m, f), t), insert_form(w, tensor_product(a, alpha)),
+    ]
     for res in results:
         assert_canonical(res)
         assert_rendered_once(res)
     assert (x - x).is_zero() and (untagged - untagged).is_zero()
+
+
+def insert_form_by_expansion(w: TensorField, t: TensorField) -> TensorField:
+    """insert_form as a loop over expanded tables, as it was written before
+    it became insert_multivector between two block swaps."""
+    if w.p == 0:
+        return t * w.scalar_part()
+    u = w.p
+    we = w.expand()
+    out: dict = {}
+    for (up, down), coef in t.expand().items():
+        wv = we.get(((), up[:u]))
+        if wv is not None:
+            _acc(out, (up[u:], down), coef * wv)
+    return tagged(TensorField(t.chart, t.q - u, t.p, out), t.contra_sym, t.cov_sym)
+
+
+# contravariant operands with every tag: antisym, none, and sym with a
+# repeated index; and covariant arguments of every degree and tag
+INSERT_TARGETS = [
+    lambda rng: random_multivector(rng, E3, 2, **_OPTS),
+    lambda rng: random_tensor(rng, E3, 2, 1, **_OPTS),
+    lambda rng: sym_power_sum(rng, E3, 2, contra=True),
+    lambda rng: sym_power_sum(rng, E3, 3, contra=True),
+    lambda rng: tensor_product(sym_power_sum(rng, E3, 2, contra=True),
+                               random_form(rng, E3, 2, **_OPTS)),
+    lambda rng: random_vv_form(rng, E3, 2, **_OPTS),
+]
+INSERT_ARGS = [
+    lambda rng, u: random_form(rng, E3, u, **_OPTS),
+    lambda rng, u: random_tensor(rng, E3, 0, u, **_OPTS),
+    lambda rng, u: sym_power_sum(rng, E3, u) if u >= 2 else random_one_form(rng, E3, **_OPTS),
+]
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=60, deadline=None)
+def test_insert_form_matches_expanded_loop(seed):
+    rng = random.Random(seed)
+    t = rng.choice(INSERT_TARGETS)(rng)
+    w = rng.choice(INSERT_ARGS)(rng, rng.randint(0, min(2, t.q)))
+    got = insert_form(w, t)
+    assert got == insert_form_by_expansion(w, t)
+    assert (got.contra_sym, got.cov_sym) == (t.contra_sym if t.q - w.p >= 2 else "none",
+                                             t.cov_sym)
+    assert_canonical(got)
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(sorted(EQ_MAKERS)))
+@settings(max_examples=40, deadline=None)
+def test_swap_exchanges_blocks_and_tags(seed, valence):
+    rng = random.Random(seed)
+    t = rng.choice(EQ_MAKERS[valence])(rng)
+    s = _swap(t)
+    assert (s.q, s.p, s.contra_sym, s.cov_sym) == (t.p, t.q, t.cov_sym, t.contra_sym)
+    assert s.expand() == {(down, up): c for (up, down), c in t.expand().items()}
+    back = _swap(s)
+    assert back == t
+    assert (back.components, back.contra_sym, back.cov_sym) == \
+        (t.components, t.contra_sym, t.cov_sym)
+    assert_canonical(s)
+
+
+# renders of the generators, each from a fresh Random(seed), and the next
+# draw of that Random afterwards: a generator that draws differently shows
+RANDOM_DRAWS = {
+    ("vector_field", 5): ("-d/dx - 3*z*d/dy", 601820),
+    ("one_form", 5): ("-dx - 3*z*dy", 601820),
+    ("form 0", 5): ("z^2 - z + 3", 488240),
+    ("form 2", 5): ("(-3*z^2 + 2*x + 3*z)*dx ^^ dy - 3*dx ^^ dz + (x + 1)*dy ^^ dz", 261442),
+    ("multivector 0", 5): ("z^2 - z + 3", 488240),
+    ("multivector 2", 5): ("(-3*z^2 + 2*x + 3*z)*d/dx ^^ d/dy - 3*d/dx ^^ d/dz"
+                           " + (x + 1)*d/dy ^^ d/dz", 261442),
+    ("vector_field", 1729): ("(2*x*y - 2)*d/dx + (-3*y*z - 2*y + 3)*d/dy"
+                             " + (3*z^2 - y)*d/dz", 430543),
+    ("one_form", 1729): ("(2*x*y - 2)*dx + (-3*y*z - 2*y + 3)*dy + (3*z^2 - y)*dz", 430543),
+    ("form 0", 1729): ("2*x - 1", 910170),
+    ("form 2", 1729): ("(-2*y^2 + 3)*dx ^^ dy + (2*x*y - 2)*dx ^^ dz"
+                       " + (x*y + 3*z^2 - y)*dy ^^ dz", 430543),
+    ("multivector 0", 1729): ("2*x - 1", 910170),
+    ("multivector 2", 1729): ("(-2*y^2 + 3)*d/dx ^^ d/dy + (2*x*y - 2)*d/dx ^^ d/dz"
+                              " + (x*y + 3*z^2 - y)*d/dy ^^ d/dz", 430543),
+}
+DRAW_MAKERS = {
+    "vector_field": lambda rng: random_vector_field(rng, E3, max_components=3),
+    "one_form": lambda rng: random_one_form(rng, E3, max_components=3),
+    "form 0": lambda rng: random_form(rng, E3, 0),
+    "form 2": lambda rng: random_form(rng, E3, 2, max_components=3),
+    "multivector 0": lambda rng: random_multivector(rng, E3, 0),
+    "multivector 2": lambda rng: random_multivector(rng, E3, 2, max_components=3),
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(RANDOM_DRAWS))
+def test_random_generator_draws_frozen(name, seed):
+    rng = random.Random(seed)
+    text = render_tensor(DRAW_MAKERS[name](rng))
+    assert (text, rng.randrange(10 ** 6)) == RANDOM_DRAWS[(name, seed)]
