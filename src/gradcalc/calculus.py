@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from .errors import ChartMismatchError, ValenceError
 from .poly import Poly, _acc
-from .tensor import TensorField, _from_expanded, _sort_with_parity, scalar_field
+from .tensor import TensorField, _from_expanded, _sort_with_parity
 
 __all__ = [
     "exterior_derivative", "lie_bracket", "lie_derivative",
@@ -107,12 +107,10 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
         for ((k,), _), yk in y.components.items():
             d = yk.diff(j)
             if d:
-                _acc(out, ((k,), ()), xj * d)
-    for ((j,), _), yj in y.components.items():
-        for ((k,), _), xk in x.components.items():
-            d = xk.diff(j)
+                _acc(out, ((k,), ()), xj * d)        # X^j d_j Y^k
+            d = xj.diff(k)
             if d:
-                _acc(out, ((k,), ()), -(yj * d))
+                _acc(out, ((j,), ()), -(yk * d))     # - Y^k d_k X^j
     return TensorField(x.chart, 1, 0, out)
 
 
@@ -139,8 +137,6 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
         raise ChartMismatchError("tensors live on different charts")
     if (x.q, x.p) != (1, 0):
         raise ValenceError("first argument must be a vector field")
-    if t.q == 0 and t.p == 0:
-        return scalar_field(t.chart, vf_apply(x, t.scalar_part()))
     xc = {i: c for ((i,), _), c in x.components.items()}
     out: dict = {}
     for (up, down), coef in t.expand().items():
@@ -149,23 +145,16 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
             if d:
                 _acc(out, (up, down), xj * d)
         # each derivative-of-X term lands on a key with one index replaced
-        for a in range(len(up)):
-            l = up[a]
+        for a, l in enumerate(up):
             for i, xi in xc.items():
                 d = xi.diff(l)
                 if d:
-                    nk = (up[:a] + (i,) + up[a + 1:], down)
-                    _acc(out, nk, -(coef * d))
-        for b in range(len(down)):
-            s = down[b]
+                    _acc(out, (up[:a] + (i,) + up[a + 1:], down), -(coef * d))
+        for b, s in enumerate(down):
             xs = xc.get(s)
-            if xs is None:
-                continue
-            for j in sorted(xs.variables_used()):
-                d = xs.diff(j)
-                if d:
-                    nk = (up, down[:b] + (j,) + down[b + 1:])
-                    _acc(out, nk, coef * d)
+            if xs is not None:
+                for j in xs.variables_used():
+                    _acc(out, (up, down[:b] + (j,) + down[b + 1:]), coef * xs.diff(j))
     return _from_expanded(t.chart, t.q, t.p, out, t.contra_sym, t.cov_sym)
 
 
@@ -284,40 +273,21 @@ def concomitant(lam: TensorField, n: TensorField) -> TensorField:
         raise ValenceError("first argument must be a bivector")
     if (n.q, n.p) != (1, 1):
         raise ValenceError("second argument must be a (1,1) tensor")
-    chart = lam.chart
-    le = lam.expand()
-    ne = n.expand()
     out: dict = {}
-    dim = chart.dim
-    for ((l, j), _), a in le.items():
-        for ((i,), (s,)), b in ne.items():
-            d = b.diff(l)
-            if d:
-                _acc(out, ((i, j), (s,)), a * d)          # L^{lj} d_l N^i_s
-    for ((i, l), _), a in le.items():
-        for ((j,), (s,)), b in ne.items():
-            d = b.diff(l)
-            if d:
-                _acc(out, ((i, j), (s,)), a * d)          # L^{il} d_l N^j_s
-    for ((i, j), _), a in le.items():
-        for ((l,), (s,)), b in ne.items():
-            d = a.diff(l)
-            if d:
-                _acc(out, ((i, j), (s,)), -(b * d))       # - N^l_s d_l L^{ij}
-    for ((i, l), _), a in le.items():
-        for ((j,), (l2,)), b in ne.items():
-            if l2 != l:
-                continue
-            for s in range(dim):
-                d = a.diff(s)
-                if d:
-                    _acc(out, ((i, j), (s,)), b * d)      # N^j_l d_s L^{il}
-    for ((l, j), _), a in le.items():
-        for ((i,), (l2,)), b in ne.items():
-            if l2 != l:
-                continue
-            for s in range(dim):
-                d = b.diff(s)
-                if d:
-                    _acc(out, ((i, j), (s,)), -(a * d))   # - L^{lj} d_s N^i_l
-    return TensorField(chart, 2, 1, out)
+    ns = [(i, s, b, b.variables_used()) for ((i,), (s,)), b in n.components.items()]
+    for ((u, v), _), a in lam.expand().items():
+        a_vars = a.variables_used()
+        for i, s, b, b_vars in ns:
+            if u in b_vars:
+                _acc(out, ((i, v), (s,)), a * b.diff(u))          # L^{lj} d_l N^i_s
+            if v in b_vars:
+                _acc(out, ((u, i), (s,)), a * b.diff(v))          # L^{il} d_l N^j_s
+            if i in a_vars:
+                _acc(out, ((u, v), (s,)), -(b * a.diff(i)))       # - N^l_s d_l L^{ij}
+            if s == v:
+                for w in a_vars:
+                    _acc(out, ((u, i), (w,)), b * a.diff(w))      # N^j_l d_s L^{il}
+            if s == u:
+                for w in b_vars:
+                    _acc(out, ((i, v), (w,)), -(a * b.diff(w)))   # - L^{lj} d_s N^i_l
+    return TensorField(lam.chart, 2, 1, out)

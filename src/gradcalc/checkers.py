@@ -29,7 +29,6 @@ from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function
-from .render import render_tensor
 from .sampling import sample_points
 from .tensor import (
     TensorField, compose_11, contract, degree_of_tensor, identity_tensor,
@@ -314,7 +313,6 @@ def rational_rank(rows: list) -> int:
         return 0
     ncols = len(m[0])
     rank = 0
-    col = 0
     for col in range(ncols):
         pivot = None
         for r in range(rank, len(m)):

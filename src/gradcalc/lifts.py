@@ -56,9 +56,10 @@ class LiftContext:
     - _jets, keyed by monomial: the jet of each monomial it has met, with
       coefficient 1, so a function's jet is the sum of coefficient *
       cached jet over its terms.  A power x_v^e is the monomial ((v, e),);
-      building one caches the lower powers of x_v, and a product of
-      powers caches its leading factors, so the cache is bounded by the
-      distinct monomials lifted and their factors.
+      building one caches the powers of its halving chain (at most
+      2 * e.bit_length() of them), and a product of powers caches its
+      leading factors, so the cache is bounded by the distinct monomials
+      lifted and their factors.
     - _levels, keyed by (slots, s): the level tuples in [0, r]^slots that
       sum to s, in product order.  Bounded by slots <= q + p of the
       tensors lifted and s <= slots * r.
@@ -101,9 +102,10 @@ class LiftContext:
         """Sparse jet {level: Poly} of one monomial, built once per monomial.
 
         A product of powers is its leading factors' jet times the jet of
-        its last power; a power x_v^e is built by repeated multiplication
-        from the highest cached power of x_v, so every lower power is
-        cached on the way and large exponents do not recurse.
+        its last power.  A power x_v^e with e > 1 is jet(x_v^(e - e//2)) *
+        jet(x_v^(e//2)); the exponents of that halving chain are built in
+        increasing order, so large exponents take O(log e) products and
+        do not recurse.
         """
         jets = self._jets
         jet = jets.get(mono)
@@ -115,15 +117,20 @@ class LiftContext:
             jets[mono] = jet
             return jet
         (v, e), = mono
-        one = ((v, 1),)
-        if one not in jets:
-            jets[one] = {mu: Poly.variable(self.total, self.var(v, mu))
-                         for mu in range(self.r + 1)}
-        k = e
-        while ((v, k),) not in jets:
-            k -= 1
-        for k in range(k + 1, e + 1):
-            jets[((v, k),)] = _jet_mul(jets[((v, k - 1),)], jets[one], self.r)
+        need, todo = set(), [e]
+        while todo:
+            k = todo.pop()
+            if k not in need and ((v, k),) not in jets:
+                need.add(k)
+                if k > 1:
+                    todo += (k - k // 2, k // 2)
+        for k in sorted(need):
+            if k == 1:
+                jets[((v, 1),)] = {mu: Poly.variable(self.total, self.var(v, mu))
+                                   for mu in range(self.r + 1)}
+            else:
+                jets[((v, k),)] = _jet_mul(jets[((v, k - k // 2),)],
+                                           jets[((v, k // 2),)], self.r)
         return jets[mono]
 
     def _level_tuples(self, slots: int, s: int) -> tuple:

@@ -316,15 +316,11 @@ def weight_vector_field(chart: Chart, component: int = 0) -> TensorField:
 def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     """Tensor product; contravariant slots of a then b, likewise covariant.
 
-    A scalar factor just scales the other operand.  A block coming from a
-    single operand keeps that operand's symmetry tag.
+    A block coming from a single operand keeps that operand's symmetry
+    tag, so a scalar factor just scales the other operand.
     """
     if a.chart is not b.chart:
         raise ChartMismatchError("tensors live on different charts")
-    if a.q == 0 and a.p == 0:
-        return b * a.scalar_part()
-    if b.q == 0 and b.p == 0:
-        return a * b.scalar_part()
     cs = a.contra_sym if b.q == 0 else (b.contra_sym if a.q == 0 else "none")
     ps = a.cov_sym if b.p == 0 else (b.cov_sym if a.p == 0 else "none")
     out: dict = {}
@@ -407,8 +403,6 @@ def insert_multivector(x: TensorField, t: TensorField) -> TensorField:
     l = x.q
     if l > t.p:
         raise ValenceError(f"cannot insert a {l}-vector into a tensor with {t.p} covariant slots")
-    if l == 0:
-        return t * x.scalar_part()
     xe = x.expand()
     out: dict = {}
     for (up, down), coef in t.expand().items():

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcalc.calculus import (
     concomitant,
@@ -18,7 +20,7 @@ from gradcalc.calculus import (
 )
 from gradcalc.charts import make_chart
 from gradcalc.errors import ValenceError
-from gradcalc.poly import Poly
+from gradcalc.poly import Poly, _acc
 from gradcalc.render import render_tensor
 from gradcalc.sampling import (
     random_form,
@@ -381,3 +383,93 @@ def test_brackets_take_no_derivative_of_a_dropped_term(monkeypatch):
     assert schouten_bracket(lam, lam).is_zero()
     assert fn_bracket(n, n).is_zero()
     assert taken == []
+
+
+# -- reference loops ----------------------------------------------------------
+# concomitant and lie_bracket as they were written before each became one
+# pass: one double loop per term of the formula over expanded tables, with
+# every coefficient differentiated in every variable
+
+def concomitant_by_terms(lam, n):
+    le, ne, dim = lam.expand(), n.expand(), lam.chart.dim
+    out: dict = {}
+    for ((l, j), _), a in le.items():
+        for ((i,), (s,)), b in ne.items():
+            d = b.diff(l)
+            if d:
+                _acc(out, ((i, j), (s,)), a * d)          # L^{lj} d_l N^i_s
+    for ((i, l), _), a in le.items():
+        for ((j,), (s,)), b in ne.items():
+            d = b.diff(l)
+            if d:
+                _acc(out, ((i, j), (s,)), a * d)          # L^{il} d_l N^j_s
+    for ((i, j), _), a in le.items():
+        for ((l,), (s,)), b in ne.items():
+            d = a.diff(l)
+            if d:
+                _acc(out, ((i, j), (s,)), -(b * d))       # - N^l_s d_l L^{ij}
+    for ((i, l), _), a in le.items():
+        for ((j,), (l2,)), b in ne.items():
+            if l2 == l:
+                for s in range(dim):
+                    d = a.diff(s)
+                    if d:
+                        _acc(out, ((i, j), (s,)), b * d)  # N^j_l d_s L^{il}
+    for ((l, j), _), a in le.items():
+        for ((i,), (l2,)), b in ne.items():
+            if l2 == l:
+                for s in range(dim):
+                    d = b.diff(s)
+                    if d:
+                        _acc(out, ((i, j), (s,)), -(a * d))  # - L^{lj} d_s N^i_l
+    return TensorField(lam.chart, 2, 1, out)
+
+
+def lie_bracket_by_loops(x, y):
+    out: dict = {}
+    for ((j,), _), xj in x.components.items():
+        for ((k,), _), yk in y.components.items():
+            d = yk.diff(j)
+            if d:
+                _acc(out, ((k,), ()), xj * d)
+    for ((j,), _), yj in y.components.items():
+        for ((k,), _), xk in x.components.items():
+            d = xk.diff(j)
+            if d:
+                _acc(out, ((k,), ()), -(yj * d))
+    return TensorField(x.chart, 1, 0, out)
+
+
+CHARTS = [make_chart("xyzw"[:dim], [0] * dim) for dim in range(1, 5)]
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(CHARTS), st.booleans(),
+       st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_one_pass_formulas_match_reference_loops(seed, chart, antisym, size):
+    # untagged bivectors and (1,1) tensors repeat indices, as (x, x) or N^y_y
+    rng = random.Random(seed)
+    opts = dict(max_components=size, max_terms=3, max_degree=3)
+    if antisym:
+        lam = random_multivector(rng, chart, 2, **opts)
+    else:
+        lam = random_tensor(rng, chart, 2, 0, **opts)
+    n = random_tensor(rng, chart, 1, 1, **opts)
+    c = concomitant(lam, n)
+    assert c == concomitant_by_terms(lam, n)
+    assert all(coef for coef in c.components.values())
+    x, y = (random_vector_field(rng, chart, **opts) for _ in range(2))
+    assert lie_bracket(x, y) == lie_bracket_by_loops(x, y)
+    assert lie_bracket(x, x).is_zero()
+
+
+def test_concomitant_term_keys():
+    # single-component operands on every index pair of N, so each term of
+    # the formula is checked on its own key and guard, not only in sums
+    x, y, z = (Poly.variable(E3, i) for i in range(3))
+    for up, coef in [((0, 1), z), ((0, 2), y), ((1, 0), x), ((2, 2), x * y)]:
+        lam = TensorField.from_components(E3, 2, 0, {(up, ()): coef})
+        for i, s in itertools.product(range(3), repeat=2):
+            for b in (x, y * z, Poly.const(E3, 1)):
+                n = TensorField.from_components(E3, 1, 1, {((i,), (s,)): b})
+                assert concomitant(lam, n) == concomitant_by_terms(lam, n)

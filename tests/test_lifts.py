@@ -492,6 +492,32 @@ def test_seen_monomial_lifts_without_jet_products(monkeypatch):
     assert calls == []
 
 
+def test_power_jet_takes_logarithmically_many_products(monkeypatch):
+    calls = []
+    jet_mul = lifts._jet_mul
+    monkeypatch.setattr(lifts, "_jet_mul", lambda a, b, r: calls.append(r) or jet_mul(a, b, r))
+    chart = CHARTS[1]
+    e = 10 ** 6
+    jets = lift_function_jets(Poly.from_terms(chart, [(((0, e),), 1)]), LiftContext(chart, 1))
+    assert len(calls) <= 2 * e.bit_length()
+    x0, x1 = (Poly.variable(jets[0].chart, i) for i in range(2))
+    assert jets == [x0 ** e, x0 ** (e - 1) * x1 * e]
+
+
+@pytest.mark.parametrize("r", range(5))
+def test_power_jets_match_repeated_products(r):
+    # every power up to 12, met in an order that leaves gaps in the cache
+    chart = CHARTS[2]
+    ctx = LiftContext(chart, r)
+    for e in (7, 12, 1, 5, 2, 11, 3, 10, 4, 9, 6, 8):
+        for v in range(2):
+            x = {mu: Poly.variable(ctx.total, ctx.var(v, mu)) for mu in range(r + 1)}
+            want = x
+            for _ in range(e - 1):
+                want = lifts._jet_mul(want, x, r)
+            assert ctx._monomial_jet(((v, e),)) == want
+
+
 # -- the size estimate that bounds a script's lifts ---------------------------
 
 def terms_of(t: TensorField) -> int:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcalc.calculus import (exterior_derivative, fn_bracket, lie_bracket,
-                               lie_derivative, nr_bracket, schouten_bracket)
+                               lie_derivative, nr_bracket, schouten_bracket, vf_apply)
 from gradcalc.charts import make_chart
 from gradcalc.checkers import Distribution
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
@@ -19,7 +19,8 @@ from gradcalc.poly import ANY_DEGREE, Poly, _acc
 from gradcalc.render import (chart_to_json, poly_to_json, render_poly, render_tensor,
                              tensor_to_json)
 from gradcalc.sampling import (random_form, random_multivector, random_one_form,
-                               random_tensor, random_vector_field, random_vv_form)
+                               random_poly, random_tensor, random_vector_field,
+                               random_vv_form)
 from gradcalc.tensor import (
     TensorField,
     _swap,
@@ -505,10 +506,35 @@ def test_public_results_are_canonical(seed, r):
         insert_form(alpha, sym_up), insert_form(w, sym_up), insert_form(sym, sym_up),
         insert_form(scalar_field(m, f), t), insert_form(w, tensor_product(a, alpha)),
     ]
+    # scalar operands take the general paths of these operations
+    s = scalar_field(m, f)
+    results += [
+        tensor_product(s, w), tensor_product(sym_up, s), tensor_product(s, s),
+        tensor_product(s * 0, a), insert_multivector(s, sym), insert_multivector(s, t),
+        lie_derivative(x, s), lie_derivative(x, scalar_field(m, half)),
+    ]
     for res in results:
         assert_canonical(res)
         assert_rendered_once(res)
     assert (x - x).is_zero() and (untagged - untagged).is_zero()
+
+
+@given(st.integers(0, 10 ** 9))
+@settings(max_examples=30, deadline=None)
+def test_scalar_operands_scale(seed):
+    # a scalar factor scales the other operand and keeps its tags
+    rng = random.Random(seed)
+    f = random_poly(rng, E3, **_OPTS)
+    x = random_vector_field(rng, E3, **_OPTS)
+    for g in (f, f * 0, Poly.const(E3, Fraction(-1, 2))):
+        s = scalar_field(E3, g)
+        for t in (random_form(rng, E3, 2, **_OPTS), random_multivector(rng, E3, 3, **_OPTS),
+                  sym_power_sum(rng, E3, 2), random_tensor(rng, E3, 1, 2, **_OPTS), s):
+            for res in (tensor_product(s, t), tensor_product(t, s),
+                        insert_multivector(s, t)):
+                assert res == t * g
+                assert (res.contra_sym, res.cov_sym) == (t.contra_sym, t.cov_sym)
+        assert lie_derivative(x, s) == scalar_field(E3, vf_apply(x, g))
 
 
 def insert_form_by_expansion(w: TensorField, t: TensorField) -> TensorField:
