@@ -17,6 +17,7 @@ to a bivector; vanishing compatibility concomitant) are checked exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -306,14 +307,35 @@ def _bundle_map(t: TensorField, sharp: bool, k: int | None, component: int) -> B
 
 # -- exact rational linear algebra -------------------------------------------
 
+def _integer_row(row) -> list:
+    """A rational row times the LCM of its denominators: same span, int entries."""
+    row = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
+    lcm = 1
+    for a in row:
+        if type(a) is not int:
+            lcm = math.lcm(lcm, a.denominator)
+    return [a * lcm if type(a) is int else a.numerator * (lcm // a.denominator)
+            for a in row]
+
+
 def rational_rank(rows: list) -> int:
-    """Rank of a matrix of Fractions by Gaussian elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
+    """Rank of a matrix of rationals (int, Fraction, or what Fraction()
+    accepts) by fraction-free elimination.
+
+    Each row is scaled to integers by the LCM of its denominators, which
+    keeps the rank.  Bareiss elimination (Math. Comp. 22, 1968) then keeps
+    every entry an integer: after a pivot p, each row below becomes
+    (p * row - a * pivot row) // previous pivot, a division that is exact
+    because every entry is a minor of the integer matrix.  A column with
+    no nonzero entry at or below the current row is skipped; a pivot row
+    found lower down is swapped up first.
+    """
+    m = [_integer_row(r) for r in rows]
     if not m:
         return 0
-    ncols = len(m[0])
     rank = 0
-    for col in range(ncols):
+    prev = 1
+    for col in range(len(m[0])):
         pivot = None
         for r in range(rank, len(m)):
             if m[r][col]:
@@ -322,11 +344,12 @@ def rational_rank(rows: list) -> int:
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, len(m)):
+            a = m[r][col]
+            m[r] = [(p * x - a * y) // prev for x, y in zip(m[r], top)]
+        prev = p
         rank += 1
         if rank == len(m):
             break
@@ -337,7 +360,7 @@ def rational_rank(rows: list) -> int:
 
 def _row(x: TensorField, point: dict) -> list:
     """Values of a vector field's components at one rational point."""
-    row = [Fraction(0)] * x.chart.dim
+    row = [0] * x.chart.dim
     for ((i,), _), c in x.components.items():
         row[i] = c.evaluate(point)
     return row
@@ -355,13 +378,19 @@ def _point_str(chart: Chart, pt: dict) -> str:
 def _span_check(d: Distribution, points: list, seed: int, brackets) -> CheckReport:
     """Fail at the first (label, bracket) that raises the generators' rank
     at a sample point.  brackets is lazy: none is formed after a failure.
+    A point's generator rows and their rank are computed once, on first
+    use, and shared by every bracket.
     """
+    base: dict = {}             # point index -> (generator rows, their rank)
     for label, br in brackets:
         if br.is_zero():
             continue
-        for pt in points:
-            rows = [_row(x, pt) for x in d.generators]
-            if rational_rank(rows + [_row(br, pt)]) != rational_rank(rows):
+        for n, pt in enumerate(points):
+            if n not in base:
+                rows = [_row(x, pt) for x in d.generators]
+                base[n] = rows, rational_rank(rows)
+            rows, rank = base[n]
+            if rational_rank(rows + [_row(br, pt)]) != rank:
                 return CheckReport(
                     False, seed=seed,
                     witness=f"{label} leaves the span at {_point_str(d.chart, pt)}")

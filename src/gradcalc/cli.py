@@ -6,7 +6,7 @@
 `run -` reads the script from stdin.  Exit status: 0 clean, 1 a check
 command failed, 2 the script could not be read (missing, or not
 UTF-8) or did not parse (lexical, syntax or name error) or an option
-was invalid (such as --samples below 1), 3 a
+was invalid (such as --samples outside 1..MAX_SAMPLES), 3 a
 well-formed statement failed at runtime.  JSON output is
 deterministic for a given script and seed; the text format adds
 per-statement timings.
@@ -22,6 +22,7 @@ from . import __version__
 from .dsl import execute, parse, records_to_json
 from .errors import DslError
 from .render import dumps, json_document
+from .sampling import MAX_SAMPLES
 from .suite import render_table, run_check_suite, suite_to_json
 
 
@@ -29,6 +30,8 @@ def _sample_count(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    if n > MAX_SAMPLES:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {n}")
     return n
 
 
@@ -49,7 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0,
                      help="seed for sampling checks (default 0)")
     run.add_argument("--samples", type=_sample_count, default=8,
-                     help="sample points per probabilistic check (default 8)")
+                     help="sample points per probabilistic check "
+                          f"(default 8, at most {MAX_SAMPLES})")
 
     suite = sub.add_parser("check-suite", help="run the verification battery")
     suite.add_argument("--format", choices=("text", "json"), default="text")

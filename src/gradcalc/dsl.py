@@ -261,15 +261,20 @@ class _Parser:
                 out.append(entry())
 
     def point(self) -> tuple:
-        """at (var=RAT, ...)"""
+        """at (var=RAT, ...), each var at most once"""
         self.expect_word("at")
-        return self.parenthesized(self.coordinate)
+        seen = set()
 
-    def coordinate(self) -> tuple:
-        """var=RAT"""
-        var = self.expect("ident", "variable").text
-        self.expect("equals")
-        return var, self._rational()
+        def coordinate() -> tuple:
+            t = self.expect("ident", "variable")
+            if t.text in seen:
+                raise DslError(f"coordinate {t.text!r} is given twice", "syntax",
+                               t.line, t.col)
+            seen.add(t.text)
+            self.expect("equals")
+            return t.text, self._rational()
+
+        return self.parenthesized(coordinate)
 
     def weight(self) -> tuple:
         """var:WEIGHT, WEIGHT = INT or (INT, INT, ...)"""

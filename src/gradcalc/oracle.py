@@ -42,6 +42,7 @@ from .checkers import CheckReport
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .lifts import LiftContext
 from .poly import Poly
+from .sampling import check_sample_count
 from .tensor import TensorField
 
 __all__ = [
@@ -52,15 +53,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SamplePlan:
-    """Seeded sampling recipe: how many rational points.  Numerators are
-    drawn from -5..5 (0 becomes 1), denominators from 1..3."""
+    """Seeded sampling recipe: how many rational points (1..MAX_SAMPLES).
+    Numerators are drawn from -5..5 (0 becomes 1), denominators from 1..3."""
 
     seed: int
     count: int = 8
 
     def __post_init__(self):
-        if self.count < 1:
-            raise GradcalcError("sample plan needs at least one point")
+        check_sample_count(self.count)
 
     def points(self, chart: Chart) -> list:
         rng = random.Random(self.seed)
@@ -119,7 +119,7 @@ def evaluate_tensor_at(k: TensorField, point: dict) -> dict:
     for key, v in point.items():
         if isinstance(key, str):
             key = chart.index(key)
-        pt[key] = Fraction(v)
+        pt[key] = v if isinstance(v, (int, Fraction)) else Fraction(v)
     missing = set(range(chart.dim)) - set(pt)
     if missing:
         names = ", ".join(chart.names[i] for i in sorted(missing))

@@ -20,8 +20,9 @@ polynomials never pay for a gcd.  Arithmetic between stored
 coefficients may still leave a whole Fraction (Fraction(1, 2) * 2).
 Equality is unaffected, because Fraction(2) == 2 with equal hashes, and
 so is rendering, because both print as 2.  No coefficient is ever a
-float.  constant_value() and evaluate() return Fraction.  There is no
-division by non-constant polynomials.
+float.  constant_value() and evaluate() return Fraction; evaluate()
+sums in integers over one common denominator and builds only that
+Fraction.  There is no division by non-constant polynomials.
 
 _acc(store, key, value) is the one sparse-sum accumulator: every sparse
 sum of coefficients here and of tensor components elsewhere goes
@@ -31,6 +32,7 @@ independent of the code they check.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -334,20 +336,55 @@ class Poly:
         return out
 
     def evaluate(self, point: Mapping) -> Fraction:
-        """Exact value at a point given as {variable index: Fraction}."""
-        used = self.variables_used()
-        missing = used - set(point.keys())
+        """Exact value at a point given as {variable index: rational}.
+
+        A coordinate may be an int, a Fraction, or anything Fraction()
+        accepts (str, float); only the variables that occur are read.  The
+        sum runs in integers over one common denominator: the LCM of the
+        coefficient denominators times den^top for each variable, top
+        being its largest exponent.  A term's numerator starts as its
+        coefficient times that denominator, and each of its variables
+        trades den^top for num^e * den^(top - e), read from a table built
+        once per variable.  One Fraction is built, for the result.
+        """
+        top: dict = {}
+        for m in self.terms:
+            for v, e in m:
+                if e > top.get(v, 0):
+                    top[v] = e
+        missing = top.keys() - point.keys()
         if missing:
             names = ", ".join(self.chart.names[v] for v in sorted(missing))
             raise GradcalcError(f"evaluation point misses variables: {names}")
-        at = {var: Fraction(point[var]) for var in used}
-        total = Fraction(0)
+        lcm = 1
+        for c in self.terms.values():
+            if type(c) is not int:
+                lcm = math.lcm(lcm, c.denominator)
+        tables = {}
+        full = 1               # product of den^top over the variables
+        for v, t in top.items():
+            x = point[v]
+            if not isinstance(x, (int, Fraction)):
+                x = Fraction(x)
+            num, den = x.numerator, x.denominator
+            table = [1] * (t + 1)          # table[e] = num^e * den^(t - e)
+            for e in range(1, t + 1):
+                table[e] = table[e - 1] * num
+            if den != 1:
+                p = 1
+                for e in range(t - 1, -1, -1):
+                    p *= den
+                    table[e] *= p
+                full *= p
+            tables[v] = table
+        total = 0
         for m, c in self.terms.items():
-            v = c
-            for var, e in m:
-                v *= at[var] ** e
-            total += v
-        return total
+            s = (c * lcm if type(c) is int else c.numerator * (lcm // c.denominator)) * full
+            for v, e in m:
+                table = tables[v]
+                s = s // table[0] * table[e]
+            total += s
+        return Fraction(total, lcm * full)
 
     def reindex(self, target: Chart) -> "Poly":
         """Move onto another chart, matching variables by name."""

@@ -15,11 +15,31 @@ from .errors import GradcalcError
 from .poly import Poly, _acc
 from .tensor import TensorField, _swap, scalar_field
 
+# functions only: perfbench/tracer.py wraps every name listed here
 __all__ = [
     "sample_points", "random_fraction", "random_poly",
     "random_vector_field", "random_one_form", "random_form",
     "random_multivector", "random_vv_form", "random_tensor",
 ]
+
+
+# The most sample points one check may draw.  Every point is built before
+# the first comparison, so a count is paid in full.  `gradcalc run
+# --samples N` on one passing `oracle spotcheck` of two vector fields in
+# two variables (2-core machine; wall time and peak RSS of the process):
+# 10^4 points took 0.15 s, 10^5 0.96 s and 47 MB, 10^6 9.8 s and 330 MB
+# (16.7 s and 332 MB with Fraction arithmetic), and 10^8 did not finish
+# in 20 s.  10^5 keeps one check near a second.
+MAX_SAMPLES = 100_000
+
+
+def check_sample_count(count: int) -> None:
+    """Raise GradcalcError unless 1 <= count <= MAX_SAMPLES (below 1 a
+    sampled check would pass vacuously)."""
+    if count < 1:
+        raise GradcalcError(f"sample count must be at least 1, got {count}")
+    if count > MAX_SAMPLES:
+        raise GradcalcError(f"sample count must be at most {MAX_SAMPLES}, got {count}")
 
 
 def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fraction:
@@ -33,11 +53,9 @@ def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fractio
 def sample_points(chart: Chart, seed: int, count: int = 8) -> list:
     """Random rational points with nonzero integer coordinates in -5..5.
 
-    Raises GradcalcError when count < 1 (a sampled check would pass
-    vacuously).
+    Raises GradcalcError unless 1 <= count <= MAX_SAMPLES.
     """
-    if count < 1:
-        raise GradcalcError(f"sample count must be at least 1, got {count}")
+    check_sample_count(count)
     rng = random.Random(seed)
     pts = []
     for _ in range(count):

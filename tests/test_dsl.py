@@ -22,7 +22,7 @@ from gradcalc.cli import main
 from gradcalc.dsl import execute, parse, records_to_json
 from gradcalc.errors import DslError
 from gradcalc.render import dumps, json_document, render_tensor
-from gradcalc.sampling import random_tensor
+from gradcalc.sampling import MAX_SAMPLES, random_tensor
 from gradcalc.suite import criterion_weight_commute, suite_to_json
 
 CLEAN = """\
@@ -440,6 +440,19 @@ def test_cli_rejects_sample_count_below_one(tmp_path, capsys):
         assert "--samples: must be at least 1" in capsys.readouterr().err
 
 
+def test_cli_rejects_sample_count_above_limit(tmp_path, capsys):
+    # 10^8 points used to be built before the first comparison (no end in 20 s)
+    path = _write(tmp_path, CLEAN)
+    for bad in (str(MAX_SAMPLES + 1), "100000000"):
+        t0 = time.perf_counter()
+        with pytest.raises(SystemExit) as ei:
+            main(["run", path, "--samples", bad])
+        assert time.perf_counter() - t0 < 1
+        assert ei.value.code == 2
+        assert f"--samples: must be at most {MAX_SAMPLES}, got {bad}" in \
+            capsys.readouterr().err
+
+
 def test_cli_missing_file(capsys):
     assert main(["run", "/no/such/file.gc"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -608,6 +621,7 @@ DIAGNOSTICS = [
     ("eval f at (3=1)", "syntax", 12, "expected variable, got '3'"),
     ("eval f at (x=1", "syntax", 15, "unexpected end of line"),
     ("eval f at (x=1) as g", "syntax", 17, "trailing input 'as'"),
+    ("eval f at (x=1, y=2, x=2)", "syntax", 22, "coordinate 'x' is given twice"),
     ("check", "syntax", 6, "unexpected end of line"),
     ("check 3 f", "syntax", 7, "expected check kind, got '3'"),
     ("check bogus f", "syntax", 1, "unknown check kind 'bogus'"),

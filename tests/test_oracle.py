@@ -19,7 +19,8 @@ from gradcalc.oracle import (
     taylor_lift_oracle,
 )
 from gradcalc.poly import Poly
-from gradcalc.sampling import random_multivector, random_one_form, random_poly, random_tensor
+from gradcalc.sampling import (MAX_SAMPLES, random_multivector, random_one_form, random_poly,
+                               random_tensor)
 from gradcalc.tensor import (
     TensorField,
     coordinate_one_form,
@@ -37,6 +38,9 @@ E3 = make_chart(["x", "y", "z"], [0, 0, 0])
 def test_sample_plan():
     with pytest.raises(GradcalcError):
         SamplePlan(seed=0, count=0)
+    assert SamplePlan(seed=0, count=MAX_SAMPLES).count == MAX_SAMPLES
+    with pytest.raises(GradcalcError, match=f"sample count must be at most {MAX_SAMPLES}"):
+        SamplePlan(seed=0, count=MAX_SAMPLES + 1)
     plan = SamplePlan(seed=7, count=5)
     pts = plan.points(E3)
     assert len(pts) == 5

@@ -268,3 +268,70 @@ def test_constant_value_and_evaluate_return_fraction():
     v = (x * 2 + y).evaluate({0: 3, 1: 1, 2: 5})
     assert type(v) is Fraction and v == 7
     assert Poly.const(M, 3).constant_value() == 3
+
+
+# -- integer evaluation against the Fraction loop ------------------------------
+
+def evaluate_by_fractions(p: Poly, point) -> Fraction:
+    """Poly.evaluate as it was: one Fraction operation per step."""
+    used = p.variables_used()
+    missing = used - set(point.keys())
+    if missing:
+        names = ", ".join(p.chart.names[v] for v in sorted(missing))
+        raise GradcalcError(f"evaluation point misses variables: {names}")
+    at = {var: Fraction(point[var]) for var in used}
+    total = Fraction(0)
+    for m, c in p.terms.items():
+        v = c
+        for var, e in m:
+            v *= at[var] ** e
+        total += v
+    return total
+
+
+# A coefficient is an int, a true Fraction or a whole Fraction (as
+# arithmetic can leave one); Poly() takes it as stored, unnormalised.
+eval_coefs = st.one_of(
+    st.integers(-40, 40),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.integers(-9, 9).map(Fraction)).filter(bool)
+eval_polys = st.dictionaries(
+    st.lists(st.integers(0, 6), min_size=3, max_size=3).map(
+        lambda es: tuple((v, e) for v, e in enumerate(es) if e)),
+    eval_coefs, max_size=6).map(lambda terms: Poly(M, terms))
+eval_coords = st.one_of(
+    st.just(0), st.integers(-9, 9), st.integers(-10 ** 6, 10 ** 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=9).map(str),
+    st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False))
+
+
+@given(eval_polys, st.fixed_dictionaries({v: eval_coords for v in range(3)}),
+       st.sets(st.integers(0, 2)))
+@settings(max_examples=300, deadline=None)
+def test_evaluate_matches_fraction_reference(p, point, dropped):
+    v = p.evaluate(point)
+    assert type(v) is Fraction and v == evaluate_by_fractions(p, point)
+    partial = {k: c for k, c in point.items() if k not in dropped}
+    try:
+        want = evaluate_by_fractions(p, partial)
+    except GradcalcError as e:
+        with pytest.raises(GradcalcError) as ei:
+            p.evaluate(partial)
+        assert ei.value.args == e.args
+    else:
+        assert p.evaluate(partial) == want
+
+
+def test_evaluate_spot_values():
+    half = Fraction(1, 2)
+    p = Poly(M, {((0, 3), (1, 1)): Fraction(2, 3), ((2, 2),): -5, (): Fraction(7, 4)})
+    for pt in ({0: half, 1: -3, 2: Fraction(-2, 5)}, {0: "1/2", 1: -3.0, 2: -0.4},
+               {0: 0, 1: 0, 2: 0}):
+        assert p.evaluate(pt) == evaluate_by_fractions(p, pt)
+    assert p.evaluate({0: half, 1: -3, 2: 0}) == Fraction(2, 3) * Fraction(1, 8) * -3 + \
+        Fraction(7, 4)
+    # unused coordinates are not read, whatever their type
+    assert (x * 3).evaluate({0: Fraction(1, 3), 1: object()}) == 1
+    with pytest.raises(GradcalcError, match="evaluation point misses variables: y, z"):
+        (x * y * z).evaluate({0: 1})
