@@ -3,12 +3,15 @@
 Everything here is computed componentwise in one chart with exact
 rational coefficients.  Each bracket is a direct formula over the stored
 components of its arguments, so it is an independent code path and not
-a reduction to another bracket.  A stored (1, k) component is written
-f d_m ox dx^I (key ((m,), I), I increasing), a stored multivector
-component f d_I; every index sequence below is sorted with the sign of
-its permutation, and a sequence with a repeated index gives zero.
-Removing m from position p of J (0-based) is written J - m and costs
-the sign (-1)^p; d_v f is the partial derivative.
+a reduction to another bracket.  Every kernel differentiates a factor
+only in a variable that factor uses (its variables_used(), computed
+once per component), so no derivative taken here is zero.  A stored
+(1, k) component is written f d_m ox dx^I (key ((m,), I), I
+increasing), a stored multivector component f d_I; every index
+sequence below is sorted with the sign of its permutation, and a
+sequence with a repeated index gives zero.  Removing m from position p
+of J (0-based) is written J - m and costs the sign (-1)^p; d_v f is the
+partial derivative.
 
 * d(f dx^I) = sum_v d_v f dx^(v, I), the unnormalized wedge df ^^ dx^I;
 * [X, Y] = X(Y^k) d/dk - Y(X^k) d/dk;
@@ -103,14 +106,14 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
     if (x.q, x.p) != (1, 0) or (y.q, y.p) != (1, 0):
         raise ValenceError("lie_bracket needs two vector fields")
     out: dict = {}
+    ys = [(k, yk, yk.variables_used()) for ((k,), _), yk in y.components.items()]
     for ((j,), _), xj in x.components.items():
-        for ((k,), _), yk in y.components.items():
-            d = yk.diff(j)
-            if d:
-                _acc(out, ((k,), ()), xj * d)        # X^j d_j Y^k
-            d = xj.diff(k)
-            if d:
-                _acc(out, ((j,), ()), -(yk * d))     # - Y^k d_k X^j
+        x_vars = xj.variables_used()
+        for k, yk, y_vars in ys:
+            if j in y_vars:
+                _acc(out, ((k,), ()), xj * yk.diff(j))      # X^j d_j Y^k
+            if k in x_vars:
+                _acc(out, ((j,), ()), -(yk * xj.diff(k)))   # - Y^k d_k X^j
     return TensorField(x.chart, 1, 0, out)
 
 
@@ -119,10 +122,10 @@ def vf_apply(x: TensorField, f: Poly) -> Poly:
     if (x.q, x.p) != (1, 0):
         raise ValenceError("expected a vector field")
     out = Poly.zero(f.chart)
+    f_vars = f.variables_used()
     for ((j,), _), xj in x.components.items():
-        d = f.diff(j)
-        if d:
-            out = out + xj * d
+        if j in f_vars:
+            out = out + xj * f.diff(j)
     return out
 
 
@@ -137,23 +140,22 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
         raise ChartMismatchError("tensors live on different charts")
     if (x.q, x.p) != (1, 0):
         raise ValenceError("first argument must be a vector field")
-    xc = {i: c for ((i,), _), c in x.components.items()}
+    xc = {i: (c, c.variables_used()) for ((i,), _), c in x.components.items()}
     out: dict = {}
     for (up, down), coef in t.expand().items():
-        for j, xj in xc.items():
-            d = coef.diff(j)
-            if d:
-                _acc(out, (up, down), xj * d)
+        coef_vars = coef.variables_used()
+        for j, (xj, _) in xc.items():
+            if j in coef_vars:
+                _acc(out, (up, down), xj * coef.diff(j))
         # each derivative-of-X term lands on a key with one index replaced
         for a, l in enumerate(up):
-            for i, xi in xc.items():
-                d = xi.diff(l)
-                if d:
-                    _acc(out, (up[:a] + (i,) + up[a + 1:], down), -(coef * d))
+            for i, (xi, xi_vars) in xc.items():
+                if l in xi_vars:
+                    _acc(out, (up[:a] + (i,) + up[a + 1:], down), -(coef * xi.diff(l)))
         for b, s in enumerate(down):
-            xs = xc.get(s)
-            if xs is not None:
-                for j in xs.variables_used():
+            if s in xc:
+                xs, xs_vars = xc[s]
+                for j in xs_vars:
                     _acc(out, (up, down[:b] + (j,) + down[b + 1:]), coef * xs.diff(j))
     return _from_expanded(t.chart, t.q, t.p, out, t.contra_sym, t.cov_sym)
 

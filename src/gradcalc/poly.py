@@ -204,10 +204,13 @@ class Poly:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = self.terms, o.terms
+        if type(other) is Poly:
+            self._check(other)
+        else:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
@@ -233,17 +236,26 @@ class Poly:
         return o + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is Poly:
+            self._check(other)
+        elif isinstance(other, (int, Fraction)):
             c = _coef(other)
             if not c:
                 return Poly(self.chart, {})
             return Poly(self.chart, {m: k * c for m, k in self.terms.items()})
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        else:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1:
+            # one term by one term: both coefficients are nonzero
+            (ma, ca), = a.items()
+            (mb, cb), = b.items()
+            return Poly(self.chart, {mono_mul(ma, mb): ca * cb})
         out: dict = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in o.terms.items():
+        for ma, ca in a.items():
+            for mb, cb in b.items():
                 _acc(out, mono_mul(ma, mb), ca * cb)
         return Poly(self.chart, out)
 
@@ -287,15 +299,16 @@ class Poly:
             var = self.chart.index(var)
         out: dict = {}
         for m, c in self.terms.items():
+            # a monomial's variables are sorted: stop at the first v >= var
             for pos, (v, e) in enumerate(m):
-                if v != var:
+                if v < var:
                     continue
-                if e == 1:
-                    nm = m[:pos] + m[pos + 1:]
-                else:
-                    nm = m[:pos] + ((v, e - 1),) + m[pos + 1:]
-                # distinct monomials stay distinct and c * e != 0
-                out[nm] = c * e
+                if v == var:
+                    # distinct monomials stay distinct and c * e != 0
+                    if e == 1:
+                        out[m[:pos] + m[pos + 1:]] = c
+                    else:
+                        out[m[:pos] + ((v, e - 1),) + m[pos + 1:]] = c * e
                 break
         return Poly(self.chart, out)
 

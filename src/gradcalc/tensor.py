@@ -44,7 +44,21 @@ _SYMS = ("none", "sym", "antisym")
 
 
 def _sort_with_parity(idx: tuple) -> tuple:
-    """(sign, sorted tuple); sign 0 when an index repeats."""
+    """(sign, sorted tuple); sign 0 when an index repeats.
+
+    idx is a tuple.  Keys of length < 2 come back as they are with sign
+    1, and a key of length 2 is settled by one comparison: the pair is
+    kept, swapped with sign -1, or has sign 0 when both indices agree.
+    Longer keys are sorted by insertion, flipping the sign per swap.
+    """
+    n = len(idx)
+    if n < 2:
+        return 1, idx
+    if n == 2:
+        a, b = idx
+        if a < b:
+            return 1, idx
+        return (-1, (b, a)) if a > b else (0, idx)
     lst = list(idx)
     sign = 1
     for i in range(1, len(lst)):

@@ -1,5 +1,6 @@
 """Exterior derivative, Lie/Schouten/vv-form brackets, torsion, concomitant."""
 
+import contextlib
 import itertools
 import random
 
@@ -32,6 +33,7 @@ from gradcalc.sampling import (
 )
 from gradcalc.tensor import (
     TensorField,
+    _from_expanded,
     compose_11,
     coordinate_one_form,
     coordinate_vector_field,
@@ -388,7 +390,8 @@ def test_brackets_take_no_derivative_of_a_dropped_term(monkeypatch):
 # -- reference loops ----------------------------------------------------------
 # concomitant and lie_bracket as they were written before each became one
 # pass: one double loop per term of the formula over expanded tables, with
-# every coefficient differentiated in every variable
+# every coefficient differentiated in every variable; lie_derivative as it
+# was before its derivatives were gated on the variables a factor uses
 
 def concomitant_by_terms(lam, n):
     le, ne, dim = lam.expand(), n.expand(), lam.chart.dim
@@ -440,6 +443,27 @@ def lie_bracket_by_loops(x, y):
     return TensorField(x.chart, 1, 0, out)
 
 
+def lie_derivative_by_loops(x, t):
+    xc = {i: c for ((i,), _), c in x.components.items()}
+    out: dict = {}
+    for (up, down), coef in t.expand().items():
+        for j, xj in xc.items():
+            d = coef.diff(j)
+            if d:
+                _acc(out, (up, down), xj * d)
+        for a, l in enumerate(up):
+            for i, xi in xc.items():
+                d = xi.diff(l)
+                if d:
+                    _acc(out, (up[:a] + (i,) + up[a + 1:], down), -(coef * d))
+        for b, s in enumerate(down):
+            xs = xc.get(s)
+            if xs is not None:
+                for j in xs.variables_used():
+                    _acc(out, (up, down[:b] + (j,) + down[b + 1:]), coef * xs.diff(j))
+    return _from_expanded(t.chart, t.q, t.p, out, t.contra_sym, t.cov_sym)
+
+
 CHARTS = [make_chart("xyzw"[:dim], [0] * dim) for dim in range(1, 5)]
 
 
@@ -473,3 +497,99 @@ def test_concomitant_term_keys():
             for b in (x, y * z, Poly.const(E3, 1)):
                 n = TensorField.from_components(E3, 1, 1, {((i,), (s,)): b})
                 assert concomitant(lam, n) == concomitant_by_terms(lam, n)
+
+
+def assert_same_storage(a, b):
+    # equal tags and the same components in the same order, so both render
+    # and serialise to the same bytes
+    assert (a.q, a.p, a.contra_sym, a.cov_sym) == (b.q, b.p, b.contra_sym, b.cov_sym)
+    assert list(a.components.items()) == list(b.components.items())
+    assert [[type(c) for c in f.terms.values()] for f in a.components.values()] == \
+        [[type(c) for c in f.terms.values()] for f in b.components.values()]
+
+
+def _canonical_key(idx, sym):
+    # a drawn index block in the stored form of its tag; None when an
+    # antisym block repeats an index
+    if sym == "none":
+        return idx
+    key = tuple(sorted(idx))
+    if sym == "antisym" and len(set(key)) < len(key):
+        return None
+    return key
+
+
+@st.composite
+def lie_derivative_inputs(draw):
+    """X with 1-4 components and t with either block tagged none, sym or
+    antisym, on dims 1-4; none and sym blocks repeat indices freely."""
+    chart = draw(st.sampled_from(CHARTS))
+    rng = random.Random(draw(st.integers(0, 10 ** 9)))
+
+    def poly():
+        return random_poly(rng, chart, max_terms=3, max_degree=3)
+
+    slots = st.integers(0, chart.dim - 1)
+    x_idx = draw(st.lists(slots, min_size=1, max_size=4, unique=True))
+    x = TensorField.from_components(chart, 1, 0, {((i,), ()): poly() for i in x_idx})
+    q, p = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    syms = st.sampled_from(("none", "sym", "antisym"))
+    contra_sym, cov_sym = draw(syms), draw(syms)
+    comps = {}
+    for _ in range(draw(st.integers(1, 4))):
+        up = _canonical_key(tuple(draw(slots) for _ in range(q)), contra_sym)
+        down = _canonical_key(tuple(draw(slots) for _ in range(p)), cov_sym)
+        if up is not None and down is not None:
+            comps[(up, down)] = poly()
+    return x, TensorField.from_components(chart, q, p, comps, contra_sym, cov_sym)
+
+
+@given(lie_derivative_inputs())
+@settings(max_examples=200, deadline=None)
+def test_lie_derivative_matches_reference_loop(inputs):
+    x, t = inputs
+    assert_same_storage(lie_derivative(x, t), lie_derivative_by_loops(x, t))
+
+
+@contextlib.contextmanager
+def zero_derivatives():
+    """Record every Poly.diff call that returns zero while the block runs."""
+    zeros = []
+    diff = Poly.diff
+
+    def recording(self, var):
+        d = diff(self, var)
+        if not d:
+            zeros.append((self, var))
+        return d
+
+    Poly.diff = recording
+    try:
+        yield zeros
+    finally:
+        Poly.diff = diff
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(CHARTS), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_kernels_take_no_zero_derivative(seed, chart, size):
+    # every kernel differentiates a factor only in a variable it uses
+    rng = random.Random(seed)
+    opts = dict(max_components=size, max_terms=3, max_degree=3)
+    x, y = (random_vector_field(rng, chart, **opts) for _ in range(2))
+    a, b = (random_multivector(rng, chart, rng.randint(1, min(2, chart.dim)), **opts)
+            for _ in range(2))
+    u, v = (random_vv_form(rng, chart, rng.randint(0, min(2, chart.dim)), **opts)
+            for _ in range(2))
+    lam = (random_multivector(rng, chart, 2, **opts) if rng.random() < 0.5
+           else random_tensor(rng, chart, 2, 0, **opts))
+    n = random_tensor(rng, chart, 1, 1, **opts)
+    t = random_tensor(rng, chart, rng.randint(0, 2), rng.randint(0, 2), **opts)
+    w = random_form(rng, chart, rng.randint(0, min(2, chart.dim)), **opts)
+    for kernel, args in [(lie_bracket, (x, y)), (lie_derivative, (x, t)),
+                         (lie_derivative, (x, u)), (schouten_bracket, (a, b)),
+                         (fn_bracket, (u, v)), (concomitant, (lam, n)),
+                         (exterior_derivative, (w,))]:
+        with zero_derivatives() as zeros:
+            kernel(*args)
+        assert zeros == [], kernel.__name__

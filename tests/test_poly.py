@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from gradcalc.charts import make_chart
 from gradcalc.errors import ChartMismatchError, GradcalcError
-from gradcalc.poly import (ANY_DEGREE, Poly, degree_matches,
+from gradcalc.poly import (ANY_DEGREE, Poly, _acc, _coef, degree_matches,
                            degree_of_function, homogeneous_components,
                            mono_mul, mono_total_degree, weight_of_monomial)
+from gradcalc.tensor import scalar_field
 
 M = make_chart(["x", "y", "z"], [1, 2, 0], label="M")
 x, y, z = (Poly.variable(M, i) for i in range(3))
@@ -335,3 +336,91 @@ def test_evaluate_spot_values():
     assert (x * 3).evaluate({0: Fraction(1, 3), 1: object()}) == 1
     with pytest.raises(GradcalcError, match="evaluation point misses variables: y, z"):
         (x * y * z).evaluate({0: 1})
+
+
+# -- products and derivatives against the plain loops ---------------------------
+
+def mul_by_loops(a: Poly, b: Poly) -> Poly:
+    """Poly.__mul__ as one double loop over the terms."""
+    out: dict = {}
+    for ma, ca in a.terms.items():
+        for mb, cb in b.terms.items():
+            _acc(out, mono_mul(ma, mb), ca * cb)
+    return Poly(a.chart, out)
+
+
+def diff_by_loops(p: Poly, var: int) -> Poly:
+    """Poly.diff as a scan of every monomial, storing c * e."""
+    out: dict = {}
+    for m, c in p.terms.items():
+        for pos, (v, e) in enumerate(m):
+            if v == var:
+                nm = m[:pos] + m[pos + 1:] if e == 1 else \
+                    m[:pos] + ((v, e - 1),) + m[pos + 1:]
+                out[nm] = c * e
+    return Poly(p.chart, out)
+
+
+def stored(p: Poly) -> list:
+    """Terms in stored order with each coefficient's type."""
+    return [(m, c, type(c)) for m, c in p.terms.items()]
+
+
+mul_coefs = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    st.integers(-4, 4).map(lambda n: Fraction(2 * n, 2))).filter(bool)
+mul_monos = st.one_of(
+    st.just(()),
+    st.lists(st.integers(0, 3), min_size=3, max_size=3).map(
+        lambda es: tuple((v, e) for v, e in enumerate(es) if e)))
+
+
+def polys_of_size(n: int):
+    return st.dictionaries(mul_monos, mul_coefs, min_size=n, max_size=n).map(
+        lambda terms: Poly(M, terms))
+
+
+# one-term operands against one-term and many-term ones, and no term at all
+mul_shapes = st.sampled_from([(1, 1), (1, 0), (0, 1), (1, 2), (1, 4), (2, 1), (4, 1),
+                              (3, 3)]).flatmap(
+    lambda ab: st.tuples(polys_of_size(ab[0]), polys_of_size(ab[1])))
+
+
+@given(mul_shapes, mul_coefs | st.just(0) | st.just(Fraction(0)))
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_reference_loop(operands, k):
+    a, b = operands
+    assert stored(a * b) == stored(mul_by_loops(a, b))
+    assert stored(b * a) == stored(mul_by_loops(b, a))
+    scaled = {} if not k else {m: c * _coef(k) for m, c in a.terms.items()}
+    assert stored(a * k) == stored(k * a) == stored(Poly(M, scaled))
+    for v in range(M.dim):
+        assert stored(a.diff(v)) == stored(diff_by_loops(a, v))
+
+
+def test_mul_spot_values():
+    one = Poly.const(M, 1)
+    assert (x * y).terms == {((0, 1), (1, 1)): 1}
+    assert (one * x).terms == x.terms and (x * one).terms == x.terms
+    third = Poly.const(M, Fraction(1, 3))
+    assert (third * (x * 3)).terms == {((0, 1),): 1}
+    for zero in (0, Fraction(0), Poly.zero(M)):
+        assert (x * zero).is_zero() and (zero * x).is_zero()
+    # a TensorField operand is left to TensorField.__rmul__
+    f = scalar_field(M, y)
+    assert x.__mul__(f) is NotImplemented
+    assert (x * f).scalar_part() == x * y
+
+
+def test_mul_checks_charts_on_every_path():
+    n = make_chart(["u", "v"], [0, 0], label="N")
+    u = Poly.variable(n, 0)
+    for a, b in [(x, u), (x + 1, u), (x, u + 1), (x + y, u + Poly.const(n, 2))]:
+        for left, right in [(a, b), (b, a)]:
+            with pytest.raises(ChartMismatchError,
+                               match="polynomials live on different charts"):
+                left * right
+            with pytest.raises(ChartMismatchError,
+                               match="polynomials live on different charts"):
+                left + right

@@ -1,5 +1,6 @@
 """Tensor storage, symmetry tags, products, insertions, degrees, rendering."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from gradcalc.sampling import (random_form, random_multivector, random_one_form,
                                random_vv_form)
 from gradcalc.tensor import (
     TensorField,
+    _sort_with_parity,
     _swap,
     compose_11,
     contract,
@@ -633,3 +635,22 @@ def test_random_generator_draws_frozen(name, seed):
     rng = random.Random(seed)
     text = render_tensor(DRAW_MAKERS[name](rng))
     assert (text, rng.randrange(10 ** 6)) == RANDOM_DRAWS[(name, seed)]
+
+
+def sort_by_inversions(idx: tuple) -> tuple:
+    """(sign, sorted key): the sign of a permutation is (-1)^inversions, 0
+    when an index repeats."""
+    if len(set(idx)) < len(idx):
+        return 0, tuple(sorted(idx))
+    inversions = sum(1 for i, j in itertools.combinations(range(len(idx)), 2)
+                     if idx[i] > idx[j])
+    return (-1) ** inversions, tuple(sorted(idx))
+
+
+def test_sort_with_parity_matches_inversion_count():
+    # every key of length 0-5 over indices 0..4, short keys included
+    for n in range(6):
+        for idx in itertools.product(range(5), repeat=n):
+            sign, key = _sort_with_parity(idx)
+            assert (sign, key) == sort_by_inversions(idx), idx
+            assert type(key) is tuple
