@@ -18,7 +18,6 @@ to a bivector; vanishing compatibility concomitant) are checked exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,8 +27,9 @@ from .calculus import (
 )
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
-from .errors import ChartMismatchError, GradcalcError, ValenceError
+from .errors import ChartMismatchError, GradcalcError, ValenceError, _Frozen
 from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function
+from .render import number_str
 from .sampling import sample_points
 from .tensor import (
     TensorField, compose_11, contract, degree_of_tensor, identity_tensor,
@@ -48,22 +48,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(_Frozen):
     """Outcome of a structure check.
 
     A sampled verdict is one that names its seed; probabilistic is true
     exactly then.
     """
 
-    verdict: bool
-    witness: str | None = None
-    degrees: dict | None = None
-    seed: int | None = None
+    __slots__ = ("verdict", "witness", "degrees", "seed")
 
-    def __post_init__(self):
-        if not self.verdict and self.witness is None:
+    def __init__(self, verdict: bool, witness: str | None = None,
+                 degrees: dict | None = None, seed: int | None = None):
+        if not verdict and witness is None:
             raise GradcalcError("failing check must carry a witness")
+        set_ = object.__setattr__
+        set_(self, "verdict", verdict)
+        set_(self, "witness", witness)
+        set_(self, "degrees", degrees)
+        set_(self, "seed", seed)
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -85,37 +87,41 @@ class CheckReport:
         return out
 
 
-@dataclass(frozen=True)
-class Distribution:
+class Distribution(_Frozen):
     """A distribution given by a finite family of generating vector fields."""
 
-    chart: Chart
-    generators: tuple
+    __slots__ = ("chart", "generators")
 
-    def __post_init__(self):
-        for x in self.generators:
-            if x.chart is not self.chart:
+    def __init__(self, chart: Chart, generators: tuple):
+        for x in generators:
+            if x.chart is not chart:
                 raise ChartMismatchError("generator lives on a different chart")
             if (x.q, x.p) != (1, 0):
                 raise ValenceError("generators must be vector fields")
+        object.__setattr__(self, "chart", chart)
+        object.__setattr__(self, "generators", generators)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(_Frozen):
     """Section of a vector-bundle chart, one component per fibre variable.
 
     values maps fibre variable indices to polynomials in base variables;
     missing fibre variables mean zero components.
     """
 
-    chart: Chart
-    vb_component: int
-    values: dict
-    graded_component: int = 0
+    __slots__ = ("chart", "vb_component", "values", "graded_component")
+
+    def __init__(self, chart: Chart, vb_component: int, values: dict,
+                 graded_component: int = 0):
+        set_ = object.__setattr__
+        set_(self, "chart", chart)
+        set_(self, "vb_component", vb_component)
+        set_(self, "values", values)
+        set_(self, "graded_component", graded_component)
 
 
 def _deg_str(d) -> str:
-    return "any" if d is ANY_DEGREE else ("inhomogeneous" if d is None else str(d))
+    return "any" if d is ANY_DEGREE else ("inhomogeneous" if d is None else number_str(d))
 
 
 def _first_component(t: TensorField) -> str:
@@ -244,12 +250,14 @@ def is_weighted_pn(lam: TensorField, n: TensorField, k: int,
 
 # -- bundle maps --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BundleMap:
+class BundleMap(_Frozen):
     """Component matrix of a musical bundle map plus its degree report."""
 
-    matrix: tuple
-    report: CheckReport | None
+    __slots__ = ("matrix", "report")
+
+    def __init__(self, matrix: tuple, report: CheckReport | None):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "report", report)
 
 
 def sharp_map(lam: TensorField, k: int | None = None, component: int = 0) -> BundleMap:

@@ -54,10 +54,9 @@ from __future__ import annotations
 import math
 import re
 import time
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
 
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
                        lie_bracket, lie_derivative, nr_bracket,
@@ -69,31 +68,33 @@ from .checkers import (Distribution, is_almost_complex, is_almost_product,
                        is_weighted_distribution, is_weighted_nijenhuis,
                        is_weighted_poisson, is_weighted_pn,
                        is_weighted_tensor)
-from .errors import DslError, GradcalcError
+from .errors import DslError, GradcalcError, _Frozen, _Record
 from .lifts import (LiftContext, LinearConnection, _lift_terms, covariant_derivative,
                     lift_distribution, lift_function, lift_linear_connection,
                     lift_tensor, tangent_connection)
 from .oracle import (SamplePlan, evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
 from .poly import ANY_DEGREE, Poly, _acc
-from .render import (chart_to_json, json_document, render_poly,
-                     tensor_to_json)
+from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
+                     number_str, render_poly, tensor_to_json)
 from .tensor import (TensorField, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
 
 __all__ = ["parse", "execute", "Script", "OutputRecord"]
 
-_TOKEN_RE = re.compile(r"""
-    (?P<ws>\s+)
-  | (?P<comment>\#.*)
-  | (?P<basisvf>d/d[A-Za-z_][A-Za-z_0-9]*)
+# One match per token, blanks before it included: a comment or the end of
+# the line matches "end", and any other character "bad", at its column.
+_TOKEN_RE = re.compile(r"""\s*(?:
+    (?P<basisvf>d/d[A-Za-z_][A-Za-z_0-9]*)
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<int>[0-9]+)
   | (?P<wedge>\^\^|∧)
   | (?P<op>[{}(),=:+\-*/^])
   | (?P<ox>⊗)
-""", re.VERBOSE)
+  | (?P<end>\#|$)
+  | (?P<bad>)
+)""", re.VERBOSE)
 
 # Binary operators by binding level, loosest first: token kind -> node op.
 _BINARY = ({"plus": "add", "minus": "sub"}, {"ox": "ox"}, {"wedge": "wedge"},
@@ -104,49 +105,57 @@ _OPS = {"{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen",
         "-": "minus", "*": "star", "/": "slash", "^": "caret"}
 
 
-class Token(NamedTuple):
-    kind: str
-    text: str
-    line: int
-    col: int
+Token = namedtuple("Token", "kind text line col")
 
 
 def _lex_line(text: str, line_no: int) -> list:
     out = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", "lexical",
-                           line_no, pos + 1)
+    match = _TOKEN_RE.match
+    new = tuple.__new__
+    m = match(text)
+    kind = m.lastgroup
+    while kind != "end":
+        tok = m[kind]
+        col = m.start(kind) + 1
+        if kind == "op":
+            kind = _OPS[tok]
+        elif kind == "ox" or (kind == "ident" and tok == "ox"):
+            kind, tok = "ox", "ox"
+        elif kind == "bad":
+            raise DslError(f"unexpected character {text[col - 1]!r}", "lexical",
+                           line_no, col)
+        elif kind == "int" and len(tok) > LEAST_DIGIT_LIMIT and 0 < digit_limit() < len(tok):
+            raise DslError(f"an integer of {len(tok)} digits exceeds the limit "
+                           f"{digit_limit()} (sys.get_int_max_str_digits())",
+                           "lexical", line_no, col)
+        out.append(new(Token, (kind, tok, line_no, col)))
+        m = match(text, m.end())
         kind = m.lastgroup
-        tok = m.group()
-        if kind == "comment":
-            break
-        if kind != "ws":
-            if kind == "op":
-                kind = _OPS[tok]
-            elif kind == "ox" or (kind == "ident" and tok == "ox"):
-                kind, tok = "ox", "ox"
-            out.append(Token(kind, tok, line_no, m.start() + 1))
-        pos = m.end()
     return out
 
 
 # -- statement AST -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CmdStmt:
-    op: str
-    form: Form
-    args: dict              # see Form; names as written, not yet looked up
-    line: int
-    src: str
+class CmdStmt(_Frozen):
+    """One parsed statement: args holds the names as written, not yet
+    looked up (see Form)."""
+
+    __slots__ = ("op", "form", "args", "line", "src")
+
+    def __init__(self, op: str, form: Form, args: dict, line: int, src: str):
+        set_ = object.__setattr__
+        set_(self, "op", op)
+        set_(self, "form", form)
+        set_(self, "args", args)
+        set_(self, "line", line)
+        set_(self, "src", src)
 
 
-@dataclass(frozen=True)
-class Script:
-    statements: tuple
+class Script(_Frozen):
+    __slots__ = ("statements",)
+
+    def __init__(self, statements: tuple):
+        object.__setattr__(self, "statements", statements)
 
 
 class _Parser:
@@ -521,14 +530,17 @@ def parse(text: str) -> Script:
 
 # -- execution -----------------------------------------------------------------
 
-@dataclass
-class OutputRecord:
-    stmt: str
-    kind: str
-    ok: bool
-    payload: dict = field(default_factory=dict)
-    text: list = field(default_factory=list)
-    ms: float = 0.0
+class OutputRecord(_Record):
+    __slots__ = ("stmt", "kind", "ok", "payload", "text", "ms")
+
+    def __init__(self, stmt: str, kind: str, ok: bool, payload: dict | None = None,
+                 text: list | None = None, ms: float = 0.0):
+        self.stmt = stmt
+        self.kind = kind
+        self.ok = ok
+        self.payload = {} if payload is None else payload
+        self.text = [] if text is None else text
+        self.ms = ms
 
     @property
     def is_check(self) -> bool:
@@ -802,7 +814,7 @@ def _run_degree(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     elif d is None:
         text = "not homogeneous"
     else:
-        text = f"degree = {d}"
+        text = f"degree = {number_str(d)}"
     return OutputRecord(st.src, "degree", True,
                         {"degree": "any" if d is ANY_DEGREE else d}, [text])
 
@@ -814,13 +826,13 @@ def _run_eval(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     rows = []
     lines = []
     for (up, down) in sorted(values):
-        v = values[(up, down)]
+        v = number_str(values[(up, down)])
         rows.append({"up": [names[i] for i in up],
                      "down": [names[j] for j in down],
-                     "value": str(v)})
+                     "value": v})
         where = ",".join(names[i] for i in up) + ";" + \
             ",".join(names[j] for j in down)
-        lines.append(f"({where}) = {v}" if (up or down) else str(v))
+        lines.append(f"({where}) = {v}" if (up or down) else v)
     if not rows:
         lines = ["0"]
     return OutputRecord(st.src, "eval", True, {"values": rows}, lines)
@@ -898,8 +910,7 @@ def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
 _REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Form:
+class Form(_Frozen):
     """One statement form, a declaration or a command.
 
     args: (key, parse label, object kinds) for each positional name;
@@ -919,22 +930,35 @@ class Form:
     "exprs": each expression of a declaration as (chart indices, expr).
     """
 
-    args: tuple
-    run: Callable
-    params: tuple = ()
-    alias: str | None = None
-    body: Callable = _command_body
-    binds: str | None = None
+    __slots__ = ("args", "run", "params", "alias", "body", "binds")
+
+    def __init__(self, args: tuple, run: Callable, params: tuple = (),
+                 alias: str | None = None, body: Callable = _command_body,
+                 binds: str | None = None):
+        set_ = object.__setattr__
+        set_(self, "args", args)
+        set_(self, "run", run)
+        set_(self, "params", params)
+        set_(self, "alias", alias)
+        set_(self, "body", body)
+        set_(self, "binds", binds)
 
 
-@dataclass(frozen=True)
-class Choice:
-    """A command whose second word (label) selects one of its forms."""
+class Choice(_Frozen):
+    """A command whose second word (label) selects one of its forms.
 
-    label: str
-    noun: str               # in "unknown {noun} 'word'"
-    forms: dict
-    hyphens: bool = False   # the word may be hyphenated
+    noun is the word in "unknown {noun} 'word'"; hyphens says whether the
+    word may be hyphenated.
+    """
+
+    __slots__ = ("label", "noun", "forms", "hyphens")
+
+    def __init__(self, label: str, noun: str, forms: dict, hyphens: bool = False):
+        set_ = object.__setattr__
+        set_(self, "label", label)
+        set_(self, "noun", noun)
+        set_(self, "forms", forms)
+        set_(self, "hyphens", hyphens)
 
 
 def _tensor_op(args: tuple, fn) -> Form:

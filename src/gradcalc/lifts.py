@@ -30,7 +30,7 @@ jets of the last tensor lifted (see LiftContext).
 
 from __future__ import annotations
 
-from typing import Mapping
+from collections.abc import Mapping
 
 from .calculus import vf_apply
 from .charts import Chart, prolong_chart, tangent_chart, vb_split

@@ -33,13 +33,12 @@ identically):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .charts import Chart
 from .checkers import CheckReport
-from .errors import ChartMismatchError, GradcalcError, ValenceError
+from .errors import ChartMismatchError, GradcalcError, ValenceError, _Frozen
 from .lifts import LiftContext
 from .poly import Poly
 from .sampling import check_sample_count
@@ -51,16 +50,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SamplePlan:
+class SamplePlan(_Frozen):
     """Seeded sampling recipe: how many rational points (1..MAX_SAMPLES).
     Numerators are drawn from -5..5 (0 becomes 1), denominators from 1..3."""
 
-    seed: int
-    count: int = 8
+    __slots__ = ("seed", "count")
 
-    def __post_init__(self):
-        check_sample_count(self.count)
+    def __init__(self, seed: int, count: int = 8):
+        check_sample_count(count)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "count", count)
 
     def points(self, chart: Chart) -> list:
         rng = random.Random(self.seed)

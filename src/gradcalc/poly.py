@@ -33,8 +33,8 @@ independent of the code they check.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 from .charts import Chart
 from .errors import ChartMismatchError, GradcalcError
@@ -83,6 +83,10 @@ class _AnyDegree:
 
 
 ANY_DEGREE = _AnyDegree()
+
+# Poly.evaluate refuses a point at which one term's powers may pass this
+# many bits (about 1.3 million digits; 3^(2·10^6) takes about 0.1 s).
+_MAX_POWER_BITS = 1 << 22
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -358,13 +362,17 @@ class Poly:
         being its largest exponent.  A term's numerator starts as its
         coefficient times that denominator, and each of its variables
         trades den^top for num^e * den^(top - e), read from a table built
-        once per variable.  One Fraction is built, for the result.
+        once per variable for the exponents that occur.  One Fraction is
+        built, for the result.  GradcalcError, before any power is built,
+        if a term's powers may have more than _MAX_POWER_BITS bits.
         """
-        top: dict = {}
+        pairs = set()          # the (variable, exponent) factors that occur
         for m in self.terms:
-            for v, e in m:
-                if e > top.get(v, 0):
-                    top[v] = e
+            pairs.update(m)
+        top: dict = {}
+        for v, e in pairs:
+            if e > top.get(v, 0):
+                top[v] = e
         missing = top.keys() - point.keys()
         if missing:
             names = ", ".join(self.chart.names[v] for v in sorted(missing))
@@ -373,23 +381,27 @@ class Poly:
         for c in self.terms.values():
             if type(c) is not int:
                 lcm = math.lcm(lcm, c.denominator)
-        tables = {}
+        coords = {}            # variable -> (num, den, top)
+        tables = {}            # variable -> {e: num^e * den^(top - e)}, and 0: den^top
         full = 1               # product of den^top over the variables
+        bits = 0               # bound on the bits of one term's powers
         for v, t in top.items():
             x = point[v]
             if not isinstance(x, (int, Fraction)):
                 x = Fraction(x)
             num, den = x.numerator, x.denominator
-            table = [1] * (t + 1)          # table[e] = num^e * den^(t - e)
-            for e in range(1, t + 1):
-                table[e] = table[e - 1] * num
-            if den != 1:
-                p = 1
-                for e in range(t - 1, -1, -1):
-                    p *= den
-                    table[e] *= p
-                full *= p
-            tables[v] = table
+            bits += t * (max(abs(num), den) - 1).bit_length()
+            if bits > _MAX_POWER_BITS:
+                raise GradcalcError(
+                    f"the powers of one term at this point may have {bits} bits, "
+                    f"which exceeds the limit {_MAX_POWER_BITS}")
+            coords[v] = num, den, t
+            p = den ** t
+            tables[v] = {0: p}
+            full *= p
+        for v, e in pairs:
+            num, den, t = coords[v]
+            tables[v][e] = num ** e * den ** (t - e)
         total = 0
         for m, c in self.terms.items():
             s = (c * lcm if type(c) is int else c.numerator * (lcm // c.denominator)) * full

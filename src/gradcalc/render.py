@@ -14,17 +14,45 @@ escapes strings with the C `encode_basestring_ascii`.
 
 from __future__ import annotations
 
+import sys
+
 from . import __version__
+from .errors import GradcalcError
 
 __all__ = ["render_poly", "render_tensor", "poly_to_json", "tensor_to_json",
            "chart_to_json", "json_document", "dumps"]
 
 SCHEMA = 1
 
+# CPython converts an int to or from decimal text only up to a digit limit,
+# a guard against quadratic-time conversion that gradcalc leaves as it is.
+# No nonzero limit is below 640 digits, and an int of at most 3 * 640 bits
+# has fewer digits than that.
+LEAST_DIGIT_LIMIT = 640
+_FITS_ANY_LIMIT_BITS = 3 * LEAST_DIGIT_LIMIT
+
+
+def digit_limit() -> int:
+    """The interpreter's int <-> str digit limit; 0 where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def number_str(x) -> str:
+    """str(x) of an int or Fraction.  A numerator or denominator past the
+    digit limit raises GradcalcError before any text is built."""
+    n = x if type(x) is int else max(abs(x.numerator), x.denominator)
+    if n.bit_length() > _FITS_ANY_LIMIT_BITS:
+        limit = digit_limit()
+        if limit and abs(n) >= 10 ** limit:
+            raise GradcalcError(
+                f"a number of more than {limit} digits cannot be printed: "
+                f"{limit} is the interpreter's limit (sys.get_int_max_str_digits())")
+    return str(x)
+
 
 def _mono_str(mono, names) -> str:
     return "*".join(
-        names[v] if e == 1 else f"{names[v]}^{e}" for v, e in mono)
+        names[v] if e == 1 else f"{names[v]}^{number_str(e)}" for v, e in mono)
 
 
 def _poly_sign_bodies(f) -> list:
@@ -35,11 +63,11 @@ def _poly_sign_bodies(f) -> list:
         neg = coef < 0
         a = -coef if neg else coef
         if not mono:
-            body = str(a)
+            body = number_str(a)
         elif a == 1:
             body = _mono_str(mono, names)
         else:
-            body = f"{a}*{_mono_str(mono, names)}"
+            body = f"{number_str(a)}*{_mono_str(mono, names)}"
         out.append((neg, body))
     return out
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
@@ -21,6 +20,7 @@ from .charts import make_chart
 from .checkers import (Distribution, is_involutive, is_poisson,
                        is_weighted_distribution, is_weighted_poisson,
                        rank_at_point)
+from .errors import _Record
 from .lifts import (LiftContext, covariant_derivative, lift_distribution,
                     lift_function, lift_linear_connection, lift_tensor,
                     tangent_connection)
@@ -39,13 +39,16 @@ __all__ = ["CriterionResult", "run_check_suite", "render_table",
            "suite_to_json"]
 
 
-@dataclass
-class CriterionResult:
-    label: str
-    ok: bool
-    cases: int
-    detail: str
-    ms: float = 0.0
+class CriterionResult(_Record):
+    __slots__ = ("label", "ok", "cases", "detail", "ms")
+
+    def __init__(self, label: str, ok: bool, cases: int, detail: str,
+                 ms: float = 0.0):
+        self.label = label
+        self.ok = ok
+        self.cases = cases
+        self.detail = detail
+        self.ms = ms
 
     def to_json(self) -> dict:
         return {"label": self.label, "ok": self.ok, "cases": self.cases,

@@ -24,9 +24,9 @@ Insertion operators pair against the leading slots of the other block.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import permutations
-from typing import Iterable, Mapping
 
 from .charts import Chart
 from .errors import ChartMismatchError, GradcalcError, ValenceError

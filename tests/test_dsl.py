@@ -260,6 +260,74 @@ def test_lift_bound(line, code, message):
                                                  "message": message}}
 
 
+# Numbers past the interpreter's int <-> str digit limit, and powers too big
+# to build, end in exit 3 (2 for a literal) with a message, never in a
+# traceback: (script, exit code, line, message).  The limit is pinned to
+# its default, 4300, for these tests.
+_PRINT_LIMIT = ("a number of more than 4300 digits cannot be printed: 4300 is "
+                "the interpreter's limit (sys.get_int_max_str_digits())")
+DIGIT_BOUND = {
+    "coefficient": ("chart M { x:0 }\nfn f on M = 7^6000*x\n", 3, 2, _PRINT_LIMIT),
+    "value": ("chart M { x:0 }\nfn f on M = x^20000\neval f at (x=3/2)\n", 3, 3,
+              _PRINT_LIMIT),
+    "exponent": ("chart M { x:0 }\nfn f on M = (x^" + "9" * 4300 + ")^2\n", 3, 2,
+                 _PRINT_LIMIT),
+    "power": ("chart M { x:0 }\nfn f on M = x^99999999999999999999\neval f at (x=2)\n",
+              3, 3, "the powers of one term at this point may have "
+              "99999999999999999999 bits, which exceeds the limit 4194304"),
+    "power-memory": ("chart M { x:0 }\nfn f on M = x^999999999999\neval f at (x=2)\n",
+                     3, 3, "the powers of one term at this point may have "
+                     "999999999999 bits, which exceeds the limit 4194304"),
+    # a weight and an exponent of 4,000 digits each: a degree of 8,000
+    "degree": ("chart M { x:" + "9" * 4000 + " }\nfn f on M = x^" + "9" * 4000 +
+               "\ndegree f\n", 3, 3, _PRINT_LIMIT),
+    "check-degree": ("chart M { x:" + "9" * 4000 + " }\nfn f on M = x^" + "9" * 4000 +
+                     "\ncheck weighted f k=" + "9" * 4000 + "\n", 3, 3, _PRINT_LIMIT),
+    "literal": ("chart M { x:0 }\nfn f on M = " + "1" * 5000 + "*x\n", 2, 2,
+                "an integer of 5000 digits exceeds the limit 4300 "
+                "(sys.get_int_max_str_digits())"),
+}
+
+
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int <-> str digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("text,code,line,message", DIGIT_BOUND.values(), ids=DIGIT_BOUND)
+def test_digit_and_power_bounds_json(text, code, line, message, tmp_path, capsys,
+                                     default_digit_limit):
+    path = _write(tmp_path, text)
+    start = time.perf_counter()
+    assert main(["run", path, "--format", "json"]) == code
+    assert time.perf_counter() - start < 1.0
+    doc = json.loads(capsys.readouterr().out)
+    if code == 2:
+        assert doc["error"] == {"kind": "lexical", "line": line, "col": 13,
+                                "message": message}
+    else:
+        assert doc["records"][-1]["error"] == {"kind": "semantic", "line": line,
+                                               "message": message}
+
+
+@pytest.mark.parametrize("text,code,line,message", DIGIT_BOUND.values(), ids=DIGIT_BOUND)
+def test_digit_and_power_bounds_text(text, code, line, message, tmp_path, capsys,
+                                     default_digit_limit):
+    path = _write(tmp_path, text)
+    assert main(["run", path]) == code
+    out, err = capsys.readouterr()
+    if code == 2:
+        assert (out, err) == ("", f"lexical error at line {line}, col 13: {message}\n")
+    else:
+        assert err == ""
+        assert out.splitlines()[-1] == f"    semantic error at line {line}: {message}"
+
+
 def test_semantic_error_stops_the_run():
     records, code = run("""chart M { x:0 }
 fn f on M = x

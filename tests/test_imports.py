@@ -1,6 +1,9 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and the import
+path of the package and its CLI stays light."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,13 @@ def test_unused_import_is_found():
               "__all__ = ['a']\n"
               "def f() -> 'Chart':\n    from .y import Chart, c\n    return os\n")
     assert unused_imports(source) == [(2, "regex"), (3, "b"), (6, "c")]
+
+
+def test_import_path_is_light():
+    # -S: no site packages, so nothing but gradcalc can load these modules
+    code = ("import sys; import gradcalc, gradcalc.cli; "
+            "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], cwd=SRC.parent,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
