@@ -30,8 +30,8 @@ from .render import chart_to_json, render_poly, render_tensor, tensor_to_json
 from .tensor import (
     TensorField, compose_11, contract, coordinate_one_form,
     coordinate_vector_field, degree_of_tensor, identity_tensor, insert_form,
-    insert_multivector, one_form, scalar_field, tagged, tensor_product,
-    vector_field, wedge, wedge_list, weight_vector_field,
+    insert_multivector, scalar_field, tagged, tensor_product, vector_field,
+    wedge, wedge_list, weight_vector_field,
 )
 from .calculus import (
     concomitant, exterior_derivative, fn_bracket, lie_bracket,
@@ -41,7 +41,7 @@ from .calculus import (
 from .lifts import (
     LiftContext, LinearConnection, covariant_derivative, horizontal_fields,
     lift_distribution, lift_function, lift_linear_connection, lift_tensor,
-    lift_weight_vector_field, tangent_connection,
+    tangent_connection,
 )
 from .checkers import (
     BundleMap, CheckReport, Distribution, Section, algebroid_bracket,
@@ -70,14 +70,13 @@ __all__ = [
     "TensorField", "tensor_product", "wedge", "wedge_list", "contract",
     "insert_multivector", "insert_form", "compose_11", "degree_of_tensor",
     "identity_tensor", "weight_vector_field", "scalar_field", "vector_field",
-    "one_form", "coordinate_vector_field", "coordinate_one_form", "tagged",
+    "coordinate_vector_field", "coordinate_one_form", "tagged",
     # calculus
     "exterior_derivative", "lie_bracket", "lie_derivative", "vf_apply",
     "schouten_bracket", "fn_bracket", "nr_bracket", "nijenhuis_torsion",
     "concomitant",
     # lifts
-    "LiftContext", "lift_function", "lift_tensor",
-    "lift_weight_vector_field", "lift_distribution",
+    "LiftContext", "lift_function", "lift_tensor", "lift_distribution",
     "LinearConnection", "tangent_connection",
     "lift_linear_connection", "horizontal_fields", "covariant_derivative",
     # checkers

@@ -38,7 +38,7 @@ from .poly import Poly, _acc
 from .tensor import TensorField, _from_expanded, _sort_with_parity
 
 __all__ = [
-    "exterior_derivative", "lie_bracket", "lie_derivative",
+    "exterior_derivative", "lie_bracket", "lie_derivative", "vf_apply",
     "schouten_bracket", "fn_bracket", "nr_bracket",
     "nijenhuis_torsion", "concomitant",
 ]

@@ -33,7 +33,8 @@ from .render import number_str
 from .sampling import sample_points
 from .tensor import (
     TensorField, compose_11, contract, degree_of_tensor, identity_tensor,
-    tensor_product, wedge_list, weight_vector_field,
+    insert_form, scalar_field, tensor_product, vector_field, wedge_list,
+    weight_vector_field,
 )
 
 __all__ = [
@@ -463,7 +464,6 @@ def section_degree(sec: Section):
     fibre_set = set(fibre)
     base_set = set(base)
     gc = sec.graded_component
-    lam = None
     for f, v in sec.values.items():
         if f not in fibre_set:
             raise GradcalcError(f"{chart.names[f]} is not a fibre variable")
@@ -471,18 +471,10 @@ def section_degree(sec: Section):
             raise ChartMismatchError("section components must be polynomials on the chart")
         if v.variables_used() - base_set:
             raise GradcalcError("section components must depend on base variables only")
-        if not v:
-            continue
-        d = degree_of_function(v, gc)
-        if d is None:
-            return None
-        cand = d - chart.weights[f][gc]
-        if lam is None:
-            lam = cand
-        elif lam != cand:
-            return None
-    if lam is None:
-        return ANY_DEGREE
+    # v^f d/df has degree deg(v^f) - s, the lambda of that component
+    lam = degree_of_tensor(vector_field(chart, sec.values), gc)
+    if lam is None or lam is ANY_DEGREE:
+        return lam
     dual = shifted_dual_grl_chart(chart, 0, sec.vb_component, gc)
     iota = Poly.zero(dual)
     for f, v in sec.values.items():
@@ -542,16 +534,10 @@ def algebroid_bracket(lam: TensorField, vb_component: int, x, y) -> list:
         xi = Poly.variable(chart, f)
         iota_x = iota_x + xi * vx
         iota_y = iota_y + xi * vy
-    le = lam.expand()
-    h = Poly.zero(chart)
-    for ((i, j), _), c in le.items():
-        di = iota_x.diff(i)
-        if not di:
-            continue
-        dj = iota_y.diff(j)
-        if not dj:
-            continue
-        h = h + c * di * dj
+    # h = lam^ij d_i iota_x d_j iota_y, the lam-bracket of the linear functions
+    h = insert_form(tensor_product(exterior_derivative(scalar_field(chart, iota_x)),
+                                   exterior_derivative(scalar_field(chart, iota_y))),
+                    lam).scalar_part()
     out = [Poly.zero(chart) for _ in fibre]
     fpos = {f: m for m, f in enumerate(fibre)}
     for mono, coef in h.terms.items():

@@ -41,7 +41,8 @@ Expressions are polynomials over the chart variables extended with the
 basis symbols d/dx (vector) and dx (covector) and the operators + - * ^
 ox (tensor product) and ^^ (wedge, binding tighter than ox).  The
 Unicode forms of the two product signs are accepted on input only; all
-output is ASCII.  Rendered tensor text parses back to an equal tensor.
+output is ASCII.  Rendered tensor text, declared again with the tensor's
+tag, parses back to an equal tensor.
 
 execute() is deterministic for a given script and seed: JSON payloads
 never contain timing, and all sampling is seeded.  Exit status mapping:

@@ -37,12 +37,11 @@ from .charts import Chart, prolong_chart, tangent_chart, vb_split
 from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .poly import Poly, _acc
-from .tensor import TensorField, _sort_with_parity, weight_vector_field
+from .tensor import TensorField, _sort_with_parity
 
 __all__ = [
     "LiftContext", "lift_function", "lift_function_jets", "lift_tensor",
-    "lift_weight_vector_field", "lift_distribution",
-    "LinearConnection", "tangent_connection",
+    "lift_distribution", "LinearConnection", "tangent_connection",
     "lift_linear_connection", "horizontal_fields", "covariant_derivative",
 ]
 
@@ -321,18 +320,6 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
             for key, sign in keys:
                 _acc(out, key, jet if sign > 0 else neg)
     return TensorField(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
-
-
-def lift_weight_vector_field(ctx: LiftContext, component: int = 0) -> TensorField:
-    """Lift of the base weight field: sum over levels of w_i x^i_mu d/dx^i_mu.
-
-    Equals the top lift (lambda = r) of the base weight vector field and
-    is the weight field of the inherited grading on the prolonged chart,
-    which gives every level the base weight.  The component must exist
-    on the base chart, so the added jet component is rejected.
-    """
-    ctx.base.check_component(component)
-    return weight_vector_field(ctx.total, component)
 
 
 def lift_distribution(d, ctx: LiftContext):

@@ -277,6 +277,9 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise GradcalcError("exponent must be a nonnegative integer")
+        if n and len(self.terms) == 1:
+            (m, c), = self.terms.items()
+            return Poly(self.chart, {tuple((v, e * n) for v, e in m): c ** n})
         out = Poly.const(self.chart, 1)
         base = self
         while n:

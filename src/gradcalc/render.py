@@ -3,7 +3,8 @@
 The text forms round-trip through the DSL parser: polynomials render with
 explicit * and ^, contravariant basis factors as d/dx, covariant ones as
 dx, tensor products as ox, and wedge blocks as ^^ (binding tighter than
-ox).  Components are emitted in sorted order so rendering is deterministic.
+ox).  Components are emitted in sorted order so rendering is deterministic;
+a sym block is written as each of its distinct index orders.
 
 `dumps` is the one JSON writer for output documents.  Its bytes equal
 `json.dumps(doc, indent=2)`, but with `indent` the standard library falls
@@ -15,6 +16,7 @@ escapes strings with the C `encode_basestring_ascii`.
 from __future__ import annotations
 
 import sys
+from itertools import permutations
 
 from . import __version__
 from .errors import GradcalcError
@@ -108,13 +110,21 @@ def _render_components(t) -> tuple:
             prefix = "" if body == "1" else body + "*"
         else:
             neg, prefix = False, "(" + _join_signed(parts) + ")*"
-        blocks = []
-        if up:
-            blocks.append(contra_join.join(f"d/d{names[i]}" for i in up))
-        if down:
-            blocks.append(cov_join.join(f"d{names[j]}" for j in down))
-        terms.append((neg, prefix + " ox ".join(blocks)))
+        # a sym block is written as the sum of its distinct index orders,
+        # so the text declared again as sym passes the symmetry check
+        for u in _orders(up, t.contra_sym):
+            for d in _orders(down, t.cov_sym):
+                blocks = []
+                if u:
+                    blocks.append(contra_join.join(f"d/d{names[i]}" for i in u))
+                if d:
+                    blocks.append(cov_join.join(f"d{names[j]}" for j in d))
+                terms.append((neg, prefix + " ox ".join(blocks)))
     return comps, _join_signed(terms)
+
+
+def _orders(idx: tuple, sym: str) -> list:
+    return sorted(set(permutations(idx))) if sym == "sym" else [idx]
 
 
 def render_tensor(t) -> str:

@@ -36,7 +36,7 @@ __all__ = [
     "TensorField", "tensor_product", "wedge", "wedge_list", "contract",
     "insert_multivector", "insert_form", "degree_of_tensor",
     "compose_11", "identity_tensor", "weight_vector_field",
-    "scalar_field", "vector_field", "one_form",
+    "scalar_field", "vector_field",
     "coordinate_vector_field", "coordinate_one_form", "tagged",
 ]
 
@@ -290,10 +290,6 @@ def vector_field(chart: Chart, entries: Mapping) -> TensorField:
             v = Poly.const(chart, v)
         _acc(comps, ((i,), ()), v)
     return TensorField(chart, 1, 0, comps)
-
-
-def one_form(chart: Chart, entries: Mapping) -> TensorField:
-    return _swap(vector_field(chart, entries))
 
 
 def coordinate_vector_field(chart: Chart, var) -> TensorField:

@@ -44,7 +44,6 @@ from gradcalc.tensor import (
     coordinate_one_form,
     coordinate_vector_field,
     identity_tensor,
-    one_form,
     wedge,
 )
 

@@ -22,8 +22,10 @@ from gradcalc.cli import main
 from gradcalc.dsl import execute, parse, records_to_json
 from gradcalc.errors import DslError
 from gradcalc.render import dumps, json_document, render_tensor
-from gradcalc.sampling import MAX_SAMPLES, random_tensor
+from gradcalc.sampling import (MAX_SAMPLES, random_form, random_multivector, random_one_form,
+                               random_tensor, random_vector_field)
 from gradcalc.suite import criterion_weight_commute, suite_to_json
+from gradcalc.tensor import TensorField, tagged, tensor_product
 
 CLEAN = """\
 chart M { x:0, y:1 }
@@ -419,6 +421,35 @@ def test_render_parse_round_trip():
         records, code = run(script, samples=2)
         assert code == 0
         assert records[-1].text == [s]
+    # tagged tensors, declared again with their tag: a sym block prints as
+    # the sum of its index orders, which the symmetry check accepts
+    for _ in range(60):
+        tag = rng.choice(["antisym", "sym"])
+        q = rng.choice([0, 1, 2, 3])
+        p = rng.choice([0, 1, 2, 3])
+        t = tensor_product(_tagged_block(rng, M, q, True, tag),
+                           _tagged_block(rng, M, p, False, tag))
+        s = render_tensor(t)
+        script = (f"chart M {{ x:0, y:1, z:2 }}\n"
+                  f"tensor({q},{p}) {tag} T on M = {s}\nprint T\n")
+        records, code = run(script, samples=2)
+        assert code == 0, (script, records[-1].text)
+        assert records[-1].text == [s]
+
+
+def _tagged_block(rng, chart, n, contra, tag):
+    """A random purely contra- or covariant n-tensor, tagged when n >= 2."""
+    opts = {"max_terms": 2, "max_degree": 2}
+    if tag == "antisym" or n < 2:
+        return (random_multivector if contra else random_form)(rng, chart, n, **opts)
+    one = random_vector_field if contra else random_one_form
+    out = TensorField.zero(chart, n if contra else 0, 0 if contra else n)
+    for _ in range(2):
+        a = power = one(rng, chart, **opts)
+        for _ in range(n - 1):
+            power = tensor_product(power, a)
+        out = out + power
+    return tagged(out, **{"contra_sym" if contra else "cov_sym": "sym"})
 
 
 def test_zero_literal_adopts_declared_valence():
@@ -880,7 +911,7 @@ def test_declaration_records_frozen():
         ["f = x*z + 1/3"],
         ["X = x*d/dx - z*d/dy"],
         ["w = dx ^^ dz + y*dy ^^ dz"],
-        ["g = dx ox dz + 2*dy ox dy"],
+        ["g = dx ox dz + dz ox dx + 2*dy ox dy"],
         ["D = span of 2 fields"],
         ["C: connection with 2 symbols"],
         ["G x_dot y z_dot = x", "G z_dot z z_dot = -1/2"],
@@ -902,7 +933,7 @@ def test_declaration_records_frozen():
             "dx ^^ dz + y*dy ^^ dz", cov_sym="antisym")},
         {"kind": "decl", "ok": True, "name": "g", "result": _tensor_json(
             [0, 2], [([], ["x", "z"], "1"), ([], ["y", "y"], "2")],
-            "dx ox dz + 2*dy ox dy", cov_sym="sym")},
+            "dx ox dz + dz ox dx + 2*dy ox dy", cov_sym="sym")},
         {"kind": "dist", "ok": True, "name": "D", "generators": [
             _tensor_json([1, 0], [(["x"], [], "1")], "d/dx"),
             _tensor_json([1, 0], [(["z"], [], "x")], "x*d/dz")]},

@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and the import
-path of the package and its CLI stays light."""
+"""Every module of the package uses each name it imports, every name it
+exports has a caller, and the import path of the package and its CLI stays
+light."""
 
 import ast
 import subprocess
@@ -46,6 +47,94 @@ def test_unused_import_is_found():
               "__all__ = ['a']\n"
               "def f() -> 'Chart':\n    from .y import Chart, c\n    return os\n")
     assert unused_imports(source) == [(2, "regex"), (3, "b"), (6, "c")]
+
+
+# Exported names with no caller in the package or the demos yet, each with
+# the ROADMAP item that will reach it or the reason it stays.
+UNREACHED_ALLOWED = {
+    "charts.cotangent_chart": "item 3: the `cotangent` chart statement",
+    "checkers.sharp_map": "item 3: T*[k]F -> TF maps in the symplectic check",
+    "checkers.flat_map": "item 3: the degrees of is_weighted_symplectic",
+    "checkers.section_degree": "item 2: the VB-algebroid check reports",
+    "checkers.algebroid_bracket": "item 2: `bracket poisson` and its criterion",
+    "poly.homogeneous_components": "item 4: the parts of a degree FAIL",
+    "render.poly_to_json": "perfbench/tracer.py wraps it by name",
+}
+
+
+def _exports(tree) -> list:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def _loaded(tree, own=frozenset()) -> set:
+    """Names read as a Name or an Attribute; inside the top-level def or
+    class of a name in own, a read of that name itself does not count."""
+    out = set()
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        if owner is None and isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                and node.name in own:
+            owner = node.name
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            name = node.attr
+        if name is not None and name != owner:
+            out.add(name)
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return out
+
+
+def unreached_exports(modules: dict, demos: list) -> list:
+    """module.name for each name in a module's __all__ that no module source
+    (name -> text, without __init__) nor demo source loads outside its own
+    def or class."""
+    trees = {name: ast.parse(text) for name, text in modules.items()}
+    declared = {name: _exports(tree) for name, tree in trees.items()}
+    used = set()
+    for name, tree in trees.items():
+        used |= _loaded(tree, frozenset(declared[name]))
+    for text in demos:
+        used |= _loaded(ast.parse(text))
+    return sorted(f"{mod}.{name}" for mod, names in declared.items()
+                  for name in names if name not in used)
+
+
+def test_every_export_is_reached():
+    modules = {p.stem: p.read_text() for p in SRC.glob("*.py") if p.name != "__init__.py"}
+    demos = [p.read_text() for p in (SRC.parents[1] / "demos").glob("*.py")]
+    assert unreached_exports(modules, demos) == sorted(UNREACHED_ALLOWED)
+
+
+def test_unreached_export_is_found():
+    modules = {
+        "a": "__all__ = ['f', 'g', 'h', 'K']\n"
+             "def f():\n    return f()\n"
+             "def g():\n    return 1\n"
+             "class K:\n    def m(self):\n        return K\n"
+             "def h():\n    return g()\n",
+        "b": "from .a import f\n__all__ = ['u']\ndef u(x):\n    return x.h\n",
+    }
+    # f only calls itself and K only names itself; u is loaded by the demo
+    assert unreached_exports(modules, ["import b\nb.u(1)\n"]) == ["a.K", "a.f"]
+
+
+def test_package_exports_come_from_modules():
+    import gradcalc
+    from gradcalc import errors
+    declared = {"__version__"}
+    declared.update(name for name, value in vars(errors).items()
+                    if isinstance(value, type) and issubclass(value, Exception))
+    for p in SRC.glob("*.py"):
+        if p.name != "__init__.py":
+            declared.update(_exports(ast.parse(p.read_text())))
+    assert sorted(set(gradcalc.__all__) - declared) == []
 
 
 def test_import_path_is_light():

@@ -24,7 +24,6 @@ from gradcalc.lifts import (
     lift_function_jets,
     lift_linear_connection,
     lift_tensor,
-    lift_weight_vector_field,
     tangent_connection,
 )
 from gradcalc.oracle import taylor_lift_oracle
@@ -154,24 +153,15 @@ def test_lift_bracket_shift_spot():
 
 
 def test_weight_field_lift():
-    m = make_chart(["x", "y"], [1, 2])
-    ctx = LiftContext(m, 2)
-    assert lift_weight_vector_field(ctx) == \
-        lift_tensor(weight_vector_field(m), 2, ctx)
-    with pytest.raises(GradcalcError):
-        lift_weight_vector_field(ctx, component=4)
-    # two gradings, one weight negative: the prolonged chart gives every
-    # level the base weight, so the lift is the total chart's weight field
-    b = make_chart(["x", "y", "z"], [(1, 0), (-2, 1), (0, 3)])
-    ctx = LiftContext(b, 2)
-    for c in range(b.grading_count):
-        lifted = lift_weight_vector_field(ctx, c)
-        assert lifted == weight_vector_field(ctx.total, c)
-        assert lifted == lift_tensor(weight_vector_field(b, c), 2, ctx)
-    # the jet component is valid on the total chart, not on the base
-    weight_vector_field(ctx.total, b.grading_count)
-    with pytest.raises(GradcalcError):
-        lift_weight_vector_field(ctx, b.grading_count)
+    # the prolonged chart gives every level the base weight, so the top lift
+    # of the base weight field is the total chart's weight field, also with
+    # two gradings and a negative weight
+    for b in (make_chart(["x", "y"], [1, 2]),
+              make_chart(["x", "y", "z"], [(1, 0), (-2, 1), (0, 3)])):
+        ctx = LiftContext(b, 2)
+        for c in range(b.grading_count):
+            assert lift_tensor(weight_vector_field(b, c), 2, ctx) == \
+                weight_vector_field(ctx.total, c)
 
 
 def test_lift_distribution():

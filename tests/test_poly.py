@@ -99,6 +99,30 @@ def test_power():
         (x + y) ** -1
 
 
+@pytest.mark.parametrize("coef", [1, -3, Fraction(-2, 3), Fraction(5, 2)])
+def test_monomial_power_makes_no_product(coef, monkeypatch):
+    base = Poly.from_terms(M, [(((0, 2), (1, 1)), coef)])
+    expected = [Poly.const(M, 1)]
+    for _ in range(20):
+        expected.append(expected[-1] * base)
+    huge = x ** (10 ** 4000)
+    calls = []
+    mul = Poly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly, "__mul__", counted)
+    for n, want in enumerate(expected):
+        got = base ** n
+        assert got.terms == want.terms
+        assert [type(c) for c in got.terms.values()] == \
+            [type(c) for c in want.terms.values()]
+    assert (huge ** 2).terms == {((0, 2 * 10 ** 4000),): 1}
+    assert calls == []
+
+
 def test_evaluate():
     p = x ** 2 * y - z + Poly.const(M, Fraction(1, 2))
     pt = {0: Fraction(2), 1: Fraction(-1), 2: Fraction(1, 3)}

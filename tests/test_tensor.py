@@ -14,8 +14,7 @@ from gradcalc.charts import make_chart
 from gradcalc.checkers import Distribution
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
 from gradcalc.lifts import (LiftContext, covariant_derivative, horizontal_fields,
-                            lift_distribution, lift_tensor, lift_weight_vector_field,
-                            tangent_connection)
+                            lift_distribution, lift_tensor, tangent_connection)
 from gradcalc.poly import ANY_DEGREE, Poly, _acc
 from gradcalc.render import (chart_to_json, poly_to_json, render_poly, render_tensor,
                              tensor_to_json)
@@ -34,7 +33,6 @@ from gradcalc.tensor import (
     identity_tensor,
     insert_form,
     insert_multivector,
-    one_form,
     scalar_field,
     tagged,
     tensor_product,
@@ -266,8 +264,6 @@ def test_builders():
     v = vector_field(M, {"x": 1, 1: p(M, 0)})
     assert v.component((0,), ()) == Poly.const(M, 1)
     assert v.component((1,), ()) == p(M, 0)
-    a = one_form(M, {"y": Fraction(2, 3)})
-    assert a.component((), (1,)) == Poly.const(M, Fraction(2, 3))
     assert coordinate_vector_field(M, "y") == coordinate_vector_field(M, 1)
     assert identity_tensor(M).component((1,), (1,)) == Poly.const(M, 1)
 
@@ -497,14 +493,13 @@ def test_public_results_are_canonical(seed, r):
         covariant_derivative(conn, x, y), *horizontal_fields(conn),
     ]
     ctx = LiftContext(m, r)
-    results += [lift_weight_vector_field(ctx, 0),
+    results += [weight_vector_field(ctx.total, 0),
                 *lift_distribution(Distribution(m, (x, y)), ctx).generators]
     for u in (x, a, w, t, untagged, k, sym, sym_power_sum(rng, m, 3, contra=True)):
         results += [lift_tensor(u, lam, ctx) for lam in range(-1, r + 2)]
-    # the block-swapped builders, on a sym block with repeated indices too
+    # the block-swapped insertion, on a sym block with repeated indices too
     sym_up = sym_power_sum(rng, m, 2, contra=True)
     results += [
-        one_form(m, {"z": f, 0: half}), one_form(m, {"x": f, 0: -f}),
         insert_form(alpha, sym_up), insert_form(w, sym_up), insert_form(sym, sym_up),
         insert_form(scalar_field(m, f), t), insert_form(w, tensor_product(a, alpha)),
     ]
