@@ -77,9 +77,6 @@ class Chart:
             raise GradcalcError("no such grading component")
         return component
 
-    def weight(self, var: int, component: int = 0) -> int:
-        return self.weights[var][self.check_component(component)]
-
     def degree(self, component: int = 0) -> int:
         """Largest absolute weight in the component; 0 for an empty chart."""
         c = self.check_component(component)

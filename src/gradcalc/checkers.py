@@ -7,12 +7,13 @@ ranks at finitely many random rational points, so a pass is probabilistic
 while a fail is definite).
 
 A (q, p) tensor K on a chart of degree k (in the chosen grading
-component) is *weighted* when L along the weight field equals
--(q-1) k K; equivalently its combined degree is -(q-1) k.  Weighted
-Poisson structures of degree k are bivectors of degree -k satisfying the
-Jacobi identity, weighted (1,1) structures have degree 0, and the
-associated algebraic conditions (N.N = -I, I, 0; skewness of N applied
-to a bivector; vanishing compatibility concomitant) are checked exactly.
+component) is *weighted* when its combined degree is -(q-1) k, which is
+the verdict; equivalently L along the weight field equals -(q-1) k K,
+and a FAIL names a component of that Euler residue.  Weighted Poisson
+structures of degree k are bivectors of degree -k satisfying the Jacobi
+identity, weighted (1,1) structures have degree 0, and the associated
+algebraic conditions (N.N = -I, I, 0; skewness of N applied to a
+bivector; vanishing compatibility concomitant) are checked exactly.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from .calculus import (
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError, _Frozen
-from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function
+from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function, \
+    homogeneous_components
 from .render import number_str
 from .sampling import sample_points
 from .tensor import (
@@ -133,11 +135,33 @@ def _first_component(t: TensorField) -> str:
     return f"component ({up};{down}) = {t.components[key]!r}"
 
 
+def _vanishes(t: TensorField, label: str = "", degrees: dict | None = None) -> CheckReport:
+    """PASS when t is zero, else FAIL at t's first component after label."""
+    if t.is_zero():
+        return CheckReport(True, degrees=degrees)
+    return CheckReport(False, witness=label + _first_component(t), degrees=degrees)
+
+
+def _fails(label: str, rep: CheckReport, degrees: dict | None) -> CheckReport:
+    """The FAIL of a sub-check, its witness after label."""
+    return CheckReport(False, witness=label + rep.witness, degrees=degrees)
+
+
+def _linear(chart: Chart, pairs) -> Poly:
+    """sum of c x_v over (v, c) pairs, each c moved onto chart by name."""
+    out = Poly.zero(chart)
+    for v, c in pairs:
+        if c:
+            out = out + Poly.variable(chart, v) * c.reindex(chart)
+    return out
+
+
 # -- weighted tensors ---------------------------------------------------------
 
 def is_weighted_tensor(t: TensorField, k: int, component: int = 0) -> CheckReport:
-    """Check L along the weight field equals -(q-1) k times the tensor.
-
+    """Check the combined degree is -(q-1) k, i.e. L along the weight
+    field, which scales each monomial by its combined weight, equals
+    -(q-1) k t.  Only a FAIL forms that Euler residue, for its witness.
     k must be the chart's actual degree in the component (precondition).
     """
     chart = t.chart
@@ -145,11 +169,12 @@ def is_weighted_tensor(t: TensorField, k: int, component: int = 0) -> CheckRepor
         raise GradcalcError(
             f"chart degree in component {component} is {chart.degree(component)}, not k={k}")
     want = -(t.q - 1) * k
-    diff = lie_derivative(weight_vector_field(chart, component), t) - t * want
-    degrees = {"expected": want, "computed": _deg_str(degree_of_tensor(t, component))}
-    if diff.is_zero():
+    d = degree_of_tensor(t, component)
+    degrees = {"expected": want, "computed": _deg_str(d)}
+    if degree_matches(d, want):
         return CheckReport(True, degrees=degrees)
-    return CheckReport(False, witness=_first_component(diff), degrees=degrees)
+    return _vanishes(lie_derivative(weight_vector_field(chart, component), t) - t * want,
+                     degrees=degrees)
 
 
 def is_poisson(lam: TensorField) -> CheckReport:
@@ -158,47 +183,34 @@ def is_poisson(lam: TensorField) -> CheckReport:
         raise ValenceError("expected a bivector")
     if lam.contra_sym != "antisym":
         raise ValenceError("bivector must be antisym-tagged")
-    jac = schouten_bracket(lam, lam)
-    if jac.is_zero():
-        return CheckReport(True)
-    return CheckReport(False, witness=_first_component(jac))
+    return _vanishes(schouten_bracket(lam, lam))
 
 
 def is_weighted_poisson(lam: TensorField, k: int, component: int = 0) -> CheckReport:
     """Poisson plus combined degree -k in the chosen component."""
     p = is_poisson(lam)
     w = is_weighted_tensor(lam, k, component)
-    if not p.verdict:
-        return CheckReport(False, witness="Jacobi fails: " + p.witness, degrees=w.degrees)
-    return w
+    return w if p.verdict else _fails("Jacobi fails: ", p, w.degrees)
 
 
 def is_nijenhuis(n: TensorField) -> CheckReport:
-    tor = nijenhuis_torsion(n)
-    if tor.is_zero():
-        return CheckReport(True)
-    return CheckReport(False, witness="torsion: " + _first_component(tor))
+    return _vanishes(nijenhuis_torsion(n), "torsion: ")
 
 
 def is_weighted_nijenhuis(n: TensorField, component: int = 0) -> CheckReport:
     """Vanishing torsion plus combined degree 0 (q = 1 forces the zero)."""
     d = degree_of_tensor(n, component)
-    t = is_nijenhuis(n)
+    tor = nijenhuis_torsion(n)
     degrees = {"expected": 0, "computed": _deg_str(d)}
     if not degree_matches(d, 0):
         return CheckReport(False, witness=f"degree is {_deg_str(d)}, not 0", degrees=degrees)
-    if not t.verdict:
-        return CheckReport(False, witness=t.witness, degrees=degrees)
-    return CheckReport(True, degrees=degrees)
+    return _vanishes(tor, "torsion: ", degrees)
 
 
 def _square_is(n: TensorField, sign: int) -> CheckReport:
     if (n.q, n.p) != (1, 1):
         raise ValenceError("expected a (1,1) tensor")
-    diff = compose_11(n, n) - identity_tensor(n.chart) * sign
-    if diff.is_zero():
-        return CheckReport(True)
-    return CheckReport(False, witness=_first_component(diff))
+    return _vanishes(compose_11(n, n) - identity_tensor(n.chart) * sign)
 
 
 def is_almost_complex(n: TensorField) -> CheckReport:
@@ -226,12 +238,10 @@ def is_weighted_pn(lam: TensorField, n: TensorField, k: int,
     """
     wp = is_weighted_poisson(lam, k, component)
     if not wp.verdict:
-        return CheckReport(False, witness="weighted Poisson fails: " + wp.witness,
-                           degrees=wp.degrees)
+        return _fails("weighted Poisson fails: ", wp, wp.degrees)
     wn = is_weighted_nijenhuis(n, component)
     if not wn.verdict:
-        return CheckReport(False, witness="weighted Nijenhuis fails: " + wn.witness,
-                           degrees=wn.degrees)
+        return _fails("weighted Nijenhuis fails: ", wn, wn.degrees)
     nl = contract(tensor_product(lam, n), 1, 0)     # lam^{il} n^j_l
     dim = lam.chart.dim
     for i in range(dim):
@@ -242,11 +252,7 @@ def is_weighted_pn(lam: TensorField, n: TensorField, k: int,
                     False,
                     witness=f"N applied to the bivector is not skew at ({names[i]},{names[j]})",
                     degrees=wp.degrees)
-    c = concomitant(lam, n)
-    if not c.is_zero():
-        return CheckReport(False, witness="concomitant: " + _first_component(c),
-                           degrees=wp.degrees)
-    return CheckReport(True, degrees=wp.degrees)
+    return _vanishes(concomitant(lam, n), "concomitant: ", wp.degrees)
 
 
 # -- bundle maps --------------------------------------------------------------
@@ -299,12 +305,8 @@ def _bundle_map(t: TensorField, sharp: bool, k: int | None, component: int) -> B
         degrees = {}
         bad = None
         for j in range(dim):
-            e = Poly.zero(graded)
-            for l in range(dim):
-                c = matrix[l][j]
-                if c:
-                    e = e + Poly.variable(graded, dim + l) * c.reindex(graded)
-            d = degree_of_function(e, component)
+            d = degree_of_function(
+                _linear(graded, ((dim + l, matrix[l][j]) for l in range(dim))), component)
             degrees[chart.names[j]] = _deg_str(d)
             want = chart.weights[j][component] if sharp else k - chart.weights[j][component]
             if bad is None and not degree_matches(d, want):
@@ -464,6 +466,9 @@ def section_degree(sec: Section):
     fibre_set = set(fibre)
     base_set = set(base)
     gc = sec.graded_component
+    if gc == sec.vb_component:
+        raise GradcalcError(
+            "graded_component must name a grading component other than the VB one")
     for f, v in sec.values.items():
         if f not in fibre_set:
             raise GradcalcError(f"{chart.names[f]} is not a fibre variable")
@@ -476,11 +481,7 @@ def section_degree(sec: Section):
     if lam is None or lam is ANY_DEGREE:
         return lam
     dual = shifted_dual_grl_chart(chart, 0, sec.vb_component, gc)
-    iota = Poly.zero(dual)
-    for f, v in sec.values.items():
-        if v:
-            iota = iota + Poly.variable(dual, f) * v.reindex(dual)
-    dual_deg = degree_of_function(iota, gc)
+    dual_deg = degree_of_function(_linear(dual, sec.values.items()), gc)
     if dual_deg != lam:
         raise GradcalcError(
             f"internal: dual-pairing degree {dual_deg} disagrees with section degree {lam}")
@@ -501,16 +502,11 @@ def algebroid_bracket(lam: TensorField, vb_component: int, x, y) -> list:
     if (lam.q, lam.p) != (2, 0):
         raise ValenceError("expected a bivalent contravariant tensor")
     base, fibre = vb_split(chart, vb_component)
-    fibre_set = set(fibre)
     base_set = set(base)
-
-    def fibre_degree(mono) -> int:
-        return sum(e for v, e in mono if v in fibre_set)
-
-    for (_, _), c in lam.components.items():
-        for m in c.terms:
-            if fibre_degree(m) > 1:
-                raise GradcalcError("tensor is not linear in the fibre variables")
+    # VB weights are 0 or 1, so the weight of a part is its fibre degree
+    if any(w > 1 for c in lam.components.values()
+           for w in homogeneous_components(c, vb_component)):
+        raise GradcalcError("tensor is not linear in the fibre variables")
 
     def as_section(vals) -> list:
         out = []
@@ -526,26 +522,12 @@ def algebroid_bracket(lam: TensorField, vb_component: int, x, y) -> list:
             out.append(v)
         return out
 
-    xs = as_section(x)
-    ys = as_section(y)
-    iota_x = Poly.zero(chart)
-    iota_y = Poly.zero(chart)
-    for f, vx, vy in zip(fibre, xs, ys):
-        xi = Poly.variable(chart, f)
-        iota_x = iota_x + xi * vx
-        iota_y = iota_y + xi * vy
     # h = lam^ij d_i iota_x d_j iota_y, the lam-bracket of the linear functions
-    h = insert_form(tensor_product(exterior_derivative(scalar_field(chart, iota_x)),
-                                   exterior_derivative(scalar_field(chart, iota_y))),
-                    lam).scalar_part()
-    out = [Poly.zero(chart) for _ in fibre]
-    fpos = {f: m for m, f in enumerate(fibre)}
-    for mono, coef in h.terms.items():
-        hits = [(v, e) for v, e in mono if v in fibre_set]
-        if len(hits) != 1 or hits[0][1] != 1:
-            raise GradcalcError(
-                "bracket of linear functions is not fibrewise linear; tensor is malformed")
-        f = hits[0][0]
-        rest = tuple(p for p in mono if p[0] != f)
-        out[fpos[f]] = out[fpos[f]] + Poly(chart, {rest: coef})
-    return out
+    h = insert_form(tensor_product(
+        exterior_derivative(scalar_field(chart, _linear(chart, zip(fibre, as_section(x))))),
+        exterior_derivative(scalar_field(chart, _linear(chart, zip(fibre, as_section(y)))))),
+        lam).scalar_part()
+    if not degree_matches(degree_of_function(h, vb_component), 1):
+        raise GradcalcError(
+            "bracket of linear functions is not fibrewise linear; tensor is malformed")
+    return [h.diff(f) for f in fibre]

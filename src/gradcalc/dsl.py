@@ -722,7 +722,7 @@ def _run_decl(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     if (t.q, t.p) != want:
         if t.is_zero():
             # a zero scalar stands for the zero tensor of any valence
-            t = TensorField.from_components(chart, want[0], want[1], {})
+            t = TensorField.zero(chart, *want)
         else:
             raise GradcalcError(
                 f"{name} evaluates to valence ({t.q},{t.p}), declared {want}")
@@ -976,7 +976,7 @@ def _check(args: tuple, params: tuple, fn) -> Form:
                                          f"FAIL ({rep.witness})")
         return OutputRecord(st.src, "check", bool(rep.verdict),
                             {"check": rep.to_json()}, [line])
-    return Form(args, run, params + (("component", 0),))
+    return Form(args, run, params)
 
 
 _T = ("tensor",)
@@ -985,6 +985,7 @@ _A = (("a", "name", _T),)
 _AB = (("a", "name", _T), ("b", "name", _T))
 _DIST = (("a", "name", ("dist",)),)
 _K = ("k", _REQUIRED)
+_C = ("component", 0)
 _R = ("r", _REQUIRED)
 _ON = (("chart", "chart name", ("chart",)),)     # the CHART of a declaration
 
@@ -1014,27 +1015,27 @@ _COMMANDS = {
     "covd": _tensor_op((("conn", "connection", ("connection",)),
                         ("x", "vector field", _T), ("y", "vector field", _T)),
                        lambda a: covariant_derivative(a["conn"], a["x"], a["y"])),
-    "degree": Form(_NAME, _run_degree, (("component", 0),)),
+    "degree": Form(_NAME, _run_degree, (_C,)),
     "eval": Form(_NAME, _run_eval, body=_eval_body),
     "check": Choice("check kind", "check kind", hyphens=True, forms={
         "poisson": _check(_A, (), lambda env, a: is_poisson(a["a"])),
-        "weighted": _check(_A, (_K,), lambda env, a: is_weighted_tensor(
+        "weighted": _check(_A, (_K, _C), lambda env, a: is_weighted_tensor(
             a["a"], a["k"], component=a["component"])),
         "nijenhuis": _check(_A, (), lambda env, a: is_nijenhuis(a["a"])),
-        "weighted-poisson": _check(_A, (_K,), lambda env, a: is_weighted_poisson(
+        "weighted-poisson": _check(_A, (_K, _C), lambda env, a: is_weighted_poisson(
             a["a"], a["k"], component=a["component"])),
-        "weighted-nijenhuis": _check(_A, (), lambda env, a: is_weighted_nijenhuis(
+        "weighted-nijenhuis": _check(_A, (_C,), lambda env, a: is_weighted_nijenhuis(
             a["a"], component=a["component"])),
         "almost-complex": _check(_A, (), lambda env, a: is_almost_complex(a["a"])),
         "almost-product": _check(_A, (), lambda env, a: is_almost_product(a["a"])),
         "almost-tangent": _check(_A, (), lambda env, a: is_almost_tangent(a["a"])),
-        "pn": _check(_AB, (_K,), lambda env, a: is_weighted_pn(
+        "pn": _check(_AB, (_K, _C), lambda env, a: is_weighted_pn(
             a["a"], a["b"], a["k"], component=a["component"])),
         "involutive": _check(_DIST, (), lambda env, a: is_involutive(
             a["a"], seed=env.seed, samples=env.samples)),
-        "weighted-distribution": _check(_DIST, (), lambda env, a: is_weighted_distribution(
+        "weighted-distribution": _check(_DIST, (_C,), lambda env, a: is_weighted_distribution(
             a["a"], component=a["component"], seed=env.seed, samples=env.samples)),
-        "contact": _check(_A, (_K, ("n", _REQUIRED)), lambda env, a: is_weighted_contact(
+        "contact": _check(_A, (_K, ("n", _REQUIRED), _C), lambda env, a: is_weighted_contact(
             a["a"], a["k"], a["n"], component=a["component"])),
     }),
     "oracle": Choice("oracle kind", "oracle form", {

@@ -6,6 +6,7 @@ so `pytest -v tests/test_acceptance.py` reads as a pass/fail table.
 Criteria with a stated time budget assert it.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -76,20 +77,38 @@ def test_criterion_10_function_lift_oracle():
     assert res.cases == 500
 
 
-def test_criterion_11_cli_deterministic():
-    # the checkout's own package, not whatever `gradcalc` is installed
+def _suite_json(seed: int) -> bytes:
+    """stdout of `gradcalc check-suite --format json` from the checkout's
+    own package, not whatever `gradcalc` is installed."""
     cmd = [sys.executable, "-m", "gradcalc.cli", "check-suite",
-           "--seed", str(SEED), "--format", "json"]
+           "--seed", str(seed), "--format", "json"]
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    proc = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def test_criterion_11_cli_deterministic():
     outs = []
     for _ in range(2):
         t0 = time.perf_counter()
-        proc = subprocess.run(cmd, capture_output=True, timeout=300, env=env)
-        elapsed = time.perf_counter() - t0
-        assert proc.returncode == 0, proc.stderr.decode()
-        assert elapsed < 300.0
-        outs.append(proc.stdout)
+        outs.append(_suite_json(SEED))
+        assert time.perf_counter() - t0 < 300.0
     assert outs[0] == outs[1], "check-suite JSON differs between runs"
     print(f"criterion 11 (cli-deterministic): PASS "
           f"[{len(outs[0])} bytes, byte-identical across two runs]")
+
+
+# SHA-256 of the suite JSON; a change to any criterion's verdict, count or
+# detail text must update these on purpose.  No line names a drawn value,
+# so the two seeds give the same bytes.
+SUITE_SHA256 = {
+    42: "abe045956bb01cc207de399aeff562676fb5c99a7d415b5fde8e347fb3497319",
+    1729: "abe045956bb01cc207de399aeff562676fb5c99a7d415b5fde8e347fb3497319",
+}
+
+
+def test_suite_json_pinned():
+    for seed, want in SUITE_SHA256.items():
+        assert hashlib.sha256(_suite_json(seed)).hexdigest() == want, seed

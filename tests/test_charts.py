@@ -17,7 +17,7 @@ def test_make_chart_basics():
     assert m.grading_count == 1
     assert m.weights == ((0,), (2,))
     assert m.index("y") == 1
-    assert m.weight(1) == 2
+    assert m.weights[1] == (2,)
     assert m.degree() == 2
     assert m.component_weights() == (0, 2)
     assert m.n_graded == (True,)
@@ -26,7 +26,7 @@ def test_make_chart_basics():
 def test_component_out_of_range_raises():
     m = make_chart(["x", "y"], [0, 2])
     for bad in (1, -1):
-        for call in (lambda: m.degree(bad), lambda: m.weight(0, bad),
+        for call in (lambda: m.degree(bad), lambda: m.check_component(bad),
                      lambda: m.component_weights(bad)):
             with pytest.raises(GradcalcError, match="no such grading component"):
                 call()

@@ -4,14 +4,15 @@ contact forms, sections, the induced algebroid bracket."""
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcalc import checkers
-from gradcalc.calculus import lie_bracket
-from gradcalc.charts import cotangent_chart, make_chart
+from gradcalc.calculus import lie_bracket, lie_derivative
+from gradcalc.charts import cotangent_chart, make_chart, vb_split
 from gradcalc.checkers import (
     BundleMap,
     CheckReport,
@@ -45,6 +46,7 @@ from gradcalc.tensor import (
     coordinate_vector_field,
     identity_tensor,
     wedge,
+    weight_vector_field,
 )
 
 E2 = make_chart(["x", "y"], [0, 0])
@@ -91,6 +93,65 @@ def test_is_weighted_tensor():
     assert bad.degrees["computed"] == "-3"
     with pytest.raises(GradcalcError):
         is_weighted_tensor(biv, 5)
+
+
+def _poly(chart, draw, max_terms=2, variables=None):
+    """A drawn polynomial: up to max_terms monomials in variables."""
+    variables = range(chart.dim) if variables is None else variables
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        mono = tuple((v, e) for v in variables
+                     if (e := draw(st.integers(0, 2))))
+        terms[mono] = terms.get(mono, 0) + draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    return Poly(chart, {m: c for m, c in terms.items() if c})
+
+
+@st.composite
+def graded_tensors(draw):
+    """(tensor, component) on a chart with 1-2 gradings and weights -2..3,
+    tagged none, sym or antisym; about half are cut down to the monomials
+    of combined degree -(q-1)k, so both verdicts occur."""
+    n, g = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    chart = make_chart("xyz"[:n], [tuple(draw(st.integers(-2, 3)) for _ in range(g))
+                                   for _ in range(n)])
+    q, p = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    tag = draw(st.sampled_from(("none", "sym", "antisym")))
+    c = draw(st.integers(0, g - 1))
+    want = -(q - 1) * chart.degree(c)
+    homogeneous = draw(st.booleans())
+    ws = chart.component_weights(c)
+    comps = {}
+    for _ in range(draw(st.integers(1, 3))):
+        up = tuple(draw(st.integers(0, n - 1)) for _ in range(q))
+        down = tuple(draw(st.integers(0, n - 1)) for _ in range(p))
+        if tag != "none":
+            up = tuple(sorted(up)) if q >= 2 else up
+            down = tuple(sorted(down)) if p >= 2 else down
+            if tag == "antisym" and (len(set(up)) < q or len(set(down)) < p):
+                continue
+        coef = _poly(chart, draw)
+        if homogeneous:
+            shift = sum(ws[j] for j in down) - sum(ws[i] for i in up)
+            coef = Poly(chart, {m: a for m, a in coef.terms.items()
+                                if sum(ws[v] * e for v, e in m) + shift == want})
+        comps[(up, down)] = comps.get((up, down), Poly.zero(chart)) + coef
+    comps = {key: a for key, a in comps.items() if a}
+    return TensorField(chart, q, p, comps, tag, tag), c
+
+
+@given(graded_tensors())
+@settings(max_examples=300, deadline=None)
+def test_weighted_verdict_is_the_euler_identity(case):
+    # the degree decision agrees with L_D t == want t, and a FAIL names
+    # the first component of that residue
+    t, c = case
+    k = t.chart.degree(c)
+    want = -(t.q - 1) * k
+    residue = lie_derivative(weight_vector_field(t.chart, c), t) - t * want
+    rep = is_weighted_tensor(t, k, c)
+    assert rep.verdict == residue.is_zero()
+    if not rep.verdict:
+        assert rep.witness == checkers._first_component(residue)
 
 
 def poisson_bracket(lam, f, g):
@@ -211,6 +272,94 @@ def test_weighted_pn_pass_and_branches():
     r = is_weighted_pn(lam, incompatible, 1)
     assert not r.verdict
     assert r.witness == "concomitant: component (x,z;y) = 1"
+
+
+PINNED_FAILS = [
+    # weighted: off by one degree, and inhomogeneous
+    ("weighted", lambda c: is_weighted_tensor(c["heavy"], 2),
+     '{"verdict": "fail", "witness": "component (x,y;) = y", "degrees": '
+     '{"expected": -2, "computed": "-1"}, "probabilistic": false}'),
+    ("weighted", lambda c: is_weighted_tensor(c["mixed"], 2),
+     '{"verdict": "fail", "witness": "component (x,y;) = y - 1", "degrees": '
+     '{"expected": -2, "computed": "inhomogeneous"}, "probabilistic": false}'),
+    ("poisson", lambda c: is_poisson(c["jacobi"]),
+     '{"verdict": "fail", "witness": "component (x,y,z;) = 2", "probabilistic": false}'),
+    ("weighted-poisson", lambda c: is_weighted_poisson(c["jacobi"], 2),
+     '{"verdict": "fail", "witness": "Jacobi fails: component (x,y,z;) = 2", '
+     '"degrees": {"expected": -2, "computed": "-2"}, "probabilistic": false}'),
+    ("weighted-poisson", lambda c: is_weighted_poisson(c["heavy"], 2),
+     '{"verdict": "fail", "witness": "component (x,y;) = y", "degrees": '
+     '{"expected": -2, "computed": "-1"}, "probabilistic": false}'),
+    ("nijenhuis", lambda c: is_nijenhuis(c["torsionful"]),
+     '{"verdict": "fail", "witness": "torsion: component (y;x,y) = -2", '
+     '"probabilistic": false}'),
+    ("weighted-nijenhuis", lambda c: is_weighted_nijenhuis(c["heavy11"]),
+     '{"verdict": "fail", "witness": "degree is 2, not 0", "degrees": '
+     '{"expected": 0, "computed": "2"}, "probabilistic": false}'),
+    ("weighted-nijenhuis", lambda c: is_weighted_nijenhuis(c["torsionful"]),
+     '{"verdict": "fail", "witness": "torsion: component (y;x,y) = -2", "degrees": '
+     '{"expected": 0, "computed": "0"}, "probabilistic": false}'),
+    ("almost-complex", lambda c: is_almost_complex(c["shift"]),
+     '{"verdict": "fail", "witness": "component (x;x) = 1", "probabilistic": false}'),
+    ("almost-product", lambda c: is_almost_product(c["shift"]),
+     '{"verdict": "fail", "witness": "component (x;x) = -1", "probabilistic": false}'),
+    ("almost-tangent", lambda c: is_almost_tangent(c["torsionful"]),
+     '{"verdict": "fail", "witness": "component (x;x) = x", "probabilistic": false}'),
+    # pn, one FAIL per step: Poisson (degree and Jacobi), Nijenhuis, skew, concomitant
+    ("pn", lambda c: is_weighted_pn(c["lam"] * c["z"], c["id"], 1),
+     '{"verdict": "fail", "witness": "weighted Poisson fails: component (x,z;) = z", '
+     '"degrees": {"expected": -1, "computed": "0"}, "probabilistic": false}'),
+    ("pn", lambda c: is_weighted_pn(c["pn_jacobi"], c["id"], 1),
+     '{"verdict": "fail", "witness": "weighted Poisson fails: Jacobi fails: '
+     'component (x,y,z;) = 2", "degrees": {"expected": -1, "computed": "inhomogeneous"}, '
+     '"probabilistic": false}'),
+    ("pn", lambda c: is_weighted_pn(c["lam"], c["pn_torsion"], 1),
+     '{"verdict": "fail", "witness": "weighted Nijenhuis fails: torsion: component '
+     '(y;x,y) = -2", "degrees": {"expected": 0, "computed": "0"}, "probabilistic": false}'),
+    ("pn", lambda c: is_weighted_pn(c["lam2"], c["skewless"], 1),
+     '{"verdict": "fail", "witness": "N applied to the bivector is not skew at (y,y)", '
+     '"degrees": {"expected": -1, "computed": "-1"}, "probabilistic": false}'),
+    ("pn", lambda c: is_weighted_pn(c["lam"], c["incompatible"], 1),
+     '{"verdict": "fail", "witness": "concomitant: component (x,z;y) = 1", "degrees": '
+     '{"expected": -1, "computed": "-1"}, "probabilistic": false}'),
+]
+
+
+def _planted():
+    m = make_chart(["x", "y", "z"], [1, 1, 2])
+    heavy = wedge(dvf(W2, "x"), dvf(W2, "y")) * Poly.variable(W2, 1)
+    p = make_chart(["x", "y", "z"], [0, 0, 1])
+    w = make_chart(["x", "y"], [0, 1])
+    z = Poly.variable(p, 2)
+    return {
+        "heavy": heavy,
+        "mixed": heavy + wedge(dvf(W2, "x"), dvf(W2, "y")),
+        "jacobi": wedge(dvf(m, "x"), dvf(m, "y"))
+        + wedge(dvf(m, "x"), dvf(m, "z")) * Poly.variable(m, 0),
+        "torsionful": TensorField.from_components(
+            E2, 1, 1, {((1,), (0,)): 1, ((0,), (1,)): Poly.variable(E2, 0)}),
+        "heavy11": TensorField.from_components(W2, 1, 1, {((0,), (0,)): Poly.variable(W2, 1)}),
+        "shift": TensorField.from_components(E2, 1, 1, {((0,), (1,)): 1}),
+        "lam": wedge(dvf(p, "x"), dvf(p, "z")),
+        "z": z,
+        "id": identity_tensor(p),
+        "pn_jacobi": wedge(dvf(p, "x"), dvf(p, "y"))
+        + wedge(dvf(p, "x"), dvf(p, "z")) * Poly.variable(p, 0),
+        "pn_torsion": TensorField.from_components(
+            p, 1, 1, {((1,), (0,)): 1, ((0,), (1,)): Poly.variable(p, 0)}),
+        "lam2": wedge(dvf(w, "x"), dvf(w, "y")),
+        "skewless": identity_tensor(w) + TensorField.from_components(
+            w, 1, 1, {((1,), (0,)): Poly.variable(w, 1)}),
+        "incompatible": identity_tensor(p) + TensorField.from_components(
+            p, 1, 1, {((2,), (1,)): z}),
+    }
+
+
+def test_check_reports_pinned():
+    # the whole to_json() of one planted FAIL per vanishing path and prefix
+    cases = _planted()
+    for kind, check, want in PINNED_FAILS:
+        assert json.dumps(check(cases).to_json()) == want, kind
 
 
 def test_sharp_map():
@@ -377,6 +526,11 @@ def test_section_degree():
         section_degree(Section(e, 1, {1: u}))
     with pytest.raises(GradcalcError, match="no such grading component"):
         section_degree(Section(e, 1, {1: x * x}, graded_component=-1))
+    # the VB component is no graded component, whatever the section
+    for values in ({}, {1: x * x, 2: x}, {1: x ** 3}):
+        with pytest.raises(GradcalcError, match="graded_component must name a grading "
+                                                "component other than the VB one"):
+            section_degree(Section(e, 1, values, graded_component=1))
 
 
 def test_algebroid_bracket_recovers_lie():
@@ -414,6 +568,84 @@ def test_algebroid_bracket_rejects_bad_input():
     with pytest.raises(GradcalcError):
         algebroid_bracket(broken, vb, [one, one],
                           [Poly.variable(ct, 0), one])
+
+
+def algebroid_bracket_reference(lam, vb_component, xs, ys):
+    """The bracket by counting fibre exponents monomial by monomial: the
+    linear functions of the sections, their lam-bracket through the
+    expanded table, and the coefficient of each fibre variable read off."""
+    chart = lam.chart
+    _, fibre = vb_split(chart, vb_component)
+    for c in lam.components.values():
+        for mono in c.terms:
+            if sum(e for v, e in mono if v in fibre) > 1:
+                raise GradcalcError("tensor is not linear in the fibre variables")
+    iota_x = Poly.zero(chart)
+    iota_y = Poly.zero(chart)
+    for f, vx, vy in zip(fibre, xs, ys):
+        iota_x = iota_x + Poly.variable(chart, f) * vx
+        iota_y = iota_y + Poly.variable(chart, f) * vy
+    h = poisson_bracket(lam, iota_x, iota_y)
+    out = [Poly.zero(chart) for _ in fibre]
+    for mono, coef in h.terms.items():
+        hits = [(v, e) for v, e in mono if v in fibre]
+        if len(hits) != 1 or hits[0][1] != 1:
+            raise GradcalcError(
+                "bracket of linear functions is not fibrewise linear; tensor is malformed")
+        f = hits[0][0]
+        rest = tuple(pair for pair in mono if pair[0] != f)
+        out[fibre.index(f)] = out[fibre.index(f)] + Poly(chart, {rest: coef})
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GradcalcError as e:
+        return ("raises", e.args[0])
+
+
+@st.composite
+def algebroid_inputs(draw):
+    """A bivector on base x, y (nonzero graded weights) and fibre u, v, with
+    two sections.  Well formed, it is linear Poisson-shaped: base-fibre
+    entries are base polynomials, fibre-fibre entries are fibre-linear
+    and there is no base-base entry.  Malformed, any entry may gain a term
+    of the wrong fibre degree (0, 1 or 2): a fibre-fibre entry with a base
+    coefficient, say, or a fibre-quadratic term."""
+    nonzero = st.sampled_from((-2, -1, 1, 2, 3))
+    chart = make_chart(["x", "y", "u", "v"],
+                       [(draw(nonzero), 0), (draw(nonzero), 0),
+                        (draw(st.integers(-2, 3)), 1), (draw(st.integers(-2, 3)), 1)])
+    base, fibre = (0, 1), (2, 3)
+    malformed = draw(st.booleans())
+
+    def part(degree):
+        """A base polynomial times a monomial of that fibre degree."""
+        out = _poly(chart, draw, variables=base)
+        for _ in range(degree):
+            out = out * Poly.variable(chart, draw(st.sampled_from(fibre)))
+        return out
+
+    comps = {}
+    for i, j in combinations(range(4), 2):
+        right = (j in fibre) + (i in fibre) - 1     # -1 (none), 0 or 1
+        coef = part(right) if right >= 0 else Poly.zero(chart)
+        if malformed and draw(st.integers(0, 3)) == 0:
+            coef = coef + part(draw(st.sampled_from([d for d in (0, 1, 2) if d != right])))
+        if coef:
+            comps[((i, j), ())] = coef
+    lam = TensorField(chart, 2, 0, comps, "antisym")
+    xs, ys = ([_poly(chart, draw, variables=base) for _ in range(2)] for _ in range(2))
+    return lam, xs, ys
+
+
+@given(algebroid_inputs())
+@settings(max_examples=200, deadline=None)
+def test_algebroid_bracket_matches_reference(case):
+    lam, xs, ys = case
+    assert _outcome(algebroid_bracket, lam, 1, xs, ys) == \
+        _outcome(algebroid_bracket_reference, lam, 1, xs, ys)
 
 
 # -- fraction-free rank against the Fraction elimination ------------------------

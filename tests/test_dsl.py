@@ -737,6 +737,14 @@ DIAGNOSTICS = [
     ("check contact f n=1 k=1", "syntax", 17, "expected 'k', got 'n'"),
     ("check poisson L k=1", "syntax", 17, "trailing input 'k'"),
     ("check poisson L as Q", "syntax", 17, "trailing input 'as'"),
+    # only weighted, weighted-poisson, weighted-nijenhuis, pn,
+    # weighted-distribution and contact take a grading component
+    ("check poisson L component=0", "syntax", 17, "trailing input 'component'"),
+    ("check nijenhuis J component=0", "syntax", 19, "trailing input 'component'"),
+    ("check almost-complex J component=0", "syntax", 24, "trailing input 'component'"),
+    ("check almost-product J component=0", "syntax", 24, "trailing input 'component'"),
+    ("check almost-tangent J component=0", "syntax", 24, "trailing input 'component'"),
+    ("check involutive D component=7", "syntax", 20, "trailing input 'component'"),
     ("check pn L", "syntax", 11, "unexpected end of line"),
     ("check pn L D k=1", "name", None, "'D' is a dist, expected tensor"),
     ("oracle", "syntax", 7, "unexpected end of line"),

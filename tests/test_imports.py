@@ -57,7 +57,6 @@ UNREACHED_ALLOWED = {
     "checkers.flat_map": "item 3: the degrees of is_weighted_symplectic",
     "checkers.section_degree": "item 2: the VB-algebroid check reports",
     "checkers.algebroid_bracket": "item 2: `bracket poisson` and its criterion",
-    "poly.homogeneous_components": "item 4: the parts of a degree FAIL",
     "render.poly_to_json": "perfbench/tracer.py wraps it by name",
 }
 
