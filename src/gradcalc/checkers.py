@@ -31,7 +31,7 @@ from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart
 from .errors import ChartMismatchError, GradcalcError, ValenceError, _Frozen
 from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function, \
     homogeneous_components
-from .render import number_str
+from .render import key_text, number_str, point_text
 from .sampling import sample_points
 from .tensor import (
     TensorField, compose_11, contract, degree_of_tensor, identity_tensor,
@@ -129,10 +129,7 @@ def _deg_str(d) -> str:
 
 def _first_component(t: TensorField) -> str:
     key = sorted(t.components)[0]
-    names = t.chart.names
-    up = ",".join(names[i] for i in key[0])
-    down = ",".join(names[j] for j in key[1])
-    return f"component ({up};{down}) = {t.components[key]!r}"
+    return f"component {key_text(t.chart.names, key)} = {t.components[key]!r}"
 
 
 def _vanishes(t: TensorField, label: str = "", degrees: dict | None = None) -> CheckReport:
@@ -382,10 +379,6 @@ def rank_at_point(d: Distribution, point: dict) -> int:
     return rational_rank([_row(x, point) for x in d.generators])
 
 
-def _point_str(chart: Chart, pt: dict) -> str:
-    return "(" + ", ".join(f"{chart.names[i]}={pt[i]}" for i in sorted(pt)) + ")"
-
-
 def _span_check(d: Distribution, points: list, seed: int, brackets) -> CheckReport:
     """Fail at the first (label, bracket) that raises the generators' rank
     at a sample point.  brackets is lazy: none is formed after a failure.
@@ -404,7 +397,7 @@ def _span_check(d: Distribution, points: list, seed: int, brackets) -> CheckRepo
             if rational_rank(rows + [_row(br, pt)]) != rank:
                 return CheckReport(
                     False, seed=seed,
-                    witness=f"{label} leaves the span at {_point_str(d.chart, pt)}")
+                    witness=f"{label} leaves the span at {point_text(d.chart.names, pt)}")
     return CheckReport(True, seed=seed)
 
 

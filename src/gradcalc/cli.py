@@ -109,7 +109,7 @@ def _cmd_run(args) -> int:
 def _cmd_suite(args) -> int:
     results, code = run_check_suite(args.seed)
     if args.format == "json":
-        print(dumps(suite_to_json(results)))
+        print(dumps(suite_to_json(results, args.seed)))
     else:
         print(render_table(results))
     return code

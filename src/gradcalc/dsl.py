@@ -7,35 +7,16 @@ One statement per line; # starts a comment.  A small script:
     lift X lambda=1 r=1 as X1
     degree X1
 
-Statement forms:
-
-    chart NAME { var:WEIGHT, ... }        WEIGHT = INT or (INT, INT, ...)
-    fn|vf|form NAME on CHART = expr
-    tensor(q,p) [antisym|sym] NAME on CHART = expr
-    dist NAME on CHART = span(expr, ...)
-    connection NAME on CHART { G up lo lo = expr, ... }
-    lift NAME lambda=INT r=INT [as NAME]        (distributions: r only)
-    prolong CHART r=INT [as NAME]
-    lift-connection NAME r=INT [as NAME]
-    bracket KIND NAME NAME [as NAME]
-    d NAME [as NAME]
-    liederiv NAME NAME [as NAME]
-    covd NAME NAME NAME [as NAME]
-    degree NAME [component=INT]
-    eval NAME at (var=RAT, ...)
-    check KIND args
-    oracle FORM args
-    print NAME
-
-An order r= above 100 is a semantic error.
+README.md lists the statement forms and the limits on their sizes; a
+test keeps that list equal to the keywords of _COMMANDS.
 
 The table _COMMANDS declares every statement form once, declarations
 included, keyed by its keyword: the names it takes and the object kinds
 they must refer to (a declaration's CHART is one), its key=INT
-parameters, whether it takes `as NAME`, the parser of its body, the kind
-a declared NAME binds, and its runner.  Every statement is parsed,
-resolved and run through its entry; the bracket and check kinds and the
-oracle forms, with their arguments, are listed there too.
+parameters, the parser of its body, the kind of object its NAME or `as
+NAME` binds, and its runner.  Every statement is parsed, resolved and
+run through its entry; the bracket and check kinds and the oracle forms,
+with their arguments, are listed there too.
 
 Expressions are polynomials over the chart variables extended with the
 basis symbols d/dx (vector) and dx (covector) and the operators + - * ^
@@ -77,7 +58,7 @@ from .oracle import (SamplePlan, evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
 from .poly import ANY_DEGREE, Poly, _acc
 from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
-                     number_str, render_poly, tensor_to_json)
+                     key_text, number_str, render_poly, tensor_to_json)
 from .tensor import (TensorField, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
@@ -137,19 +118,9 @@ def _lex_line(text: str, line_no: int) -> list:
 
 # -- statement AST -------------------------------------------------------------
 
-class CmdStmt(_Frozen):
-    """One parsed statement: args holds the names as written, not yet
-    looked up (see Form)."""
-
-    __slots__ = ("op", "form", "args", "line", "src")
-
-    def __init__(self, op: str, form: Form, args: dict, line: int, src: str):
-        set_ = object.__setattr__
-        set_(self, "op", op)
-        set_(self, "form", form)
-        set_(self, "args", args)
-        set_(self, "line", line)
-        set_(self, "src", src)
+# One parsed statement: args holds the names as written, not yet looked up
+# (see Form).
+CmdStmt = namedtuple("CmdStmt", "op form args line src")
 
 
 class Script(_Frozen):
@@ -193,6 +164,16 @@ class _Parser:
                            t.line, t.col)
         return t
 
+    def accept(self, kind: str, text: str | None = None) -> Token | None:
+        """The next token, consumed, if it has this kind (and text)."""
+        i = self.i
+        if i < len(self.toks):
+            t = self.toks[i]
+            if t.kind == kind and (text is None or t.text == text):
+                self.i = i + 1
+                return t
+        return None
+
     def done(self) -> None:
         t = self.peek()
         if t is not None:
@@ -201,11 +182,8 @@ class _Parser:
     # small helpers
 
     def _int(self) -> int:
-        neg = False
+        neg = self.accept("minus")
         t = self.next()
-        if t.kind == "minus":
-            neg = True
-            t = self.next()
         if t.kind != "int":
             raise DslError(f"expected integer, got {t.text!r}", "syntax",
                            t.line, t.col)
@@ -217,38 +195,30 @@ class _Parser:
 
     def _fraction(self, num: int) -> Fraction:
         """num, or num/DEN when a slash follows; DEN must not be 0."""
-        if self.peek() and self.peek().kind == "slash":
-            self.next()
+        if self.accept("slash"):
             den = self.expect("int", "denominator")
             if int(den.text) == 0:
                 raise DslError("division by zero", "syntax", den.line, den.col)
             return Fraction(num, int(den.text))
         return Fraction(num)
 
-    def _kv(self, key: str) -> int:
-        self.expect_word(key)
+    def _kv(self, key: str, default) -> int:
+        """key=INT; default when the key is absent, unless it is _REQUIRED."""
+        if default is _REQUIRED:
+            self.expect_word(key)
+        elif self.accept("ident", key) is None:
+            return default
         self.expect("equals")
         return self._int()
 
-    def _opt_kv(self, key: str, default: int) -> int:
-        t = self.peek()
-        if t is not None and t.kind == "ident" and t.text == key:
-            return self._kv(key)
-        return default
-
     def _opt_as(self) -> str | None:
-        t = self.peek()
-        if t is not None and t.kind == "ident" and t.text == "as":
-            self.next()
-            return self.expect("ident", "name").text
-        return None
+        return self.accept("ident", "as") and self.expect("ident", "name").text
 
     def parenthesized(self, item: Callable) -> tuple:
         """( item, ... ) with at least one item."""
         self.expect("lparen", "'('")
         out = [item()]
-        while self.peek() and self.peek().kind == "comma":
-            self.next()
+        while self.accept("comma"):
             out.append(item())
         self.expect("rparen", "')'")
         return tuple(out)
@@ -258,16 +228,12 @@ class _Parser:
         self.expect("lbrace", "'{'")
         out = []
         while True:
-            t = self.peek()
-            if t is None:
+            if self.peek() is None:
                 raise DslError(f"unterminated {what} block", "syntax",
                                self.line, len(self.src) + 1)
-            if t.kind == "rbrace":
-                self.next()
+            if self.accept("rbrace"):
                 return tuple(out)
-            if t.kind == "comma":
-                self.next()
-            else:
+            if not self.accept("comma"):
                 out.append(entry())
 
     def point(self) -> tuple:
@@ -317,16 +283,13 @@ class _Parser:
         return node
 
     def unary(self) -> tuple:
-        t = self.peek()
-        if t is not None and t.kind == "minus":
-            self.next()
+        if self.accept("minus"):
             return ("neg", self.unary())
         return self.power()
 
     def power(self) -> tuple:
         node = self.atom()
-        if self.peek() and self.peek().kind == "caret":
-            self.next()
+        if self.accept("caret"):
             n = self.expect("int", "exponent")
             node = ("pow", node, int(n.text))
         return node
@@ -351,16 +314,16 @@ class _Parser:
 #
 # A body parses what follows the keyword (and the kind word of a Choice)
 # into the statement's args.  A declaration stores the NAME it declares
-# under "as", like the alias of a command, and each expression with the
-# chart indices it names under "exprs", so that _resolve checks both.
+# under "as", like the `as NAME` of a command, and each expression with
+# the chart indices it names under "exprs", so that _resolve checks both.
 
 def _command_body(p: _Parser, form: Form, a: dict) -> None:
     """NAME ... [key=INT ...] [as NAME]"""
     for key, label, _ in form.args:
         a[key] = p.expect("ident", label).text
     for key, default in form.params:
-        a[key] = p._kv(key) if default is _REQUIRED else p._opt_kv(key, default)
-    if form.alias:
+        a[key] = p._kv(key, default)
+    if form.binds:
         a["as"] = p._opt_as()
 
 
@@ -380,16 +343,16 @@ def _chart_body(p: _Parser, form: Form, a: dict) -> None:
                        p.toks[0].col)
 
 
-def _on_chart(p: _Parser, form: Form, a: dict) -> None:
+def _on_chart(p: _Parser, a: dict) -> None:
     """NAME on CHART, the chart being the form's one argument"""
     a["as"] = p.expect("ident", "name").text
     p.expect_word("on")
-    _command_body(p, form, a)
+    a["chart"] = p.expect("ident", "chart name").text
 
 
 def _expr_body(p: _Parser, form: Form, a: dict) -> None:
     """NAME on CHART = expr"""
-    _on_chart(p, form, a)
+    _on_chart(p, a)
     p.expect("equals")
     a["exprs"] = (((), p.expr()),)
 
@@ -401,10 +364,8 @@ def _tensor_body(p: _Parser, form: Form, a: dict) -> None:
     p.expect("comma", "','")
     a["p"] = p._int()
     p.expect("rparen", "')'")
-    a["tag"] = "none"
-    t = p.peek()
-    if t is not None and t.kind == "ident" and t.text in ("antisym", "sym"):
-        a["tag"] = p.next().text
+    t = p.accept("ident", "antisym") or p.accept("ident", "sym")
+    a["tag"] = t.text if t else "none"
     if a["q"] < 0 or a["p"] < 0:
         raise DslError("tensor valence must be non-negative", "syntax", p.line,
                        p.toks[0].col)
@@ -413,7 +374,7 @@ def _tensor_body(p: _Parser, form: Form, a: dict) -> None:
 
 def _dist_body(p: _Parser, form: Form, a: dict) -> None:
     """NAME on CHART = span(expr, ...)"""
-    _on_chart(p, form, a)
+    _on_chart(p, a)
     p.expect("equals")
     p.expect_word("span")
     a["exprs"] = tuple(((), e) for e in p.parenthesized(p.expr))
@@ -421,7 +382,7 @@ def _dist_body(p: _Parser, form: Form, a: dict) -> None:
 
 def _connection_body(p: _Parser, form: Form, a: dict) -> None:
     """NAME on CHART { G up lo lo = expr, ... }"""
-    _on_chart(p, form, a)
+    _on_chart(p, a)
     a["exprs"] = p.braced("connection", p.christoffel)
 
 
@@ -429,8 +390,7 @@ def _parse_statement(tokens: list, line_no: int, src: str) -> CmdStmt:
     p = _Parser(tokens, line_no, src)
     head = p.expect("ident", "statement keyword")
     word = head.text
-    if word == "lift" and p.peek() is not None and p.peek().kind == "minus":
-        p.next()
+    if word == "lift" and p.accept("minus"):
         p.expect_word("connection")
         word = "lift-connection"
     form = _COMMANDS.get(word)
@@ -439,8 +399,7 @@ def _parse_statement(tokens: list, line_no: int, src: str) -> CmdStmt:
     args = {}
     if isinstance(form, Choice):
         kind = p.expect("ident", form.label).text
-        while form.hyphens and p.peek() and p.peek().kind == "minus":
-            p.next()
+        while form.hyphens and p.accept("minus"):
             kind += "-" + p.expect("ident", form.label).text
         if kind not in form.forms:
             raise DslError(f"unknown {form.noun} {kind!r}", "syntax", line_no,
@@ -504,11 +463,11 @@ def _resolve(script: Script) -> None:
                     raise DslError(f"{nm} not in {chart}", "name", line, col)
         new = a.get("as")
         if new:
-            kind = form.binds or form.alias
+            kind = form.binds
             if kind == "same":
                 kind = kinds[a[form.args[0][0]]]
             define(new, kind, st.line)
-            if form.binds == "chart":
+            if "entries" in a:
                 chart_vars[new] = {v for v, _ in a["entries"]}
             elif kind == "chart":
                 base = chart_vars[a["name"]]
@@ -637,10 +596,6 @@ class _Env:
             self._contexts[key] = ctx
         return ctx
 
-    def bind(self, name: str | None, value) -> None:
-        if name:
-            self.objects[name] = value
-
 
 def _eval_expr(node: tuple, chart: Chart) -> TensorField:
     op = node[0]
@@ -691,19 +646,45 @@ def _eval_expr(node: tuple, chart: Chart) -> TensorField:
     raise GradcalcError(f"unknown expression node {op!r}")
 
 
+def _payload(x) -> dict:
+    """The JSON of an object: a chart or a tensor as "result", a
+    distribution as its "generators", a connection as its count of
+    "symbols"."""
+    if isinstance(x, Chart):
+        return {"result": chart_to_json(x)}
+    if isinstance(x, Distribution):
+        return {"generators": [tensor_to_json(g) for g in x.generators]}
+    if isinstance(x, LinearConnection):
+        return {"symbols": len(x.gamma)}
+    return {"result": tensor_to_json(x)}
+
+
+def _bind(st: CmdStmt, env: _Env, a: dict, x, text: list | None = None,
+          decl: str | None = None) -> OutputRecord:
+    """Bind the name the statement defines to x and report x.
+
+    A declaration passes its record kind as decl and reports its name
+    first.  text defaults to x's rendered text, after "NAME = " in a
+    declaration.
+    """
+    name = a["as"]
+    if name:
+        env.objects[name] = x
+    payload = _payload(x)
+    if text is None:
+        res = payload["result"]["text"]
+        text = [f"{name} = {res}" if decl else res]
+    if decl:
+        payload = {"name": name, **payload}
+    return OutputRecord(st.src, decl or st.op, True, payload, text)
+
+
 def _run_chart(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
-    name, entries = a["as"], a["entries"]
-    weights = [w for _, w in entries]
-    d = len(weights[0])
-    if any(len(w) != d for w in weights):
-        raise GradcalcError("inconsistent weight vector lengths")
-    chart = make_chart([v for v, _ in entries], weights, label=name)
-    env.bind(name, chart)
-    return OutputRecord(st.src, "chart", True,
-                        {"name": name, "result": chart_to_json(chart)},
-                        [f"chart {name}: " + ", ".join(
-                            f"{n}:{list(w) if d > 1 else w[0]}"
-                            for n, w in entries)])
+    entries = a["entries"]
+    chart = make_chart([v for v, _ in entries], [w for _, w in entries], label=a["as"])
+    many = len(entries[0][1]) > 1
+    return _bind(st, env, a, chart, [f"chart {a['as']}: " + ", ".join(
+        f"{n}:{list(w) if many else w[0]}" for n, w in entries)], "chart")
 
 
 def _run_decl(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -733,19 +714,13 @@ def _run_decl(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
         ps = a["tag"] if t.p >= 2 else "none"
         if (t.contra_sym, t.cov_sym) != (cs, ps):
             t = tagged(t, contra_sym=cs, cov_sym=ps)
-    env.bind(name, t)
-    res = tensor_to_json(t)
-    return OutputRecord(st.src, "decl", True, {"name": name, "result": res},
-                        [f"{name} = {res['text']}"])
+    return _bind(st, env, a, t, decl="decl")
 
 
 def _run_dist(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     gens = tuple(_eval_expr(e, a["chart"]) for _, e in a["exprs"])
-    env.bind(a["as"], Distribution(a["chart"], gens))
-    return OutputRecord(st.src, "dist", True,
-                        {"name": a["as"],
-                         "generators": [tensor_to_json(g) for g in gens]},
-                        [f"{a['as']} = span of {len(gens)} fields"])
+    return _bind(st, env, a, Distribution(a["chart"], gens),
+                 [f"{a['as']} = span of {len(gens)} fields"], "dist")
 
 
 def _run_conn(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -757,44 +732,29 @@ def _run_conn(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
             raise GradcalcError("Christoffel symbols must be scalar")
         key = (chart.index(lo1), chart.index(up), chart.index(lo2))
         _acc(gamma, key, v.scalar_part())
-    conn = tangent_connection(chart, gamma)
-    env.bind(a["as"], conn)
-    return OutputRecord(st.src, "connection", True,
-                        {"name": a["as"], "symbols": len(conn.gamma)},
-                        [f"{a['as']}: connection with {len(a['exprs'])} symbols"])
-
-
-def _tensor_result(st: CmdStmt, env: _Env, a: dict, t: TensorField) -> OutputRecord:
-    env.bind(a["as"], t)
-    res = tensor_to_json(t)
-    return OutputRecord(st.src, st.op, True, {"result": res}, [res["text"]])
+    return _bind(st, env, a, tangent_connection(chart, gamma),
+                 [f"{a['as']}: connection with {len(a['exprs'])} symbols"], "connection")
 
 
 def _run_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     x = a["name"]
-    if isinstance(x, Distribution):
-        if a["lambda"] is not None:
-            raise GradcalcError("distributions lift wholesale: drop lambda=")
-        ctx = env.context(x.chart, a["r"])
-        _check_lift(ctx.r, sum(sum(_lift_terms(g, ctx.r)) for g in x.generators))
-        lifted = lift_distribution(x, ctx)
-        env.bind(a["as"], lifted)
-        return OutputRecord(st.src, "lift", True,
-                            {"generators": [tensor_to_json(g)
-                                            for g in lifted.generators]},
-                            [f"lifted distribution with {len(lifted.generators)} generators"])
-    if a["lambda"] is None:
-        raise GradcalcError("tensor lifts need lambda=")
+    dist = isinstance(x, Distribution)
+    if dist != (a["lambda"] is None):
+        raise GradcalcError("distributions lift wholesale: drop lambda=" if dist
+                            else "tensor lifts need lambda=")
     ctx = env.context(x.chart, a["r"])
-    _check_lift(ctx.r, sum(_lift_terms(x, ctx.r)))
-    return _tensor_result(st, env, a, lift_tensor(x, a["lambda"], ctx))
+    _check_lift(ctx.r, sum(sum(_lift_terms(t, ctx.r))
+                           for t in (x.generators if dist else (x,))))
+    if not dist:
+        return _bind(st, env, a, lift_tensor(x, a["lambda"], ctx))
+    lifted = lift_distribution(x, ctx)
+    return _bind(st, env, a, lifted,
+                 [f"lifted distribution with {len(lifted.generators)} generators"])
 
 
 def _run_prolong(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     total = env.context(a["name"], a["r"]).total
-    env.bind(a["as"], total)
-    return OutputRecord(st.src, "prolong", True, {"result": chart_to_json(total)},
-                        [f"prolonged chart with {total.dim} variables"])
+    return _bind(st, env, a, total, [f"prolonged chart with {total.dim} variables"])
 
 
 def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -802,10 +762,8 @@ def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     ctx = env.context(conn.chart, a["r"])
     _check_lift(ctx.r, sum(_lift_terms(conn, ctx.r)))
     lifted = lift_linear_connection(conn, ctx)
-    env.bind(a["as"], lifted)
-    return OutputRecord(st.src, "lift-connection", True,
-                        {"symbols": len(lifted.gamma)},
-                        [f"lifted connection with {len(lifted.gamma)} symbols"])
+    return _bind(st, env, a, lifted,
+                 [f"lifted connection with {len(lifted.gamma)} symbols"])
 
 
 def _run_degree(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -826,36 +784,29 @@ def _run_eval(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     names = t.chart.names
     rows = []
     lines = []
-    for (up, down) in sorted(values):
-        v = number_str(values[(up, down)])
-        rows.append({"up": [names[i] for i in up],
-                     "down": [names[j] for j in down],
+    for key in sorted(values):
+        v = number_str(values[key])
+        rows.append({"up": [names[i] for i in key[0]],
+                     "down": [names[j] for j in key[1]],
                      "value": v})
-        where = ",".join(names[i] for i in up) + ";" + \
-            ",".join(names[j] for j in down)
-        lines.append(f"({where}) = {v}" if (up or down) else v)
-    if not rows:
-        lines = ["0"]
-    return OutputRecord(st.src, "eval", True, {"values": rows}, lines)
+        lines.append(f"{key_text(names, key)} = {v}" if key[0] or key[1] else v)
+    return OutputRecord(st.src, "eval", True, {"values": rows}, lines or ["0"])
 
 
 def _run_print(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     x = a["name"]
+    payload = _payload(x)
     if isinstance(x, Chart):
-        return OutputRecord(st.src, "print", True, {"result": chart_to_json(x)},
-                            [repr(x)])
-    if isinstance(x, Distribution):
-        gens = [tensor_to_json(g) for g in x.generators]
-        return OutputRecord(st.src, "print", True, {"generators": gens},
-                            [g["text"] for g in gens])
-    if isinstance(x, LinearConnection):
+        text = [repr(x)]
+    elif isinstance(x, Distribution):
+        text = [g["text"] for g in payload["generators"]]
+    elif isinstance(x, LinearConnection):
         names = x.chart.names
-        lines = [f"G {names[ai]} {names[k]} {names[b]} = {render_poly(g)}"
-                 for (k, ai, b), g in sorted(x.gamma.items())]
-        return OutputRecord(st.src, "print", True, {"symbols": len(x.gamma)},
-                            lines or ["flat connection"])
-    res = tensor_to_json(x)
-    return OutputRecord(st.src, "print", True, {"result": res}, [res["text"]])
+        text = [f"G {names[ai]} {names[k]} {names[b]} = {render_poly(g)}"
+                for (k, ai, b), g in sorted(x.gamma.items())] or ["flat connection"]
+    else:
+        text = [payload["result"]["text"]]
+    return OutputRecord(st.src, "print", True, payload, text)
 
 
 def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
@@ -911,61 +862,33 @@ def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
 _REQUIRED = object()
 
 
-class Form(_Frozen):
-    """One statement form, a declaration or a command.
+# One statement form, a declaration or a command.
+# args: (key, parse label, object kinds) for each positional name; the
+# CHART of a declaration is one.
+# run(st, env, a): builds the record; a is st.args with each positional key
+# mapped to its object.
+# params: (key, default) for each key=INT in order; _REQUIRED marks a key
+# that must be given.
+# body(p, form, a): parses what follows the keyword into a.
+# binds: the kind of object a declaration's NAME or a command's `as NAME`
+# binds ("same" for the kind of the first argument); None where a command
+# takes no `as`.
+# st.args holds the names as written, the key=INT values, "kind" (the
+# second word of a Choice), "as" (the name the statement defines), "point"
+# (eval), "entries" (chart), "q", "p", "tag" (tensor) and "exprs": each
+# expression of a declaration as (chart indices, expr).
+Form = namedtuple("Form", "args run params body binds",
+                  defaults=((), _command_body, None))
 
-    args: (key, parse label, object kinds) for each positional name;
-    the CHART of a declaration is one.
-    run(st, env, a): builds the record; a is st.args with each positional
-    key mapped to its object.
-    params: (key, default) for each key=INT in order; _REQUIRED marks a
-    key that must be given.
-    alias: the kind `as NAME` binds ("same" for the kind of the first
-    argument), or None where `as` is not accepted.
-    body(p, form, a): parses what follows the keyword into a.
-    binds: the kind a declaration's NAME binds; None for a command.
-
-    st.args holds the names as written, the key=INT values, "kind" (the
-    second word of a Choice), "as" (the name the statement defines),
-    "point" (eval), "entries" (chart), "q", "p", "tag" (tensor) and
-    "exprs": each expression of a declaration as (chart indices, expr).
-    """
-
-    __slots__ = ("args", "run", "params", "alias", "body", "binds")
-
-    def __init__(self, args: tuple, run: Callable, params: tuple = (),
-                 alias: str | None = None, body: Callable = _command_body,
-                 binds: str | None = None):
-        set_ = object.__setattr__
-        set_(self, "args", args)
-        set_(self, "run", run)
-        set_(self, "params", params)
-        set_(self, "alias", alias)
-        set_(self, "body", body)
-        set_(self, "binds", binds)
-
-
-class Choice(_Frozen):
-    """A command whose second word (label) selects one of its forms.
-
-    noun is the word in "unknown {noun} 'word'"; hyphens says whether the
-    word may be hyphenated.
-    """
-
-    __slots__ = ("label", "noun", "forms", "hyphens")
-
-    def __init__(self, label: str, noun: str, forms: dict, hyphens: bool = False):
-        set_ = object.__setattr__
-        set_(self, "label", label)
-        set_(self, "noun", noun)
-        set_(self, "forms", forms)
-        set_(self, "hyphens", hyphens)
+# A command whose second word (label) selects one of its forms.  noun is
+# the word in "unknown {noun} 'word'"; hyphens says whether the word may be
+# hyphenated.
+Choice = namedtuple("Choice", "label noun forms hyphens", defaults=(False,))
 
 
 def _tensor_op(args: tuple, fn) -> Form:
     """Form of a command whose result is the tensor fn(a)."""
-    return Form(args, lambda st, env, a: _tensor_result(st, env, a, fn(a)),
-                alias="tensor")
+    return Form(args, lambda st, env, a: _bind(st, env, a, fn(a)), binds="tensor")
 
 
 def _check(args: tuple, params: tuple, fn) -> Form:
@@ -998,11 +921,11 @@ _COMMANDS = {
     "dist": Form(_ON, _run_dist, body=_dist_body, binds="dist"),
     "connection": Form(_ON, _run_conn, body=_connection_body, binds="connection"),
     "lift": Form((("name", "name", ("tensor", "dist")),), _run_lift,
-                 (("lambda", None), _R), alias="same"),
+                 (("lambda", None), _R), binds="same"),
     "prolong": Form((("name", "chart name", ("chart",)),), _run_prolong, (_R,),
-                    alias="chart"),
+                    binds="chart"),
     "lift-connection": Form((("name", "connection name", ("connection",)),),
-                            _run_lift_connection, (_R,), alias="connection"),
+                            _run_lift_connection, (_R,), binds="connection"),
     "bracket": Choice("bracket kind", "bracket kind", {
         "lie": _tensor_op(_AB, lambda a: lie_bracket(a["a"], a["b"])),
         "schouten": _tensor_op(_AB, lambda a: schouten_bracket(a["a"], a["b"])),
@@ -1073,11 +996,10 @@ def execute(script: Script, seed: int = 0, samples: int = 8):
                                {"error": {"kind": "semantic", "line": st.line,
                                           "message": msg}},
                                [f"semantic error at line {st.line}: {msg}"])
-            rec.ms = (time.perf_counter() - t0) * 1000.0
-            records.append(rec)
-            return records, 3
         rec.ms = (time.perf_counter() - t0) * 1000.0
         records.append(rec)
+        if rec.kind == "error":
+            return records, 3
         if rec.is_check and not rec.ok:
             any_check_failed = True
     return records, 1 if any_check_failed else 0

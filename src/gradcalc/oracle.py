@@ -41,6 +41,7 @@ from .checkers import CheckReport
 from .errors import ChartMismatchError, GradcalcError, ValenceError, _Frozen
 from .lifts import LiftContext
 from .poly import Poly
+from .render import key_text, point_text
 from .sampling import check_sample_count
 from .tensor import TensorField
 
@@ -149,12 +150,10 @@ def identity_spot_check(lhs: TensorField, rhs: TensorField,
         b = evaluate_tensor_at(rhs, pt)
         if a != b:
             key = sorted(set(a) | set(b), key=lambda k0: (a.get(k0, 0) == b.get(k0, 0), k0))[0]
-            where = "(" + ",".join(names[i] for i in key[0]) + ";" + \
-                ",".join(names[j] for j in key[1]) + ")"
-            at = ", ".join(f"{names[i]}={pt[i]}" for i in sorted(pt))
             return CheckReport(
                 False, seed=plan.seed,
-                witness=f"component {where} is {a.get(key, 0)} vs {b.get(key, 0)} at ({at})")
+                witness=f"component {key_text(names, key)} is {a.get(key, 0)} vs "
+                        f"{b.get(key, 0)} at {point_text(names, pt)}")
     return CheckReport(True, seed=plan.seed)
 
 

@@ -52,6 +52,17 @@ def number_str(x) -> str:
     return str(x)
 
 
+def key_text(names, key) -> str:
+    """A component key (up, down) as (x,y;z)."""
+    return "(" + ",".join(names[i] for i in key[0]) + ";" + \
+        ",".join(names[j] for j in key[1]) + ")"
+
+
+def point_text(names, point) -> str:
+    """A point {variable index: value} as (x=1, y=2), in variable order."""
+    return "(" + ", ".join(f"{names[i]}={point[i]}" for i in sorted(point)) + ")"
+
+
 def _mono_str(mono, names) -> str:
     return "*".join(
         names[v] if e == 1 else f"{names[v]}^{number_str(e)}" for v, e in mono)

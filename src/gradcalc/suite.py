@@ -455,5 +455,5 @@ def render_table(results: list) -> str:
     return "\n".join(lines)
 
 
-def suite_to_json(results: list) -> dict:
-    return json_document(suite=[r.to_json() for r in results])
+def suite_to_json(results: list, seed: int) -> dict:
+    return json_document(seed=seed, suite=[r.to_json() for r in results])

@@ -954,6 +954,83 @@ def test_declaration_records_frozen():
         [{"stmt": stmt, **rec} for stmt, rec in zip(stmts, expected)])
 
 
+RUNNER_PRELUDE = """\
+chart M { x:0, y:1 }
+vf X on M = x*d/dy
+fn h on M = x + y
+vf Z on M = 0
+tensor(2,0) antisym L on M = x*d/dx ^^ d/dy
+tensor(1,1) N on M = y*d/dx ox dy + d/dy ox dx
+form a on M = x*dy
+form b on M = dx + dy
+dist D on M = span(d/dx, x*d/dy)
+"""
+
+
+def _semantic(message):
+    """The exit code, record and text of a semantic error on the statement
+    after RUNNER_PRELUDE."""
+    return (3, {"kind": "error", "ok": False,
+                "error": {"kind": "semantic", "line": 10, "message": message}},
+            [f"semantic error at line 10: {message}"])
+
+
+# The last statement's exit code, full JSON record (without "stmt") and
+# text lines, for runner branches the other tests do not reach.
+RUNNER_RECORDS = {
+    "oracle-concomitant": ("oracle concomitant L N a b", 0, {
+        "kind": "oracle", "ok": True, "oracle": "koszul-concomitant", "agree": True,
+        "result": _tensor_json([0, 1], [([], ["x"], "-x"), ([], ["y"], "x*y")],
+                               "-x*dx + x*y*dy")},
+        ["oracle concomitant: agree", "-x*dx + x*y*dy"]),
+    "print-chart": ("print M", 0, {
+        "kind": "print", "ok": True,
+        "result": {"type": "chart", "label": "M",
+                   "vars": [{"name": "x", "weights": [0]},
+                            {"name": "y", "weights": [1]}],
+                   "n_graded": [True]}},
+        ["<M {x:0, y:1}>"]),
+    "print-dist": ("print D", 0, {
+        "kind": "print", "ok": True, "generators": [
+            _tensor_json([1, 0], [(["x"], [], "1")], "d/dx"),
+            _tensor_json([1, 0], [(["y"], [], "x")], "x*d/dy")]},
+        ["d/dx", "x*d/dy"]),
+    "lift-dist-lambda": ("lift D lambda=1 r=1",
+                         *_semantic("distributions lift wholesale: drop lambda=")),
+    "lift-tensor-no-lambda": ("lift X r=1", *_semantic("tensor lifts need lambda=")),
+    "degree-inhomogeneous": ("degree h", 0,
+                             {"kind": "degree", "ok": True, "degree": None},
+                             ["not homogeneous"]),
+    "eval-zero": ("eval Z at (x=1, y=2)", 0,
+                  {"kind": "eval", "ok": True, "values": []}, ["0"]),
+    "oracle-lift-not-function": ("oracle lift X lambda=1 r=1",
+                                 *_semantic("oracle lift takes a function")),
+    "christoffel-not-scalar": ("connection C on M { G x x y = dx }",
+                               *_semantic("Christoffel symbols must be scalar")),
+    "form-valence": ("form v on M = d/dx", *_semantic("form v has valence (1,0)")),
+    "declared-valence": ("vf Y on M = dx", *_semantic(
+        "Y evaluates to valence (0,1), declared (1, 0)")),
+    "form-retagged-antisym": ("form w on M = dx ox dy - dy ox dx", 0, {
+        "kind": "decl", "ok": True, "name": "w",
+        "result": _tensor_json([0, 2], [([], ["x", "y"], "1")], "dx ^^ dy",
+                               cov_sym="antisym")},
+        ["w = dx ^^ dy"]),
+    "chart-weight-lengths": ("chart P { x:0, y:(0,1) }",
+                             *_semantic("inconsistent weight vector lengths")),
+}
+
+
+@pytest.mark.parametrize("line,code,record,text", RUNNER_RECORDS.values(),
+                         ids=RUNNER_RECORDS)
+def test_runner_records_pinned(line, code, record, text):
+    records, got = run(RUNNER_PRELUDE + line + "\n")
+    assert got == code
+    assert len(records) == RUNNER_PRELUDE.count("\n") + 1
+    # compared as JSON text, so the key order is pinned too
+    assert json.dumps(records[-1].to_json()) == json.dumps({"stmt": line, **record})
+    assert records[-1].text == text
+
+
 CHECK_PRELUDE = """\
 chart M { x:0, y:1 }
 chart C { t:2, u:1, v:1 }
@@ -1068,5 +1145,5 @@ def test_dumps_whole_documents(tmp_path, capsys):
     assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
     assert dumps(doc) == json.dumps(doc, indent=2)
 
-    doc = suite_to_json([criterion_weight_commute(42)])
+    doc = suite_to_json([criterion_weight_commute(42)], 42)
     assert dumps(doc) == json.dumps(doc, indent=2)

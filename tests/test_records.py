@@ -2,7 +2,9 @@
 
 Each record keeps a dataclass's construction (positional or keyword,
 same defaults, the same validation), its field-wise ==, hash and repr,
-and on the frozen ones read-only fields.  Expected values are written
+and on the frozen ones read-only fields.  The script parser's internal
+records (Token, CmdStmt, Form, Choice) are named tuples, so each of them
+also equals the plain tuple of its fields.  Expected values are written
 out here, not read from the classes.
 """
 
@@ -49,10 +51,10 @@ RECORDS = {
                 {}, ("line", 4)),
     "Script": (Script, True, {"statements": ("a", "b")}, {}, ("statements", ())),
     "Form": (Form, True,
-             {"args": (), "run": len, "params": (("r", 1),), "alias": "tensor",
-              "body": repr, "binds": "chart"},
-             {"params": (), "alias": None, "body": dsl._command_body, "binds": None},
-             ("alias", None)),
+             {"args": (), "run": len, "params": (("r", 1),), "body": repr,
+              "binds": "chart"},
+             {"params": (), "body": dsl._command_body, "binds": None},
+             ("binds", None)),
     "Choice": (Choice, True,
                {"label": "kind", "noun": "check", "forms": {"a": FORM}, "hyphens": True},
                {"hyphens": False}, ("noun", "oracle")),
@@ -123,7 +125,8 @@ def test_fieldwise_eq_hash_repr(cls, frozen, fields, defaults, changed):
     other = cls(**{**fields, changed[0]: changed[1]})
     assert r == same and not r != same
     assert r != other and not r == other
-    assert r != tuple(fields.values())
+    # a named tuple equals the plain tuple of its fields
+    assert (r == tuple(fields.values())) is issubclass(cls, tuple)
     assert r.__eq__(object()) is NotImplemented
     if frozen:
         assert _hash_or_error(r) == _hash_or_error(tuple(fields.values()))
@@ -181,3 +184,20 @@ def test_token_is_a_named_tuple():
     assert repr(t) == "Token(kind='ident', text='x', line=1, col=2)"
     assert dsl._lex_line("x", 1) == [t[:2] + (1, 1)]
     assert type(dsl._lex_line("x", 1)[0]) is Token
+
+
+def test_parse_records_are_named_tuples():
+    assert CmdStmt._fields == ("op", "form", "args", "line", "src")
+    assert Form._fields == ("args", "run", "params", "body", "binds")
+    assert Choice._fields == ("label", "noun", "forms", "hyphens")
+    assert Form._field_defaults == {"params": (), "body": dsl._command_body,
+                                    "binds": None}
+    assert Choice._field_defaults == {"hyphens": False}
+    form = Form((), len)
+    assert isinstance(form, tuple) and form == ((), len, (), dsl._command_body, None)
+    with pytest.raises(AttributeError):
+        form.binds = "tensor"
+    assert repr(Choice("kind", "check", {"a": form})) == (
+        "Choice(label='kind', noun='check', forms={'a': Form(args=(), "
+        f"run={len!r}, params=(), body={dsl._command_body!r}, binds=None)}}, "
+        "hyphens=False)")
