@@ -19,6 +19,7 @@ bivector; vanishing compatibility concomitant) are checked exactly.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -28,7 +29,7 @@ from .calculus import (
 )
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
-from .errors import ChartMismatchError, GradcalcError, ValenceError, _Frozen
+from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_make
 from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function, \
     homogeneous_components
 from .render import key_text, number_str, point_text
@@ -51,24 +52,22 @@ __all__ = [
 ]
 
 
-class CheckReport(_Frozen):
+class CheckReport(namedtuple("CheckReport", "verdict witness degrees seed")):
     """Outcome of a structure check.
 
     A sampled verdict is one that names its seed; probabilistic is true
     exactly then.
     """
 
-    __slots__ = ("verdict", "witness", "degrees", "seed")
+    __slots__ = ()
 
-    def __init__(self, verdict: bool, witness: str | None = None,
-                 degrees: dict | None = None, seed: int | None = None):
+    def __new__(cls, verdict: bool, witness: str | None = None,
+                degrees: dict | None = None, seed: int | None = None):
         if not verdict and witness is None:
             raise GradcalcError("failing check must carry a witness")
-        set_ = object.__setattr__
-        set_(self, "verdict", verdict)
-        set_(self, "witness", witness)
-        set_(self, "degrees", degrees)
-        set_(self, "seed", seed)
+        return super().__new__(cls, verdict, witness, degrees, seed)
+
+    _make = _checked_make
 
     def __bool__(self) -> bool:
         return self.verdict
@@ -90,37 +89,27 @@ class CheckReport(_Frozen):
         return out
 
 
-class Distribution(_Frozen):
+class Distribution(namedtuple("Distribution", "chart generators")):
     """A distribution given by a finite family of generating vector fields."""
 
-    __slots__ = ("chart", "generators")
+    __slots__ = ()
 
-    def __init__(self, chart: Chart, generators: tuple):
+    def __new__(cls, chart: Chart, generators: tuple):
         for x in generators:
             if x.chart is not chart:
                 raise ChartMismatchError("generator lives on a different chart")
             if (x.q, x.p) != (1, 0):
                 raise ValenceError("generators must be vector fields")
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "generators", generators)
+        return super().__new__(cls, chart, generators)
+
+    _make = _checked_make
 
 
-class Section(_Frozen):
-    """Section of a vector-bundle chart, one component per fibre variable.
-
-    values maps fibre variable indices to polynomials in base variables;
-    missing fibre variables mean zero components.
-    """
-
-    __slots__ = ("chart", "vb_component", "values", "graded_component")
-
-    def __init__(self, chart: Chart, vb_component: int, values: dict,
-                 graded_component: int = 0):
-        set_ = object.__setattr__
-        set_(self, "chart", chart)
-        set_(self, "vb_component", vb_component)
-        set_(self, "values", values)
-        set_(self, "graded_component", graded_component)
+# Section of a vector-bundle chart, one component per fibre variable:
+# values maps fibre variable indices to polynomials in base variables;
+# missing fibre variables mean zero components.
+Section = namedtuple("Section", "chart vb_component values graded_component",
+                     defaults=(0,))
 
 
 def _deg_str(d) -> str:
@@ -254,14 +243,8 @@ def is_weighted_pn(lam: TensorField, n: TensorField, k: int,
 
 # -- bundle maps --------------------------------------------------------------
 
-class BundleMap(_Frozen):
-    """Component matrix of a musical bundle map plus its degree report."""
-
-    __slots__ = ("matrix", "report")
-
-    def __init__(self, matrix: tuple, report: CheckReport | None):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "report", report)
+# Component matrix of a musical bundle map plus its degree report.
+BundleMap = namedtuple("BundleMap", "matrix report")
 
 
 def sharp_map(lam: TensorField, k: int | None = None, component: int = 0) -> BundleMap:

@@ -50,7 +50,7 @@ from .checkers import (Distribution, is_almost_complex, is_almost_product,
                        is_weighted_distribution, is_weighted_nijenhuis,
                        is_weighted_poisson, is_weighted_pn,
                        is_weighted_tensor)
-from .errors import DslError, GradcalcError, _Frozen, _Record
+from .errors import DslError, GradcalcError
 from .lifts import (LiftContext, LinearConnection, _lift_terms, covariant_derivative,
                     lift_distribution, lift_function, lift_linear_connection,
                     lift_tensor, tangent_connection)
@@ -123,11 +123,8 @@ def _lex_line(text: str, line_no: int) -> list:
 CmdStmt = namedtuple("CmdStmt", "op form args line src")
 
 
-class Script(_Frozen):
-    __slots__ = ("statements",)
-
-    def __init__(self, statements: tuple):
-        object.__setattr__(self, "statements", statements)
+# A parsed script: its CmdStmts in order.
+Script = namedtuple("Script", "statements")
 
 
 class _Parser:
@@ -236,25 +233,29 @@ class _Parser:
             if not self.accept("comma"):
                 out.append(entry())
 
+    def _once(self, label: str, seen: set, what: str) -> str:
+        """An identifier not in seen, which then holds it"""
+        t = self.expect("ident", label)
+        if t.text in seen:
+            raise DslError(f"{what} {t.text!r} is given twice", "syntax", t.line, t.col)
+        seen.add(t.text)
+        return t.text
+
     def point(self) -> tuple:
         """at (var=RAT, ...), each var at most once"""
         self.expect_word("at")
         seen = set()
 
         def coordinate() -> tuple:
-            t = self.expect("ident", "variable")
-            if t.text in seen:
-                raise DslError(f"coordinate {t.text!r} is given twice", "syntax",
-                               t.line, t.col)
-            seen.add(t.text)
+            var = self._once("variable", seen, "coordinate")
             self.expect("equals")
-            return t.text, self._rational()
+            return var, self._rational()
 
         return self.parenthesized(coordinate)
 
-    def weight(self) -> tuple:
-        """var:WEIGHT, WEIGHT = INT or (INT, INT, ...)"""
-        var = self.expect("ident", "variable name").text
+    def weight(self, seen: set) -> tuple:
+        """var:WEIGHT, WEIGHT = INT or (INT, INT, ...), var not in seen"""
+        var = self._once("variable name", seen, "variable")
         self.expect("colon", "':'")
         t = self.peek()
         if t is not None and t.kind == "lparen":
@@ -336,7 +337,8 @@ def _eval_body(p: _Parser, form: Form, a: dict) -> None:
 def _chart_body(p: _Parser, form: Form, a: dict) -> None:
     """NAME { var:WEIGHT, ... }"""
     a["as"] = p.expect("ident", "chart name").text
-    a["entries"] = p.braced("chart", p.weight)
+    seen: set = set()
+    a["entries"] = p.braced("chart", lambda: p.weight(seen))
     p.done()                # trailing input is reported before an empty block
     if not a["entries"]:
         raise DslError("chart declares no variables", "syntax", p.line,
@@ -490,17 +492,16 @@ def parse(text: str) -> Script:
 
 # -- execution -----------------------------------------------------------------
 
-class OutputRecord(_Record):
-    __slots__ = ("stmt", "kind", "ok", "payload", "text", "ms")
+class OutputRecord(namedtuple("OutputRecord", "stmt kind ok payload text ms")):
+    """One statement's result: payload is its JSON after stmt, kind and ok,
+    text its lines of text output and ms its wall time."""
 
-    def __init__(self, stmt: str, kind: str, ok: bool, payload: dict | None = None,
-                 text: list | None = None, ms: float = 0.0):
-        self.stmt = stmt
-        self.kind = kind
-        self.ok = ok
-        self.payload = {} if payload is None else payload
-        self.text = [] if text is None else text
-        self.ms = ms
+    __slots__ = ()
+
+    def __new__(cls, stmt: str, kind: str, ok: bool, payload: dict | None = None,
+                text: list | None = None, ms: float = 0.0):
+        return super().__new__(cls, stmt, kind, ok, {} if payload is None else payload,
+                               [] if text is None else text, ms)
 
     @property
     def is_check(self) -> bool:
@@ -660,8 +661,9 @@ def _payload(x) -> dict:
 
 
 def _bind(st: CmdStmt, env: _Env, a: dict, x, text: list | None = None,
-          decl: str | None = None) -> OutputRecord:
-    """Bind the name the statement defines to x and report x.
+          decl: str | None = None) -> tuple:
+    """Bind the name the statement defines to x and report x as a record's
+    kind, ok, payload and text.
 
     A declaration passes its record kind as decl and reports its name
     first.  text defaults to x's rendered text, after "NAME = " in a
@@ -676,10 +678,10 @@ def _bind(st: CmdStmt, env: _Env, a: dict, x, text: list | None = None,
         text = [f"{name} = {res}" if decl else res]
     if decl:
         payload = {"name": name, **payload}
-    return OutputRecord(st.src, decl or st.op, True, payload, text)
+    return decl or st.op, True, payload, text
 
 
-def _run_chart(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_chart(st: CmdStmt, env: _Env, a: dict) -> tuple:
     entries = a["entries"]
     chart = make_chart([v for v, _ in entries], [w for _, w in entries], label=a["as"])
     many = len(entries[0][1]) > 1
@@ -687,7 +689,7 @@ def _run_chart(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
         f"{n}:{list(w) if many else w[0]}" for n, w in entries)], "chart")
 
 
-def _run_decl(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_decl(st: CmdStmt, env: _Env, a: dict) -> tuple:
     name, chart = a["as"], a["chart"]
     t = _eval_expr(a["exprs"][0][1], chart)
     if st.op == "fn":
@@ -717,13 +719,13 @@ def _run_decl(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     return _bind(st, env, a, t, decl="decl")
 
 
-def _run_dist(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_dist(st: CmdStmt, env: _Env, a: dict) -> tuple:
     gens = tuple(_eval_expr(e, a["chart"]) for _, e in a["exprs"])
     return _bind(st, env, a, Distribution(a["chart"], gens),
                  [f"{a['as']} = span of {len(gens)} fields"], "dist")
 
 
-def _run_conn(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_conn(st: CmdStmt, env: _Env, a: dict) -> tuple:
     chart = a["chart"]
     gamma: dict = {}
     for (up, lo1, lo2), e in a["exprs"]:
@@ -736,7 +738,7 @@ def _run_conn(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
                  [f"{a['as']}: connection with {len(a['exprs'])} symbols"], "connection")
 
 
-def _run_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
     x = a["name"]
     dist = isinstance(x, Distribution)
     if dist != (a["lambda"] is None):
@@ -752,12 +754,12 @@ def _run_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
                  [f"lifted distribution with {len(lifted.generators)} generators"])
 
 
-def _run_prolong(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_prolong(st: CmdStmt, env: _Env, a: dict) -> tuple:
     total = env.context(a["name"], a["r"]).total
     return _bind(st, env, a, total, [f"prolonged chart with {total.dim} variables"])
 
 
-def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> tuple:
     conn = a["name"]
     ctx = env.context(conn.chart, a["r"])
     _check_lift(ctx.r, sum(_lift_terms(conn, ctx.r)))
@@ -766,7 +768,7 @@ def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
                  [f"lifted connection with {len(lifted.gamma)} symbols"])
 
 
-def _run_degree(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_degree(st: CmdStmt, env: _Env, a: dict) -> tuple:
     d = degree_of_tensor(a["name"], a["component"])
     if d is ANY_DEGREE:
         text = "degree = any (zero tensor)"
@@ -774,11 +776,10 @@ def _run_degree(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
         text = "not homogeneous"
     else:
         text = f"degree = {number_str(d)}"
-    return OutputRecord(st.src, "degree", True,
-                        {"degree": "any" if d is ANY_DEGREE else d}, [text])
+    return "degree", True, {"degree": "any" if d is ANY_DEGREE else d}, [text]
 
 
-def _run_eval(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_eval(st: CmdStmt, env: _Env, a: dict) -> tuple:
     t = a["name"]
     values = evaluate_tensor_at(t, dict(a["point"]))
     names = t.chart.names
@@ -790,10 +791,10 @@ def _run_eval(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
                      "down": [names[j] for j in key[1]],
                      "value": v})
         lines.append(f"{key_text(names, key)} = {v}" if key[0] or key[1] else v)
-    return OutputRecord(st.src, "eval", True, {"values": rows}, lines or ["0"])
+    return "eval", True, {"values": rows}, lines or ["0"]
 
 
-def _run_print(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_print(st: CmdStmt, env: _Env, a: dict) -> tuple:
     x = a["name"]
     payload = _payload(x)
     if isinstance(x, Chart):
@@ -806,10 +807,10 @@ def _run_print(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
                 for (k, ai, b), g in sorted(x.gamma.items())] or ["flat connection"]
     else:
         text = [payload["result"]["text"]]
-    return OutputRecord(st.src, "print", True, payload, text)
+    return "print", True, payload, text
 
 
-def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
     t = a["name"]
     if t.q or t.p:
         raise GradcalcError("oracle lift takes a function")
@@ -822,33 +823,30 @@ def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
     agree = main == other
     line = "oracle lift: " + ("agree" if agree else "DISAGREE")
     text = render_poly(main)
-    return OutputRecord(st.src, "oracle", agree,
-                        {"oracle": "taylor-lift", "agree": agree,
-                         "result": {"text": text}},
-                        [line, text])
+    return ("oracle", agree,
+            {"oracle": "taylor-lift", "agree": agree, "result": {"text": text}},
+            [line, text])
 
 
-def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> tuple:
     lam, n, alpha, beta = a["lam"], a["n"], a["alpha"], a["beta"]
     direct = insert_form(tensor_product(alpha, beta), concomitant(lam, n))
     other = koszul_concomitant_oracle(lam, n, alpha, beta)
     agree = direct == other
     line = "oracle concomitant: " + ("agree" if agree else "DISAGREE")
     res = tensor_to_json(direct)
-    return OutputRecord(st.src, "oracle", agree,
-                        {"oracle": "koszul-concomitant", "agree": agree,
-                         "result": res},
-                        [line, res["text"]])
+    return ("oracle", agree,
+            {"oracle": "koszul-concomitant", "agree": agree, "result": res},
+            [line, res["text"]])
 
 
-def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> tuple:
     plan = SamplePlan(seed=env.seed, count=env.samples)
     rep = identity_spot_check(a["a"], a["b"], plan)
     line = "oracle spotcheck: " + ("agree" if rep.verdict else
                                    f"DISAGREE ({rep.witness})")
-    return OutputRecord(st.src, "oracle", bool(rep.verdict),
-                        {"oracle": "spot-check", "check": rep.to_json()},
-                        [line])
+    return ("oracle", bool(rep.verdict),
+            {"oracle": "spot-check", "check": rep.to_json()}, [line])
 
 
 # -- the command table ---------------------------------------------------------
@@ -865,8 +863,8 @@ _REQUIRED = object()
 # One statement form, a declaration or a command.
 # args: (key, parse label, object kinds) for each positional name; the
 # CHART of a declaration is one.
-# run(st, env, a): builds the record; a is st.args with each positional key
-# mapped to its object.
+# run(st, env, a): returns the record's kind, ok, payload and text; a is
+# st.args with each positional key mapped to its object.
 # params: (key, default) for each key=INT in order; _REQUIRED marks a key
 # that must be given.
 # body(p, form, a): parses what follows the keyword into a.
@@ -893,12 +891,11 @@ def _tensor_op(args: tuple, fn) -> Form:
 
 def _check(args: tuple, params: tuple, fn) -> Form:
     """Form of a check kind; fn(env, a) returns the CheckReport."""
-    def run(st: CmdStmt, env: _Env, a: dict) -> OutputRecord:
+    def run(st: CmdStmt, env: _Env, a: dict) -> tuple:
         rep = fn(env, a)
         line = f"check {a['kind']}: " + ("PASS" if rep.verdict else
                                          f"FAIL ({rep.witness})")
-        return OutputRecord(st.src, "check", bool(rep.verdict),
-                            {"check": rep.to_json()}, [line])
+        return "check", bool(rep.verdict), {"check": rep.to_json()}, [line]
     return Form(args, run, params)
 
 
@@ -989,14 +986,13 @@ def execute(script: Script, seed: int = 0, samples: int = 8):
         for key, _, _ in st.form.args:
             a[key] = env.objects[a[key]]
         try:
-            rec = st.form.run(st, env, a)
+            out = st.form.run(st, env, a)
         except GradcalcError as e:
             msg = e.args[0] if e.args else str(e)
-            rec = OutputRecord(st.src, "error", False,
-                               {"error": {"kind": "semantic", "line": st.line,
-                                          "message": msg}},
-                               [f"semantic error at line {st.line}: {msg}"])
-        rec.ms = (time.perf_counter() - t0) * 1000.0
+            out = ("error", False,
+                   {"error": {"kind": "semantic", "line": st.line, "message": msg}},
+                   [f"semantic error at line {st.line}: {msg}"])
+        rec = OutputRecord._make((st.src, *out, (time.perf_counter() - t0) * 1000.0))
         records.append(rec)
         if rec.kind == "error":
             return records, 3

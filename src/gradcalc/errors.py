@@ -1,11 +1,13 @@
-"""Exception types shared across the engine, and the base of its records.
+"""Exception types shared across the engine.
 
 Import path rule: `import gradcalc` and `import gradcalc.cli` load no
 `dataclasses`, `inspect` or `typing`.  Every CLI run pays for the
 import, and `dataclasses` alone (with the `inspect`, `ast`, `dis` and
-`tokenize` it imports) was about two thirds of it.  So the record
-classes are plain `__slots__` classes on the bases below, annotations
-take their types from `collections.abc`, and
+`tokenize` it imports) was about two thirds of it.  So every record is
+a `collections.namedtuple`.  A validating one subclasses its named
+tuple and checks its fields in `__new__`, which copy and pickle call,
+and takes `_checked_make` below as its `_make`, which `_replace` calls.
+Annotations take their types from `collections.abc`, and
 `tests/test_imports.py::test_import_path_is_light` keeps it so.
 """
 
@@ -52,43 +54,6 @@ class DslError(GradcalcError):
         return f"{self.kind} error{loc}: {self.args[0]}"
 
 
-class _Record:
-    """Fields in __slots__; ==, repr and pickling go field by field in slot
-    order, as a dataclass's do.  Defining __eq__ leaves __hash__ None, so a
-    mutable record is unhashable, as a non-frozen dataclass is."""
-
-    __slots__ = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{self.__class__.__qualname__}({body})"
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, which takes the fields
-        # in slot order; restoring slot state would assign frozen fields
-        return self.__class__, self._values()
-
-
-class _Frozen(_Record):
-    """A read-only record: __init__ sets its fields with object.__setattr__;
-    any later assignment or deletion raises AttributeError, and it hashes
-    by its fields, as a frozen dataclass does."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __hash__(self) -> int:
-        return hash(self._values())
+# The _make of a validating record.  A named tuple's _replace builds its
+# result through _make, which would otherwise skip the checks in __new__.
+_checked_make = classmethod(lambda cls, fields: cls(*fields))

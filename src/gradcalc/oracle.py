@@ -33,12 +33,13 @@ identically):
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
 from .charts import Chart
 from .checkers import CheckReport
-from .errors import ChartMismatchError, GradcalcError, ValenceError, _Frozen
+from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_make
 from .lifts import LiftContext
 from .poly import Poly
 from .render import key_text, point_text
@@ -51,16 +52,17 @@ __all__ = [
 ]
 
 
-class SamplePlan(_Frozen):
+class SamplePlan(namedtuple("SamplePlan", "seed count")):
     """Seeded sampling recipe: how many rational points (1..MAX_SAMPLES).
     Numerators are drawn from -5..5 (0 becomes 1), denominators from 1..3."""
 
-    __slots__ = ("seed", "count")
+    __slots__ = ()
 
-    def __init__(self, seed: int, count: int = 8):
+    def __new__(cls, seed: int, count: int = 8):
         check_sample_count(count)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "count", count)
+        return super().__new__(cls, seed, count)
+
+    _make = _checked_make
 
     def points(self, chart: Chart) -> list:
         rng = random.Random(self.seed)
@@ -162,6 +164,16 @@ def identity_spot_check(lhs: TensorField, rhs: TensorField,
 # One-forms and vector fields are handled as plain {index: Poly} tables so
 # this path shares only the polynomial kernel with the rest of the engine.
 
+def _add(out: dict, key, v: Poly) -> None:
+    """out[key] += v; a key whose sum is zero leaves out"""
+    prev = out.get(key)
+    acc = v if prev is None else prev + v
+    if acc:
+        out[key] = acc
+    elif prev is not None:
+        del out[key]
+
+
 def _d_fun(chart: Chart, f: Poly) -> dict:
     out = {}
     for s in f.variables_used():
@@ -199,10 +211,8 @@ def _sharp(p: dict, alpha: dict) -> dict:
     for (i, j), pij in p.items():
         aj = alpha.get(j)
         if aj is not None:
-            prev = out.get(i)
-            v = pij * aj
-            out[i] = v if prev is None else prev + v
-    return {i: v for i, v in out.items() if v}
+            _add(out, i, pij * aj)
+    return out
 
 
 def _pair(chart: Chart, p: dict, alpha: dict, beta: dict) -> Poly:
@@ -231,12 +241,7 @@ def _koszul(chart: Chart, p: dict, alpha: dict, beta: dict) -> dict:
 
 def _form_acc(out: dict, form: dict, sign: int) -> None:
     for s, v in form.items():
-        prev = out.get(s)
-        acc = v * sign if prev is None else prev + v * sign
-        if acc:
-            out[s] = acc
-        elif prev is not None:
-            del out[s]
+        _add(out, s, v * sign)
 
 
 def koszul_concomitant_oracle(lam: TensorField, n: TensorField,
@@ -270,20 +275,14 @@ def koszul_concomitant_oracle(lam: TensorField, n: TensorField,
         for (i, s), nis in n_m.items():
             wi = form.get(i)
             if wi is not None:
-                prev = out.get(s)
-                v = nis * wi
-                out[s] = v if prev is None else prev + v
-        return {s: v for s, v in out.items() if v}
+                _add(out, s, nis * wi)
+        return out
 
     comp = {}
     for (u, l), lul in lam_m.items():
         for (w, l2), nwl in n_m.items():
             if l2 == l:
-                key = (u, w)
-                prev = comp.get(key)
-                v = lul * nwl
-                comp[key] = v if prev is None else prev + v
-    comp = {k: v for k, v in comp.items() if v}
+                _add(comp, (u, w), lul * nwl)
 
     def transport(x: dict, form: dict) -> dict:
         # componentwise derivative along x, no index scatter

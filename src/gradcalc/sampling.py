@@ -68,10 +68,11 @@ def random_poly(rng: random.Random, chart: Chart, max_terms: int = 3,
     """1..max_terms terms of degree <= max_degree, nonzero coefficients in -3..3."""
     entries = []
     for _ in range(rng.randint(1, max_terms)):
-        deg = rng.randint(0, max_degree)
+        # a chart with no variables has constants only
+        deg = rng.randint(0, max_degree) if chart.dim else 0
         counts: dict = {}
         for _ in range(deg):
-            v = rng.randrange(chart.dim) if chart.dim else 0
+            v = rng.randrange(chart.dim)
             counts[v] = counts.get(v, 0) + 1
         mono = tuple(sorted(counts.items()))
         entries.append((mono, random_fraction(rng, -3, 3)))

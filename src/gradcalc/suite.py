@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import namedtuple
 from itertools import combinations_with_replacement
 
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
@@ -20,7 +21,6 @@ from .charts import make_chart
 from .checkers import (Distribution, is_involutive, is_poisson,
                        is_weighted_distribution, is_weighted_poisson,
                        rank_at_point)
-from .errors import _Record
 from .lifts import (LiftContext, covariant_derivative, lift_distribution,
                     lift_function, lift_linear_connection, lift_tensor,
                     tangent_connection)
@@ -39,16 +39,9 @@ __all__ = ["CriterionResult", "run_check_suite", "render_table",
            "suite_to_json"]
 
 
-class CriterionResult(_Record):
-    __slots__ = ("label", "ok", "cases", "detail", "ms")
-
-    def __init__(self, label: str, ok: bool, cases: int, detail: str,
-                 ms: float = 0.0):
-        self.label = label
-        self.ok = ok
-        self.cases = cases
-        self.detail = detail
-        self.ms = ms
+class CriterionResult(namedtuple("CriterionResult", "label ok cases detail ms",
+                                 defaults=(0.0,))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"label": self.label, "ok": self.ok, "cases": self.cases,
@@ -438,8 +431,7 @@ def run_check_suite(seed: int = 42):
     for fn in _CRITERIA:
         t0 = time.perf_counter()
         res = fn(seed)
-        res.ms = (time.perf_counter() - t0) * 1000.0
-        results.append(res)
+        results.append(res._replace(ms=(time.perf_counter() - t0) * 1000.0))
     return results, (0 if all(r.ok for r in results) else 1)
 
 

@@ -432,6 +432,14 @@ def test_sampled_checks_reject_empty_samples():
             is_weighted_distribution(bad, samples=samples)
 
 
+def test_random_poly_on_a_chart_without_variables_is_constant():
+    point = make_chart([], [], label="P")
+    polys = [random_poly(random.Random(seed), point, max_terms=3, max_degree=3)
+             for seed in range(20)]
+    assert all(set(f.terms) <= {()} for f in polys) and any(f.terms for f in polys)
+    assert all(repr(f) == str(f.terms.get((), 0)) for f in polys)
+
+
 def test_sample_points_validation():
     with pytest.raises(GradcalcError, match="sample count"):
         sample_points(E2, 0, count=0)

@@ -774,6 +774,8 @@ DIAGNOSTICS = [
     ("chart N { z:a }", "syntax", 13, "expected integer, got 'a'"),
     ("chart N { z:(1,0 }", "syntax", 18, "expected ')', got '}'"),
     ("chart N { z:0", "syntax", 14, "unterminated chart block"),
+    ("chart N { z:0, z:1 }", "syntax", 16, "variable 'z' is given twice"),
+    ("chart N { z:0, z:(0,1) }", "syntax", 16, "variable 'z' is given twice"),
     ("chart N { }", "syntax", 1, "chart declares no variables"),
     ("chart N { } x", "syntax", 13, "trailing input 'x'"),
     ("chart M { z:0 }", "name", None, "'M' is already defined"),

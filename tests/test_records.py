@@ -1,18 +1,24 @@
 """The record classes behave as the dataclasses they replace.
 
-Each record keeps a dataclass's construction (positional or keyword,
-same defaults, the same validation), its field-wise ==, hash and repr,
-and on the frozen ones read-only fields.  The script parser's internal
-records (Token, CmdStmt, Form, Choice) are named tuples, so each of them
-also equals the plain tuple of its fields.  Expected values are written
-out here, not read from the classes.
+Every record is a `collections.namedtuple`; a validating one subclasses
+its named tuple and overrides `__new__` and `_make`.  Each keeps a
+dataclass's construction (positional or keyword, same defaults, the
+same validation), its field-wise ==, hash and repr, and read-only
+fields.  A record also equals the plain tuple of its fields.  No
+named-tuple path (`_replace`, `_make`, copy, pickle) builds a validating
+record that its constructor would refuse, and every record class in a
+gradcalc module is in RECORDS.  Expected values are written out here,
+not read from the classes.
 """
 
 import copy
+import importlib
 import pickle
+import pkgutil
 
 import pytest
 
+import gradcalc
 from gradcalc import dsl
 from gradcalc.charts import make_chart
 from gradcalc.checkers import BundleMap, CheckReport, Distribution, Section
@@ -58,11 +64,11 @@ RECORDS = {
     "Choice": (Choice, True,
                {"label": "kind", "noun": "check", "forms": {"a": FORM}, "hyphens": True},
                {"hyphens": False}, ("noun", "oracle")),
-    "OutputRecord": (OutputRecord, False,
+    "OutputRecord": (OutputRecord, True,
                      {"stmt": "print f", "kind": "print", "ok": True,
                       "payload": {"k": 1}, "text": ["f"], "ms": 2.5},
                      {"payload": {}, "text": [], "ms": 0.0}, ("ok", False)),
-    "CriterionResult": (CriterionResult, False,
+    "CriterionResult": (CriterionResult, True,
                         {"label": "c1", "ok": True, "cases": 7, "detail": "d",
                          "ms": 1.5},
                         {"ms": 0.0}, ("cases", 8)),
@@ -201,3 +207,55 @@ def test_parse_records_are_named_tuples():
         "Choice(label='kind', noun='check', forms={'a': Form(args=(), "
         f"run={len!r}, params=(), body={dsl._command_body!r}, binds=None)}}, "
         "hyphens=False)")
+
+
+# (a valid record, fields that its constructor refuses, that refusal)
+VALIDATING = {
+    "CheckReport": (CheckReport(True), {"verdict": False},
+                    (GradcalcError, "failing check must carry a witness")),
+    "SamplePlan": (SamplePlan(1), {"count": 0},
+                   (GradcalcError, "sample count must be at least 1")),
+    "Distribution": (Distribution(M, (DX,)),
+                     {"generators": (coordinate_one_form(M, "x"),)},
+                     (ValenceError, "generators must be vector fields")),
+}
+
+validating = pytest.mark.parametrize("r,bad,refusal", VALIDATING.values(),
+                                     ids=VALIDATING)
+
+
+@validating
+def test_no_named_tuple_path_builds_an_invalid_record(r, bad, refusal):
+    cls = type(r)
+    with pytest.raises(refusal[0], match=refusal[1]):
+        r._replace(**bad)
+    with pytest.raises(refusal[0], match=refusal[1]):
+        cls._make(tuple({**r._asdict(), **bad}.values()))
+    for twin in (r._replace(), cls._make(r)):
+        assert twin == r and type(twin) is cls
+
+
+@validating
+def test_copy_and_pickle_build_through_the_constructor(r, bad, refusal, monkeypatch):
+    cls = type(r)
+    new = cls.__new__
+    calls = []
+
+    def counted(c, *args, **kwargs):
+        calls.append(args)
+        return new(c, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__new__", counted)
+    for dup in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        calls.clear()
+        twin = dup(r)
+        assert type(twin) is cls and len(calls) == 1 and len(calls[0]) == len(r)
+
+
+def test_every_record_class_is_in_records():
+    modules = [gradcalc] + [importlib.import_module(f"gradcalc.{info.name}")
+                            for info in pkgutil.iter_modules(gradcalc.__path__)]
+    found = {x for m in modules for x in vars(m).values() if isinstance(x, type)
+             and issubclass(x, tuple) and hasattr(x, "_fields")}
+    # Token has its own test above
+    assert found - {Token} == {row[0] for row in RECORDS.values()}
