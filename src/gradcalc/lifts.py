@@ -22,10 +22,20 @@ factors (coefficient included) and to wedge products by the same rule.
 These choices make the top lift X^(r) of a vector field the complete
 (flow) lift and X^(0) the vertical lift.
 
+No lift sums terms.  A lifted variable x_mu projects to one base
+variable x and one level mu (the fibration T^r M -> M in coordinates),
+so a lifted monomial comes from exactly one base monomial, and a lifted
+index key from exactly one stored key and one level tuple.  The terms
+of a function's jet, the components of a lifted tensor and the symbols
+of a lifted connection are therefore disjoint: each is stored by
+assignment.  Only a monomial's own jet, built once per context, is a
+product of jets (_jet_mul).
+
 All lift operations take a LiftContext so repeated lifts share one
 prolonged chart object (charts compare by identity) and its caches:
 monomial jets, level tuples, lifted index patterns and the coefficient
-jets of the last tensor lifted (see LiftContext).
+jets of the last tensor lifted (see LiftContext).  An order r or a level
+lambda must be an int (not a bool); anything else raises GradcalcError.
 """
 
 from __future__ import annotations
@@ -50,11 +60,15 @@ class LiftContext:
     """Prolongation bookkeeping: base chart, order r, prolonged chart.
 
     Jets are computed in R[t]/(t^(r+1)) with coefficients on the prolonged
-    chart.  The context keeps four caches, each filled on first use:
+    chart.  A prolonged variable mu * n + i projects to base variable i at
+    level mu, so every lift is assembled by assignment, never by summing
+    (see the module docstring).  The context keeps four caches, each
+    filled on first use:
 
     - _jets, keyed by monomial: the jet of each monomial it has met, with
-      coefficient 1, so a function's jet is the sum of coefficient *
-      cached jet over its terms.  A power x_v^e is the monomial ((v, e),);
+      coefficient 1, so a function's jet is its terms' cached jets, each
+      scaled by its coefficient and stored side by side.  A power x_v^e
+      is the monomial ((v, e),);
       building one caches the powers of its halving chain (at most
       2 * e.bit_length() of them), and a product of powers caches its
       leading factors, so the cache is bounded by the distinct monomials
@@ -79,6 +93,7 @@ class LiftContext:
     __slots__ = ("base", "r", "total", "_jets", "_levels", "_index", "_last")
 
     def __init__(self, base: Chart, r: int):
+        _check_int(r, "prolongation order")
         if r < 0:
             raise GradcalcError("prolongation order must be >= 0")
         if "_t" in base.names:
@@ -165,6 +180,12 @@ class LiftContext:
         return f"<LiftContext r={self.r} of {self.base!r}>"
 
 
+def _check_int(value, what: str) -> None:
+    """Raise GradcalcError unless value is an int (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GradcalcError(f"{what} must be an integer, not {value!r}")
+
+
 def _jet_mul(a: dict, b: dict, r: int) -> dict:
     """Truncated Cauchy product of two sparse jets {level: Poly}."""
     out: dict = {}
@@ -176,7 +197,10 @@ def _jet_mul(a: dict, b: dict, r: int) -> dict:
 
 
 def lift_function_jets(f: Poly, ctx: LiftContext) -> list:
-    """All lifts f^(0), ..., f^(r): the jet of f in R[t]/(t^(r+1))."""
+    """All lifts f^(0), ..., f^(r): the jet of f in R[t]/(t^(r+1)).
+
+    A unit jet coefficient costs no product.
+    """
     if f.chart is not ctx.base:
         raise ChartMismatchError("function does not live on the context's base chart")
     levels = [{} for _ in range(ctx.r + 1)]
@@ -184,12 +208,13 @@ def lift_function_jets(f: Poly, ctx: LiftContext) -> list:
         for k, p in ctx._monomial_jet(mono).items():
             acc = levels[k]
             for m, c in p.terms.items():
-                _acc(acc, m, coef * c)
+                acc[m] = coef if c == 1 else coef * c
     return [Poly(ctx.total, terms) for terms in levels]
 
 
 def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:
     """The lambda-lift of a function; zero outside 0 <= lambda <= r."""
+    _check_int(lam, "lift level")
     if lam < 0 or lam > ctx.r:
         return Poly.zero(ctx.total)
     return lift_function_jets(f, ctx)[lam]
@@ -215,14 +240,16 @@ def _level_counts(exps: tuple, r: int) -> list:
 
 
 def _lift_terms(t, r: int) -> list:
-    """Upper bound on the terms of each lift of t at order r, per level.
+    """Terms of each lift of t at order r, per level.
 
     t is a TensorField or a LinearConnection, whose symbols lift like
-    coefficients with two basis slots.  Entry lam bounds the terms of
+    coefficients with two basis slots.  Entry lam counts the terms of
     lift_tensor(t, lam), or of the lifted symbols at fibre level lam: the
     sum over stored components and their monomials of _level_counts, with
-    one slot per basis factor.  It is exact for one monomial and counts no
-    cancellation or sym duplicate.
+    one slot per basis factor.  It is exact for every function, every
+    connection and every tensor without a sym tag (disjoint, see the
+    module docstring); for a sym tensor it is an upper bound, since it
+    counts a sym block's duplicate level orders.
     """
     if isinstance(t, LinearConnection):
         coefs = [(2, g) for g in t.gamma.values()]
@@ -288,6 +315,7 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     """
     if t.chart is not ctx.base:
         raise ChartMismatchError("tensor does not live on the context's base chart")
+    _check_int(lam, "lift level")
     r = ctx.r
     if lam < 0 or lam > r:
         return TensorField.zero(ctx.total, t.q, t.p, t.contra_sym, t.cov_sym)
@@ -318,7 +346,7 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
                 keys = table[s] = ctx._lifted_keys(pattern, s)
             neg = negs[lam - s] if negs else None
             for key, sign in keys:
-                _acc(out, key, jet if sign > 0 else neg)
+                out[key] = jet if sign > 0 else neg
     return TensorField(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
 
 
@@ -419,7 +447,8 @@ def lift_linear_connection(conn: LinearConnection, ctx: LiftContext) -> LinearCo
         jets = lift_function_jets(g, ctx)
         for rho in range(r + 1):
             for lev_k, lev_b, e in ctx._level_tuples(3, rho):
-                _acc(lifted, (ctx.var(k, lev_k), ctx.var(a, rho), ctx.var(b, lev_b)), jets[e])
+                if jets[e]:
+                    lifted[(ctx.var(k, lev_k), ctx.var(a, rho), ctx.var(b, lev_b))] = jets[e]
     return LinearConnection(ctx.total, conn.vb_component, lifted)
 
 
