@@ -24,16 +24,17 @@ These choices make the top lift X^(r) of a vector field the complete
 
 No lift sums terms.  A lifted variable x_mu projects to one base
 variable x and one level mu (the fibration T^r M -> M in coordinates),
-so a lifted monomial comes from exactly one base monomial, and a lifted
-index key from exactly one stored key and one level tuple.  The terms
-of a function's jet, the components of a lifted tensor and the symbols
-of a lifted connection are therefore disjoint: each is stored by
+so a lifted monomial comes from exactly one base monomial, a lifted
+index block from exactly one stored block and one level tuple, and a
+lifted key, an up and a down block, from one stored key.  The terms of
+a function's jet, the components of a lifted tensor and the symbols of
+a lifted connection are therefore disjoint: each is stored by
 assignment.  Only a monomial's own jet, built once per context, is a
 product of jets (_jet_mul).
 
 All lift operations take a LiftContext so repeated lifts share one
 prolonged chart object (charts compare by identity) and its caches:
-monomial jets, level tuples, lifted index patterns and the coefficient
+monomial jets, level tuples, lifted index blocks and the coefficient
 jets of the last tensor lifted (see LiftContext).  An order r or a level
 lambda must be an int (not a bool); anything else raises GradcalcError.
 """
@@ -41,6 +42,7 @@ lambda must be an int (not a bool); anything else raises GradcalcError.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import product
 
 from .calculus import vf_apply
 from .charts import Chart, prolong_chart, tangent_chart, vb_split
@@ -74,15 +76,14 @@ class LiftContext:
       leading factors, so the cache is bounded by the distinct monomials
       lifted and their factors.
     - _levels, keyed by (slots, s): the level tuples in [0, r]^slots that
-      sum to s, in product order.  Bounded by slots <= q + p of the
-      tensors lifted and s <= slots * r.
-    - _index, keyed by an index pattern (up, down, contra_sym, cov_sym):
-      {s: [(lifted key, sign), ...]}, the canonical lifted keys of that
-      stored key over the level tuples summing to s, with the sign an
+      sum to s, in product order; the connection lift reads slots = 3.
+    - _blocks, keyed by (block, tag, contra): rows [(lifted block, sign),
+      ...] by level sum a, the block's canonical lifted keys over its
+      level tuples summing to a, in product order, with the sign an
       antisym block picks up (sym duplicates dropped, see _lifted_block).
-      An s is filled only when some lift needs it, i.e. the coefficient
-      jet at lambda - s is nonzero.  Bounded by the distinct stored keys
-      and tags lifted, times slots * r + 1 sums each.
+      Up and down blocks lift independently, so a block shared by stored
+      keys of one tensor or several is lifted once.  Bounded by the
+      distinct blocks and tags lifted, len(block) * r + 1 rows each.
     - _last: the coefficient jets of the stored components of the last
       tensor passed to lift_tensor, so lifting one tensor at every lambda
       in turn lifts each stored coefficient once.  One entry.
@@ -90,7 +91,7 @@ class LiftContext:
     The name _t stays reserved for the lift parameter.
     """
 
-    __slots__ = ("base", "r", "total", "_jets", "_levels", "_index", "_last")
+    __slots__ = ("base", "r", "total", "_jets", "_levels", "_blocks", "_last")
 
     def __init__(self, base: Chart, r: int):
         _check_int(r, "prolongation order")
@@ -103,11 +104,15 @@ class LiftContext:
         self.total = prolong_chart(base, r)
         self._jets = {(): {0: Poly.const(self.total, 1)}}
         self._levels: dict = {}
-        self._index: dict = {}
+        self._blocks: dict = {}
         self._last = (None, [])
 
     def var(self, i: int, mu: int) -> int:
         """Prolonged-chart index of level mu of base variable i."""
+        _check_int(i, "base variable index")
+        _check_int(mu, "lift level")
+        if not 0 <= i < self.base.dim:
+            raise GradcalcError(f"base variable index {i} outside 0..{self.base.dim - 1}")
         if not 0 <= mu <= self.r:
             raise GradcalcError(f"level {mu} outside 0..{self.r}")
         return mu * self.base.dim + i
@@ -154,27 +159,26 @@ class LiftContext:
             levels = self._levels[(slots, s)] = tuple(_level_assignments(slots, self.r, s))
         return levels
 
-    def _lifted_keys(self, pattern: tuple, s: int) -> list:
-        """[(lifted key, sign), ...] of one index pattern at level sum s.
+    def _block_table(self, block: tuple, sym: str, contra: bool) -> tuple:
+        """Rows [(lifted block, sign), ...] of one index block, by level sum.
 
-        Level v on a contravariant slot lifts base index i to level r - v
-        and on a covariant slot index j to level v (self.var(i, mu) is
-        mu * n + i, inlined below); each block is then sorted back to its
-        canonical key by _lifted_block.
+        Row a holds the block's canonical lifted keys (_lifted_block, sym
+        duplicates left out) over its level tuples summing to a, in product
+        order.  Level v lifts a contravariant index i to level r - v and a
+        covariant one to level v: slots[k][v], self.var(i, mu) inlined.
         """
-        up, down, contra_sym, cov_sym = pattern
-        r, n, q = self.r, self.base.dim, len(up)
-        out = []
-        for assign in self._level_tuples(q + len(down), s):
-            su, nup = _lifted_block(tuple((r - v) * n + i for i, v in zip(up, assign)),
-                                    up, contra_sym)
-            if not su:
-                continue
-            sd, ndown = _lifted_block(tuple(k * n + j for j, k in zip(down, assign[q:])),
-                                      down, cov_sym)
-            if sd:
-                out.append(((nup, ndown), su * sd))
-        return out
+        table = self._blocks.get((block, sym, contra))
+        if table is None:
+            r, n = self.r, self.base.dim
+            mus = range(r, -1, -1) if contra else range(r + 1)
+            slots = [[mu * n + i for mu in mus] for i in block]
+            rows = [[] for _ in range(len(block) * r + 1)]
+            for levels, key in zip(product(range(r + 1), repeat=len(block)), product(*slots)):
+                sign, key = _lifted_block(key, block, sym)
+                if sign:
+                    rows[sum(levels)].append((key, sign))
+            table = self._blocks[(block, sym, contra)] = tuple(rows)
+        return table
 
     def __repr__(self) -> str:
         return f"<LiftContext r={self.r} of {self.base!r}>"
@@ -303,15 +307,15 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     """The lambda-lift of an arbitrary (q, p) tensor field.
 
     Distributes lambda over the coefficient and every basis factor of each
-    stored component: the coefficient takes level lambda - s and the basis
-    factors the levels of a tuple summing to s.  Each lifted block is
-    sorted back to its canonical key (_lifted_block), so symmetry tags
-    survive and no permutation of a stored key is lifted.  Zero outside
-    0..r.  Two caches of ctx carry the work between calls: _last, the
-    coefficient jets of the last tensor lifted, so lifting one tensor at
-    every lambda lifts each stored coefficient once; and _index, the
-    lifted keys of each (stored key, tags) pattern per level sum s, so a
-    pattern met again, in this tensor or another, is not lifted again.
+    stored component: the coefficient takes level lambda - a - b and the
+    up and down blocks the levels of tuples summing to a and b.  Each
+    lifted block is sorted back to its canonical key (_lifted_block), so
+    symmetry tags survive and no permutation of a stored key is lifted.
+    Zero outside 0..r.  Two caches of ctx carry the work between calls:
+    _last, the coefficient jets of the last tensor lifted, so lifting one
+    tensor at every lambda lifts each stored coefficient once; and
+    _blocks, the lifted keys of each index block by level sum, so a block
+    met again, in this tensor or another, is not lifted again.
     """
     if t.chart is not ctx.base:
         raise ChartMismatchError("tensor does not live on the context's base chart")
@@ -320,33 +324,33 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     if lam < 0 or lam > r:
         return TensorField.zero(ctx.total, t.q, t.p, t.contra_sym, t.cov_sym)
     if ctx._last[0] is not t:
-        # per stored component: its index table, the most levels its basis
-        # factors can take, and its coefficient jets and their negatives; an
-        # antisym block can flip the sign, so the jets are negated once, not per use
+        # per stored component: its up and down block tables, and its
+        # coefficient jets and their negatives; an antisym block can flip
+        # the sign, so the jets are negated once, not per use
         flips = "antisym" in (t.contra_sym, t.cov_sym)
-        index = ctx._index
         comps = []
         for (up, down), coef in t.components.items():
-            pattern = (up, down, t.contra_sym, t.cov_sym)
-            table = index.get(pattern)
-            if table is None:
-                table = index[pattern] = {}
             jets = lift_function_jets(coef, ctx)
-            comps.append((pattern, table, (len(up) + len(down)) * r, jets,
-                          [-c for c in jets] if flips else None))
+            comps.append((ctx._block_table(up, t.contra_sym, True),
+                          ctx._block_table(down, t.cov_sym, False),
+                          jets, [-c for c in jets] if flips else None))
         ctx._last = (t, comps)
     out: dict = {}
-    for pattern, table, reach, jets, negs in ctx._last[1]:
-        for s in range(max(0, lam - r), min(lam, reach) + 1):
-            jet = jets[lam - s]
-            if not jet:
-                continue
-            keys = table.get(s)
-            if keys is None:
-                keys = table[s] = ctx._lifted_keys(pattern, s)
-            neg = negs[lam - s] if negs else None
-            for key, sign in keys:
-                out[key] = jet if sign > 0 else neg
+    for ups, downs, jets, negs in ctx._last[1]:
+        for a, up_row in enumerate(ups):
+            if a > lam:
+                break
+            for b, down_row in enumerate(downs):
+                e = lam - a - b
+                if e < 0:
+                    break
+                jet = jets[e] if e <= r else None
+                if not jet:
+                    continue
+                neg = negs[e] if negs else None
+                for nup, su in up_row:
+                    for ndown, sd in down_row:
+                        out[(nup, ndown)] = jet if su == sd else neg
     return TensorField(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
 
 
@@ -436,19 +440,19 @@ def lift_linear_connection(conn: LinearConnection, ctx: LiftContext) -> LinearCo
 
     The lifted symbol attached to base level a, fibre target level rho and
     fibre source level nu is the (rho - a - nu)-lift of the original
-    symbol (zero when that exponent leaves 0..r).  The level triples
-    (a, nu, rho - a - nu) are the context's level tuples of sum rho <= r.
+    symbol (zero when that exponent leaves 0..r), over the context's level
+    triples (a, nu, rho - a - nu) of sum rho <= r; ctx.var is inlined.
     """
     if conn.chart is not ctx.base:
         raise ChartMismatchError("connection does not live on the context's base chart")
-    r = ctx.r
+    r, n = ctx.r, ctx.base.dim
     lifted = {}
     for (k, a, b), g in conn.gamma.items():
         jets = lift_function_jets(g, ctx)
         for rho in range(r + 1):
             for lev_k, lev_b, e in ctx._level_tuples(3, rho):
                 if jets[e]:
-                    lifted[(ctx.var(k, lev_k), ctx.var(a, rho), ctx.var(b, lev_b))] = jets[e]
+                    lifted[(lev_k * n + k, rho * n + a, lev_b * n + b)] = jets[e]
     return LinearConnection(ctx.total, conn.vb_component, lifted)
 
 

@@ -60,6 +60,13 @@ def test_context_basics():
     assert ctx.var(1, 2) == 5
     with pytest.raises(GradcalcError):
         ctx.var(0, 3)
+    # a base index outside the chart would alias another variable or level
+    for i, mu in ((2, 0), (-1, 1), (5, 2)):
+        with pytest.raises(GradcalcError, match=f"base variable index {i} outside 0..1$"):
+            ctx.var(i, mu)
+    for i, mu in ((0, True), (True, 0), (1.0, 0), (0, 1.0), ("0", 0)):
+        with pytest.raises(GradcalcError, match="must be an integer"):
+            ctx.var(i, mu)
     with pytest.raises(GradcalcError):
         LiftContext(E2, -1)
     bad = make_chart(["_t"], [0])
@@ -418,6 +425,79 @@ def test_index_cache_never_leaks_between_tensors(seed, dim, r, valence, data):
         assert (lifted.contra_sym, lifted.cov_sym) == (fresh.contra_sym, fresh.cov_sym)
         assert ({k: c.terms for k, c in lifted.components.items()}
                 == {k: c.terms for k, c in fresh.components.items()})
+
+
+def filtered_rows(ctx, block, sym, contra):
+    """A block's lifted keys by level sum, from the filtered full product."""
+    r = ctx.r
+    rows = [[] for _ in range(len(block) * r + 1)]
+    for levels in product(range(r + 1), repeat=len(block)):
+        mus = [r - v for v in levels] if contra else levels
+        sign, key = lifts._lifted_block(tuple(ctx.var(i, mu) for i, mu in zip(block, mus)),
+                                        block, sym)
+        if sign:
+            rows[sum(levels)].append((key, sign))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 3),
+       st.sampled_from(TAGS), st.sampled_from(TAGS), st.integers(0, 10 ** 9))
+def test_block_tables_partition_every_lift(r, q, p, csym, dsym, seed):
+    # each block table is the filtered product grouped by sum, and the
+    # stored keys' up rows times down rows write every lifted key once
+    rng = random.Random(seed)
+    chart = CHARTS[3]
+
+    def block(length, sym):
+        if sym == "antisym":
+            return tuple(sorted(rng.sample(range(3), length)))
+        idx = tuple(rng.randrange(3) for _ in range(length))
+        return tuple(sorted(idx)) if sym == "sym" else idx
+
+    entries = {(block(q, csym), block(p, dsym)): random_poly(rng, chart, max_terms=2, max_degree=2)
+               for _ in range(3)}
+    t = TensorField.from_components(chart, q, p, entries, csym, dsym)
+    ctx = LiftContext(chart, r)
+    rows = {}
+    for up, down in t.components:
+        for blk, sym, contra in ((up, t.contra_sym, True), (down, t.cov_sym, False)):
+            want = rows[(blk, contra)] = filtered_rows(ctx, blk, sym, contra)
+            assert [list(row) for row in ctx._block_table(blk, sym, contra)] == want
+    for lam in range(r + 1):
+        writes = []
+        for (up, down), coef in t.components.items():
+            jets = lift_function_jets(coef, ctx)
+            for a, ups in enumerate(rows[(up, True)]):
+                for b, downs in enumerate(rows[(down, False)]):
+                    if 0 <= lam - a - b <= r and jets[lam - a - b]:
+                        writes += [((nup, ndown), jets[lam - a - b] * (su * sd))
+                                   for nup, su in ups for ndown, sd in downs]
+        assert len({key for key, _ in writes}) == len(writes)
+        assert lift_tensor(t, lam, ctx).components == dict(writes)
+
+
+def test_block_tables_are_shared_between_tensors(monkeypatch):
+    # (d/dx ^ d/dy) ox dx and (d/dx ^ d/dy) ox dy share their up block
+    calls = []
+    lifted_block = lifts._lifted_block
+    monkeypatch.setattr(lifts, "_lifted_block",
+                        lambda key, base, sym: calls.append(base) or lifted_block(key, base, sym))
+    r = 2
+    ctx = LiftContext(E2, r)
+    one = Poly.const(E2, 1)
+    t1, t2 = (TensorField.from_components(E2, 2, 1, {((0, 1), (j,)): one}, "antisym")
+              for j in (0, 1))
+    for t in (t1, t2):
+        for lam in range(r + 1):
+            lift_tensor(t, lam, ctx)
+    assert calls.count((0, 1)) == (r + 1) ** 2
+    assert calls.count((0,)) == calls.count((1,)) == r + 1
+    calls.clear()
+    for t in (t1, t2, t1):
+        for lam in range(r + 1):
+            lift_tensor(t, lam, ctx)
+    assert calls == []
 
 
 def test_level_assignments_match_filtered_product():
