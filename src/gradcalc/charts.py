@@ -32,6 +32,7 @@ __all__ = [
     "make_chart",
     "prolong_chart",
     "prolonged_names",
+    "prolonged_base_name",
     "tangent_chart",
     "cotangent_chart",
     "phase_shifted_cotangent_chart",
@@ -152,6 +153,20 @@ def prolong_chart(chart: Chart, r: int) -> Chart:
 def prolonged_names(names, r: int) -> list[str]:
     """Names of prolongation levels 1..r, level by level: x_1, y_1, x_2, ..."""
     return [f"{n}_{mu}" for mu in range(1, r + 1) for n in names]
+
+
+def prolonged_base_name(name: str, r: int) -> str | None:
+    """The inverse of prolonged_names: n if name is n_mu with mu in 1..r,
+    written without leading zeros, else None.
+
+    Its time does not grow with r, so a name of a prolonged chart is
+    tested without listing the chart's names.
+    """
+    n, sep, mu = name.rpartition("_")
+    if r < 1 or not (sep and mu.isascii() and mu.isdigit()) or mu[0] == "0":
+        return None
+    # a mu with more digits than r exceeds it; int() never sees a long one
+    return n if len(mu) <= len(str(r)) and int(mu) <= r else None
 
 
 def _fibred_chart(chart: Chart, fibre_names: list[str], fibre_rows, label: str) -> Chart:

@@ -43,7 +43,7 @@ from fractions import Fraction
 from .calculus import (concomitant, exterior_derivative, fn_bracket,
                        lie_bracket, lie_derivative, nr_bracket,
                        schouten_bracket)
-from .charts import Chart, make_chart, prolonged_names
+from .charts import Chart, make_chart, prolonged_base_name
 from .checkers import (Distribution, is_almost_complex, is_almost_product,
                        is_almost_tangent, is_involutive, is_nijenhuis,
                        is_poisson, is_weighted_contact,
@@ -430,10 +430,18 @@ def _resolve(script: Script) -> None:
 
     Each statement's names are checked, then each of its expressions
     (the chart indices it names before its variables), and only then is
-    the name it defines bound.
+    the name it defines bound.  chart_vars maps a chart to the test of
+    its variable names; a prolonged chart tests a name by the naming rule
+    of prolonged_names, so resolving does not grow with the order r.
     """
     kinds: dict = {}
     chart_vars: dict = {}
+
+    def prolonged(base, r: int):
+        def has(nm: str) -> bool:
+            n = prolonged_base_name(nm, r)
+            return base(nm) or (n is not None and base(n))
+        return has
 
     def need(name: str, want: tuple, line: int) -> None:
         k = kinds.get(name)
@@ -454,14 +462,14 @@ def _resolve(script: Script) -> None:
             need(a[key], want, st.line)
         for idx, node in a.get("exprs", ()):
             chart = a["chart"]
-            vars_ = chart_vars[chart]
+            has = chart_vars[chart]
             for v in idx:
-                if v not in vars_:
+                if not has(v):
                     raise DslError(f"{v} not in {chart}", "name", st.line)
             for op, nm, line, col in _expr_names(node):
                 # a variable dq may name the covector of chart variable q
-                if nm not in vars_ and not (op == "var" and nm.startswith("d")
-                                            and nm[1:] in vars_):
+                if not has(nm) and not (op == "var" and nm.startswith("d")
+                                        and has(nm[1:])):
                     raise DslError(f"{nm} not in {chart}", "name", line, col)
         new = a.get("as")
         if new:
@@ -470,10 +478,9 @@ def _resolve(script: Script) -> None:
                 kind = kinds[a[form.args[0][0]]]
             define(new, kind, st.line)
             if "entries" in a:
-                chart_vars[new] = {v for v, _ in a["entries"]}
+                chart_vars[new] = {v for v, _ in a["entries"]}.__contains__
             elif kind == "chart":
-                base = chart_vars[a["name"]]
-                chart_vars[new] = base | set(prolonged_names(base, a["r"]))
+                chart_vars[new] = prolonged(chart_vars[a["name"]], a["r"])
 
 
 def parse(text: str) -> Script:

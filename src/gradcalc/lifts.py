@@ -27,16 +27,17 @@ variable x and one level mu (the fibration T^r M -> M in coordinates),
 so a lifted monomial comes from exactly one base monomial, a lifted
 index block from exactly one stored block and one level tuple, and a
 lifted key, an up and a down block, from one stored key.  The terms of
-a function's jet, the components of a lifted tensor and the symbols of
-a lifted connection are therefore disjoint: each is stored by
-assignment.  Only a monomial's own jet, built once per context, is a
-product of jets (_jet_mul).
+a function's jet and the components of a lifted tensor are therefore
+disjoint: each is stored by assignment.  Only a monomial's own jet,
+built once per context, is a product of jets (_jet_mul).  A lifted
+connection is read off the complete lift of its Christoffel tensor
+(lift_linear_connection).
 
 All lift operations take a LiftContext so repeated lifts share one
 prolonged chart object (charts compare by identity) and its caches:
-monomial jets, level tuples, lifted index blocks and the coefficient
-jets of the last tensor lifted (see LiftContext).  An order r or a level
-lambda must be an int (not a bool); anything else raises GradcalcError.
+monomial jets, lifted index blocks and the coefficient jets of the last
+tensor lifted (see LiftContext).  An order r or a level lambda must be
+an int (not a bool); anything else raises GradcalcError.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class LiftContext:
     Jets are computed in R[t]/(t^(r+1)) with coefficients on the prolonged
     chart.  A prolonged variable mu * n + i projects to base variable i at
     level mu, so every lift is assembled by assignment, never by summing
-    (see the module docstring).  The context keeps four caches, each
+    (see the module docstring).  The context keeps three caches, each
     filled on first use:
 
     - _jets, keyed by monomial: the jet of each monomial it has met, with
@@ -75,8 +76,6 @@ class LiftContext:
       2 * e.bit_length() of them), and a product of powers caches its
       leading factors, so the cache is bounded by the distinct monomials
       lifted and their factors.
-    - _levels, keyed by (slots, s): the level tuples in [0, r]^slots that
-      sum to s, in product order; the connection lift reads slots = 3.
     - _blocks, keyed by (block, tag, contra): rows [(lifted block, sign),
       ...] by level sum a, the block's canonical lifted keys over its
       level tuples summing to a, in product order, with the sign an
@@ -91,7 +90,7 @@ class LiftContext:
     The name _t stays reserved for the lift parameter.
     """
 
-    __slots__ = ("base", "r", "total", "_jets", "_levels", "_blocks", "_last")
+    __slots__ = ("base", "r", "total", "_jets", "_blocks", "_last")
 
     def __init__(self, base: Chart, r: int):
         _check_int(r, "prolongation order")
@@ -103,16 +102,13 @@ class LiftContext:
         self.r = r
         self.total = prolong_chart(base, r)
         self._jets = {(): {0: Poly.const(self.total, 1)}}
-        self._levels: dict = {}
         self._blocks: dict = {}
         self._last = (None, [])
 
     def var(self, i: int, mu: int) -> int:
         """Prolonged-chart index of level mu of base variable i."""
-        _check_int(i, "base variable index")
+        _check_index(i, self.base.dim, "base variable index")
         _check_int(mu, "lift level")
-        if not 0 <= i < self.base.dim:
-            raise GradcalcError(f"base variable index {i} outside 0..{self.base.dim - 1}")
         if not 0 <= mu <= self.r:
             raise GradcalcError(f"level {mu} outside 0..{self.r}")
         return mu * self.base.dim + i
@@ -152,13 +148,6 @@ class LiftContext:
                                            jets[((v, k // 2),)], self.r)
         return jets[mono]
 
-    def _level_tuples(self, slots: int, s: int) -> tuple:
-        """The level tuples in [0, r]^slots summing to s, in product order."""
-        levels = self._levels.get((slots, s))
-        if levels is None:
-            levels = self._levels[(slots, s)] = tuple(_level_assignments(slots, self.r, s))
-        return levels
-
     def _block_table(self, block: tuple, sym: str, contra: bool) -> tuple:
         """Rows [(lifted block, sign), ...] of one index block, by level sum.
 
@@ -188,6 +177,13 @@ def _check_int(value, what: str) -> None:
     """Raise GradcalcError unless value is an int (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise GradcalcError(f"{what} must be an integer, not {value!r}")
+
+
+def _check_index(i, dim: int, what: str) -> None:
+    """Raise GradcalcError unless i is an int (not a bool) in 0..dim-1."""
+    _check_int(i, what)
+    if not 0 <= i < dim:
+        raise GradcalcError(f"{what} {i} outside 0..{dim - 1}")
 
 
 def _jet_mul(a: dict, b: dict, r: int) -> dict:
@@ -269,18 +265,6 @@ def _lift_terms(t, r: int) -> list:
                 counts = cache[exps] = _level_counts(exps, r)
             out = [a + b for a, b in zip(out, counts)]
     return out
-
-
-def _level_assignments(slots: int, r: int, s: int):
-    """Tuples in [0, r]^slots summing to s, in product order."""
-    if slots == 0:
-        if s == 0:
-            yield ()
-        return
-    reach = (slots - 1) * r
-    for v in range(max(0, s - reach), min(r, s) + 1):
-        for rest in _level_assignments(slots - 1, r, s - v):
-            yield (v,) + rest
 
 
 def _lifted_block(key: tuple, base: tuple, sym: str) -> tuple:
@@ -372,7 +356,8 @@ class LinearConnection:
 
     gamma maps (base var k, fibre var A, fibre var B) to the Christoffel
     symbol G^A_{kB}, a polynomial on the total chart in base variables
-    only.  Horizontal lifts are X_k = d/dx^k - G^A_{kB} y^B d/dy^A.
+    only.  Horizontal lifts are X_k = d/dx^k - G^A_{kB} y^B d/dy^A.  An
+    index must be an int (not a bool) naming a variable of the chart.
     """
 
     __slots__ = ("chart", "vb_component", "gamma", "base", "fibre")
@@ -384,6 +369,8 @@ class LinearConnection:
         base_set, fibre_set = set(self.base), set(self.fibre)
         table = {}
         for (k, a, b), g in gamma.items():
+            for i in (k, a, b):
+                _check_index(i, chart.dim, "Christoffel index")
             if k not in base_set:
                 raise GradcalcError(f"Christoffel base index {chart.names[k]} is not a base variable")
             if a not in fibre_set or b not in fibre_set:
@@ -406,12 +393,15 @@ def tangent_connection(base_chart: Chart, gamma: Mapping) -> LinearConnection:
     """Affine connection on a chart, stored on its tangent chart.
 
     gamma maps (k, j, l) base-variable index triples to G^j_{kl}, read as
-    nabla_{d/dk} d/dl = G^j_{kl} d/dj.
+    nabla_{d/dk} d/dl = G^j_{kl} d/dj.  An index must be an int (not a
+    bool) naming a variable of base_chart.
     """
     total = tangent_chart(base_chart)
     n = base_chart.dim
     table = {}
     for (k, j, l), g in gamma.items():
+        for i in (k, j, l):
+            _check_index(i, n, "Christoffel index")
         if isinstance(g, Poly):
             if g.chart is not base_chart:
                 raise ChartMismatchError("Christoffel symbol lives on the wrong chart")
@@ -436,24 +426,21 @@ def horizontal_fields(conn: LinearConnection) -> list:
 
 
 def lift_linear_connection(conn: LinearConnection, ctx: LiftContext) -> LinearConnection:
-    """Prolong a linear connection.
+    """Prolong a linear connection: the complete lift of its Christoffel tensor.
 
-    The lifted symbol attached to base level a, fibre target level rho and
-    fibre source level nu is the (rho - a - nu)-lift of the original
-    symbol (zero when that exponent leaves 0..r), over the context's level
-    triples (a, nu, rho - a - nu) of sum rho <= r; ctx.var is inlined.
+    The symbols form the (1, 2) tensor G = G^a_{kb} d/dy^a ox dx^k ox dy^b,
+    stored under ((a,), (k, b)).  Its lift at lambda = r puts a at level
+    rho = r - v_a, k at level v_k, b at level v_b and the coefficient at
+    level rho - v_k - v_b: each component of lift_tensor(G, r) is the
+    symbol G^(a at rho)_{(k at v_k)(b at v_b)} of the prolonged connection.
     """
     if conn.chart is not ctx.base:
         raise ChartMismatchError("connection does not live on the context's base chart")
-    r, n = ctx.r, ctx.base.dim
-    lifted = {}
-    for (k, a, b), g in conn.gamma.items():
-        jets = lift_function_jets(g, ctx)
-        for rho in range(r + 1):
-            for lev_k, lev_b, e in ctx._level_tuples(3, rho):
-                if jets[e]:
-                    lifted[(lev_k * n + k, rho * n + a, lev_b * n + b)] = jets[e]
-    return LinearConnection(ctx.total, conn.vb_component, lifted)
+    christoffel = TensorField(conn.chart, 1, 2, {((a,), (k, b)): g
+                                                 for (k, a, b), g in conn.gamma.items()})
+    lifted = lift_tensor(christoffel, ctx.r, ctx).components
+    return LinearConnection(ctx.total, conn.vb_component,
+                            {(k, a, b): g for ((a,), (k, b)), g in lifted.items()})
 
 
 def covariant_derivative(conn: LinearConnection, x: TensorField, y: TensorField) -> TensorField:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from gradcalc.charts import (cotangent_chart, make_chart,
                              phase_shifted_cotangent_chart, prolong_chart,
+                             prolonged_base_name, prolonged_names,
                              shifted_dual_grl_chart, tangent_chart, vb_split)
 from gradcalc.errors import GradcalcError
 from gradcalc.render import chart_to_json
@@ -67,6 +68,21 @@ def test_prolong_chart_layout():
     assert t2.n_graded == (True, True)
     assert t2.label == "M^T2"
     assert prolong_chart(m, 0).names == m.names
+
+
+def test_prolonged_base_name_inverts_prolonged_names():
+    # a base name may itself end in _digits, as on a prolonged chart
+    base = ["x", "y_1", "z_"]
+    tails = [f"_{mu}" for mu in range(14)] + ["", "_", "_00", "_01", "_010", "_1_1",
+                                              "_x", "_-1", "_\u0661"]
+    candidates = [n + t for n in base + ["", "y", "w"] for t in tails]
+    for r in range(-1, 13):
+        named = {c for c in candidates if prolonged_base_name(c, r) in base}
+        assert named == set(prolonged_names(base, r))
+        for name in prolonged_names(base, r):
+            assert prolonged_base_name(name, r) == name.rpartition("_")[0]
+    assert prolonged_base_name("x_99999999", 10 ** 8) == "x"
+    assert prolonged_base_name("x_" + "9" * 5000, 10 ** 8) is None
 
 
 def test_prolong_rejects_collisions_and_bad_order():

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -164,9 +165,10 @@ connection G on M { G x x x = 1 }
 
 # Every r= of a script reaches one bound: (line 5, exit code, message of
 # the error record or None).  r=101 is rejected before anything of that
-# order is built.
+# order is built, and a huge order before any of its names is listed.
 ORDER_BOUND = [
     ("prolong M r=101", 3, "order r=101 exceeds the limit 100"),
+    ("prolong M r=100000000", 3, "order r=100000000 exceeds the limit 100"),
     ("lift X lambda=1 r=101", 3, "order r=101 exceeds the limit 100"),
     ("lift-connection G r=101", 3, "order r=101 exceeds the limit 100"),
     ("oracle lift f lambda=1 r=101", 3, "order r=101 exceeds the limit 100"),
@@ -181,6 +183,37 @@ def test_order_bound(line, code, message):
     if message is not None:
         assert records[-1].payload == {"error": {"kind": "semantic", "line": 5,
                                                  "message": message}}
+
+
+def _order_forms() -> list:
+    """The statement words of every form that takes an r= parameter."""
+    out = []
+    for word, form in dsl._COMMANDS.items():
+        forms = form.forms.items() if isinstance(form, dsl.Choice) else [("", form)]
+        out += [f"{word} {kind}".split() for kind, f in forms
+                if any(key == "r" for key, _ in f.params)]
+    return out
+
+
+def test_every_order_form_has_an_order_bound_row():
+    rejected = [line.split() for line, code, _ in ORDER_BOUND if "r=101" in line and code == 3]
+    assert _order_forms() and all(
+        any(words[:len(form)] == form for words in rejected) for form in _order_forms())
+
+
+def test_huge_prolong_order_parses_without_listing_names():
+    # level names are tested by the naming rule, so parsing costs the same
+    # at every r
+    text = "chart M { x:0, y:0 }\nprolong M r=100000000 as M1\nfn f on M1 = x_99999999 + y_1\n"
+    tracemalloc.start()
+    try:
+        parse(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    with pytest.raises(DslError, match="x_0100 not in M1"):
+        parse(text.replace("x_99999999", "x_0100"))
 
 
 # Every power a^e of a script is bounded by the term count its result may

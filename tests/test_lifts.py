@@ -17,7 +17,6 @@ from gradcalc.errors import ChartMismatchError, GradcalcError
 from gradcalc.lifts import (
     LiftContext,
     LinearConnection,
-    _level_assignments,
     covariant_derivative,
     horizontal_fields,
     lift_distribution,
@@ -200,6 +199,30 @@ def test_tangent_connection_structure():
         LinearConnection(conn.chart, conn.vb_component, {(0, 3, 2): xdot})
 
 
+TANGENT_E2 = tangent_chart(E2)
+
+
+@pytest.mark.parametrize("make, index, message", [
+    # a negative index would alias another variable, a large one raises
+    # IndexError, and a bool would pass as 0 or 1
+    (tangent_connection, (-1, 0, 0), "Christoffel index -1 outside 0..1"),
+    (tangent_connection, (5, 0, 0), "Christoffel index 5 outside 0..1"),
+    (tangent_connection, (0, 2, 0), "Christoffel index 2 outside 0..1"),
+    (tangent_connection, (0, 0, True), "Christoffel index must be an integer, not True"),
+    (tangent_connection, (0, 1.0, 0), "Christoffel index must be an integer, not 1.0"),
+    (LinearConnection, (-1, 2, 2), "Christoffel index -1 outside 0..3"),
+    (LinearConnection, (0, 4, 2), "Christoffel index 4 outside 0..3"),
+    (LinearConnection, (0, 2, True), "Christoffel index must be an integer, not True"),
+    (LinearConnection, ("x", 2, 2), "Christoffel index must be an integer, not 'x'"),
+])
+def test_connections_reject_a_bad_index(make, index, message):
+    with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
+        if make is tangent_connection:
+            tangent_connection(E2, {index: 1})
+        else:
+            LinearConnection(TANGENT_E2, E2.grading_count, {index: 1})
+
+
 def test_covariant_derivative():
     conn = tangent_connection(E2, {(0, 1, 0): 1})
     dx = coordinate_vector_field(E2, "x")
@@ -290,6 +313,42 @@ def test_jets_match_taylor_oracle(f, r):
     assert len(jets) == r + 1
     for lam in range(r + 1):
         assert jets[lam] == taylor_lift_oracle(f, lam, ctx)
+
+
+@st.composite
+def connections(draw):
+    """An affine connection of dim 1-3 with 1-3 nonzero symbols of degree <= 3."""
+    dim = draw(st.integers(1, 3))
+    chart = CHARTS[dim]
+    index = st.integers(0, dim - 1)
+    exps = st.lists(st.integers(0, 3), min_size=dim, max_size=dim).filter(
+        lambda es: sum(es) <= 3)
+    coefs = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    symbol = st.lists(st.tuples(exps, coefs), min_size=1, max_size=2).map(
+        lambda entries: Poly.from_terms(chart, [
+            (tuple((v, e) for v, e in enumerate(es) if e), c) for es, c in entries]))
+    return tangent_connection(chart, draw(st.dictionaries(
+        st.tuples(index, index, index), symbol.filter(bool), min_size=1, max_size=3)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(connections(), st.integers(0, 4))
+def test_connection_lift_matches_taylor_oracle(conn, r):
+    # the symbol at base level lev_k, fibre levels rho (target) and lev_b
+    # (source) is the e-lift of the base symbol, e = rho - lev_k - lev_b
+    ctx = LiftContext(conn.chart, r)
+    lifted = lift_linear_connection(conn, ctx)
+    assert (lifted.chart, lifted.vb_component) == (ctx.total, conn.vb_component)
+    want = {}
+    for (k, a, b), g in conn.gamma.items():
+        jets = [taylor_lift_oracle(g, e, ctx) for e in range(r + 1)]
+        for lev_k, lev_b, rho in product(range(r + 1), repeat=3):
+            e = rho - lev_k - lev_b
+            if 0 <= e <= r and jets[e]:
+                key = (ctx.var(k, lev_k), ctx.var(a, rho), ctx.var(b, lev_b))
+                assert key not in want
+                want[key] = jets[e]
+    assert lifted.gamma == want
 
 
 def oracle_lift_table(t, lam, ctx):
@@ -498,16 +557,6 @@ def test_block_tables_are_shared_between_tensors(monkeypatch):
         for lam in range(r + 1):
             lift_tensor(t, lam, ctx)
     assert calls == []
-
-
-def test_level_assignments_match_filtered_product():
-    for slots in range(5):
-        for r in range(5):
-            ctx = LiftContext(E1, r)
-            for s in range(-1, slots * r + 2):
-                want = [a for a in product(range(r + 1), repeat=slots) if sum(a) == s]
-                assert list(_level_assignments(slots, r, s)) == want
-                assert list(ctx._level_tuples(slots, s)) == want
 
 
 # -- the per-context monomial-jet cache ------------------------------------------
