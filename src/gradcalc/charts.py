@@ -41,6 +41,13 @@ __all__ = [
 ]
 
 
+def _check_int(value, what: str) -> int:
+    """value, if it is an int; GradcalcError otherwise (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise GradcalcError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
 class Chart:
     """Ordered variable table with per-variable integer weight vectors."""
 
@@ -66,14 +73,25 @@ class Chart:
         return tuple(all(w[c] >= 0 for w in self.weights)
                      for c in range(self.grading_count))
 
-    def index(self, name: str) -> int:
+    def index(self, var) -> int:
+        """The index of a variable given by its name or by its index."""
+        if not isinstance(var, str):
+            return self.check_index(var)
         try:
-            return self._index[name]
+            return self._index[var]
         except KeyError:
-            raise GradcalcError(f"chart has no variable named {name!r}") from None
+            raise GradcalcError(f"chart has no variable named {var!r}") from None
+
+    def check_index(self, i, what: str = "variable index") -> int:
+        """i, if it is an int (not a bool) naming a variable of the chart."""
+        _check_int(i, what)
+        if not 0 <= i < self.dim:
+            raise GradcalcError(f"{what} {i} outside 0..{self.dim - 1}")
+        return i
 
     def check_component(self, component: int) -> int:
         """The grading component index, if the chart has that component."""
+        _check_int(component, "grading component")
         if not 0 <= component < self.grading_count:
             raise GradcalcError("no such grading component")
         return component

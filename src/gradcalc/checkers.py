@@ -186,11 +186,10 @@ def is_nijenhuis(n: TensorField) -> CheckReport:
 def is_weighted_nijenhuis(n: TensorField, component: int = 0) -> CheckReport:
     """Vanishing torsion plus combined degree 0 (q = 1 forces the zero)."""
     d = degree_of_tensor(n, component)
-    tor = nijenhuis_torsion(n)
     degrees = {"expected": 0, "computed": _deg_str(d)}
     if not degree_matches(d, 0):
         return CheckReport(False, witness=f"degree is {_deg_str(d)}, not 0", degrees=degrees)
-    return _vanishes(tor, "torsion: ", degrees)
+    return _vanishes(nijenhuis_torsion(n), "torsion: ", degrees)
 
 
 def _square_is(n: TensorField, sign: int) -> CheckReport:

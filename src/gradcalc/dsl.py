@@ -612,7 +612,7 @@ def _eval_expr(node: tuple, chart: Chart) -> TensorField:
     if op == "var":
         nm = node[1]
         if nm in chart.names:
-            return scalar_field(chart, Poly.variable(chart, chart.index(nm)))
+            return scalar_field(chart, Poly.variable(chart, nm))
         return coordinate_one_form(chart, nm[1:])
     if op == "dvf":
         return coordinate_vector_field(chart, node[1])
@@ -817,6 +817,13 @@ def _run_print(st: CmdStmt, env: _Env, a: dict) -> tuple:
     return "print", True, payload, text
 
 
+def _oracle_record(command: str, oracle: str, agree: bool, result: dict) -> tuple:
+    """The record of `oracle COMMAND`: does the result agree with the oracle's?"""
+    line = f"oracle {command}: " + ("agree" if agree else "DISAGREE")
+    return ("oracle", agree, {"oracle": oracle, "agree": agree, "result": result},
+            [line, result["text"]])
+
+
 def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
     t = a["name"]
     if t.q or t.p:
@@ -826,25 +833,16 @@ def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
     # the oracle substitutes without truncating: x^a takes C(a+r, a) terms
     _check_lift(ctx.r, sum(math.prod(math.comb(e + ctx.r, e) for _, e in m) for m in f.terms))
     main = lift_function(f, a["lambda"], ctx)
-    other = taylor_lift_oracle(f, a["lambda"], ctx)
-    agree = main == other
-    line = "oracle lift: " + ("agree" if agree else "DISAGREE")
-    text = render_poly(main)
-    return ("oracle", agree,
-            {"oracle": "taylor-lift", "agree": agree, "result": {"text": text}},
-            [line, text])
+    return _oracle_record("lift", "taylor-lift", main == taylor_lift_oracle(f, a["lambda"], ctx),
+                          {"text": render_poly(main)})
 
 
 def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> tuple:
     lam, n, alpha, beta = a["lam"], a["n"], a["alpha"], a["beta"]
     direct = insert_form(tensor_product(alpha, beta), concomitant(lam, n))
-    other = koszul_concomitant_oracle(lam, n, alpha, beta)
-    agree = direct == other
-    line = "oracle concomitant: " + ("agree" if agree else "DISAGREE")
-    res = tensor_to_json(direct)
-    return ("oracle", agree,
-            {"oracle": "koszul-concomitant", "agree": agree, "result": res},
-            [line, res["text"]])
+    return _oracle_record("concomitant", "koszul-concomitant",
+                          direct == koszul_concomitant_oracle(lam, n, alpha, beta),
+                          tensor_to_json(direct))
 
 
 def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> tuple:

@@ -46,7 +46,8 @@ from collections.abc import Mapping
 from itertools import product
 
 from .calculus import vf_apply
-from .charts import Chart, prolong_chart, tangent_chart, vb_split
+from .charts import (Chart, _check_int, prolong_chart, tangent_chart,
+                     vb_split)
 from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .poly import Poly, _acc
@@ -107,7 +108,7 @@ class LiftContext:
 
     def var(self, i: int, mu: int) -> int:
         """Prolonged-chart index of level mu of base variable i."""
-        _check_index(i, self.base.dim, "base variable index")
+        self.base.check_index(i, "base variable index")
         _check_int(mu, "lift level")
         if not 0 <= mu <= self.r:
             raise GradcalcError(f"level {mu} outside 0..{self.r}")
@@ -171,19 +172,6 @@ class LiftContext:
 
     def __repr__(self) -> str:
         return f"<LiftContext r={self.r} of {self.base!r}>"
-
-
-def _check_int(value, what: str) -> None:
-    """Raise GradcalcError unless value is an int (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise GradcalcError(f"{what} must be an integer, not {value!r}")
-
-
-def _check_index(i, dim: int, what: str) -> None:
-    """Raise GradcalcError unless i is an int (not a bool) in 0..dim-1."""
-    _check_int(i, what)
-    if not 0 <= i < dim:
-        raise GradcalcError(f"{what} {i} outside 0..{dim - 1}")
 
 
 def _jet_mul(a: dict, b: dict, r: int) -> dict:
@@ -370,7 +358,7 @@ class LinearConnection:
         table = {}
         for (k, a, b), g in gamma.items():
             for i in (k, a, b):
-                _check_index(i, chart.dim, "Christoffel index")
+                chart.check_index(i, "Christoffel index")
             if k not in base_set:
                 raise GradcalcError(f"Christoffel base index {chart.names[k]} is not a base variable")
             if a not in fibre_set or b not in fibre_set:
@@ -401,7 +389,7 @@ def tangent_connection(base_chart: Chart, gamma: Mapping) -> LinearConnection:
     table = {}
     for (k, j, l), g in gamma.items():
         for i in (k, j, l):
-            _check_index(i, n, "Christoffel index")
+            base_chart.check_index(i, "Christoffel index")
         if isinstance(g, Poly):
             if g.chart is not base_chart:
                 raise ChartMismatchError("Christoffel symbol lives on the wrong chart")

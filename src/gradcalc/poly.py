@@ -156,11 +156,7 @@ class Poly:
 
     @staticmethod
     def variable(chart: Chart, var) -> "Poly":
-        if isinstance(var, str):
-            var = chart.index(var)
-        if not 0 <= var < chart.dim:
-            raise GradcalcError(f"variable index {var} out of range")
-        return Poly(chart, {((var, 1),): 1})
+        return Poly(chart, {((chart.index(var), 1),): 1})
 
     @staticmethod
     def from_terms(chart: Chart, entries: Iterable) -> "Poly":

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .charts import Chart
-from .errors import ChartMismatchError, GradcalcError, ValenceError
+from .errors import ChartMismatchError, ValenceError
 from .poly import ANY_DEGREE, Poly, _acc, degree_of_function
 
 __all__ = [
@@ -135,8 +135,7 @@ class TensorField:
             if not _is_canonical(down, cov_sym):
                 raise ValenceError(f"non-canonical covariant key {down} for tag {cov_sym}")
             for i in up + down:
-                if not 0 <= i < chart.dim:
-                    raise GradcalcError(f"variable index {i} out of range")
+                chart.check_index(i)
             if not isinstance(coef, Poly):
                 coef = Poly.const(chart, coef)
             elif coef.chart is not chart:
@@ -284,8 +283,7 @@ def scalar_field(chart: Chart, value) -> TensorField:
 def vector_field(chart: Chart, entries: Mapping) -> TensorField:
     comps = {}
     for i, v in entries.items():
-        if isinstance(i, str):
-            i = chart.index(i)
+        i = chart.index(i)
         if not isinstance(v, Poly):
             v = Poly.const(chart, v)
         _acc(comps, ((i,), ()), v)
@@ -293,15 +291,11 @@ def vector_field(chart: Chart, entries: Mapping) -> TensorField:
 
 
 def coordinate_vector_field(chart: Chart, var) -> TensorField:
-    if isinstance(var, str):
-        var = chart.index(var)
-    return TensorField(chart, 1, 0, {((var,), ()): Poly.const(chart, 1)})
+    return TensorField(chart, 1, 0, {((chart.index(var),), ()): Poly.const(chart, 1)})
 
 
 def coordinate_one_form(chart: Chart, var) -> TensorField:
-    if isinstance(var, str):
-        var = chart.index(var)
-    return TensorField(chart, 0, 1, {((), (var,)): Poly.const(chart, 1)})
+    return TensorField(chart, 0, 1, {((), (chart.index(var),)): Poly.const(chart, 1)})
 
 
 def identity_tensor(chart: Chart) -> TensorField:

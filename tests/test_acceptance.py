@@ -7,12 +7,15 @@ Criteria with a stated time budget assert it.
 """
 
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
 import time
 
 from gradcalc import suite
+from gradcalc.render import render_tensor
+from gradcalc.tensor import coordinate_vector_field
 
 SEED = 42
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -76,6 +79,50 @@ def test_criterion_10_function_lift_oracle():
     res = _run(suite.criterion_function_lifts, 10)
     assert res.cases == 500
 
+
+
+def test_every_criterion_is_a_case_generator_listed_once():
+    made_by_criterion = suite._criterion("probe")(lambda seed: iter(())).__code__
+    criteria = [fn for name, fn in vars(suite).items() if name.startswith("criterion_")]
+    for fn in criteria:
+        assert fn.__code__ is made_by_criterion, fn.__name__
+        assert inspect.isgeneratorfunction(fn.__wrapped__), fn.__name__
+        assert suite._CRITERIA.count(fn) == 1, fn.__name__
+    assert len(suite._CRITERIA) == len(criteria)
+    labels = [fn.label for fn in suite._CRITERIA]
+    assert len(set(labels)) == len(labels)
+
+
+def _broken_on_call(k, real, break_result):
+    """real, except that call k returns break_result(real's result)."""
+    calls = []
+
+    def broken(*args):
+        calls.append(args)
+        out = real(*args)
+        return break_result(out) if len(calls) == k else out
+    return broken, calls
+
+
+def test_a_failing_case_ends_its_criterion(monkeypatch):
+    broken, calls = _broken_on_call(3, render_tensor, lambda text: "broken")
+    monkeypatch.setattr(suite, "render_tensor", broken)
+    res = suite.criterion_lift_displays(SEED)
+    assert (res.label, res.ok, res.cases) == ("lift-displays", False, 3)
+    assert res.detail == "a^(0) at r=1: 'broken' != 'x*dy'"
+    assert len(calls) == 3
+
+
+def test_a_failing_case_in_a_nested_check_ends_its_criterion(monkeypatch):
+    # call 1 is the base derivative, calls 2.. the lifted pairs (lambda, mu)
+    broken, calls = _broken_on_call(
+        4, suite.covariant_derivative,
+        lambda t: t + coordinate_vector_field(t.chart, 0))
+    monkeypatch.setattr(suite, "covariant_derivative", broken)
+    res = suite.criterion_connection_lifts(SEED)
+    assert (res.ok, res.cases) == (False, 3)
+    assert res.detail == "one-symbol r=1 lambda=1 mu=0"
+    assert len(calls) == 4
 
 def _suite_json(seed: int) -> bytes:
     """stdout of `gradcalc check-suite --format json` from the checkout's

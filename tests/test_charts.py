@@ -1,5 +1,7 @@
 """Chart construction and the derived chart builders."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,11 @@ from gradcalc.charts import (cotangent_chart, make_chart,
                              prolonged_base_name, prolonged_names,
                              shifted_dual_grl_chart, tangent_chart, vb_split)
 from gradcalc.errors import GradcalcError
+from gradcalc.poly import Poly
 from gradcalc.render import chart_to_json
+from gradcalc.tensor import (TensorField, coordinate_one_form,
+                             coordinate_vector_field, vector_field,
+                             weight_vector_field)
 
 
 def test_make_chart_basics():
@@ -33,6 +39,44 @@ def test_component_out_of_range_raises():
                 call()
     assert make_chart([], []).degree() == 0
 
+
+
+# Each of these was accepted, or failed with a bare TypeError or
+# IndexError, before the builders shared Chart.index/check_component:
+# -1 aliased y, True passed as 1 and a float slipped into a key.
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda m: coordinate_one_form(m, -1),
+                 "variable index -1 outside 0..1", id="one-form-negative"),
+    pytest.param(lambda m: coordinate_vector_field(m, 5),
+                 "variable index 5 outside 0..1", id="vector-field-too-large"),
+    pytest.param(lambda m: vector_field(m, {True: 1}),
+                 "variable index must be an integer, not True", id="vector-field-bool"),
+    pytest.param(lambda m: Poly.variable(m, True),
+                 "variable index must be an integer, not True", id="variable-bool"),
+    pytest.param(lambda m: Poly.variable(m, 1.0),
+                 "variable index must be an integer, not 1.0", id="variable-float"),
+    pytest.param(lambda m: TensorField.from_components(m, 1, 0, {((1.0,), ()): 1}),
+                 "variable index must be an integer, not 1.0", id="from-components-float"),
+    pytest.param(lambda m: coordinate_one_form(m, "q"),
+                 "chart has no variable named 'q'", id="unknown-name"),
+    pytest.param(lambda m: weight_vector_field(m, True),
+                 "grading component must be an integer, not True", id="weight-field-bool"),
+    pytest.param(lambda m: m.degree(1.0),
+                 "grading component must be an integer, not 1.0", id="degree-float"),
+])
+def test_builders_reject_a_bad_index(build, message):
+    m = make_chart(["x", "y"], [(0, 1), (1, 0)])
+    with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
+        build(m)
+
+
+def test_builders_take_a_variable_by_name_or_index():
+    m = make_chart(["x", "y"], [0, 1])
+    assert coordinate_one_form(m, "y") == coordinate_one_form(m, 1)
+    assert coordinate_vector_field(m, "x") == coordinate_vector_field(m, 0)
+    assert vector_field(m, {"y": 2}) == vector_field(m, {1: 2})
+    assert Poly.variable(m, "y") == Poly.variable(m, 1)
+    assert m.index(1) == m.index("y") == 1
 
 def test_make_chart_multi_component_and_z_grading():
     m = make_chart(["a", "b"], [(1, 0), (-1, 1)])

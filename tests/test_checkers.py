@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcalc import checkers
-from gradcalc.calculus import lie_bracket, lie_derivative
+from gradcalc.calculus import lie_bracket, lie_derivative, nijenhuis_torsion
 from gradcalc.charts import cotangent_chart, make_chart, vb_split
 from gradcalc.checkers import (
     BundleMap,
@@ -225,6 +225,17 @@ def test_nijenhuis_checks():
     assert not w.verdict
     assert w.witness == "degree is 2, not 0"
 
+
+
+def test_weighted_nijenhuis_forms_the_torsion_only_after_the_degree_test(monkeypatch):
+    calls = []
+    monkeypatch.setattr(checkers, "nijenhuis_torsion",
+                        lambda n: calls.append(n) or nijenhuis_torsion(n))
+    heavy = TensorField.from_components(W2, 1, 1, {((0,), (0,)): Poly.variable(W2, 1)})
+    assert is_weighted_nijenhuis(heavy).witness == "degree is 2, not 0"
+    assert calls == []
+    assert is_weighted_nijenhuis(identity_tensor(W2)).verdict
+    assert len(calls) == 1
 
 def test_almost_family():
     j = TensorField.from_components(
