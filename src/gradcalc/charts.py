@@ -9,6 +9,11 @@ exactly when none of its weights is negative; negative weights enter only
 through duals such as T*[k]M, which make their component Z-graded.  The
 flags are derived from the weights and cannot be declared.
 
+Every chart, declared or derived, is checked by its constructor: the
+names are distinct ASCII identifiers and each carries one vector of
+grading_count int weights, so bad input raises GradcalcError wherever
+the chart comes from.
+
 Charts are value objects compared by identity.  Every constructor below
 returns a fresh chart; combining polynomials or tensors from two different
 chart objects is an error even if their variable tables agree, because the
@@ -49,17 +54,34 @@ def _check_int(value, what: str) -> int:
 
 
 class Chart:
-    """Ordered variable table with per-variable integer weight vectors."""
+    """Ordered variable table with per-variable integer weight vectors.
+
+    The constructor is the one check of a chart's names and weights.
+    """
 
     __slots__ = ("names", "weights", "grading_count", "label", "_index")
 
     def __init__(self, names: tuple[str, ...], weights: tuple[tuple[int, ...], ...],
                  grading_count: int, label: str = ""):
+        if len(weights) != len(names):
+            raise GradcalcError("one weight vector required per variable")
+        index = {}
+        for i, (n, w) in enumerate(zip(names, weights)):
+            if not (isinstance(n, str) and n.isascii() and n.isidentifier()):
+                raise GradcalcError(f"bad variable name {n!r}")
+            if n in index:
+                raise GradcalcError(f"variable name {n!r} collides with an existing one")
+            if len(w) != grading_count:
+                raise GradcalcError("inconsistent weight vector lengths")
+            for c in w:
+                if type(c) is not int:      # a plain int needs no call
+                    _check_int(c, f"weight of {n}")
+            index[n] = i
         self.names = names
         self.weights = weights
         self.grading_count = grading_count
         self.label = label
-        self._index = {n: i for i, n in enumerate(names)}
+        self._index = index
 
     # Charts compare and hash by identity (object default); no __eq__ override.
 
@@ -112,42 +134,16 @@ class Chart:
         return f"<{label} {{{vars_part}}}>"
 
 
-_NAME_OK = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_"
-
-
 def make_chart(names, weights, label: str = "") -> Chart:
     """Build a chart from variable names and weight vectors.
 
     weights maps each variable to either a single int (grading count 1) or
-    a sequence of ints, one per grading component.  The N-graded flags are
-    not declared: Chart.n_graded derives them from the weights.
+    a tuple or list of ints, one per grading component; the first row sets
+    the grading count.  The N-graded flags are not declared: Chart.n_graded
+    derives them from the weights.
     """
-    names = tuple(names)
-    if len(set(names)) != len(names):
-        raise GradcalcError("duplicate variable name in chart")
-    for n in names:
-        if not n or n[0].isdigit() or any(c not in _NAME_OK for c in n):
-            raise GradcalcError(f"bad variable name {n!r}")
-    rows = []
-    for w in weights:
-        if isinstance(w, int):
-            rows.append((w,))
-        else:
-            rows.append(tuple(int(c) for c in w))
-    if len(rows) != len(names):
-        raise GradcalcError("one weight vector required per variable")
-    d = len(rows[0]) if rows else 1
-    if any(len(r) != d for r in rows):
-        raise GradcalcError("inconsistent weight vector lengths")
-    return Chart(names, tuple(rows), d, label)
-
-
-def _fresh_names(base: Chart, new_names: list[str]) -> None:
-    taken = set(base.names)
-    for n in new_names:
-        if n in taken:
-            raise GradcalcError(f"derived variable name {n!r} collides with an existing one")
-        taken.add(n)
+    rows = tuple(tuple(w) if isinstance(w, (tuple, list)) else (w,) for w in weights)
+    return Chart(tuple(names), rows, len(rows[0]) if rows else 1, label)
 
 
 def prolong_chart(chart: Chart, r: int) -> Chart:
@@ -159,13 +155,12 @@ def prolong_chart(chart: Chart, r: int) -> Chart:
     so the original variables sit at their old indices and level mu of
     variable i sits at index mu*dim + i.
     """
+    _check_int(r, "prolongation order")
     if r < 0:
         raise GradcalcError("prolongation order must be >= 0")
-    added = prolonged_names(chart.names, r)
-    _fresh_names(chart, added)
     weights = tuple(w + (mu,) for mu in range(r + 1) for w in chart.weights)
-    return Chart(chart.names + tuple(added), weights, chart.grading_count + 1,
-                 f"{chart.label or 'chart'}^T{r}")
+    return Chart(chart.names + tuple(prolonged_names(chart.names, r)), weights,
+                 chart.grading_count + 1, f"{chart.label or 'chart'}^T{r}")
 
 
 def prolonged_names(names, r: int) -> list[str]:
@@ -190,7 +185,6 @@ def prolonged_base_name(name: str, r: int) -> str | None:
 def _fibred_chart(chart: Chart, fibre_names: list[str], fibre_rows, label: str) -> Chart:
     """The base variables with weight 0 in a new vector-bundle component,
     then one fibre variable per base variable with its row and weight 1."""
-    _fresh_names(chart, fibre_names)
     weights = tuple(w + (0,) for w in chart.weights) + \
         tuple(tuple(row) + (1,) for row in fibre_rows)
     return Chart(chart.names + tuple(fibre_names), weights,
@@ -228,6 +222,7 @@ def phase_shifted_cotangent_chart(chart: Chart, k: int, component: int = 0) -> C
     so no momentum weight there is negative: the component stays N-graded
     when it was.
     """
+    _check_int(k, "shift")
     chart.check_component(component)
     top = max((w[component] for w in chart.weights), default=0)
     if k < top:
@@ -265,12 +260,10 @@ def shifted_dual_grl_chart(chart: Chart, k: int, vb_component: int,
     graded components negated.  Applying the construction twice restores
     all weights (names gain a p_ prefix each time).
     """
-    base, fibre = vb_split(chart, vb_component)
-    if graded_component == vb_component or not (0 <= graded_component < chart.grading_count):
+    _check_int(k, "shift")
+    fibre_set = set(vb_split(chart, vb_component)[1])
+    if chart.check_component(graded_component) == vb_component:
         raise GradcalcError("graded_component must name a grading component other than the VB one")
-    fibre_set = set(fibre)
-    added = [f"p_{chart.names[i]}" for i in fibre]
-    _fresh_names(chart, added)
     names = []
     rows = []
     for i, w in enumerate(chart.weights):

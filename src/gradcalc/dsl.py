@@ -161,6 +161,13 @@ class _Parser:
                            t.line, t.col)
         return t
 
+    def word(self, label: str) -> str:
+        """ident (- ident)*: a statement keyword or a Choice's kind."""
+        text = self.expect("ident", label).text
+        while self.accept("minus"):
+            text += "-" + self.expect("ident", label).text
+        return text
+
     def accept(self, kind: str, text: str | None = None) -> Token | None:
         """The next token, consumed, if it has this kind (and text)."""
         i = self.i
@@ -390,22 +397,16 @@ def _connection_body(p: _Parser, form: Form, a: dict) -> None:
 
 def _parse_statement(tokens: list, line_no: int, src: str) -> CmdStmt:
     p = _Parser(tokens, line_no, src)
-    head = p.expect("ident", "statement keyword")
-    word = head.text
-    if word == "lift" and p.accept("minus"):
-        p.expect_word("connection")
-        word = "lift-connection"
+    col = tokens[0].col
+    word = p.word("statement keyword")
     form = _COMMANDS.get(word)
     if form is None:
-        raise DslError(f"unknown statement {word!r}", "syntax", line_no, head.col)
+        raise DslError(f"unknown statement {word!r}", "syntax", line_no, col)
     args = {}
     if isinstance(form, Choice):
-        kind = p.expect("ident", form.label).text
-        while form.hyphens and p.accept("minus"):
-            kind += "-" + p.expect("ident", form.label).text
+        kind = p.word(form.label)
         if kind not in form.forms:
-            raise DslError(f"unknown {form.noun} {kind!r}", "syntax", line_no,
-                           head.col)
+            raise DslError(f"unknown {form.noun} {kind!r}", "syntax", line_no, col)
         args["kind"] = kind
         form = form.forms[kind]
     form.body(p, form, args)
@@ -884,9 +885,8 @@ Form = namedtuple("Form", "args run params body binds",
                   defaults=((), _command_body, None))
 
 # A command whose second word (label) selects one of its forms.  noun is
-# the word in "unknown {noun} 'word'"; hyphens says whether the word may be
-# hyphenated.
-Choice = namedtuple("Choice", "label noun forms hyphens", defaults=(False,))
+# the word in "unknown {noun} 'word'".
+Choice = namedtuple("Choice", "label noun forms")
 
 
 def _tensor_op(args: tuple, fn) -> Form:
@@ -942,7 +942,7 @@ _COMMANDS = {
                        lambda a: covariant_derivative(a["conn"], a["x"], a["y"])),
     "degree": Form(_NAME, _run_degree, (_C,)),
     "eval": Form(_NAME, _run_eval, body=_eval_body),
-    "check": Choice("check kind", "check kind", hyphens=True, forms={
+    "check": Choice("check kind", "check kind", {
         "poisson": _check(_A, (), lambda env, a: is_poisson(a["a"])),
         "weighted": _check(_A, (_K, _C), lambda env, a: is_weighted_tensor(
             a["a"], a["k"], component=a["component"])),

@@ -87,21 +87,14 @@ class LiftContext:
     - _last: the coefficient jets of the stored components of the last
       tensor passed to lift_tensor, so lifting one tensor at every lambda
       in turn lifts each stored coefficient once.  One entry.
-
-    The name _t stays reserved for the lift parameter.
     """
 
     __slots__ = ("base", "r", "total", "_jets", "_blocks", "_last")
 
     def __init__(self, base: Chart, r: int):
-        _check_int(r, "prolongation order")
-        if r < 0:
-            raise GradcalcError("prolongation order must be >= 0")
-        if "_t" in base.names:
-            raise GradcalcError("variable name _t is reserved for the lift parameter")
+        self.total = prolong_chart(base, r)
         self.base = base
         self.r = r
-        self.total = prolong_chart(base, r)
         self._jets = {(): {0: Poly.const(self.total, 1)}}
         self._blocks: dict = {}
         self._last = (None, [])

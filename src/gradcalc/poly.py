@@ -298,7 +298,7 @@ class Poly:
 
     def diff(self, var) -> "Poly":
         """Partial derivative with respect to one chart variable."""
-        if isinstance(var, str):
+        if type(var) is not int or not 0 <= var < len(self.chart.names):
             var = self.chart.index(var)
         out: dict = {}
         for m, c in self.terms.items():

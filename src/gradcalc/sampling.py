@@ -79,16 +79,13 @@ def random_poly(rng: random.Random, chart: Chart, max_terms: int = 3,
     return Poly.from_terms(chart, entries)
 
 
-def _random_keys(rng: random.Random, chart: Chart, length: int, count: int,
-                 increasing: bool) -> list:
-    if increasing:
-        pool = list(combinations(range(chart.dim), length))
-        if not pool:
-            return []
-        rng.shuffle(pool)
-        return pool[:count]
-    return [tuple(rng.randrange(chart.dim) for _ in range(length))
-            for _ in range(count)]
+def _random_keys(rng: random.Random, chart: Chart, length: int, count: int) -> list:
+    """Up to count distinct increasing index tuples of the given length."""
+    pool = list(combinations(range(chart.dim), length))
+    if not pool:
+        return []
+    rng.shuffle(pool)
+    return pool[:count]
 
 
 def random_vector_field(rng: random.Random, chart: Chart, max_components: int = 2,
@@ -111,7 +108,7 @@ def random_form(rng: random.Random, chart: Chart, degree: int,
     if degree == 0:
         return scalar_field(chart, random_poly(rng, chart, **poly_opts))
     comps = {}
-    for key in _random_keys(rng, chart, degree, max_components, increasing=True):
+    for key in _random_keys(rng, chart, degree, max_components):
         comps[((), key)] = random_poly(rng, chart, **poly_opts)
     return TensorField(chart, 0, degree, {k: v for k, v in comps.items() if v},
                        cov_sym="antisym")
@@ -126,7 +123,7 @@ def random_vv_form(rng: random.Random, chart: Chart, degree: int,
                    max_components: int = 2, **poly_opts) -> TensorField:
     """Random (1, degree) vector-valued form, antisymmetric in the form slots."""
     comps = {}
-    keys = _random_keys(rng, chart, degree, max_components, increasing=True)
+    keys = _random_keys(rng, chart, degree, max_components)
     for key in keys:
         m = rng.randrange(chart.dim)
         comps[((m,), key)] = random_poly(rng, chart, **poly_opts)

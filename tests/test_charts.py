@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcalc.charts import (cotangent_chart, make_chart,
+from gradcalc.charts import (Chart, cotangent_chart, make_chart,
                              phase_shifted_cotangent_chart, prolong_chart,
                              prolonged_base_name, prolonged_names,
                              shifted_dual_grl_chart, tangent_chart, vb_split)
@@ -85,8 +85,36 @@ def test_make_chart_multi_component_and_z_grading():
     assert m.n_graded == (False, True)
 
 
-def test_make_chart_rejects_bad_input():
+_E = make_chart(["x", "u"], [(0, 0), (1, 1)])
+
+
+# Each of these built a chart, or failed with a bare TypeError, before
+# Chart checked every chart it builds: "12" gave two gradings, 1.5
+# became 1, True was kept as a bool, Chart itself took any names, and
+# the derived charts took a float or bool order, shift or component.
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: make_chart(["x"], ["12"]), id="weight-str"),
+    pytest.param(lambda: make_chart(["x"], [(1.5,)]), id="weight-float"),
+    pytest.param(lambda: make_chart(["x"], [True]), id="weight-bool"),
+    pytest.param(lambda: make_chart(["x", "y"], [(0, 0), (1, False)]), id="weight-bool-in-row"),
+    pytest.param(lambda: Chart((1,), ((0,),), 1), id="name-not-str"),
+    pytest.param(lambda: Chart(("x-y",), ((0,),), 1), id="name-not-identifier"),
+    pytest.param(lambda: Chart(("\u00e9",), ((0,),), 1), id="name-not-ascii"),
+    pytest.param(lambda: Chart(("x", "x"), ((0,), (0,)), 1), id="name-repeated"),
+    pytest.param(lambda: phase_shifted_cotangent_chart(_E, 1.5), id="shifted-float"),
+    pytest.param(lambda: phase_shifted_cotangent_chart(_E, True), id="shifted-bool"),
+    pytest.param(lambda: prolong_chart(_E, True), id="prolong-bool"),
+    pytest.param(lambda: prolong_chart(_E, 2.5), id="prolong-float"),
+    pytest.param(lambda: shifted_dual_grl_chart(_E, 1.5, 1, 0), id="dual-float"),
+    pytest.param(lambda: shifted_dual_grl_chart(_E, 1, 1, False), id="dual-bool-component"),
+])
+def test_every_chart_is_checked(build):
     with pytest.raises(GradcalcError):
+        build()
+
+
+def test_make_chart_rejects_bad_input():
+    with pytest.raises(GradcalcError, match="^variable name 'x' collides with an existing one$"):
         make_chart(["x", "x"], [0, 0])
     with pytest.raises(GradcalcError):
         make_chart(["3x"], [0])
@@ -131,9 +159,9 @@ def test_prolonged_base_name_inverts_prolonged_names():
 
 def test_prolong_rejects_collisions_and_bad_order():
     m = make_chart(["x", "x_1"], [0, 0])
-    with pytest.raises(GradcalcError):
+    with pytest.raises(GradcalcError, match="^variable name 'x_1' collides with an existing one$"):
         prolong_chart(m, 1)
-    with pytest.raises(GradcalcError):
+    with pytest.raises(GradcalcError, match="^prolongation order must be >= 0$"):
         prolong_chart(make_chart(["x"], [0]), -1)
 
 
@@ -186,6 +214,12 @@ def test_shifted_dual_is_an_involution_on_weights():
     assert dd.names == ("x", "p_p_u", "p_p_v")
     with pytest.raises(GradcalcError):
         shifted_dual_grl_chart(m, 3, vb_component=1, graded_component=1)
+    # a dual name may take the place of the fibre variable it replaces,
+    # but not of a variable that stays
+    z = make_chart(["x", "z", "p_z"], [(0, 0), (0, 1), (0, 1)])
+    assert shifted_dual_grl_chart(z, 0, 1).names == ("x", "p_z", "p_p_z")
+    with pytest.raises(GradcalcError, match="^variable name 'p_u' collides"):
+        shifted_dual_grl_chart(make_chart(["p_u", "u"], [(0, 0), (1, 1)]), 1, 1)
 
 
 def test_charts_compare_by_identity():
@@ -284,6 +318,10 @@ def test_chain_flags_follow_weights(rows, d, steps):
             continue
         assert nxt.grading_count == chart.grading_count + added
         chart = nxt
+        assert len(set(chart.names)) == chart.dim
+        assert all(n.isascii() and n.isidentifier() for n in chart.names)
+        assert all(len(w) == chart.grading_count and
+                   all(type(c) is int for c in w) for w in chart.weights)
         assert chart.n_graded == tuple(
             all(w[c] >= 0 for w in chart.weights)
             for c in range(chart.grading_count))

@@ -712,7 +712,7 @@ DIAGNOSTICS = [
     ("lift f lambda=1 r=1 as", "syntax", 23, "unexpected end of line"),
     ("lift f lambda=1 r=1 as 3", "syntax", 24, "expected name, got '3'"),
     ("lift -", "syntax", 7, "unexpected end of line"),
-    ("lift - conection G r=1", "syntax", 8, "expected 'connection', got 'conection'"),
+    ("lift - conection G r=1", "syntax", 1, "unknown statement 'lift-conection'"),
     ("lift - connection 3 r=1", "syntax", 19, "expected connection name, got '3'"),
     ("lift - connection f r=1", "name", None, "'f' is a tensor, expected connection"),
     ("lift - connection G", "syntax", 20, "unexpected end of line"),

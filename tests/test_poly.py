@@ -1,6 +1,7 @@
 """Exact polynomial kernel: ring laws, calculus, grading."""
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -90,6 +91,20 @@ def test_diff_by_name_and_constants():
     assert p.diff("x") == x * y * 2
     assert p.diff("z") == Poly.const(M, 1)
     assert Poly.const(M, 3).diff(0).is_zero()
+
+
+# Each of these returned 1 or 0 instead of naming the bad index: True
+# and 1.0 stood for y, and 5 and -1 matched no variable of any monomial.
+@pytest.mark.parametrize("var, message", [
+    (True, "variable index must be an integer, not True"),
+    (1.0, "variable index must be an integer, not 1.0"),
+    (5, "variable index 5 outside 0..2"),
+    (-1, "variable index -1 outside 0..2"),
+    ("q", "chart has no variable named 'q'"),
+])
+def test_diff_rejects_a_bad_index(var, message):
+    with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
+        (x + y).diff(var)
 
 
 def test_power():

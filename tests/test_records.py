@@ -62,8 +62,8 @@ RECORDS = {
              {"params": (), "body": dsl._command_body, "binds": None},
              ("binds", None)),
     "Choice": (Choice, True,
-               {"label": "kind", "noun": "check", "forms": {"a": FORM}, "hyphens": True},
-               {"hyphens": False}, ("noun", "oracle")),
+               {"label": "kind", "noun": "check", "forms": {"a": FORM}}, {},
+               ("noun", "oracle")),
     "OutputRecord": (OutputRecord, True,
                      {"stmt": "print f", "kind": "print", "ok": True,
                       "payload": {"k": 1}, "text": ["f"], "ms": 2.5},
@@ -195,18 +195,17 @@ def test_token_is_a_named_tuple():
 def test_parse_records_are_named_tuples():
     assert CmdStmt._fields == ("op", "form", "args", "line", "src")
     assert Form._fields == ("args", "run", "params", "body", "binds")
-    assert Choice._fields == ("label", "noun", "forms", "hyphens")
+    assert Choice._fields == ("label", "noun", "forms")
     assert Form._field_defaults == {"params": (), "body": dsl._command_body,
                                     "binds": None}
-    assert Choice._field_defaults == {"hyphens": False}
+    assert Choice._field_defaults == {}
     form = Form((), len)
     assert isinstance(form, tuple) and form == ((), len, (), dsl._command_body, None)
     with pytest.raises(AttributeError):
         form.binds = "tensor"
     assert repr(Choice("kind", "check", {"a": form})) == (
         "Choice(label='kind', noun='check', forms={'a': Form(args=(), "
-        f"run={len!r}, params=(), body={dsl._command_body!r}, binds=None)}}, "
-        "hyphens=False)")
+        f"run={len!r}, params=(), body={dsl._command_body!r}, binds=None)}})")
 
 
 # (a valid record, fields that its constructor refuses, that refusal)
