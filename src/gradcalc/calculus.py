@@ -33,9 +33,9 @@ partial derivative.
 
 from __future__ import annotations
 
-from .errors import ChartMismatchError, ValenceError
+from .errors import ValenceError
 from .poly import Poly, _acc
-from .tensor import TensorField, _from_expanded, _sort_with_parity
+from .tensor import TensorField, _from_expanded, _same_chart, _sort_with_parity
 
 __all__ = [
     "exterior_derivative", "lie_bracket", "lie_derivative", "vf_apply",
@@ -101,8 +101,7 @@ def exterior_derivative(w: TensorField) -> TensorField:
 
 def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
     """Commutator of two vector fields."""
-    if x.chart is not y.chart:
-        raise ChartMismatchError("vector fields live on different charts")
+    _same_chart(x, y)
     if (x.q, x.p) != (1, 0) or (y.q, y.p) != (1, 0):
         raise ValenceError("lie_bracket needs two vector fields")
     out: dict = {}
@@ -136,8 +135,7 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
     contravariant slot plus one per covariant slot.  Symmetry tags of t
     are preserved.
     """
-    if x.chart is not t.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(x, t)
     if (x.q, x.p) != (1, 0):
         raise ValenceError("first argument must be a vector field")
     xc = {i: (c, c.variables_used()) for ((i,), _), c in x.components.items()}
@@ -165,8 +163,7 @@ def schouten_bracket(a: TensorField, b: TensorField) -> TensorField:
 
     Component formula in the module docstring.  Output degree k + l - 1.
     """
-    if a.chart is not b.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(a, b)
     _require_multivector(a)
     _require_multivector(b)
     k, l = a.q, b.q
@@ -196,8 +193,7 @@ def fn_bracket(a: TensorField, b: TensorField) -> TensorField:
     Component formula in the module docstring; on vector fields
     (k = l = 0) this is the commutator.  Output degree k + l.
     """
-    if a.chart is not b.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(a, b)
     _require_vvform(a)
     _require_vvform(b)
     eps = (-1) ** a.p
@@ -230,8 +226,7 @@ def nr_bracket(a: TensorField, b: TensorField) -> TensorField:
 
     Component formula in the module docstring.  Output degree k + l - 1.
     """
-    if a.chart is not b.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(a, b)
     _require_vvform(a)
     _require_vvform(b)
     k, l = a.p, b.p
@@ -269,8 +264,7 @@ def concomitant(lam: TensorField, n: TensorField) -> TensorField:
     (sum over l; d_l is the partial derivative).  Vanishes identically
     when N is the identity.
     """
-    if lam.chart is not n.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(lam, n)
     if (lam.q, lam.p) != (2, 0):
         raise ValenceError("first argument must be a bivector")
     if (n.q, n.p) != (1, 1):

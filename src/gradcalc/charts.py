@@ -63,6 +63,9 @@ class Chart:
 
     def __init__(self, names: tuple[str, ...], weights: tuple[tuple[int, ...], ...],
                  grading_count: int, label: str = ""):
+        if grading_count < 1:   # a graded chart has a homogeneity structure
+            raise GradcalcError(
+                f"a chart needs at least one grading component, got {grading_count}")
         if len(weights) != len(names):
             raise GradcalcError("one weight vector required per variable")
         index = {}

@@ -20,18 +20,18 @@ import sys
 
 from . import __version__
 from .dsl import execute, parse, records_to_json
-from .errors import DslError
+from .errors import DslError, GradcalcError
 from .render import dumps, json_document
-from .sampling import MAX_SAMPLES
+from .sampling import MAX_SAMPLES, check_sample_count
 from .suite import render_table, run_check_suite, suite_to_json
 
 
 def _sample_count(text: str) -> int:
     n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    if n > MAX_SAMPLES:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_SAMPLES}, got {n}")
+    try:
+        check_sample_count(n)
+    except GradcalcError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return n
 
 

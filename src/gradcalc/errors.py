@@ -13,6 +13,8 @@ Annotations take their types from `collections.abc`, and
 
 from __future__ import annotations
 
+__all__ = ["GradcalcError", "ChartMismatchError", "ValenceError", "DslError"]
+
 
 class GradcalcError(ValueError):
     """Base class for engine errors."""

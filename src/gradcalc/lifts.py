@@ -51,7 +51,7 @@ from .charts import (Chart, _check_int, prolong_chart, tangent_chart,
 from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .poly import Poly, _acc
-from .tensor import TensorField, _sort_with_parity
+from .tensor import TensorField, _same_chart, _sort_with_parity
 
 __all__ = [
     "LiftContext", "lift_function", "lift_function_jets", "lift_tensor",
@@ -432,8 +432,7 @@ def covariant_derivative(conn: LinearConnection, x: TensorField, y: TensorField)
     """
     if len(conn.fibre) != len(conn.base):
         raise GradcalcError("connection bundle is not a tangent bundle")
-    if x.chart is not y.chart:
-        raise ChartMismatchError("vector fields live on different charts")
+    _same_chart(x, y)
     if (x.q, x.p) != (1, 0) or (y.q, y.p) != (1, 0):
         raise ValenceError("covariant_derivative needs two vector fields")
     chart = x.chart

@@ -43,7 +43,10 @@ def check_sample_count(count: int) -> None:
 
 
 def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fraction:
-    """A nonzero integer of [low, high] as a Fraction; the range must hold one."""
+    """A nonzero integer of [low, high] as a Fraction; GradcalcError if the
+    range holds none (a draw would never end or fail in randint)."""
+    if low > high or low == high == 0:
+        raise GradcalcError(f"no nonzero integer in [{low}, {high}]")
     while True:
         v = rng.randint(low, high)
         if v:

@@ -43,6 +43,13 @@ __all__ = [
 _SYMS = ("none", "sym", "antisym")
 
 
+def _same_chart(a, b) -> None:
+    """The one chart check of the binary tensor operations: charts compare
+    by identity, so equal variable tables on two charts still mismatch."""
+    if a.chart is not b.chart:
+        raise ChartMismatchError("tensors live on different charts")
+
+
 def _sort_with_parity(idx: tuple) -> tuple:
     """(sign, sorted tuple); sign 0 when an index repeats.
 
@@ -191,8 +198,7 @@ class TensorField:
     # -- linear structure ---------------------------------------------------
 
     def _check(self, other: "TensorField") -> None:
-        if self.chart is not other.chart:
-            raise ChartMismatchError("tensors live on different charts")
+        _same_chart(self, other)
         if self.q != other.q or self.p != other.p:
             raise ValenceError(
                 f"valence mismatch: ({self.q},{self.p}) vs ({other.q},{other.p})")
@@ -323,8 +329,7 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     A block coming from a single operand keeps that operand's symmetry
     tag, so a scalar factor just scales the other operand.
     """
-    if a.chart is not b.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(a, b)
     cs = a.contra_sym if b.q == 0 else (b.contra_sym if a.q == 0 else "none")
     ps = a.cov_sym if b.p == 0 else (b.cov_sym if a.p == 0 else "none")
     out: dict = {}
@@ -349,8 +354,7 @@ def _wedge_keys(t: TensorField):
 
 def wedge(a: TensorField, b: TensorField) -> TensorField:
     """Unnormalized exterior product of forms or of multivector fields."""
-    if a.chart is not b.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(a, b)
     if a.q == 0 and a.p == 0:
         return b * a.scalar_part()
     if b.q == 0 and b.p == 0:
@@ -400,8 +404,7 @@ def contract(t: TensorField, contra_slot: int, cov_slot: int) -> TensorField:
 
 def insert_multivector(x: TensorField, t: TensorField) -> TensorField:
     """Pair a multivector's slots against the leading covariant slots of t."""
-    if x.chart is not t.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(x, t)
     if x.p != 0:
         raise ValenceError("insertion argument must be purely contravariant")
     l = x.q
@@ -418,8 +421,7 @@ def insert_multivector(x: TensorField, t: TensorField) -> TensorField:
 
 def insert_form(w: TensorField, t: TensorField) -> TensorField:
     """Pair a form's slots against the leading contravariant slots of t."""
-    if w.chart is not t.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(w, t)
     if w.q != 0:
         raise ValenceError("insertion argument must be purely covariant")
     u = w.p
@@ -430,8 +432,7 @@ def insert_form(w: TensorField, t: TensorField) -> TensorField:
 
 def compose_11(a: TensorField, b: TensorField) -> TensorField:
     """Composition of (1,1) tensors as endomorphisms: (a.b)(v) = a(b(v))."""
-    if a.chart is not b.chart:
-        raise ChartMismatchError("tensors live on different charts")
+    _same_chart(a, b)
     if (a.q, a.p) != (1, 1) or (b.q, b.p) != (1, 1):
         raise ValenceError("compose_11 needs two (1,1) tensors")
     out: dict = {}

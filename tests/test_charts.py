@@ -92,10 +92,13 @@ _E = make_chart(["x", "u"], [(0, 0), (1, 1)])
 # Chart checked every chart it builds: "12" gave two gradings, 1.5
 # became 1, True was kept as a bool, Chart itself took any names, and
 # the derived charts took a float or bool order, shift or component.
+# An empty weight row gave a chart with no grading, whose degree() raised.
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: make_chart(["x"], ["12"]), id="weight-str"),
     pytest.param(lambda: make_chart(["x"], [(1.5,)]), id="weight-float"),
     pytest.param(lambda: make_chart(["x"], [True]), id="weight-bool"),
+    pytest.param(lambda: make_chart(["x"], [()]), id="no-grading"),
+    pytest.param(lambda: Chart((), (), 0), id="empty-no-grading"),
     pytest.param(lambda: make_chart(["x", "y"], [(0, 0), (1, False)]), id="weight-bool-in-row"),
     pytest.param(lambda: Chart((1,), ((0,),), 1), id="name-not-str"),
     pytest.param(lambda: Chart(("x-y",), ((0,),), 1), id="name-not-identifier"),

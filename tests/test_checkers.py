@@ -39,7 +39,8 @@ from gradcalc.checkers import (
 )
 from gradcalc.errors import GradcalcError, ValenceError
 from gradcalc.poly import ANY_DEGREE, Poly
-from gradcalc.sampling import MAX_SAMPLES, random_multivector, random_poly, sample_points
+from gradcalc.sampling import (MAX_SAMPLES, random_fraction, random_multivector, random_poly,
+                               sample_points)
 from gradcalc.tensor import (
     TensorField,
     coordinate_one_form,
@@ -463,6 +464,31 @@ def test_sample_points_validation():
         is_involutive(d, samples=10 ** 8)
     with pytest.raises(GradcalcError, match="at most"):
         is_weighted_distribution(d, samples=10 ** 8)
+
+
+class _FiniteRng:
+    """Draws 0 from randint, and fails the test instead of looping forever."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def randint(self, low, high):
+        self.calls += 1
+        if self.calls > 100:
+            raise AssertionError("random_fraction kept drawing")
+        return 0
+
+
+def test_random_fraction_needs_a_nonzero_integer():
+    # (0, 0) looped forever and (3, 1) raised a bare ValueError in randint
+    for low, high in ((0, 0), (3, 1), (1, 0)):
+        rng = _FiniteRng()
+        with pytest.raises(GradcalcError, match=rf"^no nonzero integer in \[{low}, {high}\]$"):
+            random_fraction(rng, low, high)
+        assert rng.calls == 0
+    rng = random.Random(3)
+    assert {random_fraction(rng, 0, 1) for _ in range(20)} == {1}
+    assert {random_fraction(rng, -1, 0) for _ in range(20)} == {-1}
 
 
 def test_is_weighted_distribution():

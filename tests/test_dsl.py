@@ -569,7 +569,8 @@ def test_cli_rejects_sample_count_below_one(tmp_path, capsys):
         with pytest.raises(SystemExit) as ei:
             main(["run", path, "--samples", bad])
         assert ei.value.code == 2
-        assert "--samples: must be at least 1" in capsys.readouterr().err
+        assert f"argument --samples: sample count must be at least 1, got {bad}" in \
+            capsys.readouterr().err
 
 
 def test_cli_rejects_sample_count_above_limit(tmp_path, capsys):
@@ -581,7 +582,7 @@ def test_cli_rejects_sample_count_above_limit(tmp_path, capsys):
             main(["run", path, "--samples", bad])
         assert time.perf_counter() - t0 < 1
         assert ei.value.code == 2
-        assert f"--samples: must be at most {MAX_SAMPLES}, got {bad}" in \
+        assert f"argument --samples: sample count must be at most {MAX_SAMPLES}, got {bad}" in \
             capsys.readouterr().err
 
 
@@ -788,6 +789,7 @@ DIAGNOSTICS = [
     ("oracle lift f lambda=1 r=1 as g", "syntax", 28, "trailing input 'as'"),
     ("oracle concomitant L J f", "syntax", 25, "unexpected end of line"),
     ("oracle spotcheck 3 f", "syntax", 18, "expected name, got '3'"),
+    ("fn g on M = x + )", "syntax", 17, "unexpected ')' in expression"),
     ("oracle spotcheck X G", "name", None, "'G' is a connection, expected tensor"),
     ("print", "syntax", 6, "unexpected end of line"),
     ("print 3", "syntax", 7, "expected name, got '3'"),
@@ -999,15 +1001,18 @@ tensor(1,1) N on M = y*d/dx ox dy + d/dy ox dx
 form a on M = x*dy
 form b on M = dx + dy
 dist D on M = span(d/dx, x*d/dy)
+chart Q { x:0, y:1 }
+vf W on Q = d/dx
 """
 
 
 def _semantic(message):
     """The exit code, record and text of a semantic error on the statement
     after RUNNER_PRELUDE."""
+    line = RUNNER_PRELUDE.count("\n") + 1
     return (3, {"kind": "error", "ok": False,
-                "error": {"kind": "semantic", "line": 10, "message": message}},
-            [f"semantic error at line 10: {message}"])
+                "error": {"kind": "semantic", "line": line, "message": message}},
+            [f"semantic error at line {line}: {message}"])
 
 
 # The last statement's exit code, full JSON record (without "stmt") and
@@ -1052,6 +1057,25 @@ RUNNER_RECORDS = {
         ["w = dx ^^ dy"]),
     "chart-weight-lengths": ("chart P { x:0, y:(0,1) }",
                              *_semantic("inconsistent weight vector lengths")),
+    # Q has M's table, but charts compare by identity
+    "bracket-two-charts": ("bracket lie X W",
+                           *_semantic("tensors live on different charts")),
+    "scalar-on-the-right": ("vf V on M = d/dy * x", 0, {
+        "kind": "decl", "ok": True, "name": "V",
+        "result": _tensor_json([1, 0], [(["y"], [], "x")], "x*d/dy")},
+        ["V = x*d/dy"]),
+    "tensor-times-tensor": ("form u on M = dx * dy", *_semantic(
+        "* multiplies by scalars; use ox or ^^ for tensors")),
+    "tensor-power": ("vf V on M = (d/dx)^2", *_semantic(
+        "^ takes scalar bases; tensor powers are not defined")),
+    "wedge-scalar-first": ("form u on M = x ^^ dy", 0, {
+        "kind": "decl", "ok": True, "name": "u",
+        "result": _tensor_json([0, 1], [([], ["y"], "x")], "x*dy")},
+        ["u = x*dy"]),
+    "wedge-scalar-last": ("form u on M = dy ^^ x", 0, {
+        "kind": "decl", "ok": True, "name": "u",
+        "result": _tensor_json([0, 1], [([], ["y"], "x")], "x*dy")},
+        ["u = x*dy"]),
 }
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from gradcalc import lifts
 from gradcalc.calculus import lie_bracket, vf_apply
-from gradcalc.charts import Chart, make_chart, tangent_chart
+from gradcalc.charts import (Chart, cotangent_chart, make_chart,
+                             phase_shifted_cotangent_chart, tangent_chart)
 from gradcalc.checkers import Distribution
 from gradcalc.errors import ChartMismatchError, GradcalcError
 from gradcalc.lifts import (
@@ -27,7 +28,7 @@ from gradcalc.lifts import (
     tangent_connection,
 )
 from gradcalc.oracle import taylor_lift_oracle
-from gradcalc.poly import Poly
+from gradcalc.poly import Poly, homogeneous_components
 from gradcalc.render import render_tensor
 from gradcalc.sampling import (random_form, random_multivector, random_poly,
                                random_tensor, random_vector_field, random_vv_form)
@@ -35,6 +36,7 @@ from gradcalc.tensor import (
     TensorField,
     coordinate_one_form,
     coordinate_vector_field,
+    degree_of_tensor,
     scalar_field,
     tagged,
     tensor_product,
@@ -741,3 +743,60 @@ def test_lift_terms_bound_every_lift(f, r, seed, kind):
     for (_, a, _), g in lift_linear_connection(conn, cctx).gamma.items():
         per_level[a // conn.chart.dim] += len(g.terms)
     assert per_level == lifts._lift_terms(conn, r)
+
+
+# -- the paper's lift theorems on graded bases ----------------------------------
+
+@st.composite
+def graded_bases(draw):
+    """A chart of dim 1-2 with 1-2 gradings and weights in -2..3, as it is,
+    as its cotangent chart, or as T*[k] in one component with k from that
+    component's top weight to the top weight + 2."""
+    dim = draw(st.integers(1, 2))
+    gradings = draw(st.integers(1, 2))
+    weights = [tuple(draw(st.integers(-2, 3)) for _ in range(gradings))
+               for _ in range(dim)]
+    base = make_chart(["x", "y"][:dim], weights)
+    kind = draw(st.sampled_from(["base", "cotangent", "shifted"]))
+    if kind == "cotangent":
+        return cotangent_chart(base)
+    if kind == "shifted":
+        c = draw(st.integers(0, gradings - 1))
+        top = max(w[c] for w in weights)
+        return phase_shifted_cotangent_chart(base, draw(st.integers(top, top + 2)), c)
+    return base
+
+
+def homogeneous_tensor_parts(t, component):
+    """{degree: the terms of t of that degree in one component}."""
+    ws = t.chart.weights
+    parts = {}
+    for (up, down), coef in t.components.items():
+        shift = sum(ws[j][component] for j in down) - sum(ws[i][component] for i in up)
+        for w, part in homogeneous_components(coef, component).items():
+            parts.setdefault(w + shift, {})[(up, down)] = part
+    return {d: TensorField(t.chart, t.q, t.p, comps) for d, comps in parts.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_bases(), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3),
+       st.integers(0, 10 ** 9), st.data())
+def test_lifts_keep_base_degrees_and_have_jet_degree(chart, q, p, r, seed, data):
+    # every nonzero lambda-lift of a (q, p) tensor t keeps t's degree in
+    # each base component where t is homogeneous, and has degree
+    # lambda - q*r in the jet component that prolongation adds
+    t = random_tensor(random.Random(seed), chart, q, p)
+    parts = homogeneous_tensor_parts(
+        t, data.draw(st.integers(0, chart.grading_count - 1), label="component"))
+    if parts:
+        t = parts[data.draw(st.sampled_from(sorted(parts)), label="degree")]
+    degrees = {c: degree_of_tensor(t, c) for c in range(chart.grading_count)}
+    ctx = LiftContext(chart, r)
+    for lam in range(r + 1):
+        lifted = lift_tensor(t, lam, ctx)
+        if lifted.is_zero():
+            continue
+        for c, d in degrees.items():
+            if d is not None:
+                assert degree_of_tensor(lifted, c) == d, (c, lam)
+        assert degree_of_tensor(lifted, chart.grading_count) == lam - q * r

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcalc.calculus import (exterior_derivative, fn_bracket, lie_bracket,
+from gradcalc.calculus import (concomitant, exterior_derivative, fn_bracket, lie_bracket,
                                lie_derivative, nr_bracket, schouten_bracket, vf_apply)
 from gradcalc.charts import make_chart
 from gradcalc.checkers import Distribution
@@ -139,6 +139,44 @@ def test_scalar_multiplication():
         x + y
     with pytest.raises(ValenceError):
         x + coordinate_one_form(M, "x")
+
+
+def _vf(chart):
+    return coordinate_vector_field(chart, "x")
+
+
+def _bivector(chart):
+    return wedge(coordinate_vector_field(chart, "x"), coordinate_vector_field(chart, "y"))
+
+
+# Every binary tensor operation, with an argument builder per operand.
+SAME_CHART_OPS = {
+    "TensorField._check": (lambda a, b: a + b, _vf, _vf),
+    "tensor_product": (tensor_product, _vf, _vf),
+    "wedge": (wedge, _vf, _vf),
+    "insert_multivector": (insert_multivector, _vf,
+                           lambda c: coordinate_one_form(c, "x")),
+    "insert_form": (insert_form, lambda c: coordinate_one_form(c, "x"), _vf),
+    "compose_11": (compose_11, identity_tensor, identity_tensor),
+    "lie_bracket": (lie_bracket, _vf, _vf),
+    "lie_derivative": (lie_derivative, _vf, _vf),
+    "schouten_bracket": (schouten_bracket, _vf, _vf),
+    "fn_bracket": (fn_bracket, identity_tensor, identity_tensor),
+    "nr_bracket": (nr_bracket, identity_tensor, identity_tensor),
+    "concomitant": (concomitant, _bivector, identity_tensor),
+    "covariant_derivative": (lambda a, b: covariant_derivative(
+        tangent_connection(a.chart, {}), a, b), _vf, _vf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAME_CHART_OPS))
+def test_binary_operations_need_one_chart(name):
+    op, first, second = SAME_CHART_OPS[name]
+    a_chart = make_chart(["x", "y"], [1, 2], label="M")
+    b_chart = make_chart(["x", "y"], [1, 2], label="M")
+    op(first(a_chart), second(a_chart))     # one chart: the operation runs
+    with pytest.raises(ChartMismatchError, match="^tensors live on different charts$"):
+        op(first(a_chart), second(b_chart))
 
 
 def test_wedge_equals_alternating_sum():
