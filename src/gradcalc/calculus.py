@@ -5,7 +5,10 @@ rational coefficients.  Each bracket is a direct formula over the stored
 components of its arguments, so it is an independent code path and not
 a reduction to another bracket.  Every kernel differentiates a factor
 only in a variable that factor uses (its variables_used(), computed
-once per component), so no derivative taken here is zero.  A stored
+once per component), so no derivative taken here is zero.  A kernel
+asks for a component's derivative once per partner component, but
+Poly.diff keeps what it computes, so each derivative is computed once
+per polynomial, not per use.  A stored
 (1, k) component is written f d_m ox dx^I (key ((m,), I), I
 increasing), a stored multivector component f d_I; every index
 sequence below is sorted with the sign of its permutation, and a

@@ -27,7 +27,11 @@ from .suite import render_table, run_check_suite, suite_to_json
 
 
 def _sample_count(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"sample count must be an integer, got {text!r}") from None
     try:
         check_sample_count(n)
     except GradcalcError as e:

@@ -24,6 +24,13 @@ float.  constant_value() and evaluate() return Fraction; evaluate()
 sums in integers over one common denominator and builds only that
 Fraction.  There is no division by non-constant polynomials.
 
+A Poly keeps the first derivatives it was asked for: diff() computes
+each one once and returns the same Poly on every later call.  It keeps
+at most one derivative per variable it uses, and their terms total at
+most (variables per monomial) x its own term count.  Sharing is safe
+because no code changes a Poly's terms in place, so a kept derivative
+is as immutable as any other Poly.
+
 _acc(store, key, value) is the one sparse-sum accumulator: every sparse
 sum of coefficients here and of tensor components elsewhere goes
 through it, except in the oracles, which keep their own loops to stay
@@ -136,12 +143,13 @@ def _mono_sort_key(m: Monomial, dim: int):
 class Poly:
     """Polynomial with exact rational coefficients on a fixed chart."""
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "terms", "_diffs")
 
     def __init__(self, chart: Chart, terms: dict):
         # terms must already be canonical (no zero coefficients, sorted keys)
         self.chart = chart
         self.terms = terms
+        self._diffs = None
 
     # -- constructors -------------------------------------------------
 
@@ -297,9 +305,21 @@ class Poly:
     # -- calculus and structure -----------------------------------------
 
     def diff(self, var) -> "Poly":
-        """Partial derivative with respect to one chart variable."""
+        """Partial derivative with respect to one chart variable.
+
+        The index is checked first.  A nonzero derivative is then kept in
+        _diffs under the variable index, so a name and its index share
+        one entry and every later call returns the same Poly: at most one
+        per variable used, (variables per monomial) x len(terms) terms in
+        all.
+        """
         if type(var) is not int or not 0 <= var < len(self.chart.names):
             var = self.chart.index(var)
+        diffs = self._diffs
+        if diffs is None:
+            diffs = self._diffs = {}
+        elif var in diffs:
+            return diffs[var]
         out: dict = {}
         for m, c in self.terms.items():
             # a monomial's variables are sorted: stop at the first v >= var
@@ -313,7 +333,10 @@ class Poly:
                     else:
                         out[m[:pos] + ((v, e - 1),) + m[pos + 1:]] = c * e
                 break
-        return Poly(self.chart, out)
+        d = Poly(self.chart, out)
+        if out:
+            diffs[var] = d
+        return d
 
     def substitute(self, images: Mapping, target: Chart | None = None) -> "Poly":
         """Replace every variable by its image polynomial.

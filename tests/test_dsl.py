@@ -573,6 +573,17 @@ def test_cli_rejects_sample_count_below_one(tmp_path, capsys):
             capsys.readouterr().err
 
 
+def test_cli_rejects_a_sample_count_that_is_no_integer(tmp_path, capsys):
+    # argparse used to name the private type function: "invalid _sample_count value"
+    path = _write(tmp_path, CLEAN)
+    for bad in ("x", "1.5", ""):
+        with pytest.raises(SystemExit) as ei:
+            main(["run", path, "--samples", bad])
+        assert ei.value.code == 2
+        assert f"argument --samples: sample count must be an integer, got {bad!r}" in \
+            capsys.readouterr().err
+
+
 def test_cli_rejects_sample_count_above_limit(tmp_path, capsys):
     # 10^8 points used to be built before the first comparison (no end in 20 s)
     path = _write(tmp_path, CLEAN)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcalc import lifts
-from gradcalc.calculus import lie_bracket, vf_apply
+from gradcalc.calculus import lie_bracket, lie_derivative, vf_apply
 from gradcalc.charts import (Chart, cotangent_chart, make_chart,
                              phase_shifted_cotangent_chart, tangent_chart)
 from gradcalc.checkers import Distribution
@@ -778,6 +778,17 @@ def homogeneous_tensor_parts(t, component):
     return {d: TensorField(t.chart, t.q, t.p, comps) for d, comps in parts.items()}
 
 
+def draw_homogeneous_tensor(chart, q, p, seed, data):
+    """A random (q, p) tensor cut down to one homogeneous part in one
+    drawn component (the zero tensor, which has no part, as it is)."""
+    t = random_tensor(random.Random(seed), chart, q, p)
+    parts = homogeneous_tensor_parts(
+        t, data.draw(st.integers(0, chart.grading_count - 1), label="component"))
+    if parts:
+        t = parts[data.draw(st.sampled_from(sorted(parts)), label="degree")]
+    return t
+
+
 @settings(max_examples=150, deadline=None)
 @given(graded_bases(), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3),
        st.integers(0, 10 ** 9), st.data())
@@ -785,11 +796,7 @@ def test_lifts_keep_base_degrees_and_have_jet_degree(chart, q, p, r, seed, data)
     # every nonzero lambda-lift of a (q, p) tensor t keeps t's degree in
     # each base component where t is homogeneous, and has degree
     # lambda - q*r in the jet component that prolongation adds
-    t = random_tensor(random.Random(seed), chart, q, p)
-    parts = homogeneous_tensor_parts(
-        t, data.draw(st.integers(0, chart.grading_count - 1), label="component"))
-    if parts:
-        t = parts[data.draw(st.sampled_from(sorted(parts)), label="degree")]
+    t = draw_homogeneous_tensor(chart, q, p, seed, data)
     degrees = {c: degree_of_tensor(t, c) for c in range(chart.grading_count)}
     ctx = LiftContext(chart, r)
     for lam in range(r + 1):
@@ -800,3 +807,23 @@ def test_lifts_keep_base_degrees_and_have_jet_degree(chart, q, p, r, seed, data)
             if d is not None:
                 assert degree_of_tensor(lifted, c) == d, (c, lam)
         assert degree_of_tensor(lifted, chart.grading_count) == lam - q * r
+
+
+@settings(max_examples=150, deadline=None)
+@given(graded_bases(), st.integers(0, 2), st.integers(0, 2), st.integers(1, 3),
+       st.integers(0, 10 ** 9), st.data())
+def test_lifts_satisfy_the_euler_identity(chart, q, p, r, seed, data):
+    # L_Delta t^(lambda) = d t^(lambda) for the weight vector field Delta
+    # of each component of the prolonged chart, base and jet, in which
+    # the lift has a degree d
+    t = draw_homogeneous_tensor(chart, q, p, seed, data)
+    ctx = LiftContext(chart, r)
+    fields = [weight_vector_field(ctx.total, c) for c in range(ctx.total.grading_count)]
+    for lam in range(r + 1):
+        lifted = lift_tensor(t, lam, ctx)
+        if lifted.is_zero():
+            continue
+        for c, euler in enumerate(fields):
+            d = degree_of_tensor(lifted, c)
+            if d is not None:
+                assert lie_derivative(euler, lifted) == lifted * d, (c, lam)

@@ -98,13 +98,17 @@ def test_diff_by_name_and_constants():
 @pytest.mark.parametrize("var, message", [
     (True, "variable index must be an integer, not True"),
     (1.0, "variable index must be an integer, not 1.0"),
+    (1.5, "variable index must be an integer, not 1.5"),
     (5, "variable index 5 outside 0..2"),
     (-1, "variable index -1 outside 0..2"),
     ("q", "chart has no variable named 'q'"),
 ])
 def test_diff_rejects_a_bad_index(var, message):
+    # also after d/dy is kept: True == 1 as a dict key, so the check comes first
+    p = x + y
+    assert p.diff(1) == Poly.const(M, 1)
     with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
-        (x + y).diff(var)
+        p.diff(var)
 
 
 def test_power():
@@ -502,3 +506,55 @@ def test_mul_checks_charts_on_every_path():
             with pytest.raises(ChartMismatchError,
                                match="polynomials live on different charts"):
                 left + right
+
+
+# -- kept derivatives -------------------------------------------------------------
+
+def test_diff_is_kept():
+    f = x ** 2 * y + y * z * 3 + z
+    for v, name in enumerate(M.names):
+        d = f.diff(v)
+        assert f.diff(v) is d and f.diff(name) is d
+    assert stored(f.diff(0)) == stored(diff_by_loops(f, 0))
+
+
+diff_orders = st.lists(st.lists(st.sampled_from([0, 1, 2, "x", "y", "z"]),
+                                min_size=1, max_size=3), max_size=8)
+
+
+@given(polys, diff_orders)
+@settings(max_examples=100, deadline=None)
+def test_kept_derivatives_match_a_fresh_copy(f, orders):
+    # each derivative, in any order of calls and up to third order, equals
+    # the one taken on a copy of f that has no kept derivative
+    for order in orders:
+        kept, fresh = f, Poly(f.chart, dict(f.terms))
+        for v in order:
+            kept, fresh = kept.diff(v), fresh.diff(v)
+            assert stored(kept) == stored(fresh)
+
+
+def accumulated(a, b):
+    store = {"k": a}
+    _acc(store, "k", b)
+    return store["k"]
+
+
+N3 = make_chart(["z", "y", "x"], [0, 2, 1], label="N3")
+ops = [lambda d: d + d, lambda d: d + x, lambda d: x + d, lambda d: d + 1,
+       lambda d: d - y, lambda d: y - d, lambda d: d - d, lambda d: -d,
+       lambda d: d * d, lambda d: d * x, lambda d: x * d, lambda d: d * 3,
+       lambda d: d * Fraction(2, 3), lambda d: d / 2, lambda d: d ** 2, lambda d: d ** 3,
+       lambda d: d.substitute({0: y + 1, 1: z, 2: x * x}), lambda d: d.reindex(N3),
+       lambda d: accumulated(d, x), lambda d: accumulated(x, d)]
+
+
+def test_arithmetic_leaves_a_kept_derivative_unchanged():
+    # a derivative f keeps is shared by every later f.diff(v) call
+    f = x ** 3 * y + y ** 2 * z * Fraction(1, 2) + x * z
+    for v in range(M.dim):
+        d = f.diff(v)
+        before = dict(d.terms)
+        fresh = Poly(M, dict(before))
+        assert [stored(op(d)) for op in ops] == [stored(op(fresh)) for op in ops]
+        assert f.diff(v) is d and d.terms == before
