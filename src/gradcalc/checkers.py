@@ -30,7 +30,7 @@ from .calculus import (
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_make
-from .poly import ANY_DEGREE, Poly, degree_matches, degree_of_function, \
+from .poly import ANY_DEGREE, Poly, _coefficient, degree_matches, degree_of_function, \
     homogeneous_components
 from .render import key_text, number_str, point_text
 from .sampling import sample_points
@@ -318,11 +318,15 @@ def rational_rank(rows: list) -> int:
     (p * row - a * pivot row) // previous pivot, a division that is exact
     because every entry is a minor of the integer matrix.  A column with
     no nonzero entry at or below the current row is skipped; a pivot row
-    found lower down is swapped up first.
+    found lower down is swapped up first.  GradcalcError if two rows
+    differ in length.
     """
     m = [_integer_row(r) for r in rows]
     if not m:
         return 0
+    for r in m:
+        if len(r) != len(m[0]):
+            raise GradcalcError(f"matrix rows differ in length: {len(m[0])} and {len(r)}")
     rank = 0
     prev = 1
     for col in range(len(m[0])):
@@ -445,12 +449,11 @@ def section_degree(sec: Section):
         raise GradcalcError(
             "graded_component must name a grading component other than the VB one")
     for f, v in sec.values.items():
-        if f not in fibre_set:
+        if chart.check_index(f, "section key") not in fibre_set:
             raise GradcalcError(f"{chart.names[f]} is not a fibre variable")
-        if not isinstance(v, Poly) or v.chart is not chart:
-            raise ChartMismatchError("section components must be polynomials on the chart")
-        if v.variables_used() - base_set:
-            raise GradcalcError("section components must depend on base variables only")
+        if not isinstance(v, Poly):
+            raise GradcalcError(f"section component {v!r} is not a polynomial")
+        _coefficient(chart, v, "section component", base_set)
     # v^f d/df has degree deg(v^f) - s, the lambda of that component
     lam = degree_of_tensor(vector_field(chart, sec.values), gc)
     if lam is None or lam is ANY_DEGREE:
@@ -484,18 +487,9 @@ def algebroid_bracket(lam: TensorField, vb_component: int, x, y) -> list:
         raise GradcalcError("tensor is not linear in the fibre variables")
 
     def as_section(vals) -> list:
-        out = []
         if len(vals) != len(fibre):
             raise GradcalcError(f"section needs {len(fibre)} components")
-        for v in vals:
-            if not isinstance(v, Poly):
-                v = Poly.const(chart, v)
-            elif v.chart is not chart:
-                raise ChartMismatchError("section components must live on the dual chart")
-            if v.variables_used() - base_set:
-                raise GradcalcError("section components must depend on base variables only")
-            out.append(v)
-        return out
+        return [_coefficient(chart, v, "section component", base_set) for v in vals]
 
     # h = lam^ij d_i iota_x d_j iota_y, the lam-bracket of the linear functions
     h = insert_form(tensor_product(

@@ -50,7 +50,7 @@ from .charts import (Chart, _check_int, prolong_chart, tangent_chart,
                      vb_split)
 from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import Poly, _acc
+from .poly import Poly, _acc, _coefficient
 from .tensor import TensorField, _same_chart, _sort_with_parity
 
 __all__ = [
@@ -356,12 +356,7 @@ class LinearConnection:
                 raise GradcalcError(f"Christoffel base index {chart.names[k]} is not a base variable")
             if a not in fibre_set or b not in fibre_set:
                 raise GradcalcError("Christoffel fibre index is not a fibre variable")
-            if not isinstance(g, Poly):
-                g = Poly.const(chart, g)
-            elif g.chart is not chart:
-                raise ChartMismatchError("Christoffel symbol lives on the wrong chart")
-            if g.variables_used() - base_set:
-                raise GradcalcError("Christoffel symbols must depend on base variables only")
+            g = _coefficient(chart, g, "Christoffel symbol", base_set)
             if g:
                 table[(k, a, b)] = g
         self.gamma = table
@@ -383,11 +378,8 @@ def tangent_connection(base_chart: Chart, gamma: Mapping) -> LinearConnection:
     for (k, j, l), g in gamma.items():
         for i in (k, j, l):
             base_chart.check_index(i, "Christoffel index")
-        if isinstance(g, Poly):
-            if g.chart is not base_chart:
-                raise ChartMismatchError("Christoffel symbol lives on the wrong chart")
-            g = g.reindex(total)
-        table[(k, n + j, n + l)] = g
+        g = _coefficient(base_chart, g, "Christoffel symbol")
+        table[(k, n + j, n + l)] = g.reindex(total)
     return LinearConnection(total, base_chart.grading_count, table)
 
 

@@ -35,6 +35,10 @@ _acc(store, key, value) is the one sparse-sum accumulator: every sparse
 sum of coefficients here and of tensor components elsewhere goes
 through it, except in the oracles, which keep their own loops to stay
 independent of the code they check.
+
+_coefficient(chart, value, what, base) is the one coefficient rule of
+the builders outside this module; Poly's operators (the hot path) and
+the oracles keep their own checks.
 """
 
 from __future__ import annotations
@@ -73,6 +77,19 @@ def _acc(store: dict, key, value) -> None:
         store[key] = s
     elif prev is not None:
         del store[key]
+
+
+def _coefficient(chart: Chart, value, what: str, base=None) -> "Poly":
+    """value as a coefficient on chart: a number becomes the constant, a
+    Poly must live on chart and, when base (a set of variable indices) is
+    given, use only those variables."""
+    if not isinstance(value, Poly):
+        return Poly.const(chart, value)
+    if value.chart is not chart:
+        raise ChartMismatchError(f"{what} lives on a different chart")
+    if base is not None and not value.variables_used() <= base:
+        raise GradcalcError(f"{what} must depend on base variables only")
+    return value
 
 
 class _AnyDegree:

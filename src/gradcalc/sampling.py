@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .charts import Chart
+from .charts import Chart, _check_int
 from .errors import GradcalcError
 from .poly import Poly, _acc
 from .tensor import TensorField, _swap, scalar_field
@@ -34,8 +34,9 @@ MAX_SAMPLES = 100_000
 
 
 def check_sample_count(count: int) -> None:
-    """Raise GradcalcError unless 1 <= count <= MAX_SAMPLES (below 1 a
-    sampled check would pass vacuously)."""
+    """Raise GradcalcError unless count is an int (not a bool) in
+    1..MAX_SAMPLES (below 1 a sampled check would pass vacuously)."""
+    _check_int(count, "sample count")
     if count < 1:
         raise GradcalcError(f"sample count must be at least 1, got {count}")
     if count > MAX_SAMPLES:

@@ -30,7 +30,7 @@ from itertools import permutations
 
 from .charts import Chart
 from .errors import ChartMismatchError, ValenceError
-from .poly import ANY_DEGREE, Poly, _acc, degree_of_function
+from .poly import ANY_DEGREE, Poly, _acc, _coefficient, degree_of_function
 
 __all__ = [
     "TensorField", "tensor_product", "wedge", "wedge_list", "contract",
@@ -130,7 +130,9 @@ class TensorField:
     @staticmethod
     def from_components(chart: Chart, q: int, p: int, entries: Mapping | Iterable,
                         contra_sym: str = "none", cov_sym: str = "none") -> "TensorField":
-        """Build from canonical-key components; keys are validated."""
+        """Build from canonical-key components; valence, keys and coefficients are checked."""
+        if type(q) is not int or type(p) is not int or q < 0 or p < 0:
+            raise ValenceError(f"valence ({q!r},{p!r}) must be two nonnegative integers")
         items = entries.items() if isinstance(entries, Mapping) else entries
         comps: dict = {}
         for (up, down), coef in items:
@@ -143,11 +145,7 @@ class TensorField:
                 raise ValenceError(f"non-canonical covariant key {down} for tag {cov_sym}")
             for i in up + down:
                 chart.check_index(i)
-            if not isinstance(coef, Poly):
-                coef = Poly.const(chart, coef)
-            elif coef.chart is not chart:
-                raise ChartMismatchError("component polynomial lives on a different chart")
-            _acc(comps, (up, down), coef)
+            _acc(comps, (up, down), _coefficient(chart, coef, "component polynomial"))
         return TensorField(chart, q, p, comps, contra_sym, cov_sym)
 
     # -- basics -----------------------------------------------------------
@@ -229,12 +227,9 @@ class TensorField:
         return self + (-other)
 
     def __mul__(self, other) -> "TensorField":
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.chart, other)
-        if not isinstance(other, Poly):
+        if not isinstance(other, (int, Fraction, Poly)):
             return NotImplemented
-        if other.chart is not self.chart:
-            raise ChartMismatchError("scalar lives on a different chart")
+        other = _coefficient(self.chart, other, "scalar")
         out: dict = {}
         for k, v in self.components.items():
             _acc(out, k, v * other)
@@ -280,8 +275,7 @@ def tagged(t: TensorField, contra_sym: str = "none", cov_sym: str = "none") -> T
 # -- convenience builders ----------------------------------------------------
 
 def scalar_field(chart: Chart, value) -> TensorField:
-    if not isinstance(value, Poly):
-        value = Poly.const(chart, value)
+    value = _coefficient(chart, value, "scalar")
     comps = {((), ()): value} if value else {}
     return TensorField(chart, 0, 0, comps)
 
@@ -289,10 +283,7 @@ def scalar_field(chart: Chart, value) -> TensorField:
 def vector_field(chart: Chart, entries: Mapping) -> TensorField:
     comps = {}
     for i, v in entries.items():
-        i = chart.index(i)
-        if not isinstance(v, Poly):
-            v = Poly.const(chart, v)
-        _acc(comps, ((i,), ()), v)
+        _acc(comps, ((chart.index(i),), ()), _coefficient(chart, v, "component polynomial"))
     return TensorField(chart, 1, 0, comps)
 
 

@@ -412,6 +412,11 @@ def test_rational_linear_algebra():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([]) == 0
     assert rational_rank([[0, 0], [0, 0]]) == 0
+    # rows of unequal length are no matrix
+    with pytest.raises(GradcalcError, match="^matrix rows differ in length: 2 and 1$"):
+        rational_rank([[1, 0], [0]])
+    with pytest.raises(GradcalcError, match="^matrix rows differ in length: 1 and 2$"):
+        rational_rank([[0], [0, 1]])
 
 
 def test_rank_at_point():

@@ -3,17 +3,17 @@
 import random
 import re
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradcalc import lifts
 from gradcalc.calculus import lie_bracket, lie_derivative, vf_apply
 from gradcalc.charts import (Chart, cotangent_chart, make_chart,
                              phase_shifted_cotangent_chart, tangent_chart)
-from gradcalc.checkers import Distribution
+from gradcalc.checkers import Distribution, is_weighted_poisson
 from gradcalc.errors import ChartMismatchError, GradcalcError
 from gradcalc.lifts import (
     LiftContext,
@@ -41,6 +41,7 @@ from gradcalc.tensor import (
     tagged,
     tensor_product,
     vector_field,
+    wedge,
     weight_vector_field,
 )
 from test_tensor import assert_canonical, sym_power_sum
@@ -827,3 +828,55 @@ def test_lifts_satisfy_the_euler_identity(chart, q, p, r, seed, data):
             d = degree_of_tensor(lifted, c)
             if d is not None:
                 assert lie_derivative(euler, lifted) == lifted * d, (c, lam)
+
+
+@st.composite
+def weighted_poisson_bivectors(draw):
+    """(Lambda, c, k): Lambda = f d/di ^^ d/dj on a graded_bases() chart
+    of dim >= 2, weighted Poisson of degree -k in the drawn component c,
+    k the chart's degree there.  f sums 1-3 monomials of total degree
+    <= 3 whose weight in c makes Lambda's degree -k; a rank-2 bivector
+    f X ^^ Y of commuting coordinate fields is Poisson for every f."""
+    chart = draw(graded_bases())
+    assume(chart.dim >= 2)
+    c = draw(st.integers(0, chart.grading_count - 1))
+    k = chart.degree(c)
+    i, j = draw(st.sampled_from(list(combinations(range(chart.dim), 2))))
+    ws = chart.weights
+    target = ws[i][c] + ws[j][c] - k
+    monomials = [m for n in range(4)
+                 for m in combinations_with_replacement(range(chart.dim), n)
+                 if sum(ws[v][c] for v in m) == target]
+    assume(monomials)
+    f = Poly.zero(chart)
+    for m in draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3, unique=True)):
+        term = Poly.const(chart, draw(st.sampled_from([-2, -1, 1, 3])))
+        for v in m:
+            term = term * Poly.variable(chart, v)
+        f = f + term
+    lam = wedge(coordinate_vector_field(chart, i), coordinate_vector_field(chart, j)) * f
+    return lam, c, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_poisson_bivectors(), st.integers(1, 3))
+def test_weighted_poisson_bivectors_lift_to_weighted_poisson(drawn, r):
+    # every lambda-lift of a weighted Poisson bivector of degree -k in a
+    # base component is weighted Poisson of degree -k in that component,
+    # keeps its degree in every base component where it has one, and has
+    # jet degree lambda - 2r
+    lam, c, k = drawn
+    chart = lam.chart
+    assert is_weighted_poisson(lam, k, c).verdict
+    degrees = {b: degree_of_tensor(lam, b) for b in range(chart.grading_count)}
+    ctx = LiftContext(chart, r)
+    for level in range(r + 1):
+        lifted = lift_tensor(lam, level, ctx)
+        report = is_weighted_poisson(lifted, k, c)
+        assert report.verdict, (level, report.witness)
+        if lifted.is_zero():
+            continue
+        for b, d in degrees.items():
+            if d is not None:
+                assert degree_of_tensor(lifted, b) == d, (b, level)
+        assert degree_of_tensor(lifted, chart.grading_count) == level - 2 * r

@@ -41,6 +41,10 @@ def test_sample_plan():
     assert SamplePlan(seed=0, count=MAX_SAMPLES).count == MAX_SAMPLES
     with pytest.raises(GradcalcError, match=f"sample count must be at most {MAX_SAMPLES}"):
         SamplePlan(seed=0, count=MAX_SAMPLES + 1)
+    # a count is an int, as a chart's weights and indices are
+    for bad in (True, 2.5, "3"):
+        with pytest.raises(GradcalcError, match=f"^sample count must be an integer, not {bad!r}$"):
+            SamplePlan(seed=0, count=bad)
     plan = SamplePlan(seed=7, count=5)
     pts = plan.points(E3)
     assert len(pts) == 5

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 from gradcalc.calculus import (concomitant, exterior_derivative, fn_bracket, lie_bracket,
                                lie_derivative, nr_bracket, schouten_bracket, vf_apply)
-from gradcalc.charts import make_chart
-from gradcalc.checkers import Distribution
+from gradcalc.charts import Chart, cotangent_chart, make_chart
+from gradcalc.checkers import Distribution, Section, algebroid_bracket, section_degree
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
-from gradcalc.lifts import (LiftContext, covariant_derivative, horizontal_fields,
-                            lift_distribution, lift_tensor, tangent_connection)
+from gradcalc.lifts import (LiftContext, LinearConnection, covariant_derivative,
+                            horizontal_fields, lift_distribution, lift_tensor,
+                            tangent_connection)
 from gradcalc.poly import ANY_DEGREE, Poly, _acc
 from gradcalc.render import (chart_to_json, poly_to_json, render_poly, render_tensor,
                              tensor_to_json)
@@ -304,6 +305,89 @@ def test_builders():
     assert v.component((1,), ()) == p(M, 0)
     assert coordinate_vector_field(M, "y") == coordinate_vector_field(M, 1)
     assert identity_tensor(M).component((1,), (1,)) == Poly.const(M, 1)
+
+
+# -- one coefficient rule -------------------------------------------------------
+
+# VB: base x, fibre u and v in the VB component 1.  CT: the cotangent
+# chart of x, y, whose fibre p_x, p_y is its last component.
+VB = make_chart(["x", "u", "v"], [(1, 0), (2, 1), (3, 1)], label="VB")
+CT = cotangent_chart(make_chart(["x", "y"], [0, 0]))
+CT_LAM = (wedge(coordinate_vector_field(CT, "p_x"), coordinate_vector_field(CT, "x"))
+          + wedge(coordinate_vector_field(CT, "p_y"), coordinate_vector_field(CT, "y")))
+
+
+def _gamma_terms(conn):
+    # tangent_connection builds a new tangent chart on every call
+    return {k: g.terms for k, g in conn.gamma.items()}
+
+
+# name: (chart, build(coefficient) -> a comparable result, whether a number
+# is accepted, a fibre variable when the coefficient must be a base function)
+COEFFICIENT_BUILDERS = {
+    "from_components": (M, lambda c: TensorField.from_components(M, 1, 0, {((0,), ()): c}),
+                        True, None),
+    "mul": (M, lambda c: coordinate_vector_field(M, "x") * c, True, None),
+    "rmul": (M, lambda c: c * coordinate_vector_field(M, "x"), True, None),
+    "scalar_field": (M, lambda c: scalar_field(M, c), True, None),
+    "vector_field": (M, lambda c: vector_field(M, {"y": c}), True, None),
+    "LinearConnection": (VB, lambda c: LinearConnection(VB, 1, {(0, 1, 2): c}).gamma,
+                         True, 1),
+    "tangent_connection": (M, lambda c: _gamma_terms(tangent_connection(M, {(0, 1, 0): c})),
+                           True, None),
+    "section_degree": (VB, lambda c: section_degree(Section(VB, 1, {1: c})), False, 2),
+    "algebroid_bracket": (CT, lambda c: algebroid_bracket(CT_LAM, CT.grading_count - 1,
+                                                          [c, 1], [Poly.variable(CT, 0), 0]),
+                          True, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENT_BUILDERS))
+def test_builders_refuse_a_coefficient_on_another_chart(name):
+    # charts compare by identity: a twin with the same table is another chart
+    chart, build, _, _ = COEFFICIENT_BUILDERS[name]
+    twin = Chart(chart.names, chart.weights, chart.grading_count, chart.label)
+    with pytest.raises(ChartMismatchError, match="lives on a different chart$"):
+        build(Poly.variable(twin, 0))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, row in COEFFICIENT_BUILDERS.items()
+                                        if row[2]))
+def test_builders_take_a_number_as_the_constant(name):
+    chart, build, _, _ = COEFFICIENT_BUILDERS[name]
+    for number in (3, Fraction(-2, 3)):
+        assert build(number) == build(Poly.const(chart, number))
+
+
+@pytest.mark.parametrize("name", sorted(n for n, row in COEFFICIENT_BUILDERS.items()
+                                        if row[3] is not None))
+def test_builders_refuse_a_fibre_variable(name):
+    chart, build, _, fibre = COEFFICIENT_BUILDERS[name]
+    build(Poly.variable(chart, 0))          # a base variable is fine
+    with pytest.raises(GradcalcError, match="must depend on base variables only$"):
+        build(Poly.variable(chart, fibre))
+
+
+def test_section_degree_refuses_a_number():
+    with pytest.raises(GradcalcError, match="^section component 3 is not a polynomial$"):
+        section_degree(Section(VB, 1, {1: 3}))
+
+
+@pytest.mark.parametrize("key,message", [
+    (7, "section key 7 outside 0..2"),
+    (-1, "section key -1 outside 0..2"),
+    (True, "section key must be an integer, not True"),
+    (0, "x is not a fibre variable"),
+])
+def test_section_degree_checks_each_key(key, message):
+    with pytest.raises(GradcalcError, match=f"^{message}$"):
+        section_degree(Section(VB, 1, {key: Poly.variable(VB, 0)}))
+
+
+@pytest.mark.parametrize("q,p", [(-1, 0), (0, -2), (1.0, 0), (True, 0), (0, "1")])
+def test_from_components_refuses_a_bad_valence(q, p):
+    with pytest.raises(ValenceError, match="must be two nonnegative integers$"):
+        TensorField.from_components(M, q, p, {})
 
 
 def test_weight_vector_field():
