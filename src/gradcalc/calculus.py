@@ -4,17 +4,17 @@ Everything here is computed componentwise in one chart with exact
 rational coefficients.  Each bracket is a direct formula over the stored
 components of its arguments, so it is an independent code path and not
 a reduction to another bracket.  Every kernel differentiates a factor
-only in a variable that factor uses (its variables_used(), computed
-once per component), so no derivative taken here is zero.  A kernel
-asks for a component's derivative once per partner component, but
-Poly.diff keeps what it computes, so each derivative is computed once
-per polynomial, not per use.  A stored
-(1, k) component is written f d_m ox dx^I (key ((m,), I), I
-increasing), a stored multivector component f d_I; every index
-sequence below is sorted with the sign of its permutation, and a
-sequence with a repeated index gives zero.  Removing m from position p
-of J (0-based) is written J - m and costs the sign (-1)^p; d_v f is the
-partial derivative.
+only in a variable that factor uses (its variables_used()), so no
+derivative taken here is zero.  The Poly keeps that set, so it is built
+once per polynomial, not recomputed per component or per call.  A
+kernel asks for a component's derivative once per partner component,
+but Poly.diff keeps what it computes, so each derivative is computed
+once per polynomial, not per use.  A stored (1, k) component is
+written f d_m ox dx^I (key ((m,), I), I increasing), a stored
+multivector component f d_I; every index sequence below is sorted
+with the sign of its permutation, and a sequence with a repeated index
+gives zero.  Removing m from position p of J (0-based) is written J - m
+and costs the sign (-1)^p; d_v f is the partial derivative.
 
 * d(f dx^I) = sum_v d_v f dx^(v, I), the unnormalized wedge df ^^ dx^I;
 * [X, Y] = X(Y^k) d/dk - Y(X^k) d/dk;

@@ -287,7 +287,7 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     _check_int(lam, "lift level")
     r = ctx.r
     if lam < 0 or lam > r:
-        return TensorField.zero(ctx.total, t.q, t.p, t.contra_sym, t.cov_sym)
+        return TensorField(ctx.total, t.q, t.p, {}, t.contra_sym, t.cov_sym)
     if ctx._last[0] is not t:
         # per stored component: its up and down block tables, and its
         # coefficient jets and their negatives; an antisym block can flip

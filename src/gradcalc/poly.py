@@ -24,12 +24,14 @@ float.  constant_value() and evaluate() return Fraction; evaluate()
 sums in integers over one common denominator and builds only that
 Fraction.  There is no division by non-constant polynomials.
 
-A Poly keeps the first derivatives it was asked for: diff() computes
-each one once and returns the same Poly on every later call.  It keeps
-at most one derivative per variable it uses, and their terms total at
-most (variables per monomial) x its own term count.  Sharing is safe
-because no code changes a Poly's terms in place, so a kept derivative
-is as immutable as any other Poly.
+A Poly keeps its variable set and the first derivatives it was asked
+for.  variables_used() builds a frozenset on the first call and returns
+the same one on every later call.  diff() computes each derivative once
+and returns the same Poly on every later call; it keeps at most one
+derivative per variable used, and their terms total at most (variables
+per monomial) x its own term count.  Sharing is safe because no code
+changes a Poly's terms in place, so a kept set cannot go stale and a
+kept derivative is as immutable as any other Poly.
 
 _acc(store, key, value) is the one sparse-sum accumulator: every sparse
 sum of coefficients here and of tensor components elsewhere goes
@@ -160,13 +162,14 @@ def _mono_sort_key(m: Monomial, dim: int):
 class Poly:
     """Polynomial with exact rational coefficients on a fixed chart."""
 
-    __slots__ = ("chart", "terms", "_diffs")
+    __slots__ = ("chart", "terms", "_diffs", "_vars")
 
     def __init__(self, chart: Chart, terms: dict):
         # terms must already be canonical (no zero coefficients, sorted keys)
         self.chart = chart
         self.terms = terms
         self._diffs = None
+        self._vars = None
 
     # -- constructors -------------------------------------------------
 
@@ -207,11 +210,12 @@ class Poly:
             raise GradcalcError("polynomial is not constant")
         return Fraction(self.terms.get((), 0))
 
-    def variables_used(self) -> set:
-        used = set()
-        for m in self.terms:
-            for v, _ in m:
-                used.add(v)
+    def variables_used(self) -> frozenset:
+        """The indices of the variables that occur, built on the first call
+        in term order and returned as the same frozenset on every later one."""
+        used = self._vars
+        if used is None:
+            used = self._vars = frozenset(v for m in self.terms for v, _ in m)
         return used
 
     # -- arithmetic ----------------------------------------------------
@@ -296,7 +300,7 @@ class Poly:
         raise GradcalcError("can only divide by a nonzero constant")
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise GradcalcError("exponent must be a nonnegative integer")
         if n and len(self.terms) == 1:
             (m, c), = self.terms.items()

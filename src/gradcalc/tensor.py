@@ -50,6 +50,13 @@ def _same_chart(a, b) -> None:
         raise ChartMismatchError("tensors live on different charts")
 
 
+def _check_valence(q, p) -> None:
+    """The valence check of the public builders; the constructor takes a
+    valence as it is."""
+    if type(q) is not int or type(p) is not int or q < 0 or p < 0:
+        raise ValenceError(f"valence ({q!r},{p!r}) must be two nonnegative integers")
+
+
 def _sort_with_parity(idx: tuple) -> tuple:
     """(sign, sorted tuple); sign 0 when an index repeats.
 
@@ -125,14 +132,14 @@ class TensorField:
     @staticmethod
     def zero(chart: Chart, q: int, p: int,
              contra_sym: str = "none", cov_sym: str = "none") -> "TensorField":
+        _check_valence(q, p)
         return TensorField(chart, q, p, {}, contra_sym, cov_sym)
 
     @staticmethod
     def from_components(chart: Chart, q: int, p: int, entries: Mapping | Iterable,
                         contra_sym: str = "none", cov_sym: str = "none") -> "TensorField":
         """Build from canonical-key components; valence, keys and coefficients are checked."""
-        if type(q) is not int or type(p) is not int or q < 0 or p < 0:
-            raise ValenceError(f"valence ({q!r},{p!r}) must be two nonnegative integers")
+        _check_valence(q, p)
         items = entries.items() if isinstance(entries, Mapping) else entries
         comps: dict = {}
         for (up, down), coef in items:

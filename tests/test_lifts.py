@@ -10,10 +10,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gradcalc import lifts
-from gradcalc.calculus import lie_bracket, lie_derivative, vf_apply
+from gradcalc.calculus import lie_bracket, lie_derivative, nijenhuis_torsion, vf_apply
 from gradcalc.charts import (Chart, cotangent_chart, make_chart,
                              phase_shifted_cotangent_chart, tangent_chart)
-from gradcalc.checkers import Distribution, is_weighted_poisson
+from gradcalc.checkers import Distribution, is_weighted_nijenhuis, is_weighted_poisson
 from gradcalc.errors import ChartMismatchError, GradcalcError
 from gradcalc.lifts import (
     LiftContext,
@@ -28,7 +28,7 @@ from gradcalc.lifts import (
     tangent_connection,
 )
 from gradcalc.oracle import taylor_lift_oracle
-from gradcalc.poly import Poly, homogeneous_components
+from gradcalc.poly import Poly, degree_matches, homogeneous_components
 from gradcalc.render import render_tensor
 from gradcalc.sampling import (random_form, random_multivector, random_poly,
                                random_tensor, random_vector_field, random_vv_form)
@@ -880,3 +880,52 @@ def test_weighted_poisson_bivectors_lift_to_weighted_poisson(drawn, r):
             if d is not None:
                 assert degree_of_tensor(lifted, b) == d, (b, level)
         assert degree_of_tensor(lifted, chart.grading_count) == level - 2 * r
+
+
+@st.composite
+def weighted_nijenhuis_tensors(draw):
+    """(N, c): N = sum_i f_i(x_i) d/dx_i ox dx^i on a graded_bases() chart,
+    each f_i of weight 0 in the drawn component c (a constant when x_i has
+    a nonzero weight there), plus 0-2 constant entries N^i_j between
+    variables of equal weight in c.  So N has degree 0 in c; only the
+    draws whose torsion vanishes are kept."""
+    chart = draw(graded_bases())
+    c = draw(st.integers(0, chart.grading_count - 1))
+    ws = chart.weights
+    comps = {}
+    for i in range(chart.dim):
+        top = 3 if ws[i][c] == 0 else 0
+        f = Poly.zero(chart)
+        for e in draw(st.lists(st.integers(0, top), min_size=1, max_size=2, unique=True)):
+            f = f + Poly.variable(chart, i) ** e * draw(st.sampled_from([-2, -1, 1, 3]))
+        comps[((i,), (i,))] = f
+    pairs = [(i, j) for i in range(chart.dim) for j in range(chart.dim)
+             if i != j and ws[i][c] == ws[j][c]]
+    if pairs:
+        for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
+            comps[((i,), (j,))] = Poly.const(chart, draw(st.sampled_from([-1, 1, 2])))
+    n = TensorField.from_components(chart, 1, 1, comps)
+    assume(is_weighted_nijenhuis(n, c).verdict)
+    return n, c
+
+
+@settings(max_examples=75, deadline=None)
+@given(weighted_nijenhuis_tensors())
+def test_weighted_nijenhuis_tensors_lift_to_weighted_nijenhuis(drawn):
+    # [N^(lambda), N^(lambda)] = [N, N]^(2 lambda - r) = 0, so every
+    # lambda-lift of N has zero torsion; it has degree 0 in c and jet
+    # degree lambda - r, so the lift at lambda = r is weighted Nijenhuis
+    # in c and in the jet component
+    n, c = drawn
+    jet = n.chart.grading_count
+    for r in range(1, 4):
+        ctx = LiftContext(n.chart, r)
+        for lam in range(r + 1):
+            lifted = lift_tensor(n, lam, ctx)
+            assert nijenhuis_torsion(lifted).is_zero(), (r, lam)
+            assert degree_matches(degree_of_tensor(lifted, c), 0), (r, lam)
+            assert degree_matches(degree_of_tensor(lifted, jet), lam - r), (r, lam)
+            if lam == r:
+                for component in (c, jet):
+                    report = is_weighted_nijenhuis(lifted, component)
+                    assert report.verdict, (r, component, report.witness)

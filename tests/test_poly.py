@@ -118,6 +118,14 @@ def test_power():
         (x + y) ** -1
 
 
+@pytest.mark.parametrize("n", [-1, -(10 ** 30), True, False, 2.0, Fraction(2), "2", None])
+@pytest.mark.parametrize("base", [x, x + y])
+def test_power_rejects_an_exponent_that_is_not_a_nonnegative_int(base, n):
+    # a bool is not an int here, as nowhere else (x ** True returned x)
+    with pytest.raises(GradcalcError, match="^exponent must be a nonnegative integer$"):
+        base ** n
+
+
 @pytest.mark.parametrize("coef", [1, -3, Fraction(-2, 3), Fraction(5, 2)])
 def test_monomial_power_makes_no_product(coef, monkeypatch):
     base = Poly.from_terms(M, [(((0, 2), (1, 1)), coef)])
@@ -558,3 +566,52 @@ def test_arithmetic_leaves_a_kept_derivative_unchanged():
         fresh = Poly(M, dict(before))
         assert [stored(op(d)) for op in ops] == [stored(op(fresh)) for op in ops]
         assert f.diff(v) is d and d.terms == before
+
+
+# -- kept variable sets -----------------------------------------------------------
+
+def variables_by_loop(p: Poly) -> set:
+    """variables_used() as it was: a new set, filled term by term."""
+    used = set()
+    for m in p.terms:
+        for v, _ in m:
+            used.add(v)
+    return used
+
+
+def test_variables_used_is_kept():
+    for f in (Poly.zero(M), Poly.const(M, 3), x, x ** 2 * y + z):
+        used = f.variables_used()
+        assert type(used) is frozenset
+        assert f.variables_used() is used
+        assert used == variables_by_loop(f)
+    assert (x ** 2 * y + z).variables_used() == {0, 1, 2}
+
+
+# Indices past a set's first table of 8 slots collide, so the iteration
+# order of a set depends on the order its elements went in.
+W = make_chart([f"w{i}" for i in range(24)], [0] * 24, label="W")
+wide_polys = st.integers(min_value=0, max_value=10 ** 9).map(
+    lambda s: rand_poly(random.Random(s), chart=W, terms=6, deg=4))
+
+
+def check_kept_set(p: Poly) -> None:
+    used = p.variables_used()
+    assert used == {v for m in p.terms for v, _ in m}
+    assert list(used) == list(variables_by_loop(p))
+    assert p.variables_used() is used
+
+
+@given(wide_polys, wide_polys, st.integers(0, 10 ** 9))
+@settings(max_examples=150, deadline=None)
+def test_kept_variable_sets_match_the_loop(a, b, seed):
+    # asked before and after arithmetic, on the operands and the results:
+    # the kept set equals a fresh one and iterates in the loop's order
+    rng = random.Random(seed)
+    check_kept_set(a)
+    results = [a * b, a + b, a - b, b - a, -a]
+    results += [a.diff(v) for v in range(W.dim)]
+    images = {v: rand_poly(rng, chart=W, terms=3, deg=2) for v in a.variables_used()}
+    results.append(a.substitute(images))
+    for p in results + [a, b]:
+        check_kept_set(p)

@@ -390,6 +390,17 @@ def test_from_components_refuses_a_bad_valence(q, p):
         TensorField.from_components(M, q, p, {})
 
 
+@pytest.mark.parametrize("q,p", [(-1, 0), (0, -2), (1.0, 0), (True, 0), (0, "1"), (True, 0.5)])
+def test_zero_refuses_a_bad_valence_as_from_components_does(q, p):
+    # zero(M, -1, 0) built a (-1, 0) tensor that printed 0
+    with pytest.raises(ValenceError) as zero_error:
+        TensorField.zero(M, q, p)
+    with pytest.raises(ValenceError) as components_error:
+        TensorField.from_components(M, q, p, {})
+    assert str(zero_error.value) == str(components_error.value) == \
+        f"valence ({q!r},{p!r}) must be two nonnegative integers"
+
+
 def test_weight_vector_field():
     w = weight_vector_field(M)
     assert w.component((0,), ()) == p(M, 0)
