@@ -33,7 +33,7 @@ from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_ma
 from .poly import ANY_DEGREE, Poly, _coefficient, degree_matches, degree_of_function, \
     homogeneous_components
 from .render import key_text, number_str, point_text
-from .sampling import sample_points
+from .sampling import SAMPLES, sample_points
 from .tensor import (
     TensorField, compose_11, contract, degree_of_tensor, identity_tensor,
     insert_form, scalar_field, tensor_product, vector_field, wedge_list,
@@ -387,7 +387,7 @@ def _span_check(d: Distribution, points: list, seed: int, brackets) -> CheckRepo
     return CheckReport(True, seed=seed)
 
 
-def is_involutive(d: Distribution, seed: int = 0, samples: int = 8) -> CheckReport:
+def is_involutive(d: Distribution, seed: int = 0, samples: int = SAMPLES) -> CheckReport:
     """Pairwise brackets stay in the span at every sample point.
 
     A pass is probabilistic (finitely many random points); a fail is exact
@@ -400,7 +400,7 @@ def is_involutive(d: Distribution, seed: int = 0, samples: int = 8) -> CheckRepo
 
 
 def is_weighted_distribution(d: Distribution, component: int = 0,
-                             seed: int = 0, samples: int = 8) -> CheckReport:
+                             seed: int = 0, samples: int = SAMPLES) -> CheckReport:
     """The weight field preserves the distribution at every sample point."""
     nabla = weight_vector_field(d.chart, component)
     return _span_check(d, sample_points(d.chart, seed, samples), seed, (

@@ -22,7 +22,7 @@ from . import __version__
 from .dsl import execute, parse, records_to_json
 from .errors import DslError, GradcalcError
 from .render import dumps, json_document
-from .sampling import MAX_SAMPLES, check_sample_count
+from .sampling import MAX_SAMPLES, SAMPLES, check_sample_count
 from .suite import render_table, run_check_suite, suite_to_json
 
 
@@ -55,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for sampling checks (default 0)")
-    run.add_argument("--samples", type=_sample_count, default=8,
+    run.add_argument("--samples", type=_sample_count, default=SAMPLES,
                      help="sample points per probabilistic check "
-                          f"(default 8, at most {MAX_SAMPLES})")
+                          f"(default {SAMPLES}, at most {MAX_SAMPLES})")
 
     suite = sub.add_parser("check-suite", help="run the verification battery")
     suite.add_argument("--format", choices=("text", "json"), default="text")

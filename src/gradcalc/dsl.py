@@ -54,11 +54,12 @@ from .errors import DslError, GradcalcError
 from .lifts import (LiftContext, LinearConnection, _lift_terms, covariant_derivative,
                     lift_distribution, lift_function, lift_linear_connection,
                     lift_tensor, tangent_connection)
-from .oracle import (SamplePlan, evaluate_tensor_at, identity_spot_check,
+from .oracle import (evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
 from .poly import ANY_DEGREE, Poly, _acc
 from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
                      key_text, number_str, render_poly, tensor_to_json)
+from .sampling import SAMPLES
 from .tensor import (TensorField, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
@@ -541,18 +542,19 @@ _MAX_POWER_TERMS = 20_000
 _MAX_POWER_WORK = 50_000_000
 
 
-def _power_work(base: Poly, e: int) -> int:
-    """Estimated work of base ** e, in coefficient-weighted term products.
+def _power_work(coefs, e: int) -> int:
+    """Estimated work of base ** e from the base's coefficients, in
+    coefficient-weighted term products.
 
     Follows the squarings and products of Poly.__pow__.  The k-th power of
     a t-term base has at most C(k+t-1, t-1) terms, and its coefficients
     at most k*b bits, where b is the bits of the base's absolute
     coefficient sum over a common denominator L plus the bits of L.
     """
-    t = len(base.terms)
+    t = len(coefs)
     if not t:
         return 0
-    coefs = [Fraction(c) for c in base.terms.values()]
+    coefs = [Fraction(c) for c in coefs]
     den = math.lcm(*(c.denominator for c in coefs))
     total = int(sum(abs(c) for c in coefs) * den)
     bits = (total - 1).bit_length() + (den - 1).bit_length()
@@ -646,7 +648,7 @@ def _eval_expr(node: tuple, chart: Chart) -> TensorField:
         if n > _MAX_POWER_TERMS:
             raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
                                 f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
-        work = _power_work(base, e)
+        work = _power_work(base.terms.values(), e)
         if work > _MAX_POWER_WORK:
             raise GradcalcError(f"power ^{e} of a {t}-term polynomial may take {work} "
                                 f"weighted term products, which exceeds the limit "
@@ -831,8 +833,15 @@ def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
         raise GradcalcError("oracle lift takes a function")
     f = t.scalar_part()
     ctx = env.context(t.chart, a["r"])
-    # the oracle substitutes without truncating: x^a takes C(a+r, a) terms
+    # the oracle substitutes without truncating: x^a takes C(a+r, a) terms,
+    # and it builds the powers of x's image (r+1 terms of coefficient 1) up
+    # to x's top power, as costly as Poly.__pow__ (x^2000 at r=1: 3.8 s)
     _check_lift(ctx.r, sum(math.prod(math.comb(e + ctx.r, e) for _, e in m) for m in f.terms))
+    work = sum(_power_work([1] * (ctx.r + 1), max(dict(m).get(v, 0) for m in f.terms))
+               for v in f.variables_used())
+    if work > _MAX_POWER_WORK:
+        raise GradcalcError(f"oracle lift to order r={ctx.r} may take {work} weighted term "
+                            f"products, which exceeds the limit {_MAX_POWER_WORK}")
     main = lift_function(f, a["lambda"], ctx)
     return _oracle_record("lift", "taylor-lift", main == taylor_lift_oracle(f, a["lambda"], ctx),
                           {"text": render_poly(main)})
@@ -847,8 +856,7 @@ def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> tuple:
 
 
 def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> tuple:
-    plan = SamplePlan(seed=env.seed, count=env.samples)
-    rep = identity_spot_check(a["a"], a["b"], plan)
+    rep = identity_spot_check(a["a"], a["b"], seed=env.seed, samples=env.samples)
     line = "oracle spotcheck: " + ("agree" if rep.verdict else
                                    f"DISAGREE ({rep.witness})")
     return ("oracle", bool(rep.verdict),
@@ -976,7 +984,7 @@ _COMMANDS = {
 }
 
 
-def execute(script: Script, seed: int = 0, samples: int = 8):
+def execute(script: Script, seed: int = 0, samples: int = SAMPLES):
     """Run a parsed script.
 
     Returns (records, exit_code): 0 clean, 1 some check failed, 3 a

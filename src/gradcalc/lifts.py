@@ -309,7 +309,7 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
                 e = lam - a - b
                 if e < 0:
                     break
-                jet = jets[e] if e <= r else None
+                jet = jets[e]
                 if not jet:
                     continue
                 neg = negs[e] if negs else None

@@ -3,7 +3,8 @@
 Nothing here calls the bracket or lift implementations: the Taylor
 oracle recomputes lifts by repeated symbolic differentiation in the
 deformation parameter, the point oracle evaluates tensors exactly at
-rational sample points, and the bracket-difference oracle recomputes
+rational points (the spot check draws `samples` of them from `seed`, as
+every sampled check does), and the bracket-difference oracle recomputes
 the compatibility concomitant from a Koszul bracket of one-forms built
 out of raw partial derivatives.  Agreement of an oracle with the main
 code path is therefore a genuine two-implementation check.
@@ -33,47 +34,22 @@ identically):
 from __future__ import annotations
 
 import random
-from collections import namedtuple
 from fractions import Fraction
 from math import factorial
 
-from .charts import Chart
+from .charts import Chart, _check_int
 from .checkers import CheckReport
-from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_make
+from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .lifts import LiftContext
 from .poly import Poly
 from .render import key_text, point_text
-from .sampling import check_sample_count
+from .sampling import SAMPLES, check_sample_count
 from .tensor import TensorField
 
 __all__ = [
-    "SamplePlan", "taylor_lift_oracle", "evaluate_tensor_at",
-    "identity_spot_check", "koszul_concomitant_oracle",
+    "taylor_lift_oracle", "evaluate_tensor_at", "identity_spot_check",
+    "koszul_concomitant_oracle",
 ]
-
-
-class SamplePlan(namedtuple("SamplePlan", "seed count")):
-    """Seeded sampling recipe: how many rational points (1..MAX_SAMPLES).
-    Numerators are drawn from -5..5 (0 becomes 1), denominators from 1..3."""
-
-    __slots__ = ()
-
-    def __new__(cls, seed: int, count: int = 8):
-        check_sample_count(count)
-        return super().__new__(cls, seed, count)
-
-    _make = _checked_make
-
-    def points(self, chart: Chart) -> list:
-        rng = random.Random(self.seed)
-        pts = []
-        for _ in range(self.count):
-            pt = {}
-            for i in range(chart.dim):
-                num = rng.randint(-5, 5) or 1
-                pt[i] = Fraction(num, rng.randint(1, 3))
-            pts.append(pt)
-        return pts
 
 
 def taylor_lift_oracle(f: Poly, lam: int, ctx: LiftContext) -> Poly:
@@ -86,6 +62,7 @@ def taylor_lift_oracle(f: Poly, lam: int, ctx: LiftContext) -> Poly:
     """
     if f.chart is not ctx.base:
         raise ChartMismatchError("function does not live on the context's base chart")
+    _check_int(lam, "lift level")
     if lam < 0 or lam > ctx.r:
         raise GradcalcError(f"lift order {lam} outside 0..{ctx.r}")
     total = ctx.total
@@ -113,15 +90,16 @@ def taylor_lift_oracle(f: Poly, lam: int, ctx: LiftContext) -> Poly:
 def evaluate_tensor_at(k: TensorField, point: dict) -> dict:
     """Exact values of all expanded components at one rational point.
 
-    point maps variables (index or name) to rationals and must cover the
-    whole chart.  Returns {(up, down): Fraction} with zeros dropped.
+    point maps each variable (index or name) once to a rational and must
+    cover the whole chart.  Returns {(up, down): Fraction}, zeros dropped.
     """
     chart = k.chart
     pt = {}
     for key, v in point.items():
-        if isinstance(key, str):
-            key = chart.index(key)
-        pt[key] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        i = chart.index(key)
+        if i in pt:
+            raise GradcalcError(f"evaluation point gives variable {chart.names[i]} twice")
+        pt[i] = v if isinstance(v, (int, Fraction)) else Fraction(v)
     missing = set(range(chart.dim)) - set(pt)
     if missing:
         names = ", ".join(chart.names[i] for i in sorted(missing))
@@ -134,29 +112,39 @@ def evaluate_tensor_at(k: TensorField, point: dict) -> dict:
     return out
 
 
+def _spot_points(chart: Chart, seed: int, samples: int) -> list:
+    """samples seeded rational points of the chart (1..MAX_SAMPLES):
+    numerators from -5..5 (0 becomes 1), denominators from 1..3."""
+    check_sample_count(samples)
+    rng = random.Random(seed)
+    return [{i: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
+             for i in range(chart.dim)} for _ in range(samples)]
+
+
 def identity_spot_check(lhs: TensorField, rhs: TensorField,
-                        plan: SamplePlan) -> CheckReport:
-    """Compare two tensors numerically at the plan's sample points.
+                        seed: int = 0, samples: int = SAMPLES) -> CheckReport:
+    """Compare two tensors numerically at samples seeded rational points.
 
     A symbolic equality check subsumes this; it exists as a second line
     of defense with a concrete witness point on failure.
     """
+    points = _spot_points(lhs.chart, seed, samples)
     if lhs.chart is not rhs.chart:
         raise ChartMismatchError("tensors live on different charts")
     if (lhs.q, lhs.p) != (rhs.q, rhs.p):
         raise ValenceError(
             f"valence mismatch: ({lhs.q},{lhs.p}) vs ({rhs.q},{rhs.p})")
     names = lhs.chart.names
-    for pt in plan.points(lhs.chart):
+    for pt in points:
         a = evaluate_tensor_at(lhs, pt)
         b = evaluate_tensor_at(rhs, pt)
         if a != b:
             key = sorted(set(a) | set(b), key=lambda k0: (a.get(k0, 0) == b.get(k0, 0), k0))[0]
             return CheckReport(
-                False, seed=plan.seed,
+                False, seed=seed,
                 witness=f"component {key_text(names, key)} is {a.get(key, 0)} vs "
                         f"{b.get(key, 0)} at {point_text(names, pt)}")
-    return CheckReport(True, seed=plan.seed)
+    return CheckReport(True, seed=seed)
 
 
 # -- Koszul-bracket path to the concomitant -----------------------------------

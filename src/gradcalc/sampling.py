@@ -23,6 +23,9 @@ __all__ = [
 ]
 
 
+# The sample points a sampled check draws by default.
+SAMPLES = 8
+
 # The most sample points one check may draw.  Every point is built before
 # the first comparison, so a count is paid in full.  `gradcalc run
 # --samples N` on one passing `oracle spotcheck` of two vector fields in
@@ -33,14 +36,14 @@ __all__ = [
 MAX_SAMPLES = 100_000
 
 
-def check_sample_count(count: int) -> None:
-    """Raise GradcalcError unless count is an int (not a bool) in
+def check_sample_count(samples: int) -> None:
+    """Raise GradcalcError unless samples is an int (not a bool) in
     1..MAX_SAMPLES (below 1 a sampled check would pass vacuously)."""
-    _check_int(count, "sample count")
-    if count < 1:
-        raise GradcalcError(f"sample count must be at least 1, got {count}")
-    if count > MAX_SAMPLES:
-        raise GradcalcError(f"sample count must be at most {MAX_SAMPLES}, got {count}")
+    _check_int(samples, "sample count")
+    if samples < 1:
+        raise GradcalcError(f"sample count must be at least 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise GradcalcError(f"sample count must be at most {MAX_SAMPLES}, got {samples}")
 
 
 def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fraction:
@@ -54,15 +57,15 @@ def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fractio
             return Fraction(v)
 
 
-def sample_points(chart: Chart, seed: int, count: int = 8) -> list:
+def sample_points(chart: Chart, seed: int, samples: int = SAMPLES) -> list:
     """Random rational points with nonzero integer coordinates in -5..5.
 
-    Raises GradcalcError unless 1 <= count <= MAX_SAMPLES.
+    Raises GradcalcError unless 1 <= samples <= MAX_SAMPLES.
     """
-    check_sample_count(count)
+    check_sample_count(samples)
     rng = random.Random(seed)
     pts = []
-    for _ in range(count):
+    for _ in range(samples):
         pts.append({i: random_fraction(rng) for i in range(chart.dim)})
     return pts
 

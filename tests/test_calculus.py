@@ -3,6 +3,7 @@
 import contextlib
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -593,3 +594,26 @@ def test_kernels_take_no_zero_derivative(seed, chart, size):
         with zero_derivatives() as zeros:
             kernel(*args)
         assert zeros == [], kernel.__name__
+
+
+# Each valence check of the kernels, called with an argument it refuses:
+# (call, message of its ValenceError).
+_DX, _FX = coordinate_vector_field(E2, "x"), coordinate_one_form(E2, "x")
+VALENCE_REFUSALS = {
+    "schouten-of-a-form": (lambda: schouten_bracket(_FX, _DX),
+                           "expected a multivector field (purely contravariant)"),
+    "schouten-untagged": (lambda: schouten_bracket(TensorField(E2, 2, 0, {}), _DX),
+                          "multivectors of degree >= 2 must be antisym-tagged"),
+    "fn-of-a-form": (lambda: fn_bracket(_FX, _DX),
+                     "expected a vector-valued form (one contravariant slot)"),
+    "nr-untagged": (lambda: nr_bracket(TensorField(E2, 1, 2, {}), _DX),
+                    "vector-valued forms of degree >= 2 must be antisym-tagged"),
+    "liederiv-along-a-form": (lambda: lie_derivative(_FX, _DX),
+                              "first argument must be a vector field"),
+}
+
+
+@pytest.mark.parametrize("call,message", VALENCE_REFUSALS.values(), ids=VALENCE_REFUSALS)
+def test_kernels_refuse_a_bad_valence(call, message):
+    with pytest.raises(ValenceError, match=f"^{re.escape(message)}$"):
+        call()

@@ -104,6 +104,7 @@ _E = make_chart(["x", "u"], [(0, 0), (1, 1)])
     pytest.param(lambda: Chart(("x-y",), ((0,),), 1), id="name-not-identifier"),
     pytest.param(lambda: Chart(("\u00e9",), ((0,),), 1), id="name-not-ascii"),
     pytest.param(lambda: Chart(("x", "x"), ((0,), (0,)), 1), id="name-repeated"),
+    pytest.param(lambda: Chart(("x", "y"), ((0,),), 1), id="weights-names-mismatch"),
     pytest.param(lambda: phase_shifted_cotangent_chart(_E, 1.5), id="shifted-float"),
     pytest.param(lambda: phase_shifted_cotangent_chart(_E, True), id="shifted-bool"),
     pytest.param(lambda: prolong_chart(_E, True), id="prolong-bool"),

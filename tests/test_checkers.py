@@ -3,6 +3,7 @@ contact forms, sections, the induced algebroid bracket."""
 
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -459,10 +460,10 @@ def test_random_poly_on_a_chart_without_variables_is_constant():
 
 def test_sample_points_validation():
     with pytest.raises(GradcalcError, match="sample count"):
-        sample_points(E2, 0, count=0)
+        sample_points(E2, 0, samples=0)
     with pytest.raises(GradcalcError, match=f"sample count must be at most {MAX_SAMPLES}, "
                                             f"got {MAX_SAMPLES + 1}"):
-        sample_points(E2, 0, count=MAX_SAMPLES + 1)
+        sample_points(E2, 0, samples=MAX_SAMPLES + 1)
     x = Poly.variable(E3, 0)
     d = Distribution(E3, (dvf(E3, "x"), dvf(E3, "y") * x))
     with pytest.raises(GradcalcError, match="at most"):
@@ -604,20 +605,23 @@ def test_algebroid_bracket_rejects_bad_input():
     ct = cotangent_chart(E2)
     vb = ct.grading_count - 1
     px = Poly.variable(ct, 2)
-    quad = wedge(dvf(ct, "p_x"), dvf(ct, "x")) * (px * px)
     one = Poly.const(ct, 1)
-    with pytest.raises(GradcalcError):
-        algebroid_bracket(quad, vb, [one, one], [one, one])
     lam = wedge(dvf(ct, "p_x"), dvf(ct, "x"))
-    with pytest.raises(GradcalcError):
-        algebroid_bracket(lam, vb, [one], [one, one])
-    with pytest.raises(GradcalcError):
-        algebroid_bracket(lam, vb, [px, one], [one, one])
-    # a fibre-fibre tensor sends linear functions to base functions
-    broken = wedge(dvf(ct, "p_x"), dvf(ct, "p_y"))
-    with pytest.raises(GradcalcError):
-        algebroid_bracket(broken, vb, [one, one],
-                          [Poly.variable(ct, 0), one])
+    # (tensor, sections, error, message); a fibre-fibre tensor sends linear
+    # functions to base functions
+    for t, xs, ys, error, message in (
+            (dvf(ct, "x"), [one, one], [one, one], ValenceError,
+             "expected a bivalent contravariant tensor"),
+            (lam * (px * px), [one, one], [one, one], GradcalcError,
+             "tensor is not linear in the fibre variables"),
+            (lam, [one], [one, one], GradcalcError, "section needs 2 components"),
+            (lam, [px, one], [one, one], GradcalcError,
+             "section component must depend on base variables only"),
+            (wedge(dvf(ct, "p_x"), dvf(ct, "p_y")), [one, one], [Poly.variable(ct, 0), one],
+             GradcalcError, "bracket of linear functions is not fibrewise linear; "
+                            "tensor is malformed")):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            algebroid_bracket(t, vb, xs, ys)
 
 
 def algebroid_bracket_reference(lam, vb_component, xs, ys):

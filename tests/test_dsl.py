@@ -1,5 +1,6 @@
 """Script language: grammar, diagnostics, records, exit codes, CLI."""
 
+import inspect
 import io
 import json
 import os
@@ -280,6 +281,7 @@ LIFT_BOUND = {
     "connection-10": ("lift-connection C r=10", 0, None),
     "distribution-10": ("lift D r=10", 0, None),
     "oracle-2": ("oracle lift f lambda=2 r=2", 0, None),
+    "oracle-5": ("oracle lift f lambda=5 r=5", 0, None),
 }
 
 
@@ -292,6 +294,33 @@ def test_lift_bound(line, code, message):
         # rejected before any lifting
         assert time.perf_counter() - start < 1.0
         assert records[-1].payload == {"error": {"kind": "semantic", "line": 5,
+                                                 "message": message}}
+
+
+# The Taylor oracle builds the powers of a variable's image, r+1 terms, up
+# to the variable's top power, so its work is bounded as a power's is
+# (dsl._power_work): (exponent of x at r=1, exit code, message).  x^3000
+# took 7.6 s and x^400000, within the term bound, ran past 20 s.
+ORACLE_WORK_BOUND = {
+    "x^400000": (400000, 3, "oracle lift to order r=1 may take 190116861450836 weighted "
+                 "term products, which exceeds the limit 50000000"),
+    "x^3000": (3000, 3, "oracle lift to order r=1 may take 87355130 weighted term "
+               "products, which exceeds the limit 50000000"),
+    "x^500": (500, 0, None),
+}
+
+
+@pytest.mark.parametrize("e,code,message", ORACLE_WORK_BOUND.values(), ids=ORACLE_WORK_BOUND)
+def test_oracle_lift_work_bound(e, code, message):
+    start = time.perf_counter()
+    records, got = run(f"chart M {{ x:0 }}\nfn f on M = x^{e}\noracle lift f lambda=1 r=1\n")
+    assert got == code
+    if message is None:
+        assert records[-1].payload["agree"] is True
+    else:
+        # rejected before the substitution
+        assert time.perf_counter() - start < 1.0
+        assert records[-1].payload == {"error": {"kind": "semantic", "line": 3,
                                                  "message": message}}
 
 
@@ -648,6 +677,21 @@ def _fresh_process_run(path: str) -> str:
                            "--format", "json"], capture_output=True, text=True,
                           env=env, check=False)
     return proc.stdout
+
+
+def test_every_sampled_entry_point_defaults_to_one_count(capsys):
+    # sampling.SAMPLES is the one default: the sampled checks, the spot
+    # check, execute and the CLI's --samples (and its help text)
+    from gradcalc import checkers, oracle, sampling
+    for fn in (sampling.sample_points, checkers.is_involutive,
+               checkers.is_weighted_distribution, oracle.identity_spot_check,
+               dsl.execute):
+        assert inspect.signature(fn).parameters["samples"].default == sampling.SAMPLES
+    assert cli._build_parser().parse_args(["run", "-"]).samples == sampling.SAMPLES
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    assert f"(default {sampling.SAMPLES}, at most {MAX_SAMPLES})" in \
+        " ".join(capsys.readouterr().out.split())
 
 
 def test_cli_parser_is_shared_and_stateless(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from gradcalc.calculus import lie_bracket, lie_derivative, nijenhuis_torsion, vf
 from gradcalc.charts import (Chart, cotangent_chart, make_chart,
                              phase_shifted_cotangent_chart, tangent_chart)
 from gradcalc.checkers import Distribution, is_weighted_nijenhuis, is_weighted_poisson
-from gradcalc.errors import ChartMismatchError, GradcalcError
+from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
 from gradcalc.lifts import (
     LiftContext,
     LinearConnection,
@@ -242,6 +242,32 @@ def test_covariant_derivative():
     stray = vector_field(conn.chart, {"x_dot": 1})
     with pytest.raises(GradcalcError):
         covariant_derivative(conn, stray, stray)
+
+
+# Each argument check of connections and covariant derivatives that no
+# other test reaches: (call, error, message).  The chart _E2U carries a
+# rank-one bundle over a two-dimensional base, so it is not a tangent bundle.
+_E2U = make_chart(["x", "y", "u"], [(0, 0), (0, 0), (0, 1)])
+_DX = coordinate_vector_field(E2, "x")
+CONNECTION_REFUSALS = {
+    "fibre-index-in-the-base": (
+        lambda: LinearConnection(TANGENT_E2, E2.grading_count, {(0, 0, 2): 1}),
+        GradcalcError, "Christoffel fibre index is not a fibre variable"),
+    "covd-not-tangent": (
+        lambda: covariant_derivative(LinearConnection(_E2U, 1, {}), _DX, _DX),
+        GradcalcError, "connection bundle is not a tangent bundle"),
+    "covd-of-a-form": (
+        lambda: covariant_derivative(tangent_connection(E2, {}), _DX,
+                                     coordinate_one_form(E2, "x")),
+        ValenceError, "covariant_derivative needs two vector fields"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", CONNECTION_REFUSALS.values(),
+                         ids=CONNECTION_REFUSALS)
+def test_connections_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_horizontal_fields():

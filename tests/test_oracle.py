@@ -1,5 +1,6 @@
 """Oracle paths: Taylor lift, exact point evaluation, Koszul concomitant."""
 
+import inspect
 import random
 import re
 from fractions import Fraction
@@ -7,12 +8,13 @@ from fractions import Fraction
 import pytest
 
 import gradcalc.oracle as oracle_module
+from gradcalc import sampling
 from gradcalc.calculus import concomitant
 from gradcalc.charts import make_chart
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
 from gradcalc.lifts import LiftContext, lift_function
 from gradcalc.oracle import (
-    SamplePlan,
+    _spot_points,
     evaluate_tensor_at,
     identity_spot_check,
     koszul_concomitant_oracle,
@@ -27,6 +29,7 @@ from gradcalc.tensor import (
     coordinate_vector_field,
     identity_tensor,
     insert_form,
+    scalar_field,
     tensor_product,
     wedge,
 )
@@ -36,23 +39,31 @@ E3 = make_chart(["x", "y", "z"], [0, 0, 0])
 
 
 def test_sample_plan():
-    with pytest.raises(GradcalcError):
-        SamplePlan(seed=0, count=0)
-    assert SamplePlan(seed=0, count=MAX_SAMPLES).count == MAX_SAMPLES
-    with pytest.raises(GradcalcError, match=f"sample count must be at most {MAX_SAMPLES}"):
-        SamplePlan(seed=0, count=MAX_SAMPLES + 1)
-    # a count is an int, as a chart's weights and indices are
-    for bad in (True, 2.5, "3"):
-        with pytest.raises(GradcalcError, match=f"^sample count must be an integer, not {bad!r}$"):
-            SamplePlan(seed=0, count=bad)
-    plan = SamplePlan(seed=7, count=5)
-    pts = plan.points(E3)
-    assert len(pts) == 5
-    for pt in pts:
-        assert set(pt) == {0, 1, 2}
-        assert all(isinstance(v, Fraction) and v != 0 for v in pt.values())
-    assert pts == SamplePlan(seed=7, count=5).points(E3)
-    assert pts != SamplePlan(seed=8, count=5).points(E3)
+    # the spot check's points: per point and variable a numerator from
+    # -5..5 (0 becomes 1), then a denominator from 1..3
+    assert _spot_points(E2, 7, 3) == [
+        {0: Fraction(1), 1: Fraction(1, 3)},
+        {0: Fraction(-5), 1: Fraction(3)},
+        {0: Fraction(1, 3), 1: Fraction(-5, 3)}]
+    # a chart without variables draws nothing, so the largest count is cheap
+    assert _spot_points(make_chart([], []), 7, MAX_SAMPLES) == [{}] * MAX_SAMPLES
+    assert _spot_points(E3, 8, 5) != _spot_points(E3, 7, 5)
+    x = coordinate_vector_field(E2, "x")
+    for bad, message in ((0, "sample count must be at least 1, got 0"),
+                         (MAX_SAMPLES + 1, f"sample count must be at most {MAX_SAMPLES}, "
+                                           f"got {MAX_SAMPLES + 1}"),
+                         (True, "sample count must be an integer, not True"),
+                         (2.5, "sample count must be an integer, not 2.5"),
+                         ("3", "sample count must be an integer, not '3'")):
+        with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
+            _spot_points(E2, 0, bad)
+        # the count is checked before the charts and the valences
+        with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
+            identity_spot_check(x, coordinate_one_form(E3, "x"), samples=bad)
+    # the spot check shares the sampled checkers' signature and default
+    params = inspect.signature(identity_spot_check).parameters
+    assert list(params) == ["lhs", "rhs", "seed", "samples"]
+    assert (params["seed"].default, params["samples"].default) == (0, sampling.SAMPLES)
 
 
 def test_taylor_matches_lift():
@@ -63,6 +74,15 @@ def test_taylor_matches_lift():
             f = random_poly(rng, E2, max_terms=3, max_degree=3)
             for lam in range(r + 1):
                 assert taylor_lift_oracle(f, lam, ctx) == lift_function(f, lam, ctx)
+
+
+def test_taylor_takes_a_chart_with_a_variable_named_like_its_parameter():
+    # the deformation parameter is renamed until it is free: _s_ here
+    chart = make_chart(["_s", "y"], [0, 0])
+    ctx = LiftContext(chart, 2)
+    f = Poly.variable(chart, "_s") ** 2 * Poly.variable(chart, "y") + Poly.variable(chart, 0)
+    for lam in range(3):
+        assert taylor_lift_oracle(f, lam, ctx) == lift_function(f, lam, ctx)
 
 
 def test_taylor_rejects_bad_input():
@@ -92,24 +112,58 @@ def test_evaluate_tensor_at():
         evaluate_tensor_at(t, {0: 1})
 
 
+# Arguments the oracles refuse: (call, error, message).  An evaluation
+# point reads each key through chart.index; before, {0: 1, "x": 5, 1: 1}
+# used x = 5, {0: 1, True: 3} took True for y, and 7 or -1 were ignored.
+# The Taylor oracle checks its level as lift_function does: True gave the
+# level-1 lift.
+_T = scalar_field(E2, Poly.variable(E2, 0) + 2 * Poly.variable(E2, 1))
+_BIVECTOR = wedge(coordinate_vector_field(E2, "x"), coordinate_vector_field(E2, "y"))
+_FX = coordinate_one_form(E2, "x")
+ORACLE_REFUSALS = {
+    "point-gives-x-twice": (lambda: evaluate_tensor_at(_T, {0: 1, "x": 5, 1: 1}),
+                            GradcalcError, "evaluation point gives variable x twice"),
+    "point-key-bool": (lambda: evaluate_tensor_at(_T, {0: 1, True: 3}),
+                       GradcalcError, "variable index must be an integer, not True"),
+    "point-key-7": (lambda: evaluate_tensor_at(_T, {0: 1, 1: 1, 7: 1}),
+                    GradcalcError, "variable index 7 outside 0..1"),
+    "point-key-minus-1": (lambda: evaluate_tensor_at(_T, {0: 1, 1: 1, -1: 1}),
+                          GradcalcError, "variable index -1 outside 0..1"),
+    "taylor-level-bool": (lambda: taylor_lift_oracle(Poly.variable(E2, 0), True,
+                                                     LiftContext(E2, 1)),
+                          GradcalcError, "lift level must be an integer, not True"),
+    "koszul-second-not-11": (lambda: koszul_concomitant_oracle(_BIVECTOR, _FX, _FX, _FX),
+                             ValenceError, "second argument must be a (1,1) tensor"),
+    "koszul-pairing-a-vector": (lambda: koszul_concomitant_oracle(
+        _BIVECTOR, identity_tensor(E2), _FX, coordinate_vector_field(E2, "x")),
+        ValenceError, "pairing arguments must be one-forms"),
+}
+
+
+@pytest.mark.parametrize("call,error,message", ORACLE_REFUSALS.values(), ids=ORACLE_REFUSALS)
+def test_oracles_refuse_bad_arguments(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+
+
 def test_identity_spot_check():
-    plan = SamplePlan(seed=4, count=6)
     rng = random.Random(31)
     a = random_one_form(rng, E2, max_terms=2, max_degree=2)
     b = random_one_form(rng, E2, max_terms=2, max_degree=2)
     lhs = wedge(a, b)
     rhs = tensor_product(a, b) - tensor_product(b, a)
-    r = identity_spot_check(lhs, rhs, plan)
+    r = identity_spot_check(lhs, rhs, seed=4, samples=6)
     assert r.verdict and r.probabilistic and r.seed == 4
+    assert identity_spot_check(lhs, rhs).seed == 0
     x = coordinate_vector_field(E2, "x")
     bad = identity_spot_check(x * Poly.variable(E2, 0),
-                              x * Poly.variable(E2, 1), plan)
-    assert not bad.verdict
+                              x * Poly.variable(E2, 1), seed=4, samples=6)
+    assert not bad.verdict and bad.seed == 4
     assert "component (x;)" in bad.witness and " vs " in bad.witness
     with pytest.raises(ValenceError):
-        identity_spot_check(x, coordinate_one_form(E2, "x"), plan)
+        identity_spot_check(x, coordinate_one_form(E2, "x"))
     with pytest.raises(ChartMismatchError):
-        identity_spot_check(x, coordinate_vector_field(E3, "x"), plan)
+        identity_spot_check(x, coordinate_vector_field(E3, "x"))
 
 
 def test_koszul_oracle_matches_concomitant():

@@ -615,3 +615,29 @@ def test_kept_variable_sets_match_the_loop(a, b, seed):
     results.append(a.substitute(images))
     for p in results + [a, b]:
         check_kept_set(p)
+
+
+# What Poly's operators refuse: (call, the exception it raises, or the
+# value it returns).  An operand that is not a number or a Poly gets
+# NotImplemented, so Python can ask the other operand.
+_X = Poly.variable(M, "x")
+POLY_REFUSALS = {
+    "constant-value-of-x": (lambda: _X.constant_value(),
+                            GradcalcError("polynomial is not constant")),
+    "divide-by-0": (lambda: _X / 0, ZeroDivisionError("division by zero")),
+    "divide-by-x": (lambda: _X / _X, GradcalcError("can only divide by a nonzero constant")),
+    "eq-a-number": (lambda: (_X == 1, Poly.const(M, 2) == 2, _X * 0 == 0), (False, True, True)),
+    "eq-a-str": (lambda: _X.__eq__("x"), NotImplemented),
+    "add-a-str": (lambda: _X.__add__("1"), NotImplemented),
+    "sub-a-str": (lambda: _X.__sub__("1"), NotImplemented),
+    "rsub-a-str": (lambda: _X.__rsub__("1"), NotImplemented),
+}
+
+
+@pytest.mark.parametrize("call,outcome", POLY_REFUSALS.values(), ids=POLY_REFUSALS)
+def test_operators_refuse_what_they_cannot_take(call, outcome):
+    if isinstance(outcome, Exception):
+        with pytest.raises(type(outcome), match=f"^{re.escape(str(outcome))}$"):
+            call()
+    else:
+        assert call() == outcome

@@ -24,7 +24,6 @@ from gradcalc.charts import make_chart
 from gradcalc.checkers import BundleMap, CheckReport, Distribution, Section
 from gradcalc.dsl import Choice, CmdStmt, Form, OutputRecord, Script, Token
 from gradcalc.errors import ChartMismatchError, GradcalcError, ValenceError
-from gradcalc.oracle import SamplePlan
 from gradcalc.poly import Poly
 from gradcalc.suite import CriterionResult
 from gradcalc.tensor import coordinate_one_form, coordinate_vector_field
@@ -49,8 +48,6 @@ RECORDS = {
                 {"graded_component": 0}, ("vb_component", 1)),
     "BundleMap": (BundleMap, True, {"matrix": ((1, 0), (0, 1)), "report": None}, {},
                   ("matrix", ())),
-    "SamplePlan": (SamplePlan, True, {"seed": 5, "count": 3}, {"count": 8},
-                   ("count", 4)),
     "CmdStmt": (CmdStmt, True,
                 {"op": "print", "form": FORM, "args": {"name": "f"}, "line": 3,
                  "src": "print f"},
@@ -146,7 +143,6 @@ def test_fieldwise_eq_hash_repr(cls, frozen, fields, defaults, changed):
 def test_repr_pinned():
     assert repr(CheckReport(True, seed=3)) == \
         "CheckReport(verdict=True, witness=None, degrees=None, seed=3)"
-    assert repr(SamplePlan(1)) == "SamplePlan(seed=1, count=8)"
     assert repr(OutputRecord("s", "eval", True)) == \
         "OutputRecord(stmt='s', kind='eval', ok=True, payload={}, text=[], ms=0.0)"
 
@@ -155,8 +151,6 @@ def test_validation_errors():
     with pytest.raises(GradcalcError, match="failing check must carry a witness"):
         CheckReport(False)
     assert not CheckReport(False, "w")
-    with pytest.raises(GradcalcError, match="sample count must be at least 1"):
-        SamplePlan(0, 0)
     with pytest.raises(ValenceError, match="generators must be vector fields"):
         Distribution(M, (coordinate_one_form(M, "x"),))
     with pytest.raises(ChartMismatchError):
@@ -173,7 +167,7 @@ def test_output_record_defaults_are_fresh():
 
 
 @pytest.mark.parametrize("r", [
-    CheckReport(False, "w", None, 3), SamplePlan(5, 3), Script(("a",)),
+    CheckReport(False, "w", None, 3), Script(("a",)),
     OutputRecord("s", "eval", True, {"k": 1}, ["t"], 1.0),
     CriterionResult("c", True, 2, "d"), Token("ident", "x", 1, 2),
 ], ids=lambda r: type(r).__name__)
@@ -212,8 +206,6 @@ def test_parse_records_are_named_tuples():
 VALIDATING = {
     "CheckReport": (CheckReport(True), {"verdict": False},
                     (GradcalcError, "failing check must carry a witness")),
-    "SamplePlan": (SamplePlan(1), {"count": 0},
-                   (GradcalcError, "sample count must be at least 1")),
     "Distribution": (Distribution(M, (DX,)),
                      {"generators": (coordinate_one_form(M, "x"),)},
                      (ValenceError, "generators must be vector fields")),

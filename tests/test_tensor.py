@@ -782,3 +782,23 @@ def test_sort_with_parity_matches_inversion_count():
             sign, key = _sort_with_parity(idx)
             assert (sign, key) == sort_by_inversions(idx), idx
             assert type(key) is tuple
+
+
+# What TensorField's operators refuse: (call, the value it returns).  A
+# tensor equals no other object and no tensor on another chart, and an
+# operand that is not a tensor (or, for *, a scalar) gets NotImplemented.
+_DX = coordinate_vector_field(M, "x")
+TENSOR_REFUSALS = {
+    "eq-a-number": (lambda: (_DX.__eq__(1), _DX == 1), (NotImplemented, False)),
+    "eq-across-charts": (lambda: (_DX == coordinate_vector_field(E3, "x"),
+                                  TensorField(M, 1, 0, {}) == TensorField(E3, 1, 0, {})),
+                         (False, False)),
+    "add-a-number": (lambda: _DX.__add__(1), NotImplemented),
+    "sub-a-number": (lambda: _DX.__sub__(1), NotImplemented),
+    "mul-a-str": (lambda: _DX.__mul__("2"), NotImplemented),
+}
+
+
+@pytest.mark.parametrize("call,outcome", TENSOR_REFUSALS.values(), ids=TENSOR_REFUSALS)
+def test_operators_refuse_what_they_cannot_take(call, outcome):
+    assert call() == outcome
