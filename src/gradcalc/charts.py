@@ -53,35 +53,49 @@ def _check_int(value, what: str) -> int:
     return value
 
 
+def _as_tuple(value, what: str) -> tuple:
+    """value as a tuple, if it is a tuple or list; GradcalcError otherwise."""
+    if not isinstance(value, (tuple, list)):
+        raise GradcalcError(f"{what} must be a tuple or list, not {value!r}")
+    return tuple(value)
+
+
 class Chart:
     """Ordered variable table with per-variable integer weight vectors.
 
-    The constructor is the one check of a chart's names and weights.
+    The constructor is the one check of a chart's names and weights; it
+    stores the names and every weight vector as tuples.
     """
 
     __slots__ = ("names", "weights", "grading_count", "label", "_index")
 
     def __init__(self, names: tuple[str, ...], weights: tuple[tuple[int, ...], ...],
                  grading_count: int, label: str = ""):
+        _check_int(grading_count, "grading count")
         if grading_count < 1:   # a graded chart has a homogeneity structure
             raise GradcalcError(
                 f"a chart needs at least one grading component, got {grading_count}")
+        names = _as_tuple(names, "chart names")
+        weights = _as_tuple(weights, "chart weights")
         if len(weights) != len(names):
             raise GradcalcError("one weight vector required per variable")
         index = {}
+        rows = []
         for i, (n, w) in enumerate(zip(names, weights)):
             if not (isinstance(n, str) and n.isascii() and n.isidentifier()):
                 raise GradcalcError(f"bad variable name {n!r}")
             if n in index:
                 raise GradcalcError(f"variable name {n!r} collides with an existing one")
+            w = _as_tuple(w, f"weight vector of {n}")
             if len(w) != grading_count:
                 raise GradcalcError("inconsistent weight vector lengths")
             for c in w:
                 if type(c) is not int:      # a plain int needs no call
                     _check_int(c, f"weight of {n}")
             index[n] = i
+            rows.append(w)
         self.names = names
-        self.weights = weights
+        self.weights = tuple(rows)
         self.grading_count = grading_count
         self.label = label
         self._index = index

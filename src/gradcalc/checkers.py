@@ -33,7 +33,7 @@ from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_ma
 from .poly import ANY_DEGREE, Poly, _coefficient, degree_matches, degree_of_function, \
     homogeneous_components
 from .render import key_text, number_str, point_text
-from .sampling import SAMPLES, sample_points
+from .sampling import sample_points
 from .tensor import (
     TensorField, compose_11, contract, degree_of_tensor, identity_tensor,
     insert_form, scalar_field, tensor_product, vector_field, wedge_list,
@@ -387,23 +387,23 @@ def _span_check(d: Distribution, points: list, seed: int, brackets) -> CheckRepo
     return CheckReport(True, seed=seed)
 
 
-def is_involutive(d: Distribution, seed: int = 0, samples: int = SAMPLES) -> CheckReport:
+def is_involutive(d: Distribution, seed: int = 0) -> CheckReport:
     """Pairwise brackets stay in the span at every sample point.
 
     A pass is probabilistic (finitely many random points); a fail is exact
     at the witness point.
     """
     gens = d.generators
-    return _span_check(d, sample_points(d.chart, seed, samples), seed, (
+    return _span_check(d, sample_points(d.chart, seed), seed, (
         (f"bracket of generators {i},{j}", lie_bracket(gens[i], gens[j]))
         for i, j in combinations(range(len(gens)), 2)))
 
 
 def is_weighted_distribution(d: Distribution, component: int = 0,
-                             seed: int = 0, samples: int = SAMPLES) -> CheckReport:
+                             seed: int = 0) -> CheckReport:
     """The weight field preserves the distribution at every sample point."""
     nabla = weight_vector_field(d.chart, component)
-    return _span_check(d, sample_points(d.chart, seed, samples), seed, (
+    return _span_check(d, sample_points(d.chart, seed), seed, (
         (f"weight-field bracket of generator {j}", lie_bracket(nabla, x))
         for j, x in enumerate(d.generators)))
 

@@ -1,13 +1,13 @@
 """Command line entry point.
 
-    gradcalc run <file> [--format text|json] [--seed N] [--samples N]
+    gradcalc run <file> [--format text|json] [--seed N]
     gradcalc check-suite [--format text|json] [--seed N]
 
 `run -` reads the script from stdin.  Exit status: 0 clean, 1 a check
 command failed, 2 the script could not be read (missing, or not
 UTF-8) or did not parse (lexical, syntax or name error) or an option
-was invalid (such as --samples outside 1..MAX_SAMPLES), 3 a
-well-formed statement failed at runtime.  JSON output is
+was invalid, 3 a well-formed statement failed at runtime.  Sampled
+checks draw sampling.SAMPLES points from --seed, so JSON output is
 deterministic for a given script and seed; the text format adds
 per-statement timings.
 """
@@ -20,23 +20,9 @@ import sys
 
 from . import __version__
 from .dsl import execute, parse, records_to_json
-from .errors import DslError, GradcalcError
+from .errors import DslError
 from .render import dumps, json_document
-from .sampling import MAX_SAMPLES, SAMPLES, check_sample_count
 from .suite import render_table, run_check_suite, suite_to_json
-
-
-def _sample_count(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"sample count must be an integer, got {text!r}") from None
-    try:
-        check_sample_count(n)
-    except GradcalcError as e:
-        raise argparse.ArgumentTypeError(str(e)) from None
-    return n
 
 
 @functools.cache
@@ -55,9 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("text", "json"), default="text")
     run.add_argument("--seed", type=int, default=0,
                      help="seed for sampling checks (default 0)")
-    run.add_argument("--samples", type=_sample_count, default=SAMPLES,
-                     help="sample points per probabilistic check "
-                          f"(default {SAMPLES}, at most {MAX_SAMPLES})")
 
     suite = sub.add_parser("check-suite", help="run the verification battery")
     suite.add_argument("--format", choices=("text", "json"), default="text")
@@ -98,7 +81,7 @@ def _cmd_run(args) -> int:
         else:
             print(str(e), file=sys.stderr)
         return 2
-    records, code = execute(script, seed=args.seed, samples=args.samples)
+    records, code = execute(script, seed=args.seed)
     if args.format == "json":
         print(dumps(records_to_json(records)))
     else:

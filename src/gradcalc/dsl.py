@@ -59,7 +59,6 @@ from .oracle import (evaluate_tensor_at, identity_spot_check,
 from .poly import ANY_DEGREE, Poly, _acc
 from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
                      key_text, number_str, render_poly, tensor_to_json)
-from .sampling import SAMPLES
 from .tensor import (TensorField, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
@@ -591,9 +590,8 @@ def _check_lift(r: int, terms: int) -> None:
 class _Env:
     """Execution state: named charts, tensors, distributions, connections."""
 
-    def __init__(self, seed: int, samples: int):
+    def __init__(self, seed: int):
         self.seed = seed
-        self.samples = samples
         self.objects: dict = {}     # every kind shares one namespace
         self._contexts: dict = {}
 
@@ -856,7 +854,7 @@ def _run_oracle_concomitant(st: CmdStmt, env: _Env, a: dict) -> tuple:
 
 
 def _run_oracle_spotcheck(st: CmdStmt, env: _Env, a: dict) -> tuple:
-    rep = identity_spot_check(a["a"], a["b"], seed=env.seed, samples=env.samples)
+    rep = identity_spot_check(a["a"], a["b"], seed=env.seed)
     line = "oracle spotcheck: " + ("agree" if rep.verdict else
                                    f"DISAGREE ({rep.witness})")
     return ("oracle", bool(rep.verdict),
@@ -964,10 +962,9 @@ _COMMANDS = {
         "almost-tangent": _check(_A, (), lambda env, a: is_almost_tangent(a["a"])),
         "pn": _check(_AB, (_K, _C), lambda env, a: is_weighted_pn(
             a["a"], a["b"], a["k"], component=a["component"])),
-        "involutive": _check(_DIST, (), lambda env, a: is_involutive(
-            a["a"], seed=env.seed, samples=env.samples)),
+        "involutive": _check(_DIST, (), lambda env, a: is_involutive(a["a"], seed=env.seed)),
         "weighted-distribution": _check(_DIST, (_C,), lambda env, a: is_weighted_distribution(
-            a["a"], component=a["component"], seed=env.seed, samples=env.samples)),
+            a["a"], component=a["component"], seed=env.seed)),
         "contact": _check(_A, (_K, ("n", _REQUIRED), _C), lambda env, a: is_weighted_contact(
             a["a"], a["k"], a["n"], component=a["component"])),
     }),
@@ -984,13 +981,13 @@ _COMMANDS = {
 }
 
 
-def execute(script: Script, seed: int = 0, samples: int = SAMPLES):
+def execute(script: Script, seed: int = 0):
     """Run a parsed script.
 
     Returns (records, exit_code): 0 clean, 1 some check failed, 3 a
     semantic error stopped execution (the error is the last record).
     """
-    env = _Env(seed, samples)
+    env = _Env(seed)
     records = []
     any_check_failed = False
     for st in script.statements:

@@ -3,10 +3,10 @@
 Nothing here calls the bracket or lift implementations: the Taylor
 oracle recomputes lifts by repeated symbolic differentiation in the
 deformation parameter, the point oracle evaluates tensors exactly at
-rational points (the spot check draws `samples` of them from `seed`, as
-every sampled check does), and the bracket-difference oracle recomputes
-the compatibility concomitant from a Koszul bracket of one-forms built
-out of raw partial derivatives.  Agreement of an oracle with the main
+rational points (the spot check draws sampling.SAMPLES of them from
+`seed`, as every sampled check does), and the bracket-difference
+oracle recomputes the compatibility concomitant from a Koszul bracket
+of one-forms built out of raw partial derivatives.  Agreement of an oracle with the main
 code path is therefore a genuine two-implementation check.
 
 Koszul conventions used by the bracket oracle (frozen after calibration
@@ -43,7 +43,7 @@ from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .lifts import LiftContext
 from .poly import Poly
 from .render import key_text, point_text
-from .sampling import SAMPLES, check_sample_count
+from .sampling import SAMPLES
 from .tensor import TensorField
 
 __all__ = [
@@ -112,30 +112,27 @@ def evaluate_tensor_at(k: TensorField, point: dict) -> dict:
     return out
 
 
-def _spot_points(chart: Chart, seed: int, samples: int) -> list:
-    """samples seeded rational points of the chart (1..MAX_SAMPLES):
-    numerators from -5..5 (0 becomes 1), denominators from 1..3."""
-    check_sample_count(samples)
+def _spot_points(chart: Chart, seed: int) -> list:
+    """SAMPLES seeded rational points of the chart: numerators from
+    -5..5 (0 becomes 1), denominators from 1..3."""
     rng = random.Random(seed)
     return [{i: Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 3))
-             for i in range(chart.dim)} for _ in range(samples)]
+             for i in range(chart.dim)} for _ in range(SAMPLES)]
 
 
-def identity_spot_check(lhs: TensorField, rhs: TensorField,
-                        seed: int = 0, samples: int = SAMPLES) -> CheckReport:
-    """Compare two tensors numerically at samples seeded rational points.
+def identity_spot_check(lhs: TensorField, rhs: TensorField, seed: int = 0) -> CheckReport:
+    """Compare two tensors numerically at SAMPLES seeded rational points.
 
     A symbolic equality check subsumes this; it exists as a second line
     of defense with a concrete witness point on failure.
     """
-    points = _spot_points(lhs.chart, seed, samples)
     if lhs.chart is not rhs.chart:
         raise ChartMismatchError("tensors live on different charts")
     if (lhs.q, lhs.p) != (rhs.q, rhs.p):
         raise ValenceError(
             f"valence mismatch: ({lhs.q},{lhs.p}) vs ({rhs.q},{rhs.p})")
     names = lhs.chart.names
-    for pt in points:
+    for pt in _spot_points(lhs.chart, seed):
         a = evaluate_tensor_at(lhs, pt)
         b = evaluate_tensor_at(rhs, pt)
         if a != b:

@@ -1,7 +1,8 @@
 """Seeded random generators for polynomials, tensors and sample points.
 
-Everything takes an explicit random.Random so callers control
+The generators take an explicit random.Random so callers control
 determinism; the same seed always produces the same objects.
+sample_points draws the SAMPLES points of a sampled check from its seed.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from .charts import Chart, _check_int
+from .charts import Chart
 from .errors import GradcalcError
 from .poly import Poly, _acc
 from .tensor import TensorField, _swap, scalar_field
@@ -23,27 +24,8 @@ __all__ = [
 ]
 
 
-# The sample points a sampled check draws by default.
+# The sample points every sampled check draws.
 SAMPLES = 8
-
-# The most sample points one check may draw.  Every point is built before
-# the first comparison, so a count is paid in full.  `gradcalc run
-# --samples N` on one passing `oracle spotcheck` of two vector fields in
-# two variables (2-core machine; wall time and peak RSS of the process):
-# 10^4 points took 0.15 s, 10^5 0.96 s and 47 MB, 10^6 9.8 s and 330 MB
-# (16.7 s and 332 MB with Fraction arithmetic), and 10^8 did not finish
-# in 20 s.  10^5 keeps one check near a second.
-MAX_SAMPLES = 100_000
-
-
-def check_sample_count(samples: int) -> None:
-    """Raise GradcalcError unless samples is an int (not a bool) in
-    1..MAX_SAMPLES (below 1 a sampled check would pass vacuously)."""
-    _check_int(samples, "sample count")
-    if samples < 1:
-        raise GradcalcError(f"sample count must be at least 1, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise GradcalcError(f"sample count must be at most {MAX_SAMPLES}, got {samples}")
 
 
 def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fraction:
@@ -57,17 +39,10 @@ def random_fraction(rng: random.Random, low: int = -5, high: int = 5) -> Fractio
             return Fraction(v)
 
 
-def sample_points(chart: Chart, seed: int, samples: int = SAMPLES) -> list:
-    """Random rational points with nonzero integer coordinates in -5..5.
-
-    Raises GradcalcError unless 1 <= samples <= MAX_SAMPLES.
-    """
-    check_sample_count(samples)
+def sample_points(chart: Chart, seed: int) -> list:
+    """SAMPLES random rational points with nonzero integer coordinates in -5..5."""
     rng = random.Random(seed)
-    pts = []
-    for _ in range(samples):
-        pts.append({i: random_fraction(rng) for i in range(chart.dim)})
-    return pts
+    return [{i: random_fraction(rng) for i in range(chart.dim)} for _ in range(SAMPLES)]
 
 
 def random_poly(rng: random.Random, chart: Chart, max_terms: int = 3,

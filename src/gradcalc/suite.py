@@ -293,7 +293,7 @@ def criterion_distribution_lifts(seed: int):
         ctx = LiftContext(m, r)
         dl = lift_distribution(d, ctx)
         want = (r + 1) * 2
-        for pt in sample_points(ctx.total, seed + r, 8):
+        for pt in sample_points(ctx.total, seed + r):
             got = rank_at_point(dl, pt)
             yield None if got == want else f"rank {got} != {want} at r={r}"
         yield (None if is_involutive(dl, seed=seed).verdict

@@ -11,6 +11,7 @@ from gradcalc.charts import (Chart, cotangent_chart, make_chart,
                              prolonged_base_name, prolonged_names,
                              shifted_dual_grl_chart, tangent_chart, vb_split)
 from gradcalc.errors import GradcalcError
+from gradcalc.lifts import LiftContext, lift_function
 from gradcalc.poly import Poly
 from gradcalc.render import chart_to_json
 from gradcalc.tensor import (TensorField, coordinate_one_form,
@@ -93,6 +94,8 @@ _E = make_chart(["x", "u"], [(0, 0), (1, 1)])
 # became 1, True was kept as a bool, Chart itself took any names, and
 # the derived charts took a float or bool order, shift or component.
 # An empty weight row gave a chart with no grading, whose degree() raised.
+# Chart kept a bool grading count and a str of names, and a non-int count
+# or a bare-int row raised a bare TypeError.
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: make_chart(["x"], ["12"]), id="weight-str"),
     pytest.param(lambda: make_chart(["x"], [(1.5,)]), id="weight-float"),
@@ -105,6 +108,12 @@ _E = make_chart(["x", "u"], [(0, 0), (1, 1)])
     pytest.param(lambda: Chart(("\u00e9",), ((0,),), 1), id="name-not-ascii"),
     pytest.param(lambda: Chart(("x", "x"), ((0,), (0,)), 1), id="name-repeated"),
     pytest.param(lambda: Chart(("x", "y"), ((0,),), 1), id="weights-names-mismatch"),
+    pytest.param(lambda: Chart(("x",), ((0,),), True), id="grading-count-bool"),
+    pytest.param(lambda: Chart(("x",), ((0,),), "1"), id="grading-count-str"),
+    pytest.param(lambda: Chart(("x",), ((0,),), None), id="grading-count-none"),
+    pytest.param(lambda: Chart(("x",), (0,), 1), id="row-bare-int"),
+    pytest.param(lambda: Chart(("x",), 0, 1), id="weights-bare-int"),
+    pytest.param(lambda: Chart("xy", ((0,), (0,)), 1), id="names-str"),
     pytest.param(lambda: phase_shifted_cotangent_chart(_E, 1.5), id="shifted-float"),
     pytest.param(lambda: phase_shifted_cotangent_chart(_E, True), id="shifted-bool"),
     pytest.param(lambda: prolong_chart(_E, True), id="prolong-bool"),
@@ -115,6 +124,19 @@ _E = make_chart(["x", "u"], [(0, 0), (1, 1)])
 def test_every_chart_is_checked(build):
     with pytest.raises(GradcalcError):
         build()
+
+
+def test_chart_from_lists_stores_tuples():
+    # list names and rows were kept as lists, so every derived chart failed
+    # on "can only concatenate list (not "tuple") to list"
+    m = Chart(["x", "y"], [[0], [1]], 1, "M")
+    assert m.names == ("x", "y") and m.weights == ((0,), (1,))
+    assert prolong_chart(m, 1).names == ("x", "y", "x_1", "y_1")
+    assert tangent_chart(m).weights == ((0, 0), (1, 0), (0, 1), (1, 1))
+    ctx = LiftContext(m, 2)
+    x = Poly.variable(m, 0)
+    x0, x1 = Poly.variable(ctx.total, "x"), Poly.variable(ctx.total, "x_1")
+    assert lift_function(x * x, 1, ctx) == x0 * x1 * 2
 
 
 def test_make_chart_rejects_bad_input():

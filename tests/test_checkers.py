@@ -40,7 +40,7 @@ from gradcalc.checkers import (
 )
 from gradcalc.errors import GradcalcError, ValenceError
 from gradcalc.poly import ANY_DEGREE, Poly
-from gradcalc.sampling import (MAX_SAMPLES, random_fraction, random_multivector, random_poly,
+from gradcalc.sampling import (SAMPLES, random_fraction, random_multivector, random_poly,
                                sample_points)
 from gradcalc.tensor import (
     TensorField,
@@ -438,18 +438,6 @@ def test_is_involutive():
     assert "generators 0,1" in r.witness and "leaves the span at" in r.witness
 
 
-def test_sampled_checks_reject_empty_samples():
-    # samples < 1 used to give a vacuous PASS for this non-involutive span
-    x = Poly.variable(E3, 0)
-    bad = Distribution(E3, (dvf(E3, "x"), dvf(E3, "y") + dvf(E3, "z") * x))
-    assert not is_involutive(bad, samples=8).verdict
-    for samples in (0, -1):
-        with pytest.raises(GradcalcError, match="sample count"):
-            is_involutive(bad, samples=samples)
-        with pytest.raises(GradcalcError, match="sample count"):
-            is_weighted_distribution(bad, samples=samples)
-
-
 def test_random_poly_on_a_chart_without_variables_is_constant():
     point = make_chart([], [], label="P")
     polys = [random_poly(random.Random(seed), point, max_terms=3, max_degree=3)
@@ -459,17 +447,13 @@ def test_random_poly_on_a_chart_without_variables_is_constant():
 
 
 def test_sample_points_validation():
-    with pytest.raises(GradcalcError, match="sample count"):
-        sample_points(E2, 0, samples=0)
-    with pytest.raises(GradcalcError, match=f"sample count must be at most {MAX_SAMPLES}, "
-                                            f"got {MAX_SAMPLES + 1}"):
-        sample_points(E2, 0, samples=MAX_SAMPLES + 1)
-    x = Poly.variable(E3, 0)
-    d = Distribution(E3, (dvf(E3, "x"), dvf(E3, "y") * x))
-    with pytest.raises(GradcalcError, match="at most"):
-        is_involutive(d, samples=10 ** 8)
-    with pytest.raises(GradcalcError, match="at most"):
-        is_weighted_distribution(d, samples=10 ** 8)
+    # SAMPLES points of nonzero integers in -5..5, one stream per seed
+    pts = sample_points(E3, 0)
+    assert len(pts) == SAMPLES
+    assert all(set(pt) == {0, 1, 2} for pt in pts)
+    assert all(v.denominator == 1 and 1 <= abs(v) <= 5 for pt in pts for v in pt.values())
+    assert sample_points(E3, 0) == pts and sample_points(E3, 1) != pts
+    assert sample_points(make_chart([], []), 0) == [{}] * SAMPLES
 
 
 class _FiniteRng:
@@ -526,7 +510,7 @@ def test_distribution_reports_pinned(monkeypatch):
         (is_involutive(bad, seed=5),
          '{"verdict": "fail", "witness": "bracket of generators 0,2 leaves the span '
          'at (x=4, y=-1, z=5)", "probabilistic": true, "seed": 5}'),
-        (is_involutive(bad, seed=3, samples=2),
+        (is_involutive(bad, seed=3),
          '{"verdict": "fail", "witness": "bracket of generators 0,2 leaves the span '
          'at (x=-2, y=4, z=3)", "probabilistic": true, "seed": 3}'),
         (is_weighted_distribution(weighted, seed=2),
@@ -539,9 +523,9 @@ def test_distribution_reports_pinned(monkeypatch):
         assert json.dumps(rep.to_json()) == want
     # one bracket for good; (0,1) and (0,2) for bad, none after the failure
     assert len(calls) == 1 + 2 + 2 + 1 + 2
-    # the component is checked before the sample count
+    # the component is checked before any point is drawn
     with pytest.raises(GradcalcError, match="no such grading component"):
-        is_weighted_distribution(weighted, component=1, samples=0)
+        is_weighted_distribution(weighted, component=1)
 
 
 def test_is_weighted_contact():
@@ -804,5 +788,5 @@ def test_span_check_ranks_each_point_once(monkeypatch):
                         lambda rows: calls.append(len(rows)) or rational_rank(rows))
     x = Poly.variable(E3, 0)
     d = Distribution(E3, (dvf(E3, "x"), dvf(E3, "y") * x, dvf(E3, "z") * x))
-    assert is_involutive(d, seed=1, samples=5).verdict        # two nonzero brackets
-    assert sorted(calls) == [3] * 5 + [4] * 10
+    assert is_involutive(d, seed=1).verdict        # two nonzero brackets
+    assert sorted(calls) == [3] * SAMPLES + [4] * (2 * SAMPLES)

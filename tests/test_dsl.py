@@ -1,5 +1,6 @@
 """Script language: grammar, diagnostics, records, exit codes, CLI."""
 
+import argparse
 import inspect
 import io
 import json
@@ -24,7 +25,7 @@ from gradcalc.cli import main
 from gradcalc.dsl import execute, parse, records_to_json
 from gradcalc.errors import DslError
 from gradcalc.render import dumps, json_document, render_tensor
-from gradcalc.sampling import (MAX_SAMPLES, random_form, random_multivector, random_one_form,
+from gradcalc.sampling import (random_form, random_multivector, random_one_form,
                                random_tensor, random_vector_field)
 from gradcalc.suite import criterion_weight_commute, suite_to_json
 from gradcalc.tensor import TensorField, tagged, tensor_product
@@ -50,8 +51,8 @@ oracle spotcheck X X
 """
 
 
-def run(text, seed=0, samples=4):
-    return execute(parse(text), seed=seed, samples=samples)
+def run(text, seed=0):
+    return execute(parse(text), seed=seed)
 
 
 def test_clean_script_exit_zero():
@@ -120,8 +121,8 @@ def test_check_pass_payload():
 
 
 def test_json_output_is_deterministic_and_untimed():
-    a = json.dumps(records_to_json(run(CLEAN, seed=3, samples=6)[0]))
-    b = json.dumps(records_to_json(run(CLEAN, seed=3, samples=6)[0]))
+    a = json.dumps(records_to_json(run(CLEAN, seed=3)[0]))
+    b = json.dumps(records_to_json(run(CLEAN, seed=3)[0]))
     assert a == b
     doc = json.loads(a)
     for rec in doc["records"]:
@@ -480,7 +481,7 @@ def test_render_parse_round_trip():
         s = render_tensor(t)
         script = (f"chart M {{ x:0, y:1, z:2 }}\n"
                   f"tensor({q},{p}) T on M = {s}\nprint T\n")
-        records, code = run(script, samples=2)
+        records, code = run(script)
         assert code == 0
         assert records[-1].text == [s]
     # tagged tensors, declared again with their tag: a sym block prints as
@@ -494,7 +495,7 @@ def test_render_parse_round_trip():
         s = render_tensor(t)
         script = (f"chart M {{ x:0, y:1, z:2 }}\n"
                   f"tensor({q},{p}) {tag} T on M = {s}\nprint T\n")
-        records, code = run(script, samples=2)
+        records, code = run(script)
         assert code == 0, (script, records[-1].text)
         assert records[-1].text == [s]
 
@@ -592,40 +593,6 @@ def test_cli_parse_error_text_goes_to_stderr(tmp_path, capsys):
     assert "syntax error at line 1, col 14" in err
 
 
-def test_cli_rejects_sample_count_below_one(tmp_path, capsys):
-    path = _write(tmp_path, CLEAN)
-    for bad in ("0", "-1"):
-        with pytest.raises(SystemExit) as ei:
-            main(["run", path, "--samples", bad])
-        assert ei.value.code == 2
-        assert f"argument --samples: sample count must be at least 1, got {bad}" in \
-            capsys.readouterr().err
-
-
-def test_cli_rejects_a_sample_count_that_is_no_integer(tmp_path, capsys):
-    # argparse used to name the private type function: "invalid _sample_count value"
-    path = _write(tmp_path, CLEAN)
-    for bad in ("x", "1.5", ""):
-        with pytest.raises(SystemExit) as ei:
-            main(["run", path, "--samples", bad])
-        assert ei.value.code == 2
-        assert f"argument --samples: sample count must be an integer, got {bad!r}" in \
-            capsys.readouterr().err
-
-
-def test_cli_rejects_sample_count_above_limit(tmp_path, capsys):
-    # 10^8 points used to be built before the first comparison (no end in 20 s)
-    path = _write(tmp_path, CLEAN)
-    for bad in (str(MAX_SAMPLES + 1), "100000000"):
-        t0 = time.perf_counter()
-        with pytest.raises(SystemExit) as ei:
-            main(["run", path, "--samples", bad])
-        assert time.perf_counter() - t0 < 1
-        assert ei.value.code == 2
-        assert f"argument --samples: sample count must be at most {MAX_SAMPLES}, got {bad}" in \
-            capsys.readouterr().err
-
-
 def test_cli_missing_file(capsys):
     assert main(["run", "/no/such/file.gc"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -679,19 +646,38 @@ def _fresh_process_run(path: str) -> str:
     return proc.stdout
 
 
-def test_every_sampled_entry_point_defaults_to_one_count(capsys):
-    # sampling.SAMPLES is the one default: the sampled checks, the spot
-    # check, execute and the CLI's --samples (and its help text)
+def test_every_sampled_entry_point_defaults_to_one_count(tmp_path, capsys):
+    # sampling.SAMPLES is the one count: no sampled entry point takes a
+    # count, the CLI has no option for one, and both point draws give SAMPLES
     from gradcalc import checkers, oracle, sampling
-    for fn in (sampling.sample_points, checkers.is_involutive,
-               checkers.is_weighted_distribution, oracle.identity_spot_check,
-               dsl.execute):
-        assert inspect.signature(fn).parameters["samples"].default == sampling.SAMPLES
-    assert cli._build_parser().parse_args(["run", "-"]).samples == sampling.SAMPLES
-    with pytest.raises(SystemExit):
-        main(["run", "--help"])
-    assert f"(default {sampling.SAMPLES}, at most {MAX_SAMPLES})" in \
-        " ".join(capsys.readouterr().out.split())
+    for fn, params in ((sampling.sample_points, ["chart", "seed"]),
+                       (oracle._spot_points, ["chart", "seed"]),
+                       (checkers.is_involutive, ["d", "seed"]),
+                       (checkers.is_weighted_distribution, ["d", "component", "seed"]),
+                       (oracle.identity_spot_check, ["lhs", "rhs", "seed"]),
+                       (dsl.execute, ["script", "seed"])):
+        assert list(inspect.signature(fn).parameters) == params
+    E3 = make_chart(["x", "y", "z"], [0, 0, 0])
+    for seed in (0, 7):
+        assert len(sampling.sample_points(E3, seed)) == sampling.SAMPLES
+        assert len(oracle._spot_points(E3, seed)) == sampling.SAMPLES
+    path = _write(tmp_path, CLEAN)
+    with pytest.raises(SystemExit) as ei:
+        main(["run", path, "--samples", "3"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --samples 3" in capsys.readouterr().err
+
+
+def test_cli_docstring_synopsis_matches_the_parser():
+    # a flag the parser drops must leave the documented synopsis too
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "check-suite"):
+        line, = [ln for ln in cli.__doc__.splitlines()
+                 if ln.strip().startswith(f"gradcalc {command} ")]
+        options = {opt for action in sub.choices[command]._actions
+                   for opt in action.option_strings if opt not in ("-h", "--help")}
+        assert set(re.findall(r"--[a-z][a-z-]*", line)) == options
 
 
 def test_cli_parser_is_shared_and_stateless(tmp_path, capsys, monkeypatch):
@@ -701,19 +687,19 @@ def test_cli_parser_is_shared_and_stateless(tmp_path, capsys, monkeypatch):
     seen = []
     real_execute = cli.execute
 
-    def spy(script, seed, samples):
-        seen.append((seed, samples))
-        return real_execute(script, seed=seed, samples=samples)
+    def spy(script, seed):
+        seen.append(seed)
+        return real_execute(script, seed=seed)
 
     monkeypatch.setattr(cli, "execute", spy)
-    main(["run", path, "--format", "json", "--seed", "7", "--samples", "3"])
+    main(["run", path, "--format", "json", "--seed", "7"])
     with pytest.raises(SystemExit) as ei:
-        main(["run", path, "--samples", "0"])
+        main(["run", path, "--seed", "x"])
     assert ei.value.code == 2
     capsys.readouterr()
     assert main(["run", path, "--format", "json"]) == 0
     assert capsys.readouterr().out == fresh
-    assert seen == [(7, 3), (0, 8)]
+    assert seen == [7, 0]
     # a text run leaves nothing behind for the json run that follows
     assert main(["run", path, "--format", "text"]) == 0
     assert capsys.readouterr().out.startswith("[ok ")

@@ -21,8 +21,7 @@ from gradcalc.oracle import (
     taylor_lift_oracle,
 )
 from gradcalc.poly import Poly
-from gradcalc.sampling import (MAX_SAMPLES, random_multivector, random_one_form, random_poly,
-                               random_tensor)
+from gradcalc.sampling import random_multivector, random_one_form, random_poly, random_tensor
 from gradcalc.tensor import (
     TensorField,
     coordinate_one_form,
@@ -39,31 +38,24 @@ E3 = make_chart(["x", "y", "z"], [0, 0, 0])
 
 
 def test_sample_plan():
-    # the spot check's points: per point and variable a numerator from
-    # -5..5 (0 becomes 1), then a denominator from 1..3
-    assert _spot_points(E2, 7, 3) == [
+    # the spot check's SAMPLES points: per point and variable a numerator
+    # from -5..5 (0 becomes 1), then a denominator from 1..3
+    assert sampling.SAMPLES == 8
+    assert _spot_points(E2, 7) == [
         {0: Fraction(1), 1: Fraction(1, 3)},
         {0: Fraction(-5), 1: Fraction(3)},
-        {0: Fraction(1, 3), 1: Fraction(-5, 3)}]
-    # a chart without variables draws nothing, so the largest count is cheap
-    assert _spot_points(make_chart([], []), 7, MAX_SAMPLES) == [{}] * MAX_SAMPLES
-    assert _spot_points(E3, 8, 5) != _spot_points(E3, 7, 5)
-    x = coordinate_vector_field(E2, "x")
-    for bad, message in ((0, "sample count must be at least 1, got 0"),
-                         (MAX_SAMPLES + 1, f"sample count must be at most {MAX_SAMPLES}, "
-                                           f"got {MAX_SAMPLES + 1}"),
-                         (True, "sample count must be an integer, not True"),
-                         (2.5, "sample count must be an integer, not 2.5"),
-                         ("3", "sample count must be an integer, not '3'")):
-        with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
-            _spot_points(E2, 0, bad)
-        # the count is checked before the charts and the valences
-        with pytest.raises(GradcalcError, match=f"^{re.escape(message)}$"):
-            identity_spot_check(x, coordinate_one_form(E3, "x"), samples=bad)
+        {0: Fraction(1, 3), 1: Fraction(-5, 3)},
+        {0: Fraction(-2), 1: Fraction(-2)},
+        {0: Fraction(1), 1: Fraction(-2)},
+        {0: Fraction(3, 2), 1: Fraction(-5, 3)},
+        {0: Fraction(-4), 1: Fraction(5, 3)},
+        {0: Fraction(4), 1: Fraction(4, 3)}]
+    assert _spot_points(make_chart([], []), 7) == [{}] * sampling.SAMPLES
+    assert _spot_points(E3, 8) != _spot_points(E3, 7)
     # the spot check shares the sampled checkers' signature and default
     params = inspect.signature(identity_spot_check).parameters
-    assert list(params) == ["lhs", "rhs", "seed", "samples"]
-    assert (params["seed"].default, params["samples"].default) == (0, sampling.SAMPLES)
+    assert list(params) == ["lhs", "rhs", "seed"]
+    assert params["seed"].default == 0
 
 
 def test_taylor_matches_lift():
@@ -152,12 +144,12 @@ def test_identity_spot_check():
     b = random_one_form(rng, E2, max_terms=2, max_degree=2)
     lhs = wedge(a, b)
     rhs = tensor_product(a, b) - tensor_product(b, a)
-    r = identity_spot_check(lhs, rhs, seed=4, samples=6)
+    r = identity_spot_check(lhs, rhs, seed=4)
     assert r.verdict and r.probabilistic and r.seed == 4
     assert identity_spot_check(lhs, rhs).seed == 0
     x = coordinate_vector_field(E2, "x")
     bad = identity_spot_check(x * Poly.variable(E2, 0),
-                              x * Poly.variable(E2, 1), seed=4, samples=6)
+                              x * Poly.variable(E2, 1), seed=4)
     assert not bad.verdict and bad.seed == 4
     assert "component (x;)" in bad.witness and " vs " in bad.witness
     with pytest.raises(ValenceError):
