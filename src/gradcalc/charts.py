@@ -10,9 +10,9 @@ through duals such as T*[k]M, which make their component Z-graded.  The
 flags are derived from the weights and cannot be declared.
 
 Every chart, declared or derived, is checked by its constructor: the
-names are distinct ASCII identifiers and each carries one vector of
-grading_count int weights, so bad input raises GradcalcError wherever
-the chart comes from.
+names are distinct ASCII identifiers, each carries one vector of
+grading_count int weights and the label is a str, so bad input raises
+GradcalcError wherever the chart comes from.
 
 Charts are value objects compared by identity.  Every constructor below
 returns a fresh chart; combining polynomials or tensors from two different
@@ -63,8 +63,8 @@ def _as_tuple(value, what: str) -> tuple:
 class Chart:
     """Ordered variable table with per-variable integer weight vectors.
 
-    The constructor is the one check of a chart's names and weights; it
-    stores the names and every weight vector as tuples.
+    The constructor is the one check of a chart's names, weights and
+    label; it stores the names and every weight vector as tuples.
     """
 
     __slots__ = ("names", "weights", "grading_count", "label", "_index")
@@ -75,6 +75,8 @@ class Chart:
         if grading_count < 1:   # a graded chart has a homogeneity structure
             raise GradcalcError(
                 f"a chart needs at least one grading component, got {grading_count}")
+        if not isinstance(label, str):
+            raise GradcalcError(f"chart label must be a str, not {label!r}")
         names = _as_tuple(names, "chart names")
         weights = _as_tuple(weights, "chart weights")
         if len(weights) != len(names):
@@ -154,13 +156,15 @@ class Chart:
 def make_chart(names, weights, label: str = "") -> Chart:
     """Build a chart from variable names and weight vectors.
 
-    weights maps each variable to either a single int (grading count 1) or
-    a tuple or list of ints, one per grading component; the first row sets
-    the grading count.  The N-graded flags are not declared: Chart.n_graded
-    derives them from the weights.
+    names is a tuple or list, checked by Chart: a str is refused, not
+    split into one variable per letter.  weights maps each variable to
+    either a single int (grading count 1) or a tuple or list of ints, one
+    per grading component; the first row sets the grading count.  The
+    N-graded flags are not declared: Chart.n_graded derives them from the
+    weights.
     """
     rows = tuple(tuple(w) if isinstance(w, (tuple, list)) else (w,) for w in weights)
-    return Chart(tuple(names), rows, len(rows[0]) if rows else 1, label)
+    return Chart(names, rows, len(rows[0]) if rows else 1, label)
 
 
 def prolong_chart(chart: Chart, r: int) -> Chart:

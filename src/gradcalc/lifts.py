@@ -11,7 +11,10 @@ a polynomial on the prolonged chart; lambda outside 0..r gives zero, and
 r = 0 lifts are the identity.  All lifts f^(0), ..., f^(r) together form
 the jet of f: a list of r+1 polynomials multiplied by the truncated
 Cauchy product (f*g)_k = sum_{i+j=k} f_i g_j, k <= r, so t never appears
-as a variable.  Lifts of tensors are generated from the function lift
+as a variable.  Inside a context a monomial's jet is kept as plain term
+dicts {level: {monomial: int}} and multiplied as such (_jet_mul), so the
+product builds no Poly; a function's jet is returned as one Poly per
+level.  Lifts of tensors are generated from the function lift
 and the basis rules
 
     (dx)^(lambda)   = dx_lambda,
@@ -50,7 +53,7 @@ from .charts import (Chart, _check_int, prolong_chart, tangent_chart,
                      vb_split)
 from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import Poly, _acc, _coefficient
+from .poly import Poly, _acc, _coefficient, mono_mul
 from .tensor import TensorField, _same_chart, _sort_with_parity
 
 __all__ = [
@@ -70,7 +73,9 @@ class LiftContext:
     filled on first use:
 
     - _jets, keyed by monomial: the jet of each monomial it has met, with
-      coefficient 1, so a function's jet is its terms' cached jets, each
+      coefficient 1, as {level: {monomial: int}}: a term dict on the
+      prolonged chart per nonzero level, every coefficient a positive
+      int, no Poly.  A function's jet is its terms' cached jets, each
       scaled by its coefficient and stored side by side.  A power x_v^e
       is the monomial ((v, e),);
       building one caches the powers of its halving chain (at most
@@ -95,7 +100,7 @@ class LiftContext:
         self.total = prolong_chart(base, r)
         self.base = base
         self.r = r
-        self._jets = {(): {0: Poly.const(self.total, 1)}}
+        self._jets = {(): {0: {(): 1}}}
         self._blocks: dict = {}
         self._last = (None, [])
 
@@ -108,13 +113,15 @@ class LiftContext:
         return mu * self.base.dim + i
 
     def _monomial_jet(self, mono: tuple) -> dict:
-        """Sparse jet {level: Poly} of one monomial, built once per monomial.
+        """Sparse jet {level: {monomial: int}} of one monomial, built once.
 
         A product of powers is its leading factors' jet times the jet of
         its last power.  A power x_v^e with e > 1 is jet(x_v^(e - e//2)) *
         jet(x_v^(e//2)); the exponents of that halving chain are built in
         increasing order, so large exponents take O(log e) products and
-        do not recurse.
+        do not recurse.  Level mu of x_v is the prolonged variable
+        mu * n + v, inlined as in _block_table: v comes from a monomial of
+        a Poly on the base chart, so it is a valid index.
         """
         jets = self._jets
         jet = jets.get(mono)
@@ -133,10 +140,10 @@ class LiftContext:
                 need.add(k)
                 if k > 1:
                     todo += (k - k // 2, k // 2)
+        n = self.base.dim
         for k in sorted(need):
             if k == 1:
-                jets[((v, 1),)] = {mu: Poly.variable(self.total, self.var(v, mu))
-                                   for mu in range(self.r + 1)}
+                jets[((v, 1),)] = {mu: {((mu * n + v, 1),): 1} for mu in range(self.r + 1)}
             else:
                 jets[((v, k),)] = _jet_mul(jets[((v, k - k // 2),)],
                                            jets[((v, k // 2),)], self.r)
@@ -168,12 +175,22 @@ class LiftContext:
 
 
 def _jet_mul(a: dict, b: dict, r: int) -> dict:
-    """Truncated Cauchy product of two sparse jets {level: Poly}."""
+    """Truncated Cauchy product of two sparse jets {level: {monomial: int}}.
+
+    Level k <= r sums the term products of every level pair i + j = k
+    into one term dict through _acc; no Poly is built.
+    """
     out: dict = {}
     for i, ai in a.items():
         for j, bj in b.items():
-            if i + j <= r:
-                _acc(out, i + j, ai * bj)
+            k = i + j
+            if k <= r:
+                acc = out.get(k)
+                if acc is None:
+                    acc = out[k] = {}
+                for ma, ca in ai.items():
+                    for mb, cb in bj.items():
+                        _acc(acc, mono_mul(ma, mb), ca * cb)
     return out
 
 
@@ -188,7 +205,7 @@ def lift_function_jets(f: Poly, ctx: LiftContext) -> list:
     for mono, coef in f.terms.items():
         for k, p in ctx._monomial_jet(mono).items():
             acc = levels[k]
-            for m, c in p.terms.items():
+            for m, c in p.items():
                 acc[m] = coef if c == 1 else coef * c
     return [Poly(ctx.total, terms) for terms in levels]
 

@@ -465,7 +465,7 @@ def lie_derivative_by_loops(x, t):
     return _from_expanded(t.chart, t.q, t.p, out, t.contra_sym, t.cov_sym)
 
 
-CHARTS = [make_chart("xyzw"[:dim], [0] * dim) for dim in range(1, 5)]
+CHARTS = [make_chart(list("xyzw"[:dim]), [0] * dim) for dim in range(1, 5)]
 
 
 @given(st.integers(0, 10 ** 9), st.sampled_from(CHARTS), st.booleans(),

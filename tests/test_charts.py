@@ -95,7 +95,8 @@ _E = make_chart(["x", "u"], [(0, 0), (1, 1)])
 # the derived charts took a float or bool order, shift or component.
 # An empty weight row gave a chart with no grading, whose degree() raised.
 # Chart kept a bool grading count and a str of names, and a non-int count
-# or a bare-int row raised a bare TypeError.
+# or a bare-int row raised a bare TypeError.  make_chart split a str of
+# names into one variable per letter, and Chart took any label.
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: make_chart(["x"], ["12"]), id="weight-str"),
     pytest.param(lambda: make_chart(["x"], [(1.5,)]), id="weight-float"),
@@ -114,6 +115,9 @@ _E = make_chart(["x", "u"], [(0, 0), (1, 1)])
     pytest.param(lambda: Chart(("x",), (0,), 1), id="row-bare-int"),
     pytest.param(lambda: Chart(("x",), 0, 1), id="weights-bare-int"),
     pytest.param(lambda: Chart("xy", ((0,), (0,)), 1), id="names-str"),
+    pytest.param(lambda: make_chart("xy", [0, 1]), id="make-chart-names-str"),
+    pytest.param(lambda: Chart(("x",), ((0,),), 1, 5), id="label-int"),
+    pytest.param(lambda: Chart(("x",), ((0,),), 1, None), id="label-none"),
     pytest.param(lambda: phase_shifted_cotangent_chart(_E, 1.5), id="shifted-float"),
     pytest.param(lambda: phase_shifted_cotangent_chart(_E, True), id="shifted-bool"),
     pytest.param(lambda: prolong_chart(_E, True), id="prolong-bool"),

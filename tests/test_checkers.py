@@ -114,8 +114,8 @@ def graded_tensors(draw):
     tagged none, sym or antisym; about half are cut down to the monomials
     of combined degree -(q-1)k, so both verdicts occur."""
     n, g = draw(st.integers(1, 3)), draw(st.integers(1, 2))
-    chart = make_chart("xyz"[:n], [tuple(draw(st.integers(-2, 3)) for _ in range(g))
-                                   for _ in range(n)])
+    chart = make_chart(list("xyz"[:n]), [tuple(draw(st.integers(-2, 3)) for _ in range(g))
+                                         for _ in range(n)])
     q, p = draw(st.integers(0, 2)), draw(st.integers(0, 2))
     tag = draw(st.sampled_from(("none", "sym", "antisym")))
     c = draw(st.integers(0, g - 1))

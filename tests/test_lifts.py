@@ -716,11 +716,35 @@ def test_power_jets_match_repeated_products(r):
     ctx = LiftContext(chart, r)
     for e in (7, 12, 1, 5, 2, 11, 3, 10, 4, 9, 6, 8):
         for v in range(2):
-            x = {mu: Poly.variable(ctx.total, ctx.var(v, mu)) for mu in range(r + 1)}
+            x = {mu: {((ctx.var(v, mu), 1),): 1} for mu in range(r + 1)}
             want = x
             for _ in range(e - 1):
                 want = lifts._jet_mul(want, x, r)
             assert ctx._monomial_jet(((v, e),)) == want
+
+
+def test_monomial_jets_are_plain_term_dicts(monkeypatch):
+    # the cache holds {level: {monomial: positive int}}, no Poly and no zero,
+    # building it constructs no Poly, and every cached jet, factors
+    # included, is the monomial's lift
+    chart = CHARTS[2]
+    r = 4
+    ctx = LiftContext(chart, r)
+    built = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+    ctx._monomial_jet(((0, 5), (1, 2)))
+    monkeypatch.undo()
+    assert built == []
+    assert ((0, 5), (1, 2)) in ctx._jets and ((0, 1),) in ctx._jets
+    for mono, jet in ctx._jets.items():
+        assert type(jet) is dict and set(jet) <= set(range(r + 1))
+        for terms in jet.values():
+            assert type(terms) is dict and terms
+            assert all(type(c) is int and c > 0 for c in terms.values())
+        one = Poly.from_terms(chart, [(mono, 1)])
+        for lam in range(r + 1):
+            assert Poly(ctx.total, jet.get(lam, {})) == taylor_lift_oracle(one, lam, ctx)
 
 
 # -- the size estimate that bounds a script's lifts ---------------------------
