@@ -22,7 +22,8 @@ Expressions are polynomials over the chart variables extended with the
 basis symbols d/dx (vector) and dx (covector) and the operators + - * ^
 ox (tensor product) and ^^ (wedge, binding tighter than ox).  The
 Unicode forms of the two product signs are accepted on input only; all
-output is ASCII.  Rendered tensor text, declared again with the tensor's
+output is ASCII.  An expression parses into a flat postfix program, so
+rendered tensor text of any length, declared again with the tensor's
 tag, parses back to an equal tensor.
 
 execute() is deterministic for a given script and seed: JSON payloads
@@ -78,9 +79,14 @@ _TOKEN_RE = re.compile(r"""\s*(?:
   | (?P<bad>)
 )""", re.VERBOSE)
 
-# Binary operators by binding level, loosest first: token kind -> node op.
-_BINARY = ({"plus": "add", "minus": "sub"}, {"ox": "ox"}, {"wedge": "wedge"},
-           {"star": "mul"})
+# Binary operators: token kind -> (binding level, program instruction),
+# loosest at 1; a chain of one level folds left.
+_BINARY = {"plus": (1, ("add",)), "minus": (1, ("sub",)), "ox": (2, ("ox",)),
+           "wedge": (3, ("wedge",)), "star": (4, ("mul",))}
+
+# Deepest nesting of parentheses in an expression: each level is one
+# parser call, so the limit keeps a script well inside Python's stack.
+_MAX_NESTING = 100
 
 _OPS = {"{": "lbrace", "}": "rbrace", "(": "lparen", ")": "rparen",
         ",": "comma", "=": "equals", ":": "colon", "+": "plus",
@@ -128,7 +134,7 @@ Script = namedtuple("Script", "statements")
 
 
 class _Parser:
-    """Recursive descent over one line's tokens."""
+    """One line's tokens, read left to right."""
 
     def __init__(self, tokens: list, line_no: int, src: str):
         self.toks = tokens
@@ -280,42 +286,42 @@ class _Parser:
 
     # expressions
 
-    def expr(self, level: int = 0) -> tuple:
-        """Left-associative chain of the operators of _BINARY[level]."""
-        if level == len(_BINARY):
-            return self.unary()
-        ops = _BINARY[level]
-        node = self.expr(level + 1)
-        while self.peek() and self.peek().kind in ops:
-            node = (ops[self.next().kind], node, self.expr(level + 1))
-        return node
-
-    def unary(self) -> tuple:
-        if self.accept("minus"):
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self) -> tuple:
-        node = self.atom()
-        if self.accept("caret"):
-            n = self.expect("int", "exponent")
-            node = ("pow", node, int(n.text))
-        return node
-
-    def atom(self) -> tuple:
-        t = self.next()
-        if t.kind == "int":
-            return ("num", self._fraction(int(t.text)))
-        if t.kind == "basisvf":
-            return ("dvf", t.text[3:], t.line, t.col)
-        if t.kind == "ident":
-            return ("var", t.text, t.line, t.col)
-        if t.kind == "lparen":
-            node = self.expr()
-            self.expect("rparen", "')'")
-            return node
-        raise DslError(f"unexpected {t.text!r} in expression", "syntax",
-                       t.line, t.col)
+    def expr(self, depth: int = 0) -> list:
+        """One expression as a flat postfix program, by precedence climbing:
+        each operand's instructions come before the operator that takes
+        them, which waits in pending until the next binds no tighter.  Only
+        parentheses recurse, at most _MAX_NESTING deep."""
+        prog, pending = [], []      # pending: (level, instruction), levels increasing
+        while True:
+            negs = 0
+            while self.accept("minus"):
+                negs += 1
+            t = self.next()
+            if t.kind == "int":
+                prog.append(("num", self._fraction(int(t.text))))
+            elif t.kind == "basisvf":
+                prog.append(("dvf", t.text[3:], t.line, t.col))
+            elif t.kind == "ident":
+                prog.append(("var", t.text, t.line, t.col))
+            elif t.kind == "lparen":
+                if depth == _MAX_NESTING:
+                    raise DslError(f"parentheses nested deeper than {_MAX_NESTING}",
+                                   "syntax", t.line, t.col)
+                prog += self.expr(depth + 1)
+                self.expect("rparen", "')'")
+            else:
+                raise DslError(f"unexpected {t.text!r} in expression", "syntax", t.line, t.col)
+            if self.accept("caret"):
+                prog.append(("pow", int(self.expect("int", "exponent").text)))
+            prog += (("neg",),) * negs
+            t = self.peek()
+            level, ins = _BINARY.get(t and t.kind, (0, None))
+            while pending and pending[-1][0] >= level:
+                prog.append(pending.pop()[1])
+            if ins is None:
+                return prog
+            self.i += 1
+            pending.append((level, ins))
 
 
 # -- statement bodies ----------------------------------------------------------
@@ -416,22 +422,13 @@ def _parse_statement(tokens: list, line_no: int, src: str) -> CmdStmt:
 
 # -- static name resolution ----------------------------------------------------
 
-def _expr_names(node: tuple):
-    """The ("var"|"dvf", name, line, col) leaves of an expression, in order."""
-    if node[0] in ("var", "dvf"):
-        yield node
-        return
-    for child in node[1:]:
-        if isinstance(child, tuple):
-            yield from _expr_names(child)
-
-
 def _resolve(script: Script) -> None:
     """Check chart references, expression variables, and object names.
 
     Each statement's names are checked, then each of its expressions
-    (the chart indices it names before its variables), and only then is
-    the name it defines bound.  chart_vars maps a chart to the test of
+    (the chart indices it names, then the names of the program's "var"
+    and "dvf" instructions in order), and only then is the name it
+    defines bound.  chart_vars maps a chart to the test of
     its variable names; a prolonged chart tests a name by the naming rule
     of prolonged_names, so resolving does not grow with the order r.
     """
@@ -461,13 +458,13 @@ def _resolve(script: Script) -> None:
         form, a = st.form, st.args
         for key, _, want in form.args:
             need(a[key], want, st.line)
-        for idx, node in a.get("exprs", ()):
+        for idx, prog in a.get("exprs", ()):
             chart = a["chart"]
             has = chart_vars[chart]
             for v in idx:
                 if not has(v):
                     raise DslError(f"{v} not in {chart}", "name", st.line)
-            for op, nm, line, col in _expr_names(node):
+            for op, nm, line, col in (i for i in prog if i[0] in ("var", "dvf")):
                 # a variable dq may name the covector of chart variable q
                 if not has(nm) and not (op == "var" and nm.startswith("d")
                                         and has(nm[1:])):
@@ -606,53 +603,55 @@ class _Env:
         return ctx
 
 
-def _eval_expr(node: tuple, chart: Chart) -> TensorField:
-    op = node[0]
-    if op == "num":
-        return scalar_field(chart, node[1])
-    if op == "var":
-        nm = node[1]
-        if nm in chart.names:
-            return scalar_field(chart, Poly.variable(chart, nm))
-        return coordinate_one_form(chart, nm[1:])
-    if op == "dvf":
-        return coordinate_vector_field(chart, node[1])
-    if op == "add":
-        return _eval_expr(node[1], chart) + _eval_expr(node[2], chart)
-    if op == "sub":
-        return _eval_expr(node[1], chart) - _eval_expr(node[2], chart)
-    if op == "neg":
-        return -_eval_expr(node[1], chart)
-    if op == "mul":
-        a = _eval_expr(node[1], chart)
-        b = _eval_expr(node[2], chart)
-        if a.q == a.p == 0:
-            return b * a.scalar_part()
-        if b.q == b.p == 0:
-            return a * b.scalar_part()
-        raise GradcalcError("* multiplies by scalars; use ox or ^^ for tensors")
-    if op == "ox":
-        return tensor_product(_eval_expr(node[1], chart),
-                              _eval_expr(node[2], chart))
-    if op == "wedge":
-        return wedge(_eval_expr(node[1], chart), _eval_expr(node[2], chart))
-    if op == "pow":
-        a = _eval_expr(node[1], chart)
-        if a.q or a.p:
-            raise GradcalcError("^ takes scalar bases; tensor powers are not defined")
-        base, e = a.scalar_part(), node[2]
-        t = len(base.terms)
-        n = math.comb(e + t - 1, t - 1) if t else 0
-        if n > _MAX_POWER_TERMS:
-            raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
-                                f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
-        work = _power_work(base.terms.values(), e)
-        if work > _MAX_POWER_WORK:
-            raise GradcalcError(f"power ^{e} of a {t}-term polynomial may take {work} "
-                                f"weighted term products, which exceeds the limit "
-                                f"{_MAX_POWER_WORK}")
-        return scalar_field(chart, base ** e)
-    raise GradcalcError(f"unknown expression node {op!r}")
+def _eval_expr(program: list, chart: Chart) -> TensorField:
+    """Run an expression's postfix program (_Parser.expr) on a stack."""
+    stack: list = []
+    for ins in program:
+        op = ins[0]
+        if op == "num":
+            stack.append(scalar_field(chart, ins[1]))
+        elif op == "var":
+            nm = ins[1]
+            stack.append(scalar_field(chart, Poly.variable(chart, nm)) if nm in chart.names
+                         else coordinate_one_form(chart, nm[1:]))
+        elif op == "dvf":
+            stack.append(coordinate_vector_field(chart, ins[1]))
+        elif op == "neg":
+            stack[-1] = -stack[-1]
+        elif op == "pow":
+            a, e = stack[-1], ins[1]
+            if a.q or a.p:
+                raise GradcalcError("^ takes scalar bases; tensor powers are not defined")
+            base = a.scalar_part()
+            t = len(base.terms)
+            n = math.comb(e + t - 1, t - 1) if t else 0
+            if n > _MAX_POWER_TERMS:
+                raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
+                                    f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
+            work = _power_work(base.terms.values(), e)
+            if work > _MAX_POWER_WORK:
+                raise GradcalcError(f"power ^{e} of a {t}-term polynomial may take {work} "
+                                    f"weighted term products, which exceeds the limit "
+                                    f"{_MAX_POWER_WORK}")
+            stack[-1] = scalar_field(chart, base ** e)
+        else:
+            a, b = stack[-2], stack.pop()
+            if op == "add":
+                a = a + b
+            elif op == "sub":
+                a = a - b
+            elif op == "ox":
+                a = tensor_product(a, b)
+            elif op == "wedge":
+                a = wedge(a, b)
+            elif a.q == a.p == 0:           # mul: one factor must be a scalar
+                a = b * a.scalar_part()
+            elif b.q == b.p == 0:
+                a = a * b.scalar_part()
+            else:
+                raise GradcalcError("* multiplies by scalars; use ox or ^^ for tensors")
+            stack[-1] = a
+    return stack.pop()
 
 
 def _payload(x) -> dict:
@@ -886,7 +885,7 @@ _REQUIRED = object()
 # st.args holds the names as written, the key=INT values, "kind" (the
 # second word of a Choice), "as" (the name the statement defines), "point"
 # (eval), "entries" (chart), "q", "p", "tag" (tensor) and "exprs": each
-# expression of a declaration as (chart indices, expr).
+# expression of a declaration as (chart indices, postfix program).
 Form = namedtuple("Form", "args run params body binds",
                   defaults=((), _command_body, None))
 

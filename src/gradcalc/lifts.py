@@ -116,7 +116,9 @@ class LiftContext:
         """Sparse jet {level: {monomial: int}} of one monomial, built once.
 
         A product of powers is its leading factors' jet times the jet of
-        its last power.  A power x_v^e with e > 1 is jet(x_v^(e - e//2)) *
+        its last power; the jets of its prefixes are built in a loop from
+        the longest one cached, so a product of many variables does not
+        recurse.  A power x_v^e with e > 1 is jet(x_v^(e - e//2)) *
         jet(x_v^(e//2)); the exponents of that halving chain are built in
         increasing order, so large exponents take O(log e) products and
         do not recurse.  Level mu of x_v is the prolonged variable
@@ -128,9 +130,12 @@ class LiftContext:
         if jet is not None:
             return jet
         if len(mono) > 1:
-            jet = _jet_mul(self._monomial_jet(mono[:-1]),
-                           self._monomial_jet(mono[-1:]), self.r)
-            jets[mono] = jet
+            k = len(mono) - 1
+            while k > 1 and mono[:k] not in jets:
+                k -= 1
+            jet = self._monomial_jet(mono[:k])      # cached, or one power
+            for j in range(k, len(mono)):
+                jet = jets[mono[:j + 1]] = _jet_mul(jet, self._monomial_jet(mono[j:j + 1]), self.r)
             return jet
         (v, e), = mono
         need, todo = set(), [e]

@@ -446,7 +446,7 @@ def test_random_poly_on_a_chart_without_variables_is_constant():
     assert all(repr(f) == str(f.terms.get((), 0)) for f in polys)
 
 
-def test_sample_points_validation():
+def test_sample_points_are_seeded_nonzero_integers():
     # SAMPLES points of nonzero integers in -5..5, one stream per seed
     pts = sample_points(E3, 0)
     assert len(pts) == SAMPLES

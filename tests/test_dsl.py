@@ -500,6 +500,20 @@ def test_render_parse_round_trip():
         assert records[-1].text == [s]
 
 
+def test_printed_lift_declares_back():
+    # the README's round trip on a large tensor: 1,527 printed terms
+    prelude = ("chart M { x:0, y:0, z:0 }\nfn f on M = x^3*y^3*z^3 + x*y*z\n"
+               "lift f lambda=10 r=10 as F\n")
+    records, code = run(prelude + "print F\n")
+    text = records[-1].text[0]
+    assert code == 0 and len(re.findall(r" [+-] ", text)) + 1 == 1527
+    records, code = run(prelude + f"prolong M r=10 as P\nfn G on P = {text}\n"
+                        "oracle spotcheck F G\n")
+    assert code == 0
+    assert records[-2].text == [f"G = {text}"]
+    assert records[-1].text == ["oracle spotcheck: agree"]
+
+
 def _tagged_block(rng, chart, n, contra, tag):
     """A random purely contra- or covariant n-tensor, tagged when n >= 2."""
     opts = {"max_terms": 2, "max_degree": 2}
@@ -911,6 +925,8 @@ DIAGNOSTICS = [
     ("connection G on M { G x x x = 1 }", "name", None, "'G' is already defined"),
     ("connection H on M { } x", "syntax", 23, "trailing input 'x'"),
     ("fn f on M = 1/0", "syntax", 15, "division by zero"),
+    ("fn g on M = " + "(" * 101 + "x" + ")" * 101, "syntax", 113,
+     "parentheses nested deeper than 100"),
     ("eval f at (x=1/0)", "syntax", 16, "division by zero"),
 ]
 
@@ -923,42 +939,66 @@ def _dvf(name, col):
     return ("dvf", name, 1, col)
 
 
-EXPRESSION_TREES = [
+ADD, SUB, MUL, OX, WEDGE, NEG = ("add",), ("sub",), ("mul",), ("ox",), ("wedge",), ("neg",)
+
+# (text, postfix program, names in order): each operand's instructions come
+# before the operator that takes them, and a chain of one level folds left.
+EXPRESSION_PROGRAMS = [
     ("-x*y^2 + dx ox dy ^^ dz - 1/2*x",
-     ("sub",
-      ("add",
-       ("mul", ("neg", _var("x", 2)), ("pow", _var("y", 4), 2)),
-       ("ox", _var("dx", 10), ("wedge", _var("dy", 16), _var("dz", 22)))),
-      ("mul", ("num", Fraction(1, 2)), _var("x", 31))),
+     [_var("x", 2), NEG, _var("y", 4), ("pow", 2), MUL,
+      _var("dx", 10), _var("dy", 16), _var("dz", 22), WEDGE, OX, ADD,
+      ("num", Fraction(1, 2)), _var("x", 31), MUL, SUB],
      [_var("x", 2), _var("y", 4), _var("dx", 10), _var("dy", 16),
       _var("dz", 22), _var("x", 31)]),
     ("d/dx ^^ d/dy ox x*d/dz - (x - y)^2*dx",
-     ("sub",
-      ("ox",
-       ("wedge", _dvf("x", 1), _dvf("y", 9)),
-       ("mul", _var("x", 17), _dvf("z", 19))),
-      ("mul", ("pow", ("sub", _var("x", 27), _var("y", 31)), 2), _var("dx", 36))),
+     [_dvf("x", 1), _dvf("y", 9), WEDGE, _var("x", 17), _dvf("z", 19), MUL, OX,
+      _var("x", 27), _var("y", 31), SUB, ("pow", 2), _var("dx", 36), MUL, SUB],
      [_dvf("x", 1), _dvf("y", 9), _var("x", 17), _dvf("z", 19), _var("x", 27),
       _var("y", 31), _var("dx", 36)]),
     ("a - b - c ox d ^^ e * -f ^ 3",
-     ("sub",
-      ("sub", _var("a", 1), _var("b", 5)),
-      ("ox",
-       _var("c", 9),
-       ("wedge",
-        _var("d", 14),
-        ("mul", _var("e", 19), ("neg", ("pow", _var("f", 24), 3)))))),
+     [_var("a", 1), _var("b", 5), SUB, _var("c", 9), _var("d", 14), _var("e", 19),
+      _var("f", 24), ("pow", 3), NEG, MUL, WEDGE, OX, SUB],
      [_var(n, c) for n, c in zip("abcdef", (1, 5, 9, 14, 19, 24))]),
+    pytest.param("x" + " - x" * 2999,
+                 [_var("x", 1)] + [ins for c in range(5, 12_000, 4) for ins in (_var("x", c), SUB)],
+                 [_var("x", c) for c in range(1, 12_000, 4)], id="long-chain"),
+    pytest.param("-" * 2000 + "x^2 * y", [_var("x", 2001), ("pow", 2)] + [NEG] * 2000
+                 + [_var("y", 2007), MUL], [_var("x", 2001), _var("y", 2007)],
+                 id="unary-chain"),
 ]
 
 
-@pytest.mark.parametrize("text,tree,names", EXPRESSION_TREES)
-def test_expression_trees_pinned(text, tree, names):
+@pytest.mark.parametrize("text,program,names", EXPRESSION_PROGRAMS)
+def test_expression_programs_pinned(text, program, names):
     # + - loosest, then ox, then ^^, then *; unary minus and ^ bind tighter
     p = dsl._Parser(dsl._lex_line(text, 1), 1, text)
-    assert p.expr() == tree
+    assert p.expr() == program
     p.done()
-    assert list(dsl._expr_names(tree)) == names
+    assert [ins for ins in program if ins[0] in ("var", "dvf")] == names
+
+
+# Operand chains of any length parse, resolve and run without recursing
+# per operand: (line 2, the declared function's text).
+LONG_EXPRESSIONS = {
+    "sum-3000": ("fn f on M = " + " + ".join(f"x^{i}" for i in range(3000, 0, -1)),
+                 " + ".join(f"x^{i}" for i in range(3000, 1, -1)) + " + x"),
+    "minus-2000": ("fn f on M = " + "-" * 2000 + "x", "x"),
+    "product-1500": ("fn f on M = " + "*".join(["x"] * 1500), "x^1500"),
+    "nesting-100": ("fn f on M = " + "(" * 100 + "x - y" + ")" * 100, "x - y"),
+}
+
+
+@pytest.mark.parametrize("line,text", LONG_EXPRESSIONS.values(), ids=LONG_EXPRESSIONS)
+def test_long_expressions_run(line, text):
+    records, code = run("chart M { x:0, y:0 }\n" + line + "\n")
+    assert code == 0
+    assert records[-1].text == [f"f = {text}"]
+
+
+def test_deepest_nesting_runs_through_the_cli(tmp_path):
+    path = _write(tmp_path, "chart M { x:0 }\nfn f on M = " + "(" * 100 + "x" + ")" * 100
+                  + "\nprint f\n")
+    assert json.loads(_fresh_process_run(path))["records"][-1]["result"]["text"] == "x"
 
 
 @pytest.mark.parametrize("line,kind,col,message", DIAGNOSTICS)

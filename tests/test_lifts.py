@@ -2,6 +2,7 @@
 
 import random
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -638,6 +639,32 @@ def test_seen_monomial_lifts_without_jet_products(monkeypatch):
     # x^2 and x were cached on the way to x^2 * y
     lift_function_jets(Poly.from_terms(chart, [(((0, 2),), 3), (((0, 1),), 1), ((), 4)]), ctx)
     assert calls == []
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_product_of_many_variables_lifts_without_recursing_per_variable():
+    # the prefix jets of x0*x1*...*x199 are built in a loop: 50 frames above
+    # this one are ample, where a call per variable would need 200
+    n = 200
+    chart = make_chart([f"x{i}" for i in range(n)], [0] * n)
+    f = Poly.from_terms(chart, [(tuple((i, 1) for i in range(n)), 1)])
+    ctx = LiftContext(chart, 1)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        jets = lift_function_jets(f, ctx)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [len(p.terms) for p in jets] == lifts._lift_terms(scalar_field(chart, f), 1) == [1, n]
+    # level 1 replaces one x_i by its level-1 variable n + i
+    assert jets[1].terms == {tuple(sorted((j + n * (j == i), 1) for j in range(n))): 1
+                             for i in range(n)}
 
 
 def test_power_jet_takes_logarithmically_many_products(monkeypatch):

@@ -37,7 +37,7 @@ E2 = make_chart(["x", "y"], [0, 0])
 E3 = make_chart(["x", "y", "z"], [0, 0, 0])
 
 
-def test_sample_plan():
+def test_spot_points_are_pinned():
     # the spot check's SAMPLES points: per point and variable a numerator
     # from -5..5 (0 becomes 1), then a denominator from 1..3
     assert sampling.SAMPLES == 8
