@@ -9,13 +9,14 @@ is the coefficient extraction
 
 a polynomial on the prolonged chart; lambda outside 0..r gives zero, and
 r = 0 lifts are the identity.  All lifts f^(0), ..., f^(r) together form
-the jet of f: a list of r+1 polynomials multiplied by the truncated
-Cauchy product (f*g)_k = sum_{i+j=k} f_i g_j, k <= r, so t never appears
-as a variable.  Inside a context a monomial's jet is kept as plain term
-dicts {level: {monomial: int}} and multiplied as such (_jet_mul), so the
-product builds no Poly; a function's jet is returned as one Poly per
-level.  Lifts of tensors are generated from the function lift
-and the basis rules
+the jet of f, a list of r+1 polynomials, so t never appears as a
+variable.  The jet of a monomial is read off in closed form: x^e
+expands multinomially over the ways of spreading its e copies across
+the levels, and a product of powers picks one term of each.  Inside a
+context a monomial's jet is kept as plain term dicts
+{level: {monomial: int}}, so building it builds no Poly; a function's
+jet is returned as one Poly per level.  Lifts of tensors are generated
+from the function lift and the basis rules
 
     (dx)^(lambda)   = dx_lambda,
     (d/dx)^(lambda) = d/d(x_{r-lambda}),
@@ -30,9 +31,8 @@ variable x and one level mu (the fibration T^r M -> M in coordinates),
 so a lifted monomial comes from exactly one base monomial, a lifted
 index block from exactly one stored block and one level tuple, and a
 lifted key, an up and a down block, from one stored key.  The terms of
-a function's jet and the components of a lifted tensor are therefore
-disjoint: each is stored by assignment.  Only a monomial's own jet,
-built once per context, is a product of jets (_jet_mul).  A lifted
+a function's jet, of a monomial's jet and the components of a lifted
+tensor are therefore disjoint: each is stored by assignment.  A lifted
 connection is read off the complete lift of its Christoffel tensor
 (lift_linear_connection).
 
@@ -47,13 +47,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from itertools import product
+from math import comb
 
 from .calculus import vf_apply
 from .charts import (Chart, _check_int, prolong_chart, tangent_chart,
                      vb_split)
 from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import Poly, _acc, _coefficient, mono_mul
+from .poly import Poly, _acc, _coefficient
 from .tensor import TensorField, _same_chart, _sort_with_parity
 
 __all__ = [
@@ -77,11 +78,9 @@ class LiftContext:
       prolonged chart per nonzero level, every coefficient a positive
       int, no Poly.  A function's jet is its terms' cached jets, each
       scaled by its coefficient and stored side by side.  A power x_v^e
-      is the monomial ((v, e),);
-      building one caches the powers of its halving chain (at most
-      2 * e.bit_length() of them), and a product of powers caches its
-      leading factors, so the cache is bounded by the distinct monomials
-      lifted and their factors.
+      is the monomial ((v, e),); a product of powers caches its powers
+      too, so the cache is bounded by the distinct monomials lifted and
+      their powers.
     - _blocks, keyed by (block, tag, contra): rows [(lifted block, sign),
       ...] by level sum a, the block's canonical lifted keys over its
       level tuples summing to a, in product order, with the sign an
@@ -115,44 +114,52 @@ class LiftContext:
     def _monomial_jet(self, mono: tuple) -> dict:
         """Sparse jet {level: {monomial: int}} of one monomial, built once.
 
-        A product of powers is its leading factors' jet times the jet of
-        its last power; the jets of its prefixes are built in a loop from
-        the longest one cached, so a product of many variables does not
-        recurse.  A power x_v^e with e > 1 is jet(x_v^(e - e//2)) *
-        jet(x_v^(e//2)); the exponents of that halving chain are built in
-        increasing order, so large exponents take O(log e) products and
-        do not recurse.  Level mu of x_v is the prolonged variable
-        mu * n + v, inlined as in _block_table: v comes from a monomial of
-        a Poly on the base chart, so it is a valid index.
+        A power x_v^e is a multinomial expansion: one term per spread of
+        its e copies, k_mu of them at level mu with sum mu * k_mu <= r
+        (k_0 takes the rest), at level sum mu * k_mu with coefficient
+        e! / prod k_mu! = prod C(left, k_mu), left being the copies not yet
+        placed.  Level mu of x_v is the prolonged variable mu * n + v,
+        inlined as in _block_table (v comes from a monomial of a Poly on
+        the base chart, so it is a valid index), so each monomial is
+        sorted as built.  A product of powers picks one term of each
+        power's cached jet with levels summing to at most r; distinct base
+        variables lift to distinct prolonged variables, so distinct picks
+        are distinct monomials.  A pick is chained as (monomial, earlier
+        picks) and flattened once, so the build is quadratic in the
+        number of factors.
         """
         jets = self._jets
         jet = jets.get(mono)
         if jet is not None:
             return jet
-        if len(mono) > 1:
-            k = len(mono) - 1
-            while k > 1 and mono[:k] not in jets:
-                k -= 1
-            jet = self._monomial_jet(mono[:k])      # cached, or one power
-            for j in range(k, len(mono)):
-                jet = jets[mono[:j + 1]] = _jet_mul(jet, self._monomial_jet(mono[j:j + 1]), self.r)
-            return jet
-        (v, e), = mono
-        need, todo = set(), [e]
-        while todo:
-            k = todo.pop()
-            if k not in need and ((v, k),) not in jets:
-                need.add(k)
-                if k > 1:
-                    todo += (k - k // 2, k // 2)
-        n = self.base.dim
-        for k in sorted(need):
-            if k == 1:
-                jets[((v, 1),)] = {mu: {((mu * n + v, 1),): 1} for mu in range(self.r + 1)}
-            else:
-                jets[((v, k),)] = _jet_mul(jets[((v, k - k // 2),)],
-                                           jets[((v, k // 2),)], self.r)
-        return jets[mono]
+        r, n = self.r, self.base.dim
+        jet = {}
+        if len(mono) == 1:
+            (v, e), = mono
+            spreads = [(0, e, 1, ())]      # (level, copies left, coefficient, monomial)
+            for mu in range(1, r + 1):
+                spreads = [(s + mu * k, left - k, c * comb(left, k),
+                            m + ((mu * n + v, k),) if k else m)
+                           for s, left, c, m in spreads
+                           for k in range(min(left, (r - s) // mu) + 1)]
+            for s, left, c, m in spreads:
+                jet.setdefault(s, {})[((v, left),) + m if left else m] = c
+        else:
+            picks = [(0, 1, None)]          # (level, coefficient, chain)
+            for power in mono:
+                factor = self._monomial_jet((power,))
+                picks = [(s + k, c * cm, (m, chain))
+                         for s, c, chain in picks
+                         for k, terms in factor.items() if s + k <= r
+                         for m, cm in terms.items()]
+            for s, c, chain in picks:
+                flat = []
+                while chain:
+                    m, chain = chain
+                    flat += m
+                jet.setdefault(s, {})[tuple(sorted(flat))] = c
+        jets[mono] = jet
+        return jet
 
     def _block_table(self, block: tuple, sym: str, contra: bool) -> tuple:
         """Rows [(lifted block, sign), ...] of one index block, by level sum.
@@ -177,26 +184,6 @@ class LiftContext:
 
     def __repr__(self) -> str:
         return f"<LiftContext r={self.r} of {self.base!r}>"
-
-
-def _jet_mul(a: dict, b: dict, r: int) -> dict:
-    """Truncated Cauchy product of two sparse jets {level: {monomial: int}}.
-
-    Level k <= r sums the term products of every level pair i + j = k
-    into one term dict through _acc; no Poly is built.
-    """
-    out: dict = {}
-    for i, ai in a.items():
-        for j, bj in b.items():
-            k = i + j
-            if k <= r:
-                acc = out.get(k)
-                if acc is None:
-                    acc = out[k] = {}
-                for ma, ca in ai.items():
-                    for mb, cb in bj.items():
-                        _acc(acc, mono_mul(ma, mb), ca * cb)
-    return out
 
 
 def lift_function_jets(f: Poly, ctx: LiftContext) -> list:

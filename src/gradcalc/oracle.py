@@ -57,8 +57,9 @@ def taylor_lift_oracle(f: Poly, lam: int, ctx: LiftContext) -> Poly:
 
     Substitutes the level expansion into f, takes d^lam/dt^lam of the
     result symbolically, divides by lam factorial and sets t = 0.  The
-    main lift path extracts the t^lam coefficient directly from one
-    substitution, so the two only agree if both are right.
+    main lift path reads each monomial's t^lam coefficient off its
+    multinomial expansion and never substitutes, so the two only agree
+    if both are right.
     """
     if f.chart is not ctx.base:
         raise ChartMismatchError("function does not live on the context's base chart")
