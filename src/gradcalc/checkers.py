@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 from itertools import combinations
 
 from .calculus import (
@@ -30,7 +29,7 @@ from .calculus import (
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_make
-from .poly import ANY_DEGREE, Poly, _coefficient, degree_matches, degree_of_function, \
+from .poly import ANY_DEGREE, Poly, _coef, _coefficient, degree_matches, degree_of_function, \
     homogeneous_components
 from .render import key_text, number_str, point_text
 from .sampling import sample_points
@@ -299,18 +298,15 @@ def _bundle_map(t: TensorField, sharp: bool, k: int | None, component: int) -> B
 
 def _integer_row(row) -> list:
     """A rational row times the LCM of its denominators: same span, int entries."""
-    row = [a if isinstance(a, (int, Fraction)) else Fraction(a) for a in row]
-    lcm = 1
-    for a in row:
-        if type(a) is not int:
-            lcm = math.lcm(lcm, a.denominator)
+    row = [_coef(a) for a in row]
+    lcm = math.lcm(*(a.denominator for a in row))
     return [a * lcm if type(a) is int else a.numerator * (lcm // a.denominator)
             for a in row]
 
 
 def rational_rank(rows: list) -> int:
-    """Rank of a matrix of rationals (int, Fraction, or what Fraction()
-    accepts) by fraction-free elimination.
+    """Rank of a matrix of numbers (each an int or a Fraction, by the one
+    number rule of poly._coef) by fraction-free elimination.
 
     Each row is scaled to integers by the LCM of its denominators, which
     keeps the rank.  Bareiss elimination (Math. Comp. 22, 1968) then keeps

@@ -52,7 +52,7 @@ from .checkers import (Distribution, is_almost_complex, is_almost_product,
                        is_weighted_poisson, is_weighted_pn,
                        is_weighted_tensor)
 from .errors import DslError, GradcalcError
-from .lifts import (LiftContext, LinearConnection, _lift_terms, covariant_derivative,
+from .lifts import (LiftContext, LinearConnection, _lift_sizes, covariant_derivative,
                     lift_distribution, lift_function, lift_linear_connection,
                     lift_tensor, tangent_connection)
 from .oracle import (evaluate_tensor_at, identity_spot_check,
@@ -234,7 +234,8 @@ class _Parser:
         return tuple(out)
 
     def braced(self, what: str, entry: Callable) -> tuple:
-        """{ entry, ... }; empty entries between commas are skipped."""
+        """{ entry, ... }: a ',' or the '}' follows each entry; empty entries
+        between commas are skipped."""
         self.expect("lbrace", "'{'")
         out = []
         while True:
@@ -245,6 +246,10 @@ class _Parser:
                 return tuple(out)
             if not self.accept("comma"):
                 out.append(entry())
+                t = self.peek()
+                if t is not None and t.kind not in ("comma", "rbrace"):
+                    raise DslError(f"expected ',' or '}}', got {t.text!r}", "syntax",
+                                   t.line, t.col)
 
     def _once(self, label: str, seen: set, what: str) -> str:
         """An identifier not in seen, which then holds it"""
@@ -275,12 +280,17 @@ class _Parser:
             return var, self.parenthesized(self._int)
         return var, (self._int(),)
 
-    def christoffel(self) -> tuple:
-        """G up lo lo = expr, as ((up, lo, lo), expr)"""
-        self.expect_word("G")
+    def christoffel(self, seen: set) -> tuple:
+        """G up lo lo = expr, as ((up, lo, lo), expr); each index triple
+        not in seen, which then holds it"""
+        g = self.expect_word("G")
         idx = (self.expect("ident", "upper index").text,
                self.expect("ident", "lower index").text,
                self.expect("ident", "lower index").text)
+        if idx in seen:
+            raise DslError(f"symbol 'G {' '.join(idx)}' is given twice", "syntax",
+                           g.line, g.col)
+        seen.add(idx)
         self.expect("equals")
         return idx, self.expr()
 
@@ -398,7 +408,8 @@ def _dist_body(p: _Parser, form: Form, a: dict) -> None:
 def _connection_body(p: _Parser, form: Form, a: dict) -> None:
     """NAME on CHART { G up lo lo = expr, ... }"""
     _on_chart(p, a)
-    a["exprs"] = p.braced("connection", p.christoffel)
+    seen: set = set()
+    a["exprs"] = p.braced("connection", lambda: p.christoffel(seen))
 
 
 def _parse_statement(tokens: list, line_no: int, src: str) -> CmdStmt:
@@ -550,7 +561,6 @@ def _power_work(coefs, e: int) -> int:
     t = len(coefs)
     if not t:
         return 0
-    coefs = [Fraction(c) for c in coefs]
     den = math.lcm(*(c.denominator for c in coefs))
     total = int(sum(abs(c) for c in coefs) * den)
     bits = (total - 1).bit_length() + (den - 1).bit_length()
@@ -567,21 +577,29 @@ def _power_work(coefs, e: int) -> int:
     return work
 
 
-# Largest term count the lifts of one script statement may reach, summed
-# over levels 0..r (_check_lift): a lift builds the jets of its
-# coefficients at every level.  Measured on a 2-core machine: lifts of
-# x^3*y^3*z^3 + x*y*z at r=20 (187,086 terms) take 0.6 s, at r=25
-# (794,111) 2.1 s and at r=30 (2,751,282) 7.3 s; lift-connection of
-# G x x y = x^3*y^3 at r=20 (204,380) takes 0.2 s and at r=60
-# (292,206,156) 33 s; oracle lift of the function above at r=5 (175,832
-# terms of its substitution) takes 1.1 s.
-_MAX_LIFT_TERMS = 500_000
+# Largest size the lifts of one script statement may reach, in entries
+# summed over levels 0..r (_check_lift): a lift builds the jets of its
+# coefficients at every level, and each lifted term stores its
+# prolonged variables and its indices (lifts._lift_sizes), so a count of
+# terms alone misses long monomials.  Measured on a 2-core machine, the
+# lifts that run: lift f lambda=20 r=20 of x^3*y^3*z^3 + x*y*z
+# (1,673,148 entries) takes 1.3 s and 85 MB, lift-connection of
+# G x x y = x^3*y^3 at r=20 (1,635,040) 0.1 s, the lift of a product of
+# 1,500 variables at r=1 (2,251,500) 3.2 s and 139 MB, and oracle lift
+# of the function above at r=5 (1,581,192) 3 s.  A product of 700
+# variables at r=2 (172,235,700 entries in only 246,051 terms) ran out
+# of 1.5 GB of address space.
+_MAX_LIFT_ENTRIES = 4_000_000
 
 
-def _check_lift(r: int, terms: int) -> None:
-    if terms > _MAX_LIFT_TERMS:
-        raise GradcalcError(f"a lift to order r={r} may have {terms} terms, "
-                            f"which exceeds the limit {_MAX_LIFT_TERMS}")
+def _check_lift(r: int, sizes: list) -> None:
+    """GradcalcError if a statement's lifts, whose (terms, entries) sum over
+    sizes, may store more than _MAX_LIFT_ENTRIES entries."""
+    terms, entries = sum(n for n, _ in sizes), sum(k for _, k in sizes)
+    if entries > _MAX_LIFT_ENTRIES:
+        raise GradcalcError(f"a lift to order r={r} may store {entries} variables and "
+                            f"indices in {terms} terms, which exceeds the limit "
+                            f"{_MAX_LIFT_ENTRIES}")
 
 
 class _Env:
@@ -742,7 +760,7 @@ def _run_conn(st: CmdStmt, env: _Env, a: dict) -> tuple:
         key = (chart.index(lo1), chart.index(up), chart.index(lo2))
         _acc(gamma, key, v.scalar_part())
     return _bind(st, env, a, tangent_connection(chart, gamma),
-                 [f"{a['as']}: connection with {len(a['exprs'])} symbols"], "connection")
+                 [f"{a['as']}: connection with {len(gamma)} symbols"], "connection")
 
 
 def _run_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
@@ -752,8 +770,8 @@ def _run_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
         raise GradcalcError("distributions lift wholesale: drop lambda=" if dist
                             else "tensor lifts need lambda=")
     ctx = env.context(x.chart, a["r"])
-    _check_lift(ctx.r, sum(sum(_lift_terms(t, ctx.r))
-                           for t in (x.generators if dist else (x,))))
+    _check_lift(ctx.r, [level for t in (x.generators if dist else (x,))
+                        for level in _lift_sizes(t, ctx.r)])
     if not dist:
         return _bind(st, env, a, lift_tensor(x, a["lambda"], ctx))
     lifted = lift_distribution(x, ctx)
@@ -769,7 +787,7 @@ def _run_prolong(st: CmdStmt, env: _Env, a: dict) -> tuple:
 def _run_lift_connection(st: CmdStmt, env: _Env, a: dict) -> tuple:
     conn = a["name"]
     ctx = env.context(conn.chart, a["r"])
-    _check_lift(ctx.r, sum(_lift_terms(conn, ctx.r)))
+    _check_lift(ctx.r, _lift_sizes(conn, ctx.r))
     lifted = lift_linear_connection(conn, ctx)
     return _bind(st, env, a, lifted,
                  [f"lifted connection with {len(lifted.gamma)} symbols"])
@@ -831,9 +849,11 @@ def _run_oracle_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:
     f = t.scalar_part()
     ctx = env.context(t.chart, a["r"])
     # the oracle substitutes without truncating: x^a takes C(a+r, a) terms,
-    # and it builds the powers of x's image (r+1 terms of coefficient 1) up
-    # to x's top power, as costly as Poly.__pow__ (x^2000 at r=1: 3.8 s)
-    _check_lift(ctx.r, sum(math.prod(math.comb(e + ctx.r, e) for _, e in m) for m in f.terms))
+    # each holding up to min(a, r+1) of x's prolonged variables, and it
+    # builds the powers of x's image (r+1 terms of coefficient 1) up to
+    # x's top power, as costly as Poly.__pow__ (x^2000 at r=1: 3.8 s)
+    counts = [(math.prod(math.comb(e + ctx.r, e) for _, e in m), m) for m in f.terms]
+    _check_lift(ctx.r, [(n, n * sum(min(e, ctx.r + 1) for _, e in m)) for n, m in counts])
     work = sum(_power_work([1] * (ctx.r + 1), max(dict(m).get(v, 0) for m in f.terms))
                for v in f.variables_used())
     if work > _MAX_POWER_WORK:

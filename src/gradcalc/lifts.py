@@ -229,8 +229,8 @@ def _level_counts(exps: tuple, r: int) -> list:
     return counts
 
 
-def _lift_terms(t, r: int) -> list:
-    """Terms of each lift of t at order r, per level.
+def _lift_sizes(t, r: int) -> list:
+    """(terms, entries) of each lift of t at order r, per level.
 
     t is a TensorField or a LinearConnection, whose symbols lift like
     coefficients with two basis slots.  Entry lam counts the terms of
@@ -239,13 +239,16 @@ def _lift_terms(t, r: int) -> list:
     one slot per basis factor.  It is exact for every function, every
     connection and every tensor without a sym tag (disjoint, see the
     module docstring); for a sym tensor it is an upper bound, since it
-    counts a sym block's duplicate level orders.
+    counts a sym block's duplicate level orders.  entries weights each
+    term by what it stores: a lifted monomial holds at most min(e, r+1)
+    prolonged variables of a base variable of exponent e, one per level
+    its copies take, and a lifted key one index per basis slot.
     """
     if isinstance(t, LinearConnection):
         coefs = [(2, g) for g in t.gamma.values()]
     else:
         coefs = [(len(up) + len(down), c) for (up, down), c in t.components.items()]
-    out = [0] * (r + 1)
+    terms = entries = [0] * (r + 1)
     cache: dict = {}
     for slots, coef in coefs:
         for mono in coef.terms:
@@ -253,8 +256,10 @@ def _lift_terms(t, r: int) -> list:
             counts = cache.get(exps)
             if counts is None:
                 counts = cache[exps] = _level_counts(exps, r)
-            out = [a + b for a, b in zip(out, counts)]
-    return out
+            length = sum(min(e, r + 1) for _, e in mono) + slots
+            terms = [a + b for a, b in zip(terms, counts)]
+            entries = [a + b * length for a, b in zip(entries, counts)]
+    return list(zip(terms, entries))
 
 
 def _lifted_block(key: tuple, base: tuple, sym: str) -> tuple:

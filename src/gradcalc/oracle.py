@@ -41,7 +41,7 @@ from .charts import Chart, _check_int
 from .checkers import CheckReport
 from .errors import ChartMismatchError, GradcalcError, ValenceError
 from .lifts import LiftContext
-from .poly import Poly
+from .poly import Poly, _coef
 from .render import key_text, point_text
 from .sampling import SAMPLES
 from .tensor import TensorField
@@ -91,7 +91,8 @@ def taylor_lift_oracle(f: Poly, lam: int, ctx: LiftContext) -> Poly:
 def evaluate_tensor_at(k: TensorField, point: dict) -> dict:
     """Exact values of all expanded components at one rational point.
 
-    point maps each variable (index or name) once to a rational and must
+    point maps each variable (index or name) once to a number (an int or a
+    Fraction, by poly._coef, the input check this oracle shares) and must
     cover the whole chart.  Returns {(up, down): Fraction}, zeros dropped.
     """
     chart = k.chart
@@ -100,7 +101,7 @@ def evaluate_tensor_at(k: TensorField, point: dict) -> dict:
         i = chart.index(key)
         if i in pt:
             raise GradcalcError(f"evaluation point gives variable {chart.names[i]} twice")
-        pt[i] = v if isinstance(v, (int, Fraction)) else Fraction(v)
+        pt[i] = _coef(v)
     missing = set(range(chart.dim)) - set(pt)
     if missing:
         names = ", ".join(chart.names[i] for i in sorted(missing))

@@ -13,16 +13,19 @@ different chart objects raises ChartMismatchError even when the variable
 tables agree; use reindex() to move a polynomial onto another chart by
 variable name.
 
-Coefficients are exact rationals: the constructors, scalar
-multiplication and division store a whole number as an int and any
-other value as a fractions.Fraction, so products of integer
-polynomials never pay for a gcd.  Arithmetic between stored
-coefficients may still leave a whole Fraction (Fraction(1, 2) * 2).
-Equality is unaffected, because Fraction(2) == 2 with equal hashes, and
-so is rendering, because both print as 2.  No coefficient is ever a
-float.  constant_value() and evaluate() return Fraction; evaluate()
-sums in integers over one common denominator and builds only that
-Fraction.  There is no division by non-constant polynomials.
+Coefficients are exact rationals.  _coef(value) is the one number
+rule: a number passed to a constructor, an operator, evaluate() or a
+builder elsewhere must be an int (not a bool) or a fractions.Fraction,
+else GradcalcError.  A float or a str operand of + - * is left to
+Python (NotImplemented), and == is False for any non-number.  A whole
+number is stored as an int, so products of integer polynomials never
+pay for a gcd.  Arithmetic between stored coefficients may still leave
+a whole Fraction (Fraction(1, 2) * 2).  Equality is unaffected, because
+Fraction(2) == 2 with equal hashes, and so is rendering, because both
+print as 2.  No coefficient is ever a float.  constant_value() and
+evaluate() return Fraction; evaluate() sums in integers over one common
+denominator and builds only that Fraction.  There is no division by
+non-constant polynomials.
 
 A Poly keeps its variable set and the first derivatives it was asked
 for.  variables_used() builds a frozenset on the first call and returns
@@ -39,8 +42,8 @@ through it, except in the oracles, which keep their own loops to stay
 independent of the code they check.
 
 _coefficient(chart, value, what, base) is the one coefficient rule of
-the builders outside this module; Poly's operators (the hot path) and
-the oracles keep their own checks.
+the builders outside this module: a number goes through _coef, a Poly
+must live on the chart.
 """
 
 from __future__ import annotations
@@ -61,12 +64,15 @@ Monomial = tuple  # tuple[tuple[int, int], ...]
 
 
 def _coef(value):
-    """A coefficient in stored form: int when whole, else Fraction."""
+    """The one number rule: value in stored form, an int when whole, else a
+    Fraction.  Any value but an int (not a bool) or a Fraction raises."""
     if type(value) is int:
         return value
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int(value)
+    raise GradcalcError(f"a number must be an int or a Fraction, not {value!r}")
 
 
 def _acc(store: dict, key, value) -> None:
@@ -291,13 +297,13 @@ class Poly:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                raise ZeroDivisionError("division by zero")
-            return self * Fraction(1, other)
-        if isinstance(other, Poly) and other.is_constant():
-            return self / other.constant_value()
-        raise GradcalcError("can only divide by a nonzero constant")
+        if isinstance(other, Poly):
+            if not other.is_constant():
+                raise GradcalcError("can only divide by a nonzero constant")
+            other = other.constant_value()
+        if not _coef(other):
+            raise ZeroDivisionError("division by zero")
+        return self * Fraction(1, other)
 
     def __pow__(self, n: int):
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
@@ -315,7 +321,7 @@ class Poly:
         return out
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.const(self.chart, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -398,8 +404,8 @@ class Poly:
     def evaluate(self, point: Mapping) -> Fraction:
         """Exact value at a point given as {variable index: rational}.
 
-        A coordinate may be an int, a Fraction, or anything Fraction()
-        accepts (str, float); only the variables that occur are read.  The
+        A coordinate is a number by the rule of _coef (an int or a
+        Fraction); only the variables that occur are read.  The
         sum runs in integers over one common denominator: the LCM of the
         coefficient denominators times den^top for each variable, top
         being its largest exponent.  A term's numerator starts as its
@@ -429,9 +435,7 @@ class Poly:
         full = 1               # product of den^top over the variables
         bits = 0               # bound on the bits of one term's powers
         for v, t in top.items():
-            x = point[v]
-            if not isinstance(x, (int, Fraction)):
-                x = Fraction(x)
+            x = _coef(point[v])
             num, den = x.numerator, x.denominator
             bits += t * (max(abs(num), den) - 1).bit_length()
             if bits > _MAX_POWER_BITS:

@@ -745,7 +745,10 @@ def test_rational_rank_matches_fraction_reference(rows):
     want = rank_by_fractions(rows)
     assert rational_rank(rows) == want
     assert rational_rank([[Fraction(a) for a in r] for r in rows]) == want
-    assert rational_rank([[str(a) for a in r] for r in rows]) == want
+    # rows written as str are refused, not read
+    if any(rows):
+        with pytest.raises(GradcalcError, match="a number must be an int or a Fraction"):
+            rational_rank([[str(a) for a in r] for r in rows])
 
 
 def test_rational_rank_spot_values():
@@ -755,7 +758,12 @@ def test_rational_rank_spot_values():
     assert rational_rank([[Fraction(1, 2), Fraction(1, 3)], [3, 2]]) == 1
     assert rational_rank([[Fraction(1, 2), 0], [0, Fraction(-2, 3)]]) == 2
     assert rational_rank([[], []]) == 0
-    assert rational_rank([[0.5, "1/3", Fraction(2)]]) == 1
+    assert rational_rank([[Fraction(1, 2), Fraction(1, 3), Fraction(2)]]) == 1
+    # 0.1 would become 3602879701896397/36028797018963968, and these two
+    # proportional rows would have rank 2
+    for rows in ([[0.1, 1], [1, 10]], [[Fraction(1, 2), "1/3"]], [[True, 0]]):
+        with pytest.raises(GradcalcError, match="a number must be an int or a Fraction"):
+            rational_rank(rows)
 
 
 # seed -> y of the witness point (x = 1 there), from the Fraction elimination

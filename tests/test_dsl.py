@@ -259,30 +259,42 @@ chart M { x:0, y:0, z:0 }
 fn f on M = x^3*y^3*z^3 + x*y*z
 connection C on M { G x x y = x^3*y^3 }
 dist D on M = span(x^3*y^3*z^3*d/dx, d/dy)
+chart P { """ + ", ".join(f"v{i}:0" for i in range(700)) + """ }
+fn p on P = """ + "*".join(f"v{i}" for i in range(700)) + """
 """
 
-# Every lift of a script is bounded by the terms its lifts at levels 0..r
-# may have (lifts._lift_terms; the Taylor oracle counts its untruncated
-# substitution): (line 5, exit code, message).  Without the bound, r=30
-# took 7 s and lift-connection at r=60 took 33 s; r=100 did not finish.
+# Every lift of a script is bounded by what its lifts at levels 0..r may
+# store: each term weighted by its prolonged variables and its indices
+# (lifts._lift_sizes; the Taylor oracle weighs its untruncated
+# substitution the same way): (line 7, exit code, message).  Without the
+# bound, r=30 took 7 s and lift-connection at r=60 took 33 s; r=100 did
+# not finish.  A product of 700 variables at r=2 has few terms for their
+# length, and ran out of 1.5 GB of address space.
 LIFT_BOUND = {
-    "lift-30": ("lift f lambda=30 r=30", 3, "a lift to order r=30 may have 2751282 "
-                "terms, which exceeds the limit 500000"),
-    "lift-100": ("lift f lambda=100 r=100", 3, "a lift to order r=100 may have "
-                 "28564784242 terms, which exceeds the limit 500000"),
-    "lift-lambda-0": ("lift f lambda=0 r=30", 3, "a lift to order r=30 may have 2751282 "
-                      "terms, which exceeds the limit 500000"),
-    "connection-60": ("lift-connection C r=60", 3, "a lift to order r=60 may have "
-                      "292206156 terms, which exceeds the limit 500000"),
-    "distribution-30": ("lift D r=30", 3, "a lift to order r=30 may have 12044567 "
-                        "terms, which exceeds the limit 500000"),
-    "oracle-6": ("oracle lift f lambda=6 r=6", 3, "a lift to order r=6 may have 593047 "
-                 "terms, which exceeds the limit 500000"),
+    "lift-30": ("lift f lambda=30 r=30", 3, "a lift to order r=30 may store 24728802 "
+                "variables and indices in 2751282 terms, which exceeds the limit 4000000"),
+    "lift-100": ("lift f lambda=100 r=100", 3, "a lift to order r=100 may store "
+                 "257081997072 variables and indices in 28564784242 terms, which exceeds "
+                 "the limit 4000000"),
+    "lift-lambda-0": ("lift f lambda=0 r=30", 3, "a lift to order r=30 may store 24728802 "
+                      "variables and indices in 2751282 terms, which exceeds the limit "
+                      "4000000"),
+    "connection-60": ("lift-connection C r=60", 3, "a lift to order r=60 may store "
+                      "2337649248 variables and indices in 292206156 terms, which exceeds "
+                      "the limit 4000000"),
+    "distribution-30": ("lift D r=30", 3, "a lift to order r=30 may store 120445391 "
+                        "variables and indices in 12044567 terms, which exceeds the limit "
+                        "4000000"),
+    "oracle-6": ("oracle lift f lambda=6 r=6", 3, "a lift to order r=6 may store 5335365 "
+                 "variables and indices in 593047 terms, which exceeds the limit 4000000"),
+    "product-700": ("lift p lambda=2 r=2", 3, "a lift to order r=2 may store 172235700 "
+                    "variables and indices in 246051 terms, which exceeds the limit 4000000"),
     "lift-10": ("lift f lambda=10 r=10", 0, None),
     "connection-10": ("lift-connection C r=10", 0, None),
     "distribution-10": ("lift D r=10", 0, None),
     "oracle-2": ("oracle lift f lambda=2 r=2", 0, None),
     "oracle-5": ("oracle lift f lambda=5 r=5", 0, None),
+    "product-700-r0": ("lift p lambda=0 r=0", 0, None),
 }
 
 
@@ -294,7 +306,7 @@ def test_lift_bound(line, code, message):
     if message is not None:
         # rejected before any lifting
         assert time.perf_counter() - start < 1.0
-        assert records[-1].payload == {"error": {"kind": "semantic", "line": 5,
+        assert records[-1].payload == {"error": {"kind": "semantic", "line": 7,
                                                  "message": message}}
 
 
@@ -866,6 +878,13 @@ DIAGNOSTICS = [
     ("chart N { z:0", "syntax", 14, "unterminated chart block"),
     ("chart N { z:0, z:1 }", "syntax", 16, "variable 'z' is given twice"),
     ("chart N { z:0, z:(0,1) }", "syntax", 16, "variable 'z' is given twice"),
+    ("chart N { z:0 w:1 }", "syntax", 15, "expected ',' or '}', got 'w'"),
+    ("connection H on M { G x x x = 1 G x x x = x }", "syntax", 33,
+     "expected ',' or '}', got 'G'"),
+    ("connection H on M { G x x x = 1, G x x x = -1 }", "syntax", 34,
+     "symbol 'G x x x' is given twice"),
+    ("connection H on M { G x x y = 1, G y x x = 2, G x x y = x }", "syntax", 47,
+     "symbol 'G x x y' is given twice"),
     ("chart N { }", "syntax", 1, "chart declares no variables"),
     ("chart N { } x", "syntax", 13, "trailing input 'x'"),
     ("chart M { z:0 }", "name", None, "'M' is already defined"),
@@ -1070,6 +1089,18 @@ def test_declaration_records_frozen():
     doc = records_to_json(records)
     assert json.dumps(doc["records"]) == json.dumps(
         [{"stmt": stmt, **rec} for stmt, rec in zip(stmts, expected)])
+
+
+@pytest.mark.parametrize("block,count", [
+    ("{ }", 0), ("{ G x x x = 0 }", 0), ("{ , G x x x = 1, , }", 1),
+    ("{ G x x y = x, G y x x = 2 - 2 }", 1), ("{ G x x y = x, G y x x = 2 }", 2),
+])
+def test_connection_declaration_reports_what_it_stores(block, count):
+    records, code = run(f"chart M {{ x:0, y:0 }}\nconnection C on M {block}\nprint C\n")
+    assert code == 0
+    assert records[1].text == [f"C: connection with {count} symbols"]
+    assert records[1].payload["symbols"] == records[2].payload["symbols"] == count
+    assert (records[2].text == ["flat connection"]) == (count == 0)
 
 
 RUNNER_PRELUDE = """\

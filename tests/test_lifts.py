@@ -655,7 +655,7 @@ def test_product_of_many_variables_lifts_without_recursing_per_variable():
         jets = lift_function_jets(f, ctx)
     finally:
         sys.setrecursionlimit(limit)
-    assert [len(p.terms) for p in jets] == lifts._lift_terms(scalar_field(chart, f), 1) == [1, n]
+    assert [len(p.terms) for p in jets] == lift_terms(scalar_field(chart, f), 1) == [1, n]
     # the product and its n factors are cached, no prefix of it
     assert len(ctx._jets) == n + 2
     # level 1 replaces one x_i by its level-1 variable n + i
@@ -787,6 +787,15 @@ def terms_of(t: TensorField) -> int:
     return sum(len(c.terms) for c in t.components.values())
 
 
+def entries_of(t: TensorField) -> int:
+    """What a tensor's terms store: each monomial's variables and its key's indices."""
+    return sum(len(m) + t.q + t.p for c in t.components.values() for m in c.terms)
+
+
+def lift_terms(t, r: int) -> list:
+    return [n for n, _ in lifts._lift_sizes(t, r)]
+
+
 def test_lift_terms_spot_values():
     # the top lift of x^3*y^3*z^3 + x*y*z at r = lambda = 5, 10, 15, 20;
     # lift_function returns that many terms (checked at every level to r=10)
@@ -794,10 +803,13 @@ def test_lift_terms_spot_values():
     x, y, z = (Poly.variable(chart, i) for i in range(3))
     f = scalar_field(chart, x ** 3 * y ** 3 * z ** 3 + x * y * z)
     for r, want in ((5, 117), (10, 1527), (15, 10728), (20, 51198)):
-        assert lifts._lift_terms(f, r)[r] == want
+        assert lift_terms(f, r)[r] == want
     for r in (5, 10):
         jets = lift_function_jets(f.scalar_part(), LiftContext(chart, r))
-        assert lifts._lift_terms(f, r) == [len(j.terms) for j in jets]
+        assert lift_terms(f, r) == [len(j.terms) for j in jets]
+    # x^3*y^3*z^3 lifts to at most 3 + 3 + 3 variables a term, x*y*z to 3
+    assert sum(k for _, k in lifts._lift_sizes(f, 20)) == 1673148
+    assert lifts._lift_sizes(f, 1) == [(2, 9), (6, 27)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -807,19 +819,24 @@ def test_lift_terms_bound_every_lift(f, r, seed, kind):
     # exact but for a sym block, whose duplicate level orders it counts
     chart = f.chart
     ctx = LiftContext(chart, r)
-    est = lifts._lift_terms(scalar_field(chart, f), r)
-    assert [len(j.terms) for j in lift_function_jets(f, ctx)] == est
+    sizes = lifts._lift_sizes(scalar_field(chart, f), r)
+    jets = lift_function_jets(f, ctx)
+    assert [len(j.terms) for j in jets] == [n for n, _ in sizes]
+    # the entries bound what each level stores
+    assert all(sum(map(len, j.terms)) <= k for j, (_, k) in zip(jets, sizes))
     for mono, coef in f.terms.items():
         one = Poly.from_terms(chart, [(mono, coef)])
-        assert lifts._lift_terms(scalar_field(chart, one), r) == \
+        assert lift_terms(scalar_field(chart, one), r) == \
             [len(j.terms) for j in lift_function_jets(one, ctx)]
     t = random_tensor_of_kind(random.Random(seed), chart, kind) * f
-    est = lifts._lift_terms(t, r)
-    got = [terms_of(lift_tensor(t, lam, ctx)) for lam in range(r + 1)]
+    sizes = lifts._lift_sizes(t, r)
+    lifted = [lift_tensor(t, lam, ctx) for lam in range(r + 1)]
+    got = [terms_of(u) for u in lifted]
     if "sym" in (t.contra_sym, t.cov_sym):
-        assert all(n <= e for n, e in zip(got, est))
+        assert all(n <= e for n, (e, _) in zip(got, sizes))
     else:
-        assert got == est
+        assert got == [n for n, _ in sizes]
+    assert all(entries_of(u) <= k for u, (_, k) in zip(lifted, sizes))
     # a connection's symbols lift like coefficients with two basis slots;
     # a lifted symbol's fibre target level is its level rho
     conn = tangent_connection(chart, {(0, chart.dim - 1, 0): f})
@@ -827,7 +844,7 @@ def test_lift_terms_bound_every_lift(f, r, seed, kind):
     per_level = [0] * (r + 1)
     for (_, a, _), g in lift_linear_connection(conn, cctx).gamma.items():
         per_level[a // conn.chart.dim] += len(g.terms)
-    assert per_level == lifts._lift_terms(conn, r)
+    assert per_level == lift_terms(conn, r)
 
 
 # -- the paper's lift theorems on graded bases ----------------------------------

@@ -14,10 +14,16 @@ from gradcalc.errors import ChartMismatchError, GradcalcError
 from gradcalc.poly import (ANY_DEGREE, Poly, _acc, _coef, degree_matches,
                            degree_of_function, homogeneous_components,
                            mono_mul, mono_total_degree, weight_of_monomial)
-from gradcalc.tensor import scalar_field
+from gradcalc.checkers import rational_rank
+from gradcalc.lifts import tangent_connection
+from gradcalc.oracle import evaluate_tensor_at
+from gradcalc.tensor import TensorField, scalar_field, vector_field
 
 M = make_chart(["x", "y", "z"], [1, 2, 0], label="M")
 x, y, z = (Poly.variable(M, i) for i in range(3))
+
+# The message of the one number rule (poly._coef), up to the refused value.
+NUMBER_RULE = "a number must be an int or a Fraction, not "
 
 
 def rand_coef(rng, whole=False):
@@ -296,12 +302,21 @@ def test_int_coefficients_match_all_fraction_reference(seed, a_whole, b_whole, s
 
 
 def test_constructors_store_whole_coefficients_as_int():
-    for value in (3, -7, Fraction(4, 2), 2.0, True):
+    for value in (3, -7, Fraction(4, 2)):
         c = Poly.const(M, value).terms[()]
         assert type(c) is int and c == value
+    # the float and bool formats are gone: the number rule refuses them
+    for value in (2.0, True):
+        with pytest.raises(GradcalcError, match=NUMBER_RULE):
+            Poly.const(M, value)
+    with pytest.raises(GradcalcError, match=NUMBER_RULE):
+        Poly.from_terms(M, [(((1, 1),), 0.25)])
+    # an int subclass other than bool is an int, stored as a plain one
+    big = Poly.const(M, type("Big", (int,), {})(5)).terms[()]
+    assert type(big) is int and big == 5
     assert type(Poly.variable(M, "x").terms[((0, 1),)]) is int
     p = Poly.from_terms(M, [(((0, 1),), Fraction(6, 3)), ((), Fraction(1, 2)),
-                            (((1, 1),), 0.25)])
+                            (((1, 1),), Fraction(1, 4))])
     assert {m: type(c) for m, c in p.terms.items()} == {
         ((0, 1),): int, (): Fraction, ((1, 1),): Fraction}
     assert p.terms[((1, 1),)] == Fraction(1, 4)
@@ -312,6 +327,52 @@ def test_constructors_store_whole_coefficients_as_int():
     assert half / Fraction(1, 2) == x
     assert (half * Fraction(6, 3)).terms == x.terms
     assert type((x * Fraction(6, 3)).terms[((0, 1),)]) is int
+
+
+# Every way a number enters the engine, as a function of the number.
+NUMBER_ENTRY_POINTS = {
+    "Poly.const": lambda v: Poly.const(M, v),
+    "Poly.from_terms": lambda v: Poly.from_terms(M, [(((0, 1),), v)]),
+    "Poly /": lambda v: x / v,
+    "scalar_field": lambda v: scalar_field(M, v),
+    "vector_field": lambda v: vector_field(M, {"x": v}),
+    "TensorField.from_components": lambda v: TensorField.from_components(
+        M, 1, 0, {((0,), ()): v}),
+    "tangent_connection": lambda v: tangent_connection(M, {(0, 0, 0): v}),
+    "Poly.evaluate": lambda v: x.evaluate({0: v}),
+    "evaluate_tensor_at": lambda v: evaluate_tensor_at(scalar_field(M, x), {0: v, 1: 1, 2: 1}),
+    "rational_rank": lambda v: rational_rank([[1, v]]),
+}
+REFUSED_NUMBERS = {"0.1": 0.1, "2.0": 2.0, "'1/3'": "1/3", "True": True, "None": None}
+
+
+@pytest.mark.parametrize("entry", NUMBER_ENTRY_POINTS.values(), ids=NUMBER_ENTRY_POINTS)
+@pytest.mark.parametrize("text,value", REFUSED_NUMBERS.items(), ids=REFUSED_NUMBERS)
+def test_every_number_entry_point_refuses_what_is_not_int_or_fraction(entry, text, value):
+    with pytest.raises(GradcalcError) as ei:
+        entry(value)
+    assert ei.value.args == (NUMBER_RULE + text,)
+
+
+def test_tensor_scaling_follows_the_number_rule():
+    t = scalar_field(M, x)
+    for value in (0.1, "1/3", None):
+        with pytest.raises(TypeError):
+            t * value
+    for scale in (lambda: t * True, lambda: True * t):
+        with pytest.raises(GradcalcError) as ei:
+            scale()
+        assert ei.value.args == (NUMBER_RULE + "True",)
+
+
+def test_equality_with_a_non_number_is_false_and_never_raises():
+    zero, one, t = Poly.zero(M), Poly.const(M, 1), scalar_field(M, 1)
+    for value in (*REFUSED_NUMBERS.values(), False, 0.0, 1.0, "x", object()):
+        assert (x == value) is False and (value == x) is False
+        assert (one == value) is False and (zero == value) is False
+        assert (t == value) is False
+    assert (x != True) is True
+    assert one == 1 and one == Fraction(1) and zero == 0
 
 
 def test_constant_value_and_evaluate_return_fraction():
@@ -354,9 +415,7 @@ eval_polys = st.dictionaries(
     eval_coefs, max_size=6).map(lambda terms: Poly(M, terms))
 eval_coords = st.one_of(
     st.just(0), st.integers(-9, 9), st.integers(-10 ** 6, 10 ** 6),
-    st.fractions(min_value=-5, max_value=5, max_denominator=9),
-    st.fractions(min_value=-5, max_value=5, max_denominator=9).map(str),
-    st.floats(min_value=-8, max_value=8, allow_nan=False, allow_infinity=False))
+    st.fractions(min_value=-5, max_value=5, max_denominator=9))
 
 
 @given(eval_polys, st.fixed_dictionaries({v: eval_coords for v in range(3)}),
@@ -374,14 +433,21 @@ def test_evaluate_matches_fraction_reference(p, point, dropped):
         assert ei.value.args == e.args
     else:
         assert p.evaluate(partial) == want
+    # a used coordinate written as a str or a float is refused, not read
+    for v in p.variables_used():
+        for written in (str(point[v]), float(point[v])):
+            with pytest.raises(GradcalcError, match=NUMBER_RULE):
+                p.evaluate({**point, v: written})
 
 
 def test_evaluate_spot_values():
     half = Fraction(1, 2)
     p = Poly(M, {((0, 3), (1, 1)): Fraction(2, 3), ((2, 2),): -5, (): Fraction(7, 4)})
-    for pt in ({0: half, 1: -3, 2: Fraction(-2, 5)}, {0: "1/2", 1: -3.0, 2: -0.4},
-               {0: 0, 1: 0, 2: 0}):
+    for pt in ({0: half, 1: -3, 2: Fraction(-2, 5)}, {0: 0, 1: 0, 2: 0}):
         assert p.evaluate(pt) == evaluate_by_fractions(p, pt)
+    for pt in ({0: "1/2", 1: -3, 2: 0}, {0: half, 1: -3.0, 2: 0}, {0: half, 1: -3, 2: -0.4}):
+        with pytest.raises(GradcalcError, match=NUMBER_RULE):
+            p.evaluate(pt)
     assert p.evaluate({0: half, 1: -3, 2: 0}) == Fraction(2, 3) * Fraction(1, 8) * -3 + \
         Fraction(7, 4)
     # unused coordinates are not read, whatever their type
@@ -631,6 +697,12 @@ POLY_REFUSALS = {
     "add-a-str": (lambda: _X.__add__("1"), NotImplemented),
     "sub-a-str": (lambda: _X.__sub__("1"), NotImplemented),
     "rsub-a-str": (lambda: _X.__rsub__("1"), NotImplemented),
+    "mul-a-float": (lambda: _X.__mul__(0.5), NotImplemented),
+    # a bool is an int to Python, so it reaches the number rule
+    "mul-a-bool": (lambda: _X * True, GradcalcError(NUMBER_RULE + "True")),
+    "radd-a-bool": (lambda: True + _X, GradcalcError(NUMBER_RULE + "True")),
+    "sub-a-bool": (lambda: _X - False, GradcalcError(NUMBER_RULE + "False")),
+    "divide-by-zero-poly": (lambda: _X / Poly.zero(M), ZeroDivisionError("division by zero")),
 }
 
 
