@@ -123,12 +123,9 @@ def vf_apply(x: TensorField, f: Poly) -> Poly:
     """Directional derivative X(f)."""
     if (x.q, x.p) != (1, 0):
         raise ValenceError("expected a vector field")
-    out = Poly.zero(f.chart)
     f_vars = f.variables_used()
-    for ((j,), _), xj in x.components.items():
-        if j in f_vars:
-            out = out + xj * f.diff(j)
-    return out
+    return Poly.from_terms(f.chart, (mc for ((j,), _), xj in x.components.items()
+                                     if j in f_vars for mc in (xj * f.diff(j)).terms.items()))
 
 
 def lie_derivative(x: TensorField, t: TensorField) -> TensorField:

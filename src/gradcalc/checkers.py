@@ -134,11 +134,8 @@ def _fails(label: str, rep: CheckReport, degrees: dict | None) -> CheckReport:
 
 def _linear(chart: Chart, pairs) -> Poly:
     """sum of c x_v over (v, c) pairs, each c moved onto chart by name."""
-    out = Poly.zero(chart)
-    for v, c in pairs:
-        if c:
-            out = out + Poly.variable(chart, v) * c.reindex(chart)
-    return out
+    return Poly.from_terms(chart, (mc for v, c in pairs if c for mc in
+                                   (Poly.variable(chart, v) * c.reindex(chart)).terms.items()))
 
 
 # -- weighted tensors ---------------------------------------------------------

@@ -60,7 +60,7 @@ from .oracle import (evaluate_tensor_at, identity_spot_check,
 from .poly import ANY_DEGREE, Poly, _acc
 from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
                      key_text, number_str, render_poly, tensor_to_json)
-from .tensor import (TensorField, coordinate_one_form,
+from .tensor import (TensorField, _sum, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
 
@@ -622,7 +622,12 @@ class _Env:
 
 
 def _eval_expr(program: list, chart: Chart) -> TensorField:
-    """Run an expression's postfix program (_Parser.expr) on a stack."""
+    """Run an expression's postfix program (_Parser.expr) on a stack.  An
+    add/sub chain waits there as its list of terms, each checked against
+    the first at its own instruction; _sum sums it once, when it is taken."""
+    def take(x):
+        return _sum(x) if type(x) is list else x
+
     stack: list = []
     for ins in program:
         op = ins[0]
@@ -635,30 +640,33 @@ def _eval_expr(program: list, chart: Chart) -> TensorField:
         elif op == "dvf":
             stack.append(coordinate_vector_field(chart, ins[1]))
         elif op == "neg":
-            stack[-1] = -stack[-1]
+            stack[-1] = -take(stack[-1])
         elif op == "pow":
-            a, e = stack[-1], ins[1]
+            a, e = take(stack[-1]), ins[1]
             if a.q or a.p:
                 raise GradcalcError("^ takes scalar bases; tensor powers are not defined")
             base = a.scalar_part()
-            t = len(base.terms)
-            n = math.comb(e + t - 1, t - 1) if t else 0
-            if n > _MAX_POWER_TERMS:
-                raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
-                                    f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
-            work = _power_work(base.terms.values(), e)
-            if work > _MAX_POWER_WORK:
-                raise GradcalcError(f"power ^{e} of a {t}-term polynomial may take {work} "
-                                    f"weighted term products, which exceeds the limit "
-                                    f"{_MAX_POWER_WORK}")
+            if e >= 2:      # ^0 and ^1 build nothing larger than the base
+                t = len(base.terms)
+                n = math.comb(e + t - 1, t - 1) if t else 0
+                if n > _MAX_POWER_TERMS:
+                    raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
+                                        f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
+                work = _power_work(base.terms.values(), e)
+                if work > _MAX_POWER_WORK:
+                    raise GradcalcError(f"power ^{e} of a {t}-term polynomial may take "
+                                        f"{work} weighted term products, which exceeds the "
+                                        f"limit {_MAX_POWER_WORK}")
             stack[-1] = scalar_field(chart, base ** e)
+        elif op in ("add", "sub"):
+            b = take(stack.pop())
+            terms = stack[-1] if type(stack[-1]) is list else [stack[-1]]
+            terms[0]._check(b)
+            terms.append(b if op == "add" else -b)
+            stack[-1] = terms
         else:
-            a, b = stack[-2], stack.pop()
-            if op == "add":
-                a = a + b
-            elif op == "sub":
-                a = a - b
-            elif op == "ox":
+            a, b = take(stack[-2]), take(stack.pop())
+            if op == "ox":
                 a = tensor_product(a, b)
             elif op == "wedge":
                 a = wedge(a, b)
@@ -669,7 +677,7 @@ def _eval_expr(program: list, chart: Chart) -> TensorField:
             else:
                 raise GradcalcError("* multiplies by scalars; use ox or ^^ for tensors")
             stack[-1] = a
-    return stack.pop()
+    return take(stack.pop())
 
 
 def _payload(x) -> dict:

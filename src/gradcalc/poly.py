@@ -39,7 +39,8 @@ kept derivative is as immutable as any other Poly.
 _acc(store, key, value) is the one sparse-sum accumulator: every sparse
 sum of coefficients here and of tensor components elsewhere goes
 through it, except in the oracles, which keep their own loops to stay
-independent of the code they check.
+independent of the code they check.  Poly.from_terms and tensor._sum
+are the one n-ary sum of polynomials and of tensors.
 
 _coefficient(chart, value, what, base) is the one coefficient rule of
 the builders outside this module: a number goes through _coef, a Poly

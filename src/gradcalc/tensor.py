@@ -15,7 +15,8 @@ applied); two tensors are equal iff their expanded tables agree, so a
 wedge and its explicit tensor-product expansion compare equal.  Every
 public result stores canonical keys and no zero component, so tensors
 with the same tags are compared on their stored components; only
-differently tagged ones are expanded.
+differently tagged ones are expanded.  _sum, built on Poly.from_terms,
+is the one n-ary sum of tensors; + is its two-operand case.
 
 The wedge product is the unnormalized signed-shuffle product: on
 one-forms a ^^ b = a ox b - b ox a, with no 1/k! factors anywhere.
@@ -209,19 +210,10 @@ class TensorField:
                 f"valence mismatch: ({self.q},{self.p}) vs ({other.q},{other.p})")
 
     def __add__(self, other: "TensorField") -> "TensorField":
+        """self + other, the two-operand case of _sum."""
         if not isinstance(other, TensorField):
             return NotImplemented
-        self._check(other)
-        if self.contra_sym == other.contra_sym and self.cov_sym == other.cov_sym:
-            out = dict(self.components)
-            for k, v in other.components.items():
-                _acc(out, k, v)
-            return TensorField(self.chart, self.q, self.p, out,
-                               self.contra_sym, self.cov_sym)
-        out = dict(self.expand())
-        for k, v in other.expand().items():
-            _acc(out, k, v)
-        return TensorField(self.chart, self.q, self.p, out)
+        return _sum([self, other])
 
     def __neg__(self) -> "TensorField":
         return TensorField(self.chart, self.q, self.p,
@@ -244,6 +236,26 @@ class TensorField:
                            self.contra_sym, self.cov_sym)
 
     __rmul__ = __mul__
+
+
+def _sum(tensors: list) -> TensorField:
+    """The one n-ary sum, each operand checked against the first: of stored
+    components when all tags agree (the result keeps them), else of expanded
+    tables (untagged).  A key of one operand alone keeps its Poly; any other
+    is built once by Poly.from_terms."""
+    first = tensors[0]
+    tags = {(t.contra_sym, t.cov_sym) for t in tensors}
+    tags = tags.pop() if len(tags) == 1 else ()
+    parts: dict = {}
+    for t in tensors:
+        first._check(t)
+        for k, v in (t.components if tags else t.expand()).items():
+            parts.setdefault(k, []).append(v)
+    out: dict = {}
+    for k, vs in parts.items():
+        _acc(out, k, vs[0] if len(vs) == 1 else Poly.from_terms(
+            first.chart, (mc for v in vs for mc in v.terms.items())))
+    return TensorField(first.chart, first.q, first.p, out, *tags)
 
 
 def _swap(t: TensorField) -> TensorField:

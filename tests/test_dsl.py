@@ -239,6 +239,12 @@ POWER_BOUND = {
     "two-terms^19999": ("fn f on M = (x+1)^19999", 3, "power ^19999 of a 2-term "
                         "polynomial may take 25251803092 weighted term products, "
                         "which exceeds the limit 50000000"),
+    # ^1 and ^0 build nothing larger than their base, however long
+    "20001-terms^1": ("fn f on M = (" + "+".join(f"x^{i}" for i in range(20001)) + ")^1",
+                      0, None),
+    # a sum checks each term at its own +, so the first error is reported
+    "error-before-power": ("fn f on M = x + dx + (x+y+z+1)^60", 3,
+                           "valence mismatch: (0,0) vs (0,1)"),
 }
 
 
@@ -1012,6 +1018,25 @@ def test_long_expressions_run(line, text):
     records, code = run("chart M { x:0, y:0 }\n" + line + "\n")
     assert code == 0
     assert records[-1].text == [f"f = {text}"]
+
+
+def test_a_sum_adds_polynomials_a_number_of_times_independent_of_its_length(monkeypatch):
+    # the terms of a sum are summed once, not folded one + at a time
+    calls = []
+    add = gradcalc.Poly.__add__
+
+    def counted(self, other):
+        calls.append(1)
+        return add(self, other)
+
+    monkeypatch.setattr(gradcalc.Poly, "__add__", counted)
+    counts = []
+    for n in (10, 10_000):
+        calls.clear()
+        terms = " + ".join(f"x^{i}*y^{i % 7}" for i in range(n))
+        assert run("chart M { x:0, y:0 }\nfn f on M = " + terms + "\n")[1] == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_deepest_nesting_runs_through_the_cli(tmp_path):

@@ -24,7 +24,9 @@ from gradcalc.sampling import (random_form, random_multivector, random_one_form,
                                random_vv_form)
 from gradcalc.tensor import (
     TensorField,
+    _SYMS,
     _sort_with_parity,
+    _sum,
     _swap,
     compose_11,
     contract,
@@ -571,6 +573,36 @@ def test_eq_agrees_with_expanded_tables(seed, valence):
     if c:
         # a nonzero perturbation, of a's tags or of others, is seen
         assert a != a + c and untag(a) != a + c and a != untag(a + c)
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(sorted(EQ_MAKERS)), st.integers(1, 8))
+@settings(max_examples=80, deadline=None)
+def test_n_ary_sum_equals_the_fold_of_plus_and_minus(seed, valence, n):
+    # operands of random tags, zeros of random tags, and repeats of earlier
+    # operands, which cancel or double them under random signs
+    rng = random.Random(seed)
+    operands = []
+    for _ in range(n):
+        roll = rng.random()
+        if operands and roll < 0.3:
+            t = rng.choice(operands)[1]
+        elif roll < 0.45:
+            t = TensorField.zero(E3, *valence, rng.choice(_SYMS), rng.choice(_SYMS))
+        else:
+            t = rng.choice(EQ_MAKERS[valence])(rng)
+        operands.append((rng.choice((1, -1)), t))
+    fold = operands[0][1] if operands[0][0] == 1 else -operands[0][1]
+    for sign, t in operands[1:]:
+        fold = fold + t if sign == 1 else fold - t
+    total = _sum([t if sign == 1 else -t for sign, t in operands])
+    table: dict = {}
+    for sign, t in operands:
+        for k, v in t.expand().items():
+            table[k] = table.get(k, 0) + sign * v
+    assert total.expand() == {k: v for k, v in table.items() if v}
+    assert total.components == fold.components
+    assert (total.contra_sym, total.cov_sym) == (fold.contra_sym, fold.cov_sym)
+    assert_canonical(total)
 
 
 @given(st.integers(0, 10 ** 9), st.integers(1, 2))
