@@ -9,7 +9,10 @@ derivative taken here is zero.  The Poly keeps that set, so it is built
 once per polynomial, not recomputed per component or per call.  A
 kernel asks for a component's derivative once per partner component,
 but Poly.diff keeps what it computes, so each derivative is computed
-once per polynomial, not per use.  A stored (1, k) component is
+once per polynomial, not per use.  Each kernel adds sign * f * g term
+by term into one term dict per output key (poly._acc_product) and
+wraps each surviving dict in a Poly once at the end, so no Poly is
+built per term of a formula.  A stored (1, k) component is
 written f d_m ox dx^I (key ((m,), I), I increasing), a stored
 multivector component f d_I; every index sequence below is sorted
 with the sign of its permutation, and a sequence with a repeated index
@@ -37,7 +40,7 @@ and costs the sign (-1)^p; d_v f is the partial derivative.
 from __future__ import annotations
 
 from .errors import ValenceError
-from .poly import Poly, _acc
+from .poly import Poly, _acc_poly, _acc_product, _polys
 from .tensor import TensorField, _from_expanded, _same_chart, _sort_with_parity
 
 __all__ = [
@@ -49,7 +52,8 @@ __all__ = [
 
 def _acc_sorted(out: dict, up: tuple, idx: tuple, f: Poly, g: Poly, sign: int = 1,
                 f_var: int | None = None, g_var: int | None = None) -> None:
-    """Add sign * f * g at (up, idx sorted), signed by the sorting permutation.
+    """Add sign * f * g at (up, idx sorted), signed by the sorting permutation,
+    into an accumulator store of poly._acc_product.
 
     f_var / g_var, when given, replace f / g by its partial derivative in
     that variable; callers pass only variables the factor uses, so the
@@ -63,8 +67,7 @@ def _acc_sorted(out: dict, up: tuple, idx: tuple, f: Poly, g: Poly, sign: int = 
         f = f.diff(f_var)
     if g_var is not None:
         g = g.diff(g_var)
-    c = f * g
-    _acc(out, (up, down), c if s * sign == 1 else -c)
+    _acc_product(out, (up, down), f, g, s * sign)
 
 
 def _require_form(w: TensorField) -> None:
@@ -97,9 +100,8 @@ def exterior_derivative(w: TensorField) -> TensorField:
             if var in down:
                 continue  # dx^var ^^ dx^down repeats an index
             s, idx = _sort_with_parity((var,) + down)
-            d = coef.diff(var)
-            _acc(out, ((), idx), d if s == 1 else -d)
-    return TensorField(w.chart, 0, w.p + 1, out, cov_sym="antisym")
+            _acc_poly(out, ((), idx), coef.diff(var), s)
+    return TensorField(w.chart, 0, w.p + 1, _polys(w.chart, out), cov_sym="antisym")
 
 
 def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
@@ -113,10 +115,10 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
         x_vars = xj.variables_used()
         for k, yk, y_vars in ys:
             if j in y_vars:
-                _acc(out, ((k,), ()), xj * yk.diff(j))      # X^j d_j Y^k
+                _acc_product(out, ((k,), ()), xj, yk.diff(j))      # X^j d_j Y^k
             if k in x_vars:
-                _acc(out, ((j,), ()), -(yk * xj.diff(k)))   # - Y^k d_k X^j
-    return TensorField(x.chart, 1, 0, out)
+                _acc_product(out, ((j,), ()), yk, xj.diff(k), -1)  # - Y^k d_k X^j
+    return TensorField(x.chart, 1, 0, _polys(x.chart, out))
 
 
 def vf_apply(x: TensorField, f: Poly) -> Poly:
@@ -144,18 +146,18 @@ def lie_derivative(x: TensorField, t: TensorField) -> TensorField:
         coef_vars = coef.variables_used()
         for j, (xj, _) in xc.items():
             if j in coef_vars:
-                _acc(out, (up, down), xj * coef.diff(j))
+                _acc_product(out, (up, down), xj, coef.diff(j))
         # each derivative-of-X term lands on a key with one index replaced
         for a, l in enumerate(up):
             for i, (xi, xi_vars) in xc.items():
                 if l in xi_vars:
-                    _acc(out, (up[:a] + (i,) + up[a + 1:], down), -(coef * xi.diff(l)))
+                    _acc_product(out, (up[:a] + (i,) + up[a + 1:], down), coef, xi.diff(l), -1)
         for b, s in enumerate(down):
             if s in xc:
                 xs, xs_vars = xc[s]
                 for j in xs_vars:
-                    _acc(out, (up, down[:b] + (j,) + down[b + 1:]), coef * xs.diff(j))
-    return _from_expanded(t.chart, t.q, t.p, out, t.contra_sym, t.cov_sym)
+                    _acc_product(out, (up, down[:b] + (j,) + down[b + 1:]), coef, xs.diff(j))
+    return _from_expanded(t.chart, t.q, t.p, _polys(t.chart, out), t.contra_sym, t.cov_sym)
 
 
 def schouten_bracket(a: TensorField, b: TensorField) -> TensorField:
@@ -183,7 +185,7 @@ def schouten_bracket(a: TensorField, b: TensorField) -> TensorField:
                     _acc_sorted(out, (), ua + ub[:j] + ub[j + 1:], g, f,
                                 -(-1) ** j, g_var=v)
     return TensorField(a.chart, k + l - 1, 0,
-                       {(up, ()): c for (_, up), c in out.items()},
+                       {(up, ()): c for (_, up), c in _polys(a.chart, out).items()},
                        contra_sym="antisym")
 
 
@@ -218,7 +220,7 @@ def fn_bracket(a: TensorField, b: TensorField) -> TensorField:
                 for s in g_vars:
                     _acc_sorted(out, (m,), rest + (s,) + db, f, g,
                                 eps * (-1) ** p, g_var=s)
-    return TensorField(a.chart, 1, a.p + b.p, out, cov_sym="antisym")
+    return TensorField(a.chart, 1, a.p + b.p, _polys(a.chart, out), cov_sym="antisym")
 
 
 def nr_bracket(a: TensorField, b: TensorField) -> TensorField:
@@ -242,7 +244,7 @@ def nr_bracket(a: TensorField, b: TensorField) -> TensorField:
                 p = da.index(n)
                 _acc_sorted(out, (m,), da[:p] + da[p + 1:] + db, f, g,
                             (-1) ** (k + p))
-    return TensorField(a.chart, 1, k + l - 1, out, cov_sym="antisym")
+    return TensorField(a.chart, 1, k + l - 1, _polys(a.chart, out), cov_sym="antisym")
 
 
 def nijenhuis_torsion(n: TensorField) -> TensorField:
@@ -275,15 +277,15 @@ def concomitant(lam: TensorField, n: TensorField) -> TensorField:
         a_vars = a.variables_used()
         for i, s, b, b_vars in ns:
             if u in b_vars:
-                _acc(out, ((i, v), (s,)), a * b.diff(u))          # L^{lj} d_l N^i_s
+                _acc_product(out, ((i, v), (s,)), a, b.diff(u))       # L^{lj} d_l N^i_s
             if v in b_vars:
-                _acc(out, ((u, i), (s,)), a * b.diff(v))          # L^{il} d_l N^j_s
+                _acc_product(out, ((u, i), (s,)), a, b.diff(v))       # L^{il} d_l N^j_s
             if i in a_vars:
-                _acc(out, ((u, v), (s,)), -(b * a.diff(i)))       # - N^l_s d_l L^{ij}
+                _acc_product(out, ((u, v), (s,)), b, a.diff(i), -1)   # - N^l_s d_l L^{ij}
             if s == v:
                 for w in a_vars:
-                    _acc(out, ((u, i), (w,)), b * a.diff(w))      # N^j_l d_s L^{il}
+                    _acc_product(out, ((u, i), (w,)), b, a.diff(w))   # N^j_l d_s L^{il}
             if s == u:
                 for w in b_vars:
-                    _acc(out, ((i, v), (w,)), -(a * b.diff(w)))   # - L^{lj} d_s N^i_l
-    return TensorField(lam.chart, 2, 1, out)
+                    _acc_product(out, ((i, v), (w,)), a, b.diff(w), -1)  # - L^{lj} d_s N^i_l
+    return TensorField(lam.chart, 2, 1, _polys(lam.chart, out))

@@ -36,11 +36,21 @@ per monomial) x its own term count.  Sharing is safe because no code
 changes a Poly's terms in place, so a kept set cannot go stale and a
 kept derivative is as immutable as any other Poly.
 
-_acc(store, key, value) is the one sparse-sum accumulator: every sparse
-sum of coefficients here and of tensor components elsewhere goes
-through it, except in the oracles, which keep their own loops to stay
-independent of the code they check.  Poly.from_terms and tensor._sum
-are the one n-ary sum of polynomials and of tensors.
+_acc(store, key, value) is the one sparse-sum accumulator of values:
+every sparse sum of coefficients here goes through it, and so do the
+sums of components in the builders elsewhere.  The oracles keep their
+own loops to stay independent of the code they check.  A sum of
+products of polynomials, sign * f * g at many keys, goes through the
+one term-level accumulator instead, and builds no Poly on the way:
+_acc_product adds the terms of one product, formed by _mul_terms (the
+one product loop, which Poly.__mul__ runs too), straight into a term
+dict per key; _acc_poly adds a whole Poly; _polys wraps each surviving
+dict in a Poly at the end.  It merges the smaller term dict into the
+larger, as Poly.__add__ does, and deletes a key only once a whole
+contribution has cancelled it, so a result is stored exactly as the sum
+of Poly products was: the same keys, terms and coefficient types in the
+same order.  Poly.from_terms and tensor._sum are the one n-ary sum of
+polynomials and of tensors.
 
 _coefficient(chart, value, what, base) is the one coefficient rule of
 the builders outside this module: a number goes through _coef, a Poly
@@ -86,6 +96,56 @@ def _acc(store: dict, key, value) -> None:
         store[key] = s
     elif prev is not None:
         del store[key]
+
+
+def _acc_terms(store: dict, key, terms: dict, held: "Poly | None" = None) -> None:
+    """store[key] += terms, a term dict, merged as Poly.__add__ merges.
+
+    A key met once stores held, the Poly whose terms these are, or else
+    terms itself, which the store then owns.  A key met again gets one
+    owned dict: the larger of the two (the stored one on a tie, copied if
+    a Poly holds it) with the smaller added term by term.  The key is
+    deleted only once the whole contribution has cancelled it.
+    """
+    if not terms:
+        return
+    prev = store.get(key)
+    if prev is None:
+        store[key] = terms if held is None else held
+        return
+    copy = type(prev) is Poly
+    if copy:
+        prev = prev.terms
+    if len(prev) < len(terms):
+        prev, terms, copy = terms, prev, held is not None
+    if copy:
+        prev = dict(prev)
+    for m, c in terms.items():
+        _acc(prev, m, c)
+    if prev:
+        store[key] = prev
+    else:
+        del store[key]
+
+
+def _acc_poly(store: dict, key, p: "Poly", sign: int = 1) -> None:
+    """store[key] += sign * p, with sign 1 or -1; p itself is stored while
+    no other contribution meets its key."""
+    if sign == 1:
+        _acc_terms(store, key, p.terms, p)
+    else:
+        _acc_terms(store, key, {m: -c for m, c in p.terms.items()})
+
+
+def _acc_product(store: dict, key, f: "Poly", g: "Poly", sign: int = 1) -> None:
+    """store[key] += sign * f * g, with sign 1 or -1, building no Poly."""
+    _acc_terms(store, key, _mul_terms(f.terms, g.terms, sign))
+
+
+def _polys(chart: Chart, store: dict) -> dict:
+    """The Polys of an accumulator store: each owned term dict wrapped, each
+    held Poly as it is, in the store's key order."""
+    return {k: v if type(v) is Poly else Poly(chart, v) for k, v in store.items()}
 
 
 def _coefficient(chart: Chart, value, what: str, base=None) -> "Poly":
@@ -146,6 +206,25 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     out.extend(a[i:])
     out.extend(b[j:])
     return tuple(out)
+
+
+def _mul_terms(a: dict, b: dict, sign: int = 1) -> dict:
+    """The one product loop: the term dict of sign * a * b, with sign 1 or
+    -1.  Terms come in the order their pairs first meet; one that cancels
+    and comes back goes last.  The sign negates each coefficient of a, so
+    a coefficient is -(ca * cb) in value and in type."""
+    if len(a) == 1 and len(b) == 1:
+        # one term by one term: both coefficients are nonzero
+        (ma, ca), = a.items()
+        (mb, cb), = b.items()
+        return {mono_mul(ma, mb): ca * cb if sign == 1 else -(ca * cb)}
+    out: dict = {}
+    for ma, ca in a.items():
+        if sign != 1:
+            ca = -ca
+        for mb, cb in b.items():
+            _acc(out, mono_mul(ma, mb), ca * cb)
+    return out
 
 
 def mono_total_degree(m: Monomial) -> int:
@@ -283,17 +362,7 @@ class Poly:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1:
-            # one term by one term: both coefficients are nonzero
-            (ma, ca), = a.items()
-            (mb, cb), = b.items()
-            return Poly(self.chart, {mono_mul(ma, mb): ca * cb})
-        out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                _acc(out, mono_mul(ma, mb), ca * cb)
-        return Poly(self.chart, out)
+        return Poly(self.chart, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 

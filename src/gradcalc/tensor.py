@@ -15,8 +15,12 @@ applied); two tensors are equal iff their expanded tables agree, so a
 wedge and its explicit tensor-product expansion compare equal.  Every
 public result stores canonical keys and no zero component, so tensors
 with the same tags are compared on their stored components; only
-differently tagged ones are expanded.  _sum, built on Poly.from_terms,
-is the one n-ary sum of tensors; + is its two-operand case.
+differently tagged ones are expanded.  _sum is the one n-ary sum of
+tensors and + its two-operand case: a key of one operand keeps its Poly,
+and the operands that share a key meet in one term dict (poly._acc_poly).
+The products (tensor_product, wedge, insert_multivector, compose_11 and
+scaling) add their term products into term dicts the same way
+(poly._acc_product), and contract sums through poly._acc_poly.
 
 The wedge product is the unnormalized signed-shuffle product: on
 one-forms a ^^ b = a ox b - b ox a, with no 1/k! factors anywhere.
@@ -31,7 +35,8 @@ from itertools import permutations
 
 from .charts import Chart
 from .errors import ChartMismatchError, ValenceError
-from .poly import ANY_DEGREE, Poly, _acc, _coefficient, degree_of_function
+from .poly import (ANY_DEGREE, Poly, _acc, _acc_poly, _acc_product, _coefficient, _polys,
+                   degree_of_function)
 
 __all__ = [
     "TensorField", "tensor_product", "wedge", "wedge_list", "contract",
@@ -231,8 +236,8 @@ class TensorField:
         other = _coefficient(self.chart, other, "scalar")
         out: dict = {}
         for k, v in self.components.items():
-            _acc(out, k, v * other)
-        return TensorField(self.chart, self.q, self.p, out,
+            _acc_product(out, k, v, other)
+        return TensorField(self.chart, self.q, self.p, _polys(self.chart, out),
                            self.contra_sym, self.cov_sym)
 
     __rmul__ = __mul__
@@ -241,21 +246,18 @@ class TensorField:
 def _sum(tensors: list) -> TensorField:
     """The one n-ary sum, each operand checked against the first: of stored
     components when all tags agree (the result keeps them), else of expanded
-    tables (untagged).  A key of one operand alone keeps its Poly; any other
-    is built once by Poly.from_terms."""
+    tables (untagged).  A key of one operand alone keeps its Poly; the
+    operands that share a key meet in one term dict of poly._acc_poly, so
+    the result is stored as the left fold of + would store it."""
     first = tensors[0]
     tags = {(t.contra_sym, t.cov_sym) for t in tensors}
     tags = tags.pop() if len(tags) == 1 else ()
-    parts: dict = {}
-    for t in tensors:
+    out = dict(first.components if tags else first.expand())
+    for t in tensors[1:]:
         first._check(t)
         for k, v in (t.components if tags else t.expand()).items():
-            parts.setdefault(k, []).append(v)
-    out: dict = {}
-    for k, vs in parts.items():
-        _acc(out, k, vs[0] if len(vs) == 1 else Poly.from_terms(
-            first.chart, (mc for v in vs for mc in v.terms.items())))
-    return TensorField(first.chart, first.q, first.p, out, *tags)
+            _acc_poly(out, k, v)
+    return TensorField(first.chart, first.q, first.p, _polys(first.chart, out), *tags)
 
 
 def _swap(t: TensorField) -> TensorField:
@@ -345,8 +347,8 @@ def tensor_product(a: TensorField, b: TensorField) -> TensorField:
     out: dict = {}
     for (ua, da), ca in a.expand().items():
         for (ub, db), cb in b.expand().items():
-            _acc(out, (ua + ub, da + db), ca * cb)
-    return _from_expanded(a.chart, a.q + b.q, a.p + b.p, out, cs, ps)
+            _acc_product(out, (ua + ub, da + db), ca, cb)
+    return _from_expanded(a.chart, a.q + b.q, a.p + b.p, _polys(a.chart, out), cs, ps)
 
 
 def _wedge_keys(t: TensorField):
@@ -378,14 +380,11 @@ def wedge(a: TensorField, b: TensorField) -> TensorField:
         for j, cb in kb.items():
             sign, key = _sort_with_parity(i + j)
             if sign:
-                coef = ca * cb
-                _acc(out, key, coef if sign == 1 else -coef)
+                _acc_product(out, (key, ()) if ba == 0 else ((), key), ca, cb, sign)
     deg = da + db
     if ba == 0:
-        comps = {(k, ()): v for k, v in out.items()}
-        return TensorField(a.chart, deg, 0, comps, contra_sym="antisym")
-    comps = {((), k): v for k, v in out.items()}
-    return TensorField(a.chart, 0, deg, comps, cov_sym="antisym")
+        return TensorField(a.chart, deg, 0, _polys(a.chart, out), contra_sym="antisym")
+    return TensorField(a.chart, 0, deg, _polys(a.chart, out), cov_sym="antisym")
 
 
 def wedge_list(fields: Iterable[TensorField]) -> TensorField:
@@ -408,8 +407,8 @@ def contract(t: TensorField, contra_slot: int, cov_slot: int) -> TensorField:
             continue
         nu = up[:contra_slot] + up[contra_slot + 1:]
         nd = down[:cov_slot] + down[cov_slot + 1:]
-        _acc(out, (nu, nd), coef)
-    return _from_expanded(t.chart, t.q - 1, t.p - 1, out)
+        _acc_poly(out, (nu, nd), coef)
+    return _from_expanded(t.chart, t.q - 1, t.p - 1, _polys(t.chart, out))
 
 
 def insert_multivector(x: TensorField, t: TensorField) -> TensorField:
@@ -425,8 +424,9 @@ def insert_multivector(x: TensorField, t: TensorField) -> TensorField:
     for (up, down), coef in t.expand().items():
         xv = xe.get((down[:l], ()))
         if xv is not None:
-            _acc(out, (up, down[l:]), coef * xv)
-    return _from_expanded(t.chart, t.q, t.p - l, out, t.contra_sym, t.cov_sym)
+            _acc_product(out, (up, down[l:]), coef, xv)
+    return _from_expanded(t.chart, t.q, t.p - l, _polys(t.chart, out),
+                          t.contra_sym, t.cov_sym)
 
 
 def insert_form(w: TensorField, t: TensorField) -> TensorField:
@@ -449,8 +449,8 @@ def compose_11(a: TensorField, b: TensorField) -> TensorField:
     for ((i,), (l,)), ca in a.components.items():
         for ((l2,), (j,)), cb in b.components.items():
             if l == l2:
-                _acc(out, ((i,), (j,)), ca * cb)
-    return TensorField(a.chart, 1, 1, out)
+                _acc_product(out, ((i,), (j,)), ca, cb)
+    return TensorField(a.chart, 1, 1, _polys(a.chart, out))
 
 
 def degree_of_tensor(t: TensorField, component: int = 0) -> object:

@@ -4,6 +4,7 @@ import contextlib
 import itertools
 import random
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from gradcalc.calculus import (
 )
 from gradcalc.charts import make_chart
 from gradcalc.errors import ValenceError
+from gradcalc.lifts import LiftContext, lift_tensor
 from gradcalc.poly import Poly, _acc
 from gradcalc.render import render_tensor
 from gradcalc.sampling import (
@@ -35,6 +37,7 @@ from gradcalc.sampling import (
 from gradcalc.tensor import (
     TensorField,
     _from_expanded,
+    _sort_with_parity,
     compose_11,
     coordinate_one_form,
     coordinate_vector_field,
@@ -44,6 +47,7 @@ from gradcalc.tensor import (
     tensor_product,
     wedge,
 )
+from test_tensor import assert_same_storage, canonical_key, fraction_tensor
 
 E2 = make_chart(["x", "y"], [0, 0])
 E3 = make_chart(["x", "y", "z"], [0, 0, 0])
@@ -500,26 +504,6 @@ def test_concomitant_term_keys():
                 assert concomitant(lam, n) == concomitant_by_terms(lam, n)
 
 
-def assert_same_storage(a, b):
-    # equal tags and the same components in the same order, so both render
-    # and serialise to the same bytes
-    assert (a.q, a.p, a.contra_sym, a.cov_sym) == (b.q, b.p, b.contra_sym, b.cov_sym)
-    assert list(a.components.items()) == list(b.components.items())
-    assert [[type(c) for c in f.terms.values()] for f in a.components.values()] == \
-        [[type(c) for c in f.terms.values()] for f in b.components.values()]
-
-
-def _canonical_key(idx, sym):
-    # a drawn index block in the stored form of its tag; None when an
-    # antisym block repeats an index
-    if sym == "none":
-        return idx
-    key = tuple(sorted(idx))
-    if sym == "antisym" and len(set(key)) < len(key):
-        return None
-    return key
-
-
 @st.composite
 def lie_derivative_inputs(draw):
     """X with 1-4 components and t with either block tagged none, sym or
@@ -538,8 +522,8 @@ def lie_derivative_inputs(draw):
     contra_sym, cov_sym = draw(syms), draw(syms)
     comps = {}
     for _ in range(draw(st.integers(1, 4))):
-        up = _canonical_key(tuple(draw(slots) for _ in range(q)), contra_sym)
-        down = _canonical_key(tuple(draw(slots) for _ in range(p)), cov_sym)
+        up = canonical_key(tuple(draw(slots) for _ in range(q)), contra_sym)
+        down = canonical_key(tuple(draw(slots) for _ in range(p)), cov_sym)
         if up is not None and down is not None:
             comps[(up, down)] = poly()
     return x, TensorField.from_components(chart, q, p, comps, contra_sym, cov_sym)
@@ -550,6 +534,172 @@ def lie_derivative_inputs(draw):
 def test_lie_derivative_matches_reference_loop(inputs):
     x, t = inputs
     assert_same_storage(lie_derivative(x, t), lie_derivative_by_loops(x, t))
+
+
+# Every kernel in its own loop order, summing whole polynomials with Poly *,
+# unary - and _acc, as each did before it summed term by term: the kernels
+# must store their results exactly as these do.
+
+def _acc_sorted_by_loops(out, up, idx, c, sign=1):
+    # sign * c at (up, idx sorted), signed by the sorting permutation
+    s, down = _sort_with_parity(idx)
+    if s:
+        _acc(out, (up, down), c if s * sign == 1 else -c)
+
+
+def exterior_derivative_by_loops(w):
+    out: dict = {}
+    for (_, down), coef in w.components.items():
+        for var in coef.variables_used():
+            if var not in down:
+                _acc_sorted_by_loops(out, (), (var,) + down, coef.diff(var))
+    return TensorField(w.chart, 0, w.p + 1, out, cov_sym="antisym")
+
+
+def lie_bracket_by_one_loop(x, y):
+    out: dict = {}
+    for ((j,), _), xj in x.components.items():
+        for ((k,), _), yk in y.components.items():
+            if j in yk.variables_used():
+                _acc(out, ((k,), ()), xj * yk.diff(j))
+            if k in xj.variables_used():
+                _acc(out, ((j,), ()), -(yk * xj.diff(k)))
+    return TensorField(x.chart, 1, 0, out)
+
+
+def schouten_bracket_by_loops(a, b):
+    k = a.q
+    out: dict = {}
+    for (ua, _), f in a.components.items():
+        for (ub, _), g in b.components.items():
+            for i, v in enumerate(ua):
+                if v in g.variables_used():
+                    _acc_sorted_by_loops(out, (), ua[:i] + ua[i + 1:] + ub,
+                                         f * g.diff(v), (-1) ** (i + k - 1))
+            for j, v in enumerate(ub):
+                if v in f.variables_used():
+                    _acc_sorted_by_loops(out, (), ua + ub[:j] + ub[j + 1:],
+                                         g * f.diff(v), -(-1) ** j)
+    return TensorField(a.chart, k + b.q - 1, 0, {(up, ()): c for (_, up), c in out.items()},
+                       contra_sym="antisym")
+
+
+def fn_bracket_by_loops(a, b):
+    eps = (-1) ** a.p
+    out: dict = {}
+    for ((m,), da), f in a.components.items():
+        for ((n,), db), g in b.components.items():
+            if m in g.variables_used():
+                _acc_sorted_by_loops(out, (n,), da + db, f * g.diff(m))
+            if n in f.variables_used():
+                _acc_sorted_by_loops(out, (m,), da + db, f.diff(n) * g, -1)
+            if m in db:
+                p = db.index(m)
+                for s in f.variables_used():
+                    _acc_sorted_by_loops(out, (n,), (s,) + da + db[:p] + db[p + 1:],
+                                         f.diff(s) * g, eps * (-1) ** p)
+            if n in da:
+                p = da.index(n)
+                for s in g.variables_used():
+                    _acc_sorted_by_loops(out, (m,), da[:p] + da[p + 1:] + (s,) + db,
+                                         f * g.diff(s), eps * (-1) ** p)
+    return TensorField(a.chart, 1, a.p + b.p, out, cov_sym="antisym")
+
+
+def nr_bracket_by_loops(a, b):
+    out: dict = {}
+    for ((m,), da), f in a.components.items():
+        for ((n,), db), g in b.components.items():
+            if m in db:
+                p = db.index(m)
+                _acc_sorted_by_loops(out, (n,), da + db[:p] + db[p + 1:], f * g, (-1) ** p)
+            if n in da:
+                p = da.index(n)
+                _acc_sorted_by_loops(out, (m,), da[:p] + da[p + 1:] + db, f * g,
+                                     (-1) ** (a.p + p))
+    return TensorField(a.chart, 1, a.p + b.p - 1, out, cov_sym="antisym")
+
+
+def concomitant_by_one_loop(lam, n):
+    out: dict = {}
+    for ((u, v), _), a in lam.expand().items():
+        a_vars = a.variables_used()
+        for ((i,), (s,)), b in n.components.items():
+            b_vars = b.variables_used()
+            if u in b_vars:
+                _acc(out, ((i, v), (s,)), a * b.diff(u))
+            if v in b_vars:
+                _acc(out, ((u, i), (s,)), a * b.diff(v))
+            if i in a_vars:
+                _acc(out, ((u, v), (s,)), -(b * a.diff(i)))
+            if s == v:
+                for w in a_vars:
+                    _acc(out, ((u, i), (w,)), b * a.diff(w))
+            if s == u:
+                for w in b_vars:
+                    _acc(out, ((i, v), (w,)), -(a * b.diff(w)))
+    return TensorField(lam.chart, 2, 1, out)
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(CHARTS))
+@settings(max_examples=150, deadline=None)
+def test_kernels_store_as_the_polynomial_loops_did(seed, chart):
+    # true fractions and whole Fractions; [X, X], d(d w), [K, K] and the
+    # other brackets of an operand with itself cancel terms and whole keys
+    rng = random.Random(seed)
+    dim = chart.dim
+
+    def tensor(q, p, sym="none", size=3):
+        return fraction_tensor(rng, chart, q, p, sym if q >= 2 else "none",
+                               sym if p >= 2 else "none", size)
+
+    x, y = tensor(1, 0), tensor(1, 0)
+    a, b = (tensor(rng.randint(1, min(3, dim)), 0, "antisym") for _ in range(2))
+    u, v = (tensor(1, rng.randint(0, min(2, dim)), "antisym") for _ in range(2))
+    k = tensor(1, 1, size=4)
+    lam = tensor(2, 0, rng.choice(("none", "antisym")))
+    w = tensor(0, rng.randint(0, min(2, dim)), "antisym")
+    t = tensor(rng.randint(0, 2), rng.randint(0, 2), rng.choice(("none", "sym", "antisym")))
+    pairs = [(exterior_derivative, exterior_derivative_by_loops, (w,)),
+             (exterior_derivative, exterior_derivative_by_loops, (exterior_derivative(w),)),
+             (lie_bracket, lie_bracket_by_one_loop, (x, y)),
+             (lie_bracket, lie_bracket_by_one_loop, (x, x)),
+             (schouten_bracket, schouten_bracket_by_loops, (a, b)),
+             (schouten_bracket, schouten_bracket_by_loops, (a, a)),
+             (fn_bracket, fn_bracket_by_loops, (u, v)),
+             (fn_bracket, fn_bracket_by_loops, (u, u)),
+             (fn_bracket, fn_bracket_by_loops, (k, k)),
+             (nr_bracket, nr_bracket_by_loops, (k, k)),
+             (concomitant, concomitant_by_one_loop, (lam, k)),
+             (lie_derivative, lie_derivative_by_loops, (x, t)),
+             (lie_derivative, lie_derivative_by_loops, (x, k))]
+    if u.p + v.p >= 1:
+        pairs.append((nr_bracket, nr_bracket_by_loops, (u, v)))
+    for kernel, by_loops, args in pairs:
+        assert_same_storage(kernel(*args), by_loops(*args))
+    assert lie_bracket(x, x).is_zero() and exterior_derivative(exterior_derivative(w)).is_zero()
+
+
+def test_brackets_of_lifts_build_no_polynomial_on_the_way(monkeypatch):
+    # fn_bracket and lie_derivative of lifted (1,1) tensors add each term
+    # product straight into a term dict: no Poly arithmetic runs
+    ctx = LiftContext(E2, 2)
+    x, y = (Poly.variable(E2, i) for i in range(2))
+    k = TensorField.from_components(E2, 1, 1, {((0,), (0,)): x * y - 1, ((0,), (1,)): y * y,
+                                               ((1,), (0,)): x * Fraction(1, 2)})
+    field = TensorField.from_components(E2, 1, 0, {((0,), ()): y, ((1,), ()): x * x})
+    lk, lk2, lfield = lift_tensor(k, 1, ctx), lift_tensor(k, 2, ctx), lift_tensor(field, 1, ctx)
+    calls = []
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__neg__", "__sub__", "__rsub__"):
+        monkeypatch.setattr(Poly, name, lambda *args, _name=name, _op=getattr(Poly, name):
+                            calls.append(_name) or _op(*args))
+    results = [fn_bracket(lk, lk2), fn_bracket(lk, lk), lie_derivative(lfield, lk),
+               lie_derivative(lfield, lk2)]
+    monkeypatch.undo()
+    assert calls == []
+    assert all(results)
+    assert results[0] == lift_tensor(fn_bracket(k, k), 1, ctx)
+    assert results[2] == lift_tensor(lie_derivative(field, k), 0, ctx)
 
 
 @contextlib.contextmanager

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from gradcalc.sampling import (random_form, random_multivector, random_one_form,
 from gradcalc.tensor import (
     TensorField,
     _SYMS,
+    _from_expanded,
     _sort_with_parity,
     _sum,
     _swap,
@@ -603,6 +605,191 @@ def test_n_ary_sum_equals_the_fold_of_plus_and_minus(seed, valence, n):
     assert total.components == fold.components
     assert (total.contra_sym, total.cov_sym) == (fold.contra_sym, fold.cov_sym)
     assert_canonical(total)
+
+
+# -- storage ------------------------------------------------------------------
+# The products and sums below add their terms into term dicts (poly._acc_product,
+# poly._acc_poly); each must store its result exactly as the same loop did when
+# it summed whole polynomials with Poly *, unary - and _acc.
+
+def assert_same_storage(a, b):
+    # equal tags, the same keys in the same order, and in each component the
+    # same terms in the same order with coefficients of the same types, so
+    # both are stored alike and render and serialise to the same bytes
+    assert (a.q, a.p, a.contra_sym, a.cov_sym) == (b.q, b.p, b.contra_sym, b.cov_sym)
+    assert list(a.components) == list(b.components)
+    assert [[(m, c, type(c)) for m, c in f.terms.items()] for f in a.components.values()] == \
+        [[(m, c, type(c)) for m, c in f.terms.items()] for f in b.components.values()]
+
+
+STORAGE_COEFS = (1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 3))
+STORAGE_CHARTS = [make_chart(list("xyzw"[:dim]), [0] * dim) for dim in range(1, 5)]
+
+
+def fraction_poly(rng, chart) -> Poly:
+    """A nonzero Poly of 1-3 terms of degree <= 2 with int and true Fraction
+    coefficients; in one of four every coefficient is stored as a Fraction,
+    so the whole ones are whole Fractions, as Fraction(1, 2) * 2 leaves them."""
+    terms: dict = {}
+    while not terms:
+        for _ in range(rng.randint(1, 3)):
+            counts = Counter(rng.randrange(chart.dim) for _ in range(rng.randint(0, 2)))
+            _acc(terms, tuple(sorted(counts.items())), rng.choice(STORAGE_COEFS))
+    if rng.random() < 0.25:
+        terms = {m: Fraction(c) for m, c in terms.items()}
+    return Poly(chart, terms)
+
+
+def canonical_key(idx, sym):
+    # a drawn index block in the stored form of its tag; None when an
+    # antisym block repeats an index
+    if sym == "none":
+        return idx
+    key = tuple(sorted(idx))
+    if sym == "antisym" and len(set(key)) < len(key):
+        return None
+    return key
+
+
+def fraction_tensor(rng, chart, q, p, contra_sym="none", cov_sym="none",
+                    size=3) -> TensorField:
+    """Up to size components of fraction_poly, at random keys stored as the
+    tags store them; an antisym key that repeats an index is skipped."""
+    comps: dict = {}
+    for _ in range(rng.randint(1, size)):
+        up = canonical_key(tuple(rng.randrange(chart.dim) for _ in range(q)), contra_sym)
+        down = canonical_key(tuple(rng.randrange(chart.dim) for _ in range(p)), cov_sym)
+        if up is not None and down is not None:
+            _acc(comps, (up, down), fraction_poly(rng, chart))
+    return TensorField(chart, q, p, comps, contra_sym, cov_sym)
+
+
+def scale_by_loops(t, s):
+    out: dict = {}
+    for k, v in t.components.items():
+        _acc(out, k, v * s)
+    return TensorField(t.chart, t.q, t.p, out, t.contra_sym, t.cov_sym)
+
+
+def tensor_product_by_loops(a, b):
+    cs = a.contra_sym if b.q == 0 else (b.contra_sym if a.q == 0 else "none")
+    ps = a.cov_sym if b.p == 0 else (b.cov_sym if a.p == 0 else "none")
+    out: dict = {}
+    for (ua, da), ca in a.expand().items():
+        for (ub, db), cb in b.expand().items():
+            _acc(out, (ua + ub, da + db), ca * cb)
+    return _from_expanded(a.chart, a.q + b.q, a.p + b.p, out, cs, ps)
+
+
+def wedge_by_loops(a, b):
+    if a.q == 0 and a.p == 0:
+        return scale_by_loops(b, a.scalar_part())
+    if b.q == 0 and b.p == 0:
+        return scale_by_loops(a, b.scalar_part())
+    block = 0 if a.q else 1
+    out: dict = {}
+    for ka, ca in a.components.items():
+        for kb, cb in b.components.items():
+            sign, key = _sort_with_parity(ka[block] + kb[block])
+            if sign:
+                coef = ca * cb
+                _acc(out, (key, ()) if block == 0 else ((), key),
+                     coef if sign == 1 else -coef)
+    deg = a.q + a.p + b.q + b.p
+    if block == 0:
+        return TensorField(a.chart, deg, 0, out, contra_sym="antisym")
+    return TensorField(a.chart, 0, deg, out, cov_sym="antisym")
+
+
+def insert_multivector_by_loops(x, t):
+    xe, l = x.expand(), x.q
+    out: dict = {}
+    for (up, down), coef in t.expand().items():
+        xv = xe.get((down[:l], ()))
+        if xv is not None:
+            _acc(out, (up, down[l:]), coef * xv)
+    return _from_expanded(t.chart, t.q, t.p - l, out, t.contra_sym, t.cov_sym)
+
+
+def compose_11_by_loops(a, b):
+    out: dict = {}
+    for ((i,), (l,)), ca in a.components.items():
+        for ((l2,), (j,)), cb in b.components.items():
+            if l == l2:
+                _acc(out, ((i,), (j,)), ca * cb)
+    return TensorField(a.chart, 1, 1, out)
+
+
+def sum_by_loops(tensors):
+    tags = {(t.contra_sym, t.cov_sym) for t in tensors}
+    tags = tags.pop() if len(tags) == 1 else ()
+    out: dict = {}
+    for t in tensors:
+        for k, v in (t.components if tags else t.expand()).items():
+            _acc(out, k, v)
+    first = tensors[0]
+    return TensorField(first.chart, first.q, first.p, out, *tags)
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(STORAGE_CHARTS))
+@settings(max_examples=150, deadline=None)
+def test_products_store_as_the_polynomial_loops_did(seed, chart):
+    # true fractions, whole Fractions, scalar operands, repeated indices
+    # and operands met with themselves, whose terms cancel
+    rng = random.Random(seed)
+    dim = chart.dim
+
+    def form(deg, contra=False):
+        if deg == 0:
+            return fraction_tensor(rng, chart, 0, 0)
+        sym = "antisym" if deg >= 2 else "none"
+        if contra:
+            return fraction_tensor(rng, chart, deg, 0, contra_sym=sym)
+        return fraction_tensor(rng, chart, 0, deg, cov_sym=sym)
+
+    t = fraction_tensor(rng, chart, rng.randint(0, 2), rng.randint(0, 2),
+                        rng.choice(_SYMS), rng.choice(_SYMS))
+    s = fraction_tensor(rng, chart, rng.randint(0, 1), rng.randint(0, 2))
+    w, v = form(rng.randint(0, min(3, dim))), form(rng.randint(0, min(2, dim)))
+    a, b = form(rng.randint(1, min(2, dim)), True), form(rng.randint(0, min(2, dim)), True)
+    k, l = (fraction_tensor(rng, chart, 1, 1, size=4) for _ in range(2))
+    pairs = [(tensor_product, tensor_product_by_loops, (t, s)),
+             (tensor_product, tensor_product_by_loops, (s, t)),
+             (tensor_product, tensor_product_by_loops, (w, w)),
+             (wedge, wedge_by_loops, (w, v)), (wedge, wedge_by_loops, (v, w)),
+             (wedge, wedge_by_loops, (w, w)), (wedge, wedge_by_loops, (a, b)),
+             (compose_11, compose_11_by_loops, (k, l)),
+             (compose_11, compose_11_by_loops, (k, k))]
+    if a.q <= t.p:
+        pairs.append((insert_multivector, insert_multivector_by_loops, (a, t)))
+    if b.q <= w.p:
+        pairs.append((insert_multivector, insert_multivector_by_loops, (b, w)))
+    for kernel, by_loops, args in pairs:
+        assert_same_storage(kernel(*args), by_loops(*args))
+    f = fraction_poly(rng, chart)
+    for c in (f, Fraction(2, 3), 0):
+        assert_same_storage(t * c, scale_by_loops(t, c))
+
+
+@given(st.integers(0, 10 ** 9), st.sampled_from(sorted(EQ_MAKERS)), st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_n_ary_sum_stores_as_the_polynomial_loop_did(seed, valence, n):
+    # operands of random tags with true and whole Fractions, repeated
+    # and negated repeats, so shared keys double, cancel and come back
+    rng = random.Random(seed)
+    operands: list = []
+    for _ in range(n):
+        if operands and rng.random() < 0.4:
+            t = rng.choice(operands)
+            operands.append(-t if rng.random() < 0.5 else t)
+        else:
+            operands.append(fraction_tensor(rng, E3, *valence, rng.choice(_SYMS),
+                                            rng.choice(_SYMS), size=4))
+    assert_same_storage(_sum(operands), sum_by_loops(operands))
+    fold = operands[0]
+    for t in operands[1:]:
+        fold = fold + t
+    assert_same_storage(_sum(operands), fold)
 
 
 @given(st.integers(0, 10 ** 9), st.integers(1, 2))
