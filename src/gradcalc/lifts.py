@@ -77,10 +77,10 @@ class LiftContext:
       coefficient 1, as {level: {monomial: int}}: a term dict on the
       prolonged chart per nonzero level, every coefficient a positive
       int, no Poly.  A function's jet is its terms' cached jets, each
-      scaled by its coefficient and stored side by side.  A power x_v^e
-      is the monomial ((v, e),); a product of powers caches its powers
-      too, so the cache is bounded by the distinct monomials lifted and
-      their powers.
+      scaled by its coefficient (one product per distinct multinomial of
+      the jet) and stored side by side.  A power x_v^e is the monomial
+      ((v, e),); a product of powers caches its powers too, so the cache
+      is bounded by the distinct monomials lifted and their powers.
     - _blocks, keyed by (block, tag, contra): rows [(lifted block, sign),
       ...] by level sum a, the block's canonical lifted keys over its
       level tuples summing to a, in product order, with the sign an
@@ -189,21 +189,30 @@ class LiftContext:
 def lift_function_jets(f: Poly, ctx: LiftContext) -> list:
     """All lifts f^(0), ..., f^(r): the jet of f in R[t]/(t^(r+1)).
 
-    A unit jet coefficient costs no product.
+    Each term of f scales its monomial's jet by its coefficient, forming
+    one product per distinct multinomial c of the jet in a per-term dict
+    seeded with {1: coef}, so a unit jet coefficient costs no product and
+    the jet terms that share a c share its value.
     """
     if f.chart is not ctx.base:
         raise ChartMismatchError("function does not live on the context's base chart")
     levels = [{} for _ in range(ctx.r + 1)]
     for mono, coef in f.terms.items():
+        scaled = {1: coef}
         for k, p in ctx._monomial_jet(mono).items():
             acc = levels[k]
             for m, c in p.items():
-                acc[m] = coef if c == 1 else coef * c
+                s = scaled.get(c)
+                if s is None:
+                    s = scaled[c] = coef * c
+                acc[m] = s
     return [Poly(ctx.total, terms) for terms in levels]
 
 
 def lift_function(f: Poly, lam: int, ctx: LiftContext) -> Poly:
     """The lambda-lift of a function; zero outside 0 <= lambda <= r."""
+    if f.chart is not ctx.base:
+        raise ChartMismatchError("function does not live on the context's base chart")
     _check_int(lam, "lift level")
     if lam < 0 or lam > ctx.r:
         return Poly.zero(ctx.total)
@@ -290,11 +299,14 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     up and down blocks the levels of tuples summing to a and b.  Each
     lifted block is sorted back to its canonical key (_lifted_block), so
     symmetry tags survive and no permutation of a stored key is lifted.
-    Zero outside 0..r.  Two caches of ctx carry the work between calls:
-    _last, the coefficient jets of the last tensor lifted, so lifting one
-    tensor at every lambda lifts each stored coefficient once; and
-    _blocks, the lifted keys of each index block by level sum, so a block
-    met again, in this tensor or another, is not lifted again.
+    Zero outside 0..r.  A lifted antisym block can flip the sign of its
+    component, so for an antisym-tagged tensor each stored coefficient c
+    also has the jets of -c, lifted as a function like c's rather than
+    negated term by term.  Two caches of ctx carry the work between
+    calls: _last, the coefficient jets of the last tensor lifted, so
+    lifting one tensor at every lambda lifts each stored coefficient
+    once; and _blocks, the lifted keys of each index block by level sum,
+    so a block met again, in this tensor or another, is not lifted again.
     """
     if t.chart is not ctx.base:
         raise ChartMismatchError("tensor does not live on the context's base chart")
@@ -303,16 +315,16 @@ def lift_tensor(t: TensorField, lam: int, ctx: LiftContext) -> TensorField:
     if lam < 0 or lam > r:
         return TensorField(ctx.total, t.q, t.p, {}, t.contra_sym, t.cov_sym)
     if ctx._last[0] is not t:
-        # per stored component: its up and down block tables, and its
-        # coefficient jets and their negatives; an antisym block can flip
-        # the sign, so the jets are negated once, not per use
+        # per stored component: its up and down block tables, and the
+        # jets of its coefficient and, where an antisym block can flip
+        # the sign, of the coefficient's negative
         flips = "antisym" in (t.contra_sym, t.cov_sym)
         comps = []
         for (up, down), coef in t.components.items():
             jets = lift_function_jets(coef, ctx)
             comps.append((ctx._block_table(up, t.contra_sym, True),
                           ctx._block_table(down, t.cov_sym, False),
-                          jets, [-c for c in jets] if flips else None))
+                          jets, lift_function_jets(-coef, ctx) if flips else None))
         ctx._last = (t, comps)
     out: dict = {}
     for ups, downs, jets, negs in ctx._last[1]:

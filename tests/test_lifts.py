@@ -45,7 +45,7 @@ from gradcalc.tensor import (
     wedge,
     weight_vector_field,
 )
-from test_tensor import assert_canonical, sym_power_sum
+from test_tensor import assert_canonical, assert_same_storage, fraction_poly, fraction_tensor, sym_power_sum
 
 E1 = make_chart(["x"], [0])
 E2 = make_chart(["x", "y"], [0, 0])
@@ -87,8 +87,10 @@ def test_lift_function_frozen():
     assert lift_function(f, 1, ctx) == jets[1]
     assert not lift_function(f, 3, ctx)
     assert not lift_function(f, -1, ctx)
-    with pytest.raises(ChartMismatchError):
-        lift_function(Poly.variable(E2, 0), 0, ctx)
+    for lam in (-1, 0, 3):
+        # the chart is checked before the level range
+        with pytest.raises(ChartMismatchError):
+            lift_function(Poly.variable(E2, 0), lam, ctx)
 
 
 def test_order_zero_lift_is_identity():
@@ -688,6 +690,80 @@ def test_unit_jet_terms_cost_no_fraction_product(monkeypatch):
     assert calls == []
     for lam in range(4):
         assert jets[lam] == taylor_lift_oracle(f, lam, ctx)
+
+
+def test_jet_products_are_one_per_distinct_multinomial(monkeypatch):
+    # the jets of x^3 at r = 4 have 11 terms with multinomials 1, 3 and 6; an
+    # antisym form also needs the jets of the negated coefficient
+    chart = E2
+    x = Poly.variable(chart, 0)
+    form = wedge(coordinate_one_form(chart, 0), coordinate_one_form(chart, 1)) * (x ** 3 * Fraction(5, 7))
+    ctx = LiftContext(chart, 4)
+    assert sorted({c for p in ctx._monomial_jet(((0, 3),)).values() for c in p.values()}) == [1, 3, 6]
+    calls = []
+    for name in ("__mul__", "__rmul__", "__neg__"):
+        def counted(*args, op=getattr(Fraction, name)):
+            calls.append(args)
+            return op(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    lifted = [lift_tensor(form, lam, ctx) for lam in range(5)]
+    monkeypatch.undo()
+    # at most two calls per distinct multinomial; a product per non-unit jet
+    # term and a negation per jet term make 9 + 11
+    assert len(calls) <= 2 * 3
+    for lam, t in enumerate(lifted):
+        assert t.expand() == oracle_lift_table(form, lam, ctx)
+
+
+def jets_by_loop(f, ctx):
+    # one product per non-unit jet term, as the kernel formed them before
+    # its per-term memo of products
+    levels = [{} for _ in range(ctx.r + 1)]
+    for mono, coef in f.terms.items():
+        for k, p in ctx._monomial_jet(mono).items():
+            for m, c in p.items():
+                levels[k][m] = coef if c == 1 else coef * c
+    return [Poly(ctx.total, terms) for terms in levels]
+
+
+def lift_tensor_by_loop(t, lam, ctx):
+    # lift_tensor with jets_by_loop and negatives taken by Poly.__neg__
+    out = {}
+    for (up, down), coef in t.components.items() if 0 <= lam <= ctx.r else ():
+        jets = jets_by_loop(coef, ctx)
+        ups = ctx._block_table(up, t.contra_sym, True)
+        downs = ctx._block_table(down, t.cov_sym, False)
+        for a, up_row in enumerate(ups):
+            for b, down_row in enumerate(downs):
+                e = lam - a - b
+                if 0 <= e <= ctx.r and jets[e]:
+                    for nup, su in up_row:
+                        for ndown, sd in down_row:
+                            out[(nup, ndown)] = jets[e] if su == sd else -jets[e]
+    return TensorField(ctx.total, t.q, t.p, out, t.contra_sym, t.cov_sym)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9), st.integers(1, 3), st.integers(1, 4),
+       st.integers(0, 2), st.integers(0, 2), st.sampled_from(TAGS), st.sampled_from(TAGS))
+def test_lifts_store_as_the_per_term_loop_did(seed, dim, r, q, p, csym, dsym):
+    rng = random.Random(seed)
+    chart = CHARTS[dim]
+    t = fraction_tensor(rng, chart, q, p, csym if q > 1 else "none", dsym if p > 1 else "none")
+    ctx = LiftContext(chart, r)
+    for lam in range(-1, r + 2):
+        assert_same_storage(lift_tensor(t, lam, ctx), lift_tensor_by_loop(t, lam, ctx))
+    conn = tangent_connection(chart, {(rng.randrange(dim), rng.randrange(dim), rng.randrange(dim)):
+                                      fraction_poly(rng, chart) for _ in range(3)})
+    cctx = LiftContext(conn.chart, r)
+    lifted = lift_linear_connection(conn, cctx).gamma
+    christoffel = TensorField(conn.chart, 1, 2, {((a,), (k, b)): g
+                                                 for (k, a, b), g in conn.gamma.items()})
+    want = lift_tensor_by_loop(christoffel, r, cctx).components
+    assert list(lifted) == [(k, a, b) for ((a,), (k, b)) in want]
+    assert [[(m, c, type(c)) for m, c in g.terms.items()] for g in lifted.values()] == \
+        [[(m, c, type(c)) for m, c in g.terms.items()] for g in want.values()]
 
 
 def test_lifts_assign_without_accumulating(monkeypatch):
