@@ -100,7 +100,8 @@ def exterior_derivative(w: TensorField) -> TensorField:
             if var in down:
                 continue  # dx^var ^^ dx^down repeats an index
             s, idx = _sort_with_parity((var,) + down)
-            _acc_poly(out, ((), idx), coef.diff(var), s)
+            d = coef.diff(var)
+            _acc_poly(out, ((), idx), d if s == 1 else -d)
     return TensorField(w.chart, 0, w.p + 1, _polys(w.chart, out), cov_sym="antisym")
 
 

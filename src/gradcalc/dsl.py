@@ -57,7 +57,7 @@ from .lifts import (LiftContext, LinearConnection, _lift_sizes, covariant_deriva
                     lift_tensor, tangent_connection)
 from .oracle import (evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
-from .poly import ANY_DEGREE, Poly, _acc
+from .poly import ANY_DEGREE, Poly
 from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
                      key_text, number_str, render_poly, tensor_to_json)
 from .tensor import (TensorField, _sum, coordinate_one_form,
@@ -761,14 +761,14 @@ def _run_dist(st: CmdStmt, env: _Env, a: dict) -> tuple:
 def _run_conn(st: CmdStmt, env: _Env, a: dict) -> tuple:
     chart = a["chart"]
     gamma: dict = {}
-    for (up, lo1, lo2), e in a["exprs"]:
+    for (up, lo1, lo2), e in a["exprs"]:   # the parser rejects a repeated triple
         v = _eval_expr(e, chart)
         if v.q or v.p:
             raise GradcalcError("Christoffel symbols must be scalar")
-        key = (chart.index(lo1), chart.index(up), chart.index(lo2))
-        _acc(gamma, key, v.scalar_part())
-    return _bind(st, env, a, tangent_connection(chart, gamma),
-                 [f"{a['as']}: connection with {len(gamma)} symbols"], "connection")
+        gamma[(chart.index(lo1), chart.index(up), chart.index(lo2))] = v.scalar_part()
+    conn = tangent_connection(chart, gamma)
+    return _bind(st, env, a, conn,
+                 [f"{a['as']}: connection with {len(conn.gamma)} symbols"], "connection")
 
 
 def _run_lift(st: CmdStmt, env: _Env, a: dict) -> tuple:

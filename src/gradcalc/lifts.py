@@ -54,7 +54,7 @@ from .charts import (Chart, _check_int, prolong_chart, tangent_chart,
                      vb_split)
 from .checkers import Distribution
 from .errors import ChartMismatchError, GradcalcError, ValenceError
-from .poly import Poly, _acc, _coefficient
+from .poly import Poly, _acc_poly, _acc_product, _coefficient, _polys
 from .tensor import TensorField, _same_chart, _sort_with_parity
 
 __all__ = [
@@ -418,9 +418,8 @@ def horizontal_fields(conn: LinearConnection) -> list:
         for (k2, a, b), g in conn.gamma.items():
             if k2 != k:
                 continue
-            yb = Poly.variable(chart, b)
-            _acc(comps, ((a,), ()), -(g * yb))
-        out.append(TensorField(chart, 1, 0, comps))
+            _acc_product(comps, ((a,), ()), g, Poly.variable(chart, b), -1)
+        out.append(TensorField(chart, 1, 0, _polys(chart, comps)))
     return out
 
 
@@ -466,7 +465,7 @@ def covariant_derivative(conn: LinearConnection, x: TensorField, y: TensorField)
     fibre_partner = {f: pos[conn.base[m]] for m, f in enumerate(conn.fibre)}
     out: dict = {}
     for ((a,), _), g in y.components.items():
-        _acc(out, ((a,), ()), vf_apply(x, g))
+        _acc_poly(out, ((a,), ()), vf_apply(x, g))
     for (k, a, b), g in conn.gamma.items():
         xk = x.component((pos[k],), ())
         if not xk:
@@ -474,5 +473,5 @@ def covariant_derivative(conn: LinearConnection, x: TensorField, y: TensorField)
         yb = y.component((fibre_partner[b],), ())
         if not yb:
             continue
-        _acc(out, ((fibre_partner[a],), ()), g.reindex(chart) * xk * yb)
-    return TensorField(chart, 1, 0, out)
+        _acc_product(out, ((fibre_partner[a],), ()), g.reindex(chart) * xk, yb)
+    return TensorField(chart, 1, 0, _polys(chart, out))

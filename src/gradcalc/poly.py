@@ -36,21 +36,24 @@ per monomial) x its own term count.  Sharing is safe because no code
 changes a Poly's terms in place, so a kept set cannot go stale and a
 kept derivative is as immutable as any other Poly.
 
-_acc(store, key, value) is the one sparse-sum accumulator of values:
-every sparse sum of coefficients here goes through it, and so do the
-sums of components in the builders elsewhere.  The oracles keep their
-own loops to stay independent of the code they check.  A sum of
-products of polynomials, sign * f * g at many keys, goes through the
-one term-level accumulator instead, and builds no Poly on the way:
-_acc_product adds the terms of one product, formed by _mul_terms (the
-one product loop, which Poly.__mul__ runs too), straight into a term
-dict per key; _acc_poly adds a whole Poly; _polys wraps each surviving
-dict in a Poly at the end.  It merges the smaller term dict into the
-larger, as Poly.__add__ does, and deletes a key only once a whole
-contribution has cancelled it, so a result is stored exactly as the sum
-of Poly products was: the same keys, terms and coefficient types in the
-same order.  Poly.from_terms and tensor._sum are the one n-ary sum of
-polynomials and of tensors.
+_acc(store, key, value) adds a number into a term dict and keeps the
+dict free of zero coefficients: every sparse sum of coefficients goes
+through it, and no module but this one calls it.  A sum of polynomials
+at many keys, whole Polys or products sign * f * g, goes through the one
+polynomial accumulator, which builds no Poly on the way: _acc_poly adds
+a Poly or a term dict into a store of one entry per key, _acc_product
+adds the term dict of one product, formed by _mul_terms (the one product
+loop, which Poly.__mul__ runs too), and _polys wraps each surviving dict
+in a Poly at the end.  _acc_poly holds a Poly until another contribution
+meets its key, merges the smaller term dict into the larger, as
+Poly.__add__ does, and deletes a key only once a whole contribution has
+cancelled it, so a result is stored exactly as the sum of Polys was: the
+same keys, terms and coefficient types in the same order.  Poly.__add__
+keeps its own loop apart, because the storage tests fold Polys with it
+and _acc as the reference these accumulators must match.  The oracles
+keep their own loops to stay independent of the code they check.
+Poly.from_terms and tensor._sum are the one n-ary sum of polynomials and
+of tensors.
 
 _coefficient(chart, value, what, base) is the one coefficient rule of
 the builders outside this module: a number goes through _coef, a Poly
@@ -98,26 +101,28 @@ def _acc(store: dict, key, value) -> None:
         del store[key]
 
 
-def _acc_terms(store: dict, key, terms: dict, held: "Poly | None" = None) -> None:
-    """store[key] += terms, a term dict, merged as Poly.__add__ merges.
+def _acc_poly(store: dict, key, p) -> None:
+    """store[key] += p, a Poly or a term dict, merged as Poly.__add__ merges.
 
-    A key met once stores held, the Poly whose terms these are, or else
-    terms itself, which the store then owns.  A key met again gets one
-    owned dict: the larger of the two (the stored one on a tie, copied if
-    a Poly holds it) with the smaller added term by term.  The key is
-    deleted only once the whole contribution has cancelled it.
+    A key met once stores p itself: a Poly is held, a term dict is owned
+    by the store from then on.  A key met again gets one owned dict: the
+    larger of the two (the stored one on a tie, copied if a Poly holds it)
+    with the smaller added term by term.  The key is deleted only once the
+    whole contribution has cancelled it.
     """
+    held = type(p) is Poly
+    terms = p.terms if held else p
     if not terms:
         return
     prev = store.get(key)
     if prev is None:
-        store[key] = terms if held is None else held
+        store[key] = p
         return
     copy = type(prev) is Poly
     if copy:
         prev = prev.terms
     if len(prev) < len(terms):
-        prev, terms, copy = terms, prev, held is not None
+        prev, terms, copy = terms, prev, held
     if copy:
         prev = dict(prev)
     for m, c in terms.items():
@@ -128,18 +133,9 @@ def _acc_terms(store: dict, key, terms: dict, held: "Poly | None" = None) -> Non
         del store[key]
 
 
-def _acc_poly(store: dict, key, p: "Poly", sign: int = 1) -> None:
-    """store[key] += sign * p, with sign 1 or -1; p itself is stored while
-    no other contribution meets its key."""
-    if sign == 1:
-        _acc_terms(store, key, p.terms, p)
-    else:
-        _acc_terms(store, key, {m: -c for m, c in p.terms.items()})
-
-
 def _acc_product(store: dict, key, f: "Poly", g: "Poly", sign: int = 1) -> None:
     """store[key] += sign * f * g, with sign 1 or -1, building no Poly."""
-    _acc_terms(store, key, _mul_terms(f.terms, g.terms, sign))
+    _acc_poly(store, key, _mul_terms(f.terms, g.terms, sign))
 
 
 def _polys(chart: Chart, store: dict) -> dict:

@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .charts import Chart
 from .errors import GradcalcError
-from .poly import Poly, _acc
+from .poly import Poly
 from .tensor import TensorField, _swap, scalar_field
 
 # functions only: perfbench/tracer.py wraps every name listed here
@@ -119,9 +119,9 @@ def random_vv_form(rng: random.Random, chart: Chart, degree: int,
 
 def random_tensor(rng: random.Random, chart: Chart, q: int, p: int,
                   max_components: int = 2, **poly_opts) -> TensorField:
-    comps = {}
-    for _ in range(rng.randint(1, max_components)):
-        up = tuple(rng.randrange(chart.dim) for _ in range(q))
-        down = tuple(rng.randrange(chart.dim) for _ in range(p))
-        _acc(comps, (up, down), random_poly(rng, chart, **poly_opts))
-    return TensorField(chart, q, p, comps)
+    # the key's draws come before its polynomial's, as the tuple is built
+    return TensorField.from_components(chart, q, p, (
+        ((tuple(rng.randrange(chart.dim) for _ in range(q)),
+          tuple(rng.randrange(chart.dim) for _ in range(p))),
+         random_poly(rng, chart, **poly_opts))
+        for _ in range(rng.randint(1, max_components))))

@@ -35,7 +35,7 @@ from .lifts import (LiftContext, covariant_derivative, lift_distribution,
                     lift_function, lift_linear_connection, lift_tensor,
                     tangent_connection)
 from .oracle import koszul_concomitant_oracle, taylor_lift_oracle
-from .poly import Poly, _acc
+from .poly import Poly, _acc_poly, _polys
 from .render import json_document, render_tensor
 from .sampling import (random_form, random_multivector, random_one_form,
                        random_poly, random_tensor, random_vector_field,
@@ -348,8 +348,8 @@ def criterion_connection_lifts(seed: int):
         gamma = {}
         for _ in range(rng.randint(1, 3)):
             key = tuple(rng.randrange(dim) for _ in range(3))
-            _acc(gamma, key, random_poly(rng, m))
-        yield from check(m, gamma, f"random-{case}")
+            _acc_poly(gamma, key, random_poly(rng, m))
+        yield from check(m, _polys(m, gamma), f"random-{case}")
     return "identity exact for the one-symbol and 20 random connections"
 
 

@@ -20,7 +20,9 @@ tensors and + its two-operand case: a key of one operand keeps its Poly,
 and the operands that share a key meet in one term dict (poly._acc_poly).
 The products (tensor_product, wedge, insert_multivector, compose_11 and
 scaling) add their term products into term dicts the same way
-(poly._acc_product), and contract sums through poly._acc_poly.
+(poly._acc_product), and contract and from_components, which
+vector_field calls, sum through poly._acc_poly: every sum of components
+here goes through that one polynomial accumulator.
 
 The wedge product is the unnormalized signed-shuffle product: on
 one-forms a ^^ b = a ox b - b ox a, with no 1/k! factors anywhere.
@@ -35,7 +37,7 @@ from itertools import permutations
 
 from .charts import Chart
 from .errors import ChartMismatchError, ValenceError
-from .poly import (ANY_DEGREE, Poly, _acc, _acc_poly, _acc_product, _coefficient, _polys,
+from .poly import (ANY_DEGREE, Poly, _acc_poly, _acc_product, _coefficient, _polys,
                    degree_of_function)
 
 __all__ = [
@@ -158,8 +160,8 @@ class TensorField:
                 raise ValenceError(f"non-canonical covariant key {down} for tag {cov_sym}")
             for i in up + down:
                 chart.check_index(i)
-            _acc(comps, (up, down), _coefficient(chart, coef, "component polynomial"))
-        return TensorField(chart, q, p, comps, contra_sym, cov_sym)
+            _acc_poly(comps, (up, down), _coefficient(chart, coef, "component polynomial"))
+        return TensorField(chart, q, p, _polys(chart, comps), contra_sym, cov_sym)
 
     # -- basics -----------------------------------------------------------
 
@@ -302,10 +304,8 @@ def scalar_field(chart: Chart, value) -> TensorField:
 
 
 def vector_field(chart: Chart, entries: Mapping) -> TensorField:
-    comps = {}
-    for i, v in entries.items():
-        _acc(comps, ((chart.index(i),), ()), _coefficient(chart, v, "component polynomial"))
-    return TensorField(chart, 1, 0, comps)
+    return TensorField.from_components(
+        chart, 1, 0, ((((chart.index(i),), ()), v) for i, v in entries.items()))
 
 
 def coordinate_vector_field(chart: Chart, var) -> TensorField:

@@ -124,6 +124,21 @@ def test_a_failing_case_in_a_nested_check_ends_its_criterion(monkeypatch):
     assert res.detail == "one-symbol r=1 lambda=1 mu=0"
     assert len(calls) == 4
 
+
+def test_text_table_pinned():
+    # the default format of `gradcalc check-suite`: labels padded to the
+    # longest, then the verdict, the case count, the time and the detail
+    table = suite.render_table([
+        suite.CriterionResult("lift-displays", True, 12, "all displays match", 3.0),
+        suite.CriterionResult("oracle", False, 3, "a^(0) at r=1: 'broken' != 'x*dy'", 1234.5),
+    ])
+    assert table.split("\n") == [
+        "lift-displays  PASS     12 cases       3.0 ms  all displays match",
+        "oracle         FAIL      3 cases    1234.5 ms  a^(0) at r=1: 'broken' != 'x*dy'",
+        "1/2 criteria passed",
+    ]
+
+
 def _suite_json(seed: int) -> bytes:
     """stdout of `gradcalc check-suite --format json` from the checkout's
     own package, not whatever `gradcalc` is installed."""

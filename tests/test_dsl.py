@@ -1180,6 +1180,11 @@ RUNNER_RECORDS = {
                              ["not homogeneous"]),
     "eval-zero": ("eval Z at (x=1, y=2)", 0,
                   {"kind": "eval", "ok": True, "values": []}, ["0"]),
+    "oracle-spotcheck-disagree": ("oracle spotcheck a b", 1, {
+        "kind": "oracle", "ok": False, "oracle": "spot-check", "check": {
+            "verdict": "fail", "witness": "component (;x) is 0 vs 1 at (x=1/2, y=-5/2)",
+            "probabilistic": True, "seed": 0}},
+        ["oracle spotcheck: DISAGREE (component (;x) is 0 vs 1 at (x=1/2, y=-5/2))"]),
     "oracle-lift-not-function": ("oracle lift X lambda=1 r=1",
                                  *_semantic("oracle lift takes a function")),
     "christoffel-not-scalar": ("connection C on M { G x x y = dx }",

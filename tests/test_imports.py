@@ -70,6 +70,30 @@ def test_star_imports_only_in_package_init():
     assert star and set(star) == {"__init__.py"}
 
 
+def _acc_users(src) -> list:
+    """The modules of src but poly.py that import poly._acc or read it as
+    an attribute."""
+    return sorted(p.name for p in src.glob("*.py") if p.name != "poly.py"
+                  for node in ast.walk(ast.parse(p.read_text()))
+                  if isinstance(node, ast.ImportFrom)
+                  and any(alias.name == "_acc" for alias in node.names)
+                  or isinstance(node, ast.Attribute) and node.attr == "_acc")
+
+
+def test_only_poly_uses_the_number_accumulator():
+    # _acc adds numbers into a term dict; every sum of polynomials elsewhere
+    # goes through the one polynomial accumulator, poly._acc_poly
+    assert _acc_users(SRC) == []
+
+
+def test_acc_user_is_found(tmp_path):
+    (tmp_path / "poly.py").write_text("def _acc(s, k, v):\n    pass\n")
+    (tmp_path / "a.py").write_text("from .poly import Poly, _acc\n")
+    (tmp_path / "b.py").write_text("from . import poly\npoly._acc({}, 1, 2)\n")
+    (tmp_path / "c.py").write_text("from .poly import _acc_poly\n")
+    assert _acc_users(tmp_path) == ["a.py", "b.py"]
+
+
 # Exported names with no caller in the package or the demos yet, each with
 # the ROADMAP item that will reach it or the reason it stays.
 UNREACHED_ALLOWED = {

@@ -91,6 +91,8 @@ def test_lift_function_frozen():
         # the chart is checked before the level range
         with pytest.raises(ChartMismatchError):
             lift_function(Poly.variable(E2, 0), lam, ctx)
+    with pytest.raises(ChartMismatchError, match="^function does not live on the context's"):
+        lift_function_jets(Poly.variable(E2, 0), ctx)
 
 
 def test_order_zero_lift_is_identity():
@@ -783,8 +785,10 @@ def test_lifts_assign_without_accumulating(monkeypatch):
     want = lift_all()
     assert len(want[0][2].terms) == 4 and all(want[1]) and want[2]
     calls = []
-    acc = lifts._acc
-    monkeypatch.setattr(lifts, "_acc", lambda *args: calls.append(args) or acc(*args))
+    for name in ("_acc_poly", "_acc_product"):
+        acc = getattr(lifts, name)
+        monkeypatch.setattr(lifts, name,
+                            lambda *args, acc=acc: calls.append(args) or acc(*args))
     assert lift_all() == want
     assert calls == []
 

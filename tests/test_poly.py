@@ -697,6 +697,9 @@ POLY_REFUSALS = {
     "add-a-str": (lambda: _X.__add__("1"), NotImplemented),
     "sub-a-str": (lambda: _X.__sub__("1"), NotImplemented),
     "rsub-a-str": (lambda: _X.__rsub__("1"), NotImplemented),
+    # a number on the left is taken, not refused
+    "rsub-a-number": (lambda: [(1 - _X).terms, (Fraction(1, 2) - _X).terms],
+                      [{(): 1, ((0, 1),): -1}, {(): Fraction(1, 2), ((0, 1),): -1}]),
     "mul-a-float": (lambda: _X.__mul__(0.5), NotImplemented),
     # a bool is an int to Python, so it reaches the number rule
     "mul-a-bool": (lambda: _X * True, GradcalcError(NUMBER_RULE + "True")),
