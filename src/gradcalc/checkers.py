@@ -18,7 +18,6 @@ bivector; vanishing compatibility concomitant) are checked exactly.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from itertools import combinations
 
@@ -29,8 +28,8 @@ from .calculus import (
 from .charts import Chart, phase_shifted_cotangent_chart, shifted_dual_grl_chart, \
     tangent_chart, vb_split
 from .errors import ChartMismatchError, GradcalcError, ValenceError, _checked_make
-from .poly import ANY_DEGREE, Poly, _coef, _coefficient, degree_matches, degree_of_function, \
-    homogeneous_components
+from .poly import ANY_DEGREE, Poly, _cleared, _coef, _coefficient, degree_matches, \
+    degree_of_function, homogeneous_components
 from .render import key_text, number_str, point_text
 from .sampling import sample_points
 from .tensor import (
@@ -293,20 +292,12 @@ def _bundle_map(t: TensorField, sharp: bool, k: int | None, component: int) -> B
 
 # -- exact rational linear algebra -------------------------------------------
 
-def _integer_row(row) -> list:
-    """A rational row times the LCM of its denominators: same span, int entries."""
-    row = [_coef(a) for a in row]
-    lcm = math.lcm(*(a.denominator for a in row))
-    return [a * lcm if type(a) is int else a.numerator * (lcm // a.denominator)
-            for a in row]
-
-
 def rational_rank(rows: list) -> int:
     """Rank of a matrix of numbers (each an int or a Fraction, by the one
     number rule of poly._coef) by fraction-free elimination.
 
-    Each row is scaled to integers by the LCM of its denominators, which
-    keeps the rank.  Bareiss elimination (Math. Comp. 22, 1968) then keeps
+    Each row is scaled to integers by the LCM of its denominators
+    (poly._cleared), which keeps the rank.  Bareiss elimination (Math. Comp. 22, 1968) then keeps
     every entry an integer: after a pivot p, each row below becomes
     (p * row - a * pivot row) // previous pivot, a division that is exact
     because every entry is a minor of the integer matrix.  A column with
@@ -314,7 +305,7 @@ def rational_rank(rows: list) -> int:
     found lower down is swapped up first.  GradcalcError if two rows
     differ in length.
     """
-    m = [_integer_row(r) for r in rows]
+    m = [_cleared([_coef(a) for a in r])[1] for r in rows]
     if not m:
         return 0
     for r in m:

@@ -57,7 +57,7 @@ from .lifts import (LiftContext, LinearConnection, _lift_sizes, covariant_deriva
                     lift_tensor, tangent_connection)
 from .oracle import (evaluate_tensor_at, identity_spot_check,
                      koszul_concomitant_oracle, taylor_lift_oracle)
-from .poly import ANY_DEGREE, Poly
+from .poly import ANY_DEGREE, Poly, _cleared
 from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
                      key_text, number_str, render_poly, tensor_to_json)
 from .tensor import (TensorField, _sum, coordinate_one_form,
@@ -561,8 +561,8 @@ def _power_work(coefs, e: int) -> int:
     t = len(coefs)
     if not t:
         return 0
-    den = math.lcm(*(c.denominator for c in coefs))
-    total = int(sum(abs(c) for c in coefs) * den)
+    den, ints = _cleared(coefs)
+    total = sum(map(abs, ints))
     bits = (total - 1).bit_length() + (den - 1).bit_length()
     work, out, square = 0, 0, 1     # out = base^out, square = base^square
     while e:

@@ -128,11 +128,7 @@ def identity_spot_check(lhs: TensorField, rhs: TensorField, seed: int = 0) -> Ch
     A symbolic equality check subsumes this; it exists as a second line
     of defense with a concrete witness point on failure.
     """
-    if lhs.chart is not rhs.chart:
-        raise ChartMismatchError("tensors live on different charts")
-    if (lhs.q, lhs.p) != (rhs.q, rhs.p):
-        raise ValenceError(
-            f"valence mismatch: ({lhs.q},{lhs.p}) vs ({rhs.q},{rhs.p})")
+    lhs._check(rhs)
     names = lhs.chart.names
     for pt in _spot_points(lhs.chart, seed):
         a = evaluate_tensor_at(lhs, pt)

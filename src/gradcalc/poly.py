@@ -22,10 +22,13 @@ number is stored as an int, so products of integer polynomials never
 pay for a gcd.  Arithmetic between stored coefficients may still leave
 a whole Fraction (Fraction(1, 2) * 2).  Equality is unaffected, because
 Fraction(2) == 2 with equal hashes, and so is rendering, because both
-print as 2.  No coefficient is ever a float.  constant_value() and
-evaluate() return Fraction; evaluate() sums in integers over one common
-denominator and builds only that Fraction.  There is no division by
-non-constant polynomials.
+print as 2.  No coefficient is ever a float.  _cleared(values) is the
+one denominator rule next to it: the LCM d of the values' denominators
+and each value times d as an int, which evaluate(),
+checkers.rational_rank and dsl._power_work read, and no module but this
+one calls math.lcm.  constant_value() and evaluate() return Fraction;
+evaluate() sums in integers over one common denominator and builds only
+that Fraction.  There is no division by non-constant polynomials.
 
 A Poly keeps its variable set and the first derivatives it was asked
 for.  variables_used() builds a frozenset on the first call and returns
@@ -87,6 +90,18 @@ def _coef(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     raise GradcalcError(f"a number must be an int or a Fraction, not {value!r}")
+
+
+def _cleared(values) -> tuple:
+    """The one denominator rule: (d, ints), d the LCM of the denominators
+    of values (ints and Fractions, iterated twice) and ints each value
+    times d, as an int."""
+    d = 1
+    for c in values:
+        if type(c) is not int:
+            d = math.lcm(d, c.denominator)
+    return d, [c * d if type(c) is int else c.numerator * (d // c.denominator)
+               for c in values]
 
 
 def _acc(store: dict, key, value) -> None:
@@ -492,10 +507,7 @@ class Poly:
         if missing:
             names = ", ".join(self.chart.names[v] for v in sorted(missing))
             raise GradcalcError(f"evaluation point misses variables: {names}")
-        lcm = 1
-        for c in self.terms.values():
-            if type(c) is not int:
-                lcm = math.lcm(lcm, c.denominator)
+        lcm, nums = _cleared(self.terms.values())
         coords = {}            # variable -> (num, den, top)
         tables = {}            # variable -> {e: num^e * den^(top - e)}, and 0: den^top
         full = 1               # product of den^top over the variables
@@ -516,8 +528,8 @@ class Poly:
             num, den, t = coords[v]
             tables[v][e] = num ** e * den ** (t - e)
         total = 0
-        for m, c in self.terms.items():
-            s = (c * lcm if type(c) is int else c.numerator * (lcm // c.denominator)) * full
+        for m, s in zip(self.terms, nums):
+            s *= full
             for v, e in m:
                 table = tables[v]
                 s = s // table[0] * table[e]

@@ -18,11 +18,12 @@ with the same tags are compared on their stored components; only
 differently tagged ones are expanded.  _sum is the one n-ary sum of
 tensors and + its two-operand case: a key of one operand keeps its Poly,
 and the operands that share a key meet in one term dict (poly._acc_poly).
-The products (tensor_product, wedge, insert_multivector, compose_11 and
-scaling) add their term products into term dicts the same way
-(poly._acc_product), and contract and from_components, which
-vector_field calls, sum through poly._acc_poly: every sum of components
-here goes through that one polynomial accumulator.
+The products (tensor_product, wedge, insert_multivector and scaling)
+add their term products into term dicts the same way
+(poly._acc_product), and contract, which traces a tensor product in
+compose_11, and from_components, which vector_field calls, sum through
+poly._acc_poly: every sum of components here goes through that one
+polynomial accumulator.
 
 The wedge product is the unnormalized signed-shuffle product: on
 one-forms a ^^ b = a ox b - b ox a, with no 1/k! factors anywhere.
@@ -271,11 +272,9 @@ def _swap(t: TensorField) -> TensorField:
 
 def _from_expanded(chart: Chart, q: int, p: int, expanded: dict,
                    contra_sym: str = "none", cov_sym: str = "none") -> TensorField:
-    """Canonical tensor from an expanded table known to have the symmetry."""
+    """Canonical tensor from a zero-free expanded table known to have the symmetry."""
     comps = {}
     for (up, down), coef in expanded.items():
-        if not coef:
-            continue
         if _is_canonical(up, contra_sym) and _is_canonical(down, cov_sym):
             comps[(up, down)] = coef
     return TensorField(chart, q, p, comps, contra_sym, cov_sym)
@@ -441,16 +440,11 @@ def insert_form(w: TensorField, t: TensorField) -> TensorField:
 
 
 def compose_11(a: TensorField, b: TensorField) -> TensorField:
-    """Composition of (1,1) tensors as endomorphisms: (a.b)(v) = a(b(v))."""
+    """Composition (a.b)(v) = a(b(v)) of (1,1) tensors, a trace of a ox b."""
     _same_chart(a, b)
     if (a.q, a.p) != (1, 1) or (b.q, b.p) != (1, 1):
         raise ValenceError("compose_11 needs two (1,1) tensors")
-    out: dict = {}
-    for ((i,), (l,)), ca in a.components.items():
-        for ((l2,), (j,)), cb in b.components.items():
-            if l == l2:
-                _acc_product(out, ((i,), (j,)), ca, cb)
-    return TensorField(a.chart, 1, 1, _polys(a.chart, out))
+    return contract(tensor_product(a, b), 1, 0)
 
 
 def degree_of_tensor(t: TensorField, component: int = 0) -> object:

@@ -94,6 +94,30 @@ def test_acc_user_is_found(tmp_path):
     assert _acc_users(tmp_path) == ["a.py", "b.py"]
 
 
+def _lcm_users(src) -> list:
+    """The modules of src but poly.py that import math.lcm or read it as
+    an attribute."""
+    return sorted({p.name for p in src.glob("*.py") if p.name != "poly.py"
+                   for node in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(node, ast.ImportFrom) and node.module == "math"
+                   and any(alias.name == "lcm" for alias in node.names)
+                   or isinstance(node, ast.Attribute) and node.attr == "lcm"})
+
+
+def test_only_poly_clears_denominators():
+    # poly._cleared is the one denominator rule: the LCM of a list's
+    # denominators and the list times it, as ints
+    assert _lcm_users(SRC) == []
+
+
+def test_lcm_user_is_found(tmp_path):
+    (tmp_path / "poly.py").write_text("import math\nd = math.lcm(2, 3)\n")
+    (tmp_path / "a.py").write_text("import math\nd = math.lcm(*[2, 3])\ne = math.lcm(4)\n")
+    (tmp_path / "b.py").write_text("from math import comb, lcm\n")
+    (tmp_path / "c.py").write_text("import math\nn = math.comb(4, 2)\n")
+    assert _lcm_users(tmp_path) == ["a.py", "b.py"]
+
+
 # Exported names with no caller in the package or the demos yet, each with
 # the ROADMAP item that will reach it or the reason it stays.
 UNREACHED_ALLOWED = {

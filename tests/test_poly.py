@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gradcalc.charts import make_chart
 from gradcalc.errors import ChartMismatchError, GradcalcError
-from gradcalc.poly import (ANY_DEGREE, Poly, _acc, _coef, degree_matches,
+from gradcalc.poly import (ANY_DEGREE, Poly, _acc, _cleared, _coef, degree_matches,
                            degree_of_function, homogeneous_components,
                            mono_mul, mono_total_degree, weight_of_monomial)
 from gradcalc.checkers import rational_rank
@@ -492,6 +492,28 @@ def test_evaluate_bounds_powers_before_building_them():
     # the bits add over the variables of a term: 2^4,000,000 * 2^200,000 is over
     with pytest.raises(GradcalcError, match="may have 4200000 bits"):
         Poly(M, {((0, 4_000_000), (1, 200_000)): 1}).evaluate({0: 2, 1: 2})
+
+
+def test_cleared_spot_values():
+    assert _cleared([]) == (1, [])
+    assert _cleared([3, -4, 0]) == (1, [3, -4, 0])
+    # a whole Fraction, as arithmetic can leave one, clears to its int
+    d, ints = _cleared([Fraction(1, 2), 3, Fraction(-2, 3), Fraction(8, 4)])
+    assert d == 6 and ints == [3, 18, -4, 12]
+    assert all(type(n) is int for n in ints)
+    # a dict view is read twice, as Poly.evaluate passes its coefficients
+    assert _cleared({(): Fraction(3, 4), ((0, 1),): Fraction(5, 6)}.values()) == (12, [9, 10])
+
+
+@given(st.lists(eval_coefs | st.just(0), max_size=8))
+def test_cleared_is_the_least_common_denominator(values):
+    d, ints = _cleared(values)
+    assert all(type(n) is int for n in ints)
+    assert [Fraction(n, d) for n in ints] == values
+    assert all(d % Fraction(c).denominator == 0 for c in values)
+    # no smaller multiplier clears every value
+    assert all(any(Fraction(c) * (d // p) % 1 for c in values)
+               for p in range(2, d + 1) if d % p == 0)
 
 
 # -- products and derivatives against the plain loops ---------------------------
