@@ -39,7 +39,7 @@ and costs the sign (-1)^p; d_v f is the partial derivative.
 
 from __future__ import annotations
 
-from .errors import ValenceError
+from .errors import ChartMismatchError, ValenceError
 from .poly import Poly, _acc_poly, _acc_product, _polys
 from .tensor import TensorField, _from_expanded, _same_chart, _sort_with_parity
 
@@ -124,6 +124,8 @@ def lie_bracket(x: TensorField, y: TensorField) -> TensorField:
 
 def vf_apply(x: TensorField, f: Poly) -> Poly:
     """Directional derivative X(f)."""
+    if x.chart is not f.chart:
+        raise ChartMismatchError("function lives on a different chart than the vector field")
     if (x.q, x.p) != (1, 0):
         raise ValenceError("expected a vector field")
     f_vars = f.variables_used()

@@ -549,21 +549,25 @@ _MAX_POWER_TERMS = 20_000
 _MAX_POWER_WORK = 50_000_000
 
 
+def _coef_bits(coefs) -> int:
+    """The bits of the absolute sum of coefs over their common denominator
+    L plus the bits of L, which bound the bits of each coefficient."""
+    den, ints = _cleared(coefs)
+    return (sum(map(abs, ints)) - 1).bit_length() + (den - 1).bit_length()
+
+
 def _power_work(coefs, e: int) -> int:
     """Estimated work of base ** e from the base's coefficients, in
     coefficient-weighted term products.
 
     Follows the squarings and products of Poly.__pow__.  The k-th power of
     a t-term base has at most C(k+t-1, t-1) terms, and its coefficients
-    at most k*b bits, where b is the bits of the base's absolute
-    coefficient sum over a common denominator L plus the bits of L.
+    at most k*b bits, b = _coef_bits of the base's coefficients.
     """
     t = len(coefs)
     if not t:
         return 0
-    den, ints = _cleared(coefs)
-    total = sum(map(abs, ints))
-    bits = (total - 1).bit_length() + (den - 1).bit_length()
+    bits = _coef_bits(coefs)
     work, out, square = 0, 0, 1     # out = base^out, square = base^square
     while e:
         if e & 1:
@@ -621,13 +625,37 @@ class _Env:
         return ctx
 
 
+def _product_work(a: TensorField, b: TensorField) -> int:
+    """Estimated work of a product of a and b, in _power_work's unit: the
+    product of their stored term counts, weighted by the 64-bit words of
+    the larger operand's coefficients (_coef_bits)."""
+    ca = [c for p in a.components.values() for c in p.terms.values()]
+    cb = [c for p in b.components.values() for c in p.terms.values()]
+    if not ca or not cb:
+        return 0
+    return len(ca) * len(cb) * (1 + max(_coef_bits(ca), _coef_bits(cb)) // 64)
+
+
 def _eval_expr(program: list, chart: Chart) -> TensorField:
     """Run an expression's postfix program (_Parser.expr) on a stack.  An
     add/sub chain waits there as its list of terms, each checked against
-    the first at its own instruction; _sum sums it once, when it is taken."""
+    the first at its own instruction; _sum sums it once, when it is taken.
+
+    One work meter bounds the expression's products: each ^ charges its
+    _power_work, and each *, ox or ^^ its _product_work before it runs.
+    GradcalcError once the sum passes _MAX_POWER_WORK.
+    """
     def take(x):
         return _sum(x) if type(x) is list else x
 
+    def charge(n: int) -> None:
+        nonlocal work
+        work += n
+        if work > _MAX_POWER_WORK:
+            raise GradcalcError(f"the products of this expression may take {work} weighted "
+                                f"term products, which exceeds the limit {_MAX_POWER_WORK}")
+
+    work = 0
     stack: list = []
     for ins in program:
         op = ins[0]
@@ -652,11 +680,12 @@ def _eval_expr(program: list, chart: Chart) -> TensorField:
                 if n > _MAX_POWER_TERMS:
                     raise GradcalcError(f"power ^{e} of a {t}-term polynomial may have {n} "
                                         f"terms, which exceeds the limit {_MAX_POWER_TERMS}")
-                work = _power_work(base.terms.values(), e)
-                if work > _MAX_POWER_WORK:
+                cost = _power_work(base.terms.values(), e)
+                if cost > _MAX_POWER_WORK:
                     raise GradcalcError(f"power ^{e} of a {t}-term polynomial may take "
-                                        f"{work} weighted term products, which exceeds the "
+                                        f"{cost} weighted term products, which exceeds the "
                                         f"limit {_MAX_POWER_WORK}")
+                charge(cost)
             stack[-1] = scalar_field(chart, base ** e)
         elif op in ("add", "sub"):
             b = take(stack.pop())
@@ -666,6 +695,7 @@ def _eval_expr(program: list, chart: Chart) -> TensorField:
             stack[-1] = terms
         else:
             a, b = take(stack[-2]), take(stack.pop())
+            charge(_product_work(a, b))
             if op == "ox":
                 a = tensor_product(a, b)
             elif op == "wedge":
@@ -722,6 +752,12 @@ def _run_chart(st: CmdStmt, env: _Env, a: dict) -> tuple:
         f"{n}:{list(w) if many else w[0]}" for n, w in entries)], "chart")
 
 
+def _zero_as(t: TensorField, want: tuple) -> TensorField:
+    """t, or the zero tensor of valence want if t is zero: a zero scalar
+    stands for the zero tensor of any valence."""
+    return TensorField.zero(t.chart, *want) if t.is_zero() and (t.q, t.p) != want else t
+
+
 def _run_decl(st: CmdStmt, env: _Env, a: dict) -> tuple:
     name, chart = a["as"], a["chart"]
     t = _eval_expr(a["exprs"][0][1], chart)
@@ -735,13 +771,9 @@ def _run_decl(st: CmdStmt, env: _Env, a: dict) -> tuple:
         want = (0, t.p)
     else:
         want = (a["q"], a["p"])
+    t = _zero_as(t, want)
     if (t.q, t.p) != want:
-        if t.is_zero():
-            # a zero scalar stands for the zero tensor of any valence
-            t = TensorField.zero(chart, *want)
-        else:
-            raise GradcalcError(
-                f"{name} evaluates to valence ({t.q},{t.p}), declared {want}")
+        raise GradcalcError(f"{name} evaluates to valence ({t.q},{t.p}), declared {want}")
     if st.op == "form" and t.p >= 2 and t.cov_sym != "antisym":
         t = tagged(t, cov_sym="antisym")
     if st.op == "tensor" and a["tag"] != "none":
@@ -753,7 +785,7 @@ def _run_decl(st: CmdStmt, env: _Env, a: dict) -> tuple:
 
 
 def _run_dist(st: CmdStmt, env: _Env, a: dict) -> tuple:
-    gens = tuple(_eval_expr(e, a["chart"]) for _, e in a["exprs"])
+    gens = tuple(_zero_as(_eval_expr(e, a["chart"]), (1, 0)) for _, e in a["exprs"])
     return _bind(st, env, a, Distribution(a["chart"], gens),
                  [f"{a['as']} = span of {len(gens)} fields"], "dist")
 

@@ -11,9 +11,13 @@ cases, ends the criterion at the first failure (whose text becomes the
 detail) and times the run.  So a FAIL's `cases` counts the cases run up
 to and including the first failure.
 
-Every random choice flows from the master seed through a per-criterion
-string seed, so the battery is deterministic: the same seed gives
-byte-identical JSON.  Timings are reported in the text table only.
+Every random choice is drawn from the master seed, so the battery is
+deterministic: the same seed gives byte-identical JSON.  The criteria
+that draw their own cases seed a generator with a per-criterion string
+(_rng).  Criterion 7 does not: it passes the master seed itself to
+is_involutive and is_weighted_distribution, and it draws the points of
+its rank cases with sample_points(ctx.total, seed + r).  Timings are
+reported in the text table only.
 """
 
 from __future__ import annotations

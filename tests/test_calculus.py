@@ -22,7 +22,7 @@ from gradcalc.calculus import (
     vf_apply,
 )
 from gradcalc.charts import make_chart
-from gradcalc.errors import ValenceError
+from gradcalc.errors import ChartMismatchError, ValenceError
 from gradcalc.lifts import LiftContext, lift_tensor
 from gradcalc.poly import Poly, _acc
 from gradcalc.render import render_tensor
@@ -142,6 +142,11 @@ def test_vf_apply():
     assert not vf_apply(a, x)
     with pytest.raises(ValenceError):
         vf_apply(coordinate_one_form(E2, "x"), x)
+    # a chart with E2's table is still another chart, whatever f reads
+    other = make_chart(["x", "y"], [0, 0])
+    for f in (Poly.variable(other, 0), Poly.variable(other, 1), Poly.const(other, 2)):
+        with pytest.raises(ChartMismatchError, match="function lives on a different chart"):
+            vf_apply(coordinate_vector_field(E2, "x"), f)
 
 
 def test_lie_derivative_cases():

@@ -248,14 +248,38 @@ POWER_BOUND = {
 }
 
 
-@pytest.mark.parametrize("line,code,message", POWER_BOUND.values(), ids=POWER_BOUND)
-def test_power_bound(line, code, message):
+def _chain(n: int, signs=("*",)) -> str:
+    """A statement multiplying n factors x+1, the product signs taken in turn."""
+    return "fn f on M = (x+1)" + "".join(f"{signs[i % len(signs)]}(x+1)" for i in range(n - 1))
+
+
+# Every product of an expression is bounded too: a work meter adds up
+# what its powers and its products * ox ^^ may take, in the unit of the
+# power bound, and the expression exits 3 once the sum passes the same
+# limit.  So these rows are rejected after the products within the
+# limit, not before any.  A chain of 4,000 factors x+1, (x+1)^4000 in
+# 20 KB of text, ran for 15.6 s and 8,000 for 83 s.
+PRODUCT_BOUND = {
+    "1000-factors": (_chain(1000), 0, None),
+    "4000-factors": (_chain(4000), 3, "the products of this expression may take "
+                     "50013862 weighted term products, which exceeds the limit 50000000"),
+    # between scalars, ox and ^^ are the same products as *
+    "4000-factors-ox-wedge": (_chain(4000, ("*", " ox ", " ^^ ")), 3, "the products of "
+                              "this expression may take 50011464 weighted term products, "
+                              "which exceeds the limit 50000000"),
+}
+
+
+@pytest.mark.parametrize("row", [*POWER_BOUND, *PRODUCT_BOUND])
+def test_power_bound(row):
+    line, code, message = POWER_BOUND.get(row) or PRODUCT_BOUND[row]
     start = time.perf_counter()
     records, got = run("chart M { x:0, y:0, z:0 }\n" + line + "\n")
     assert got == code
     if message is not None:
-        # rejected before any multiplication
-        assert time.perf_counter() - start < 1.0
+        # a power is rejected before any multiplication, a chain long
+        # before its last
+        assert time.perf_counter() - start < (1.0 if row in POWER_BOUND else 10.0)
         assert records[-1].payload == {"error": {"kind": "semantic", "line": 2,
                                                  "message": message}}
 
@@ -1172,6 +1196,14 @@ RUNNER_RECORDS = {
             _tensor_json([1, 0], [(["x"], [], "1")], "d/dx"),
             _tensor_json([1, 0], [(["y"], [], "x")], "x*d/dy")]},
         ["d/dx", "x*d/dy"]),
+    # a zero scalar stands for the zero vector field, as in `vf Z on M = 0`
+    "dist-zero-generator": ("dist E on M = span(d/dx, 0, x - x)", 0, {
+        "kind": "dist", "ok": True, "name": "E", "generators": [
+            _tensor_json([1, 0], [(["x"], [], "1")], "d/dx"),
+            _tensor_json([1, 0], [], "0"), _tensor_json([1, 0], [], "0")]},
+        ["E = span of 3 fields"]),
+    "dist-scalar-generator": ("dist E on M = span(d/dx, x)",
+                              *_semantic("generators must be vector fields")),
     "lift-dist-lambda": ("lift D lambda=1 r=1",
                          *_semantic("distributions lift wholesale: drop lambda=")),
     "lift-tensor-no-lambda": ("lift X r=1", *_semantic("tensor lifts need lambda=")),
