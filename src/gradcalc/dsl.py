@@ -628,12 +628,10 @@ class _Env:
 def _product_work(a: TensorField, b: TensorField) -> int:
     """Estimated work of a product of a and b, in _power_work's unit: the
     product of their stored term counts, weighted by the 64-bit words of
-    the larger operand's coefficients (_coef_bits)."""
+    _coef_bits over the coefficients of both, a bound on each one's."""
     ca = [c for p in a.components.values() for c in p.terms.values()]
     cb = [c for p in b.components.values() for c in p.terms.values()]
-    if not ca or not cb:
-        return 0
-    return len(ca) * len(cb) * (1 + max(_coef_bits(ca), _coef_bits(cb)) // 64)
+    return len(ca) * len(cb) * (1 + _coef_bits(ca + cb) // 64)
 
 
 def _eval_expr(program: list, chart: Chart) -> TensorField:
