@@ -297,13 +297,13 @@ def rational_rank(rows: list) -> int:
     number rule of poly._coef) by fraction-free elimination.
 
     Each row is scaled to integers by the LCM of its denominators
-    (poly._cleared), which keeps the rank.  Bareiss elimination (Math. Comp. 22, 1968) then keeps
-    every entry an integer: after a pivot p, each row below becomes
-    (p * row - a * pivot row) // previous pivot, a division that is exact
-    because every entry is a minor of the integer matrix.  A column with
-    no nonzero entry at or below the current row is skipped; a pivot row
-    found lower down is swapped up first.  GradcalcError if two rows
-    differ in length.
+    (poly._cleared), which keeps the rank.  Bareiss elimination (Math.
+    Comp. 22, 1968) then keeps every entry an integer: after a pivot p,
+    each row below becomes (p * row - a * pivot row) // previous pivot, a
+    division that is exact because every entry is a minor of the integer
+    matrix.  A column with no nonzero entry at or below the current row
+    is skipped; a pivot row found lower down is swapped up first.
+    GradcalcError if two rows differ in length.
     """
     m = [_cleared([_coef(a) for a in r])[1] for r in rows]
     if not m:

@@ -545,15 +545,10 @@ _MAX_POWER_TERMS = 20_000
 # its larger factor's coefficients (_power_work).  The term count alone
 # does not bound it: (x+1)^19999 has 20,000 terms, estimates 2.5e10 and
 # ran for minutes, (x+1)^3000 estimates 8.7e7 and takes 13 s, and
-# (x+1)^2000 (2.2e7, 4.7 s) and (x+y+z+1)^40 (3.1e6, 5.4 s) run.
+# (x+1)^2000 (2.2e7, 4.7 s) and (x+y+z+1)^40 (3.1e6, 5.4 s) run.  The
+# powers and products of one expression share this limit (_eval_expr):
+# a chain of 4,000 factors x+1 ran for 15.6 s, and 1,000 run in 0.7 s.
 _MAX_POWER_WORK = 50_000_000
-
-
-def _coef_bits(coefs) -> int:
-    """The bits of the absolute sum of coefs over their common denominator
-    L plus the bits of L, which bound the bits of each coefficient."""
-    den, ints = _cleared(coefs)
-    return (sum(map(abs, ints)) - 1).bit_length() + (den - 1).bit_length()
 
 
 def _power_work(coefs, e: int) -> int:
@@ -562,12 +557,14 @@ def _power_work(coefs, e: int) -> int:
 
     Follows the squarings and products of Poly.__pow__.  The k-th power of
     a t-term base has at most C(k+t-1, t-1) terms, and its coefficients
-    at most k*b bits, b = _coef_bits of the base's coefficients.
+    at most k*b bits, where b is the bits of the base's absolute
+    coefficient sum over a common denominator L plus the bits of L.
     """
     t = len(coefs)
     if not t:
         return 0
-    bits = _coef_bits(coefs)
+    den, ints = _cleared(coefs)
+    bits = (sum(map(abs, ints)) - 1).bit_length() + (den - 1).bit_length()
     work, out, square = 0, 0, 1     # out = base^out, square = base^square
     while e:
         if e & 1:
@@ -625,13 +622,26 @@ class _Env:
         return ctx
 
 
+def _size(t: TensorField) -> tuple:
+    """The stored term count of t and the bits of its largest coefficient,
+    numerator and denominator together."""
+    terms = bits = 0
+    for p in t.components.values():
+        terms += len(p.terms)
+        for c in p.terms.values():
+            n = (c.bit_length() if type(c) is int
+                 else c.numerator.bit_length() + c.denominator.bit_length())
+            if n > bits:
+                bits = n
+    return terms, bits
+
+
 def _product_work(a: TensorField, b: TensorField) -> int:
-    """Estimated work of a product of a and b, in _power_work's unit: the
+    """Estimated work of a product of a and b in _power_work's unit: the
     product of their stored term counts, weighted by the 64-bit words of
-    _coef_bits over the coefficients of both, a bound on each one's."""
-    ca = [c for p in a.components.values() for c in p.terms.values()]
-    cb = [c for p in b.components.values() for c in p.terms.values()]
-    return len(ca) * len(cb) * (1 + _coef_bits(ca + cb) // 64)
+    the larger operand's coefficients."""
+    (ta, ba), (tb, bb) = _size(a), _size(b)
+    return ta * tb * (1 + max(ba, bb) // 64)
 
 
 def _eval_expr(program: list, chart: Chart) -> TensorField:

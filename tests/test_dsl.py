@@ -262,10 +262,10 @@ def _chain(n: int, signs=("*",)) -> str:
 PRODUCT_BOUND = {
     "1000-factors": (_chain(1000), 0, None),
     "4000-factors": (_chain(4000), 3, "the products of this expression may take "
-                     "50058790 weighted term products, which exceeds the limit 50000000"),
+                     "50067008 weighted term products, which exceeds the limit 50000000"),
     # between scalars, ox and ^^ are the same products as *
     "4000-factors-ox-wedge": (_chain(4000, ("*", " ox ", " ^^ ")), 3, "the products of "
-                              "this expression may take 50046024 weighted term products, "
+                              "this expression may take 50059006 weighted term products, "
                               "which exceeds the limit 50000000"),
 }
 
