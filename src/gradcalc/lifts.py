@@ -46,7 +46,6 @@ an int (not a bool); anything else raises GradcalcError.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import product
 from math import comb
 
 from .calculus import vf_apply
@@ -82,12 +81,14 @@ class LiftContext:
       ((v, e),); a product of powers caches its powers too, so the cache
       is bounded by the distinct monomials lifted and their powers.
     - _blocks, keyed by (block, tag, contra): rows [(lifted block, sign),
-      ...] by level sum a, the block's canonical lifted keys over its
-      level tuples summing to a, in product order, with the sign an
+      ...] by level sum a = 0..r, the block's canonical lifted keys over
+      its level tuples summing to a, in product order, with the sign an
       antisym block picks up (sym duplicates dropped, see _lifted_block).
       Up and down blocks lift independently, so a block shared by stored
       keys of one tensor or several is lifted once.  Bounded by the
-      distinct blocks and tags lifted, len(block) * r + 1 rows each.
+      distinct blocks and tags lifted, r + 1 rows each, C(r+q, q) level
+      tuples visited for a q-slot block: the terms _lift_sizes counts for
+      q unit slots.
     - _last: the coefficient jets of the stored components of the last
       tensor passed to lift_tensor, so lifting one tensor at every lambda
       in turn lifts each stored coefficient once.  One entry.
@@ -162,23 +163,23 @@ class LiftContext:
         return jet
 
     def _block_table(self, block: tuple, sym: str, contra: bool) -> tuple:
-        """Rows [(lifted block, sign), ...] of one index block, by level sum.
-
-        Row a holds the block's canonical lifted keys (_lifted_block, sym
-        duplicates left out) over its level tuples summing to a, in product
-        order.  Level v lifts a contravariant index i to level r - v and a
-        covariant one to level v: slots[k][v], self.var(i, mu) inlined.
-        """
+        """Rows 0..r [(lifted block, sign), ...] of one index block: row a holds
+        its canonical lifted keys (_lifted_block) over the level tuples summing
+        to a, in product order, picked slot by slot while the sum stays within
+        r, as in _monomial_jet.  Level v lifts a contravariant index i to level
+        r - v and a covariant one to level v, self.var(i, mu) inlined."""
         table = self._blocks.get((block, sym, contra))
         if table is None:
             r, n = self.r, self.base.dim
-            mus = range(r, -1, -1) if contra else range(r + 1)
-            slots = [[mu * n + i for mu in mus] for i in block]
-            rows = [[] for _ in range(len(block) * r + 1)]
-            for levels, key in zip(product(range(r + 1), repeat=len(block)), product(*slots)):
+            picks = [(0, ())]               # (level sum, lifted key)
+            for i in block:
+                slot = [(r - v if contra else v) * n + i for v in range(r + 1)]
+                picks = [(s + v, key + (slot[v],)) for s, key in picks for v in range(r + 1 - s)]
+            rows = [[] for _ in range(r + 1)]
+            for s, key in picks:
                 sign, key = _lifted_block(key, block, sym)
                 if sign:
-                    rows[sum(levels)].append((key, sign))
+                    rows[s].append((key, sign))
             table = self._blocks[(block, sym, contra)] = tuple(rows)
         return table
 
@@ -251,7 +252,10 @@ def _lift_sizes(t, r: int) -> list:
     counts a sym block's duplicate level orders.  entries weights each
     term by what it stores: a lifted monomial holds at most min(e, r+1)
     prolonged variables of a base variable of exponent e, one per level
-    its copies take, and a lifted key one index per basis slot.
+    its copies take, and a lifted key one index per basis slot.  The term
+    count also bounds the work of the block tables (LiftContext._block_table):
+    a block of q slots visits C(r+q, q) level tuples, the terms counted for
+    a unit coefficient on those slots alone.
     """
     if isinstance(t, LinearConnection):
         coefs = [(2, g) for g in t.gamma.values()]

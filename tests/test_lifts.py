@@ -3,8 +3,10 @@
 import random
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -520,9 +522,10 @@ def test_index_cache_never_leaks_between_tensors(seed, dim, r, valence, data):
 
 
 def filtered_rows(ctx, block, sym, contra):
-    """A block's lifted keys by level sum, from the filtered full product."""
+    """A block's lifted keys by level sum, from the filtered full product;
+    at least r + 1 rows, though an empty block fills row 0 only."""
     r = ctx.r
-    rows = [[] for _ in range(len(block) * r + 1)]
+    rows = [[] for _ in range(max(len(block), 1) * r + 1)]
     for levels in product(range(r + 1), repeat=len(block)):
         mus = [r - v for v in levels] if contra else levels
         sign, key = lifts._lifted_block(tuple(ctx.var(i, mu) for i, mu in zip(block, mus)),
@@ -554,7 +557,8 @@ def test_block_tables_partition_every_lift(r, q, p, csym, dsym, seed):
     rows = {}
     for up, down in t.components:
         for blk, sym, contra in ((up, t.contra_sym, True), (down, t.cov_sym, False)):
-            want = rows[(blk, contra)] = filtered_rows(ctx, blk, sym, contra)
+            # lift_tensor reads level sums up to r only, so the table keeps those
+            want = rows[(blk, contra)] = filtered_rows(ctx, blk, sym, contra)[:r + 1]
             assert [list(row) for row in ctx._block_table(blk, sym, contra)] == want
     for lam in range(r + 1):
         writes = []
@@ -583,13 +587,42 @@ def test_block_tables_are_shared_between_tensors(monkeypatch):
     for t in (t1, t2):
         for lam in range(r + 1):
             lift_tensor(t, lam, ctx)
-    assert calls.count((0, 1)) == (r + 1) ** 2
+    # the 2-slot block visits its level pairs summing to at most r
+    assert calls.count((0, 1)) == (r + 1) * (r + 2) // 2
     assert calls.count((0,)) == calls.count((1,)) == r + 1
     calls.clear()
     for t in (t1, t2, t1):
         for lam in range(r + 1):
             lift_tensor(t, lam, ctx)
     assert calls == []
+
+
+E4 = make_chart(["w", "x", "y", "z"], [0] * 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 4), st.sampled_from(TAGS), st.sampled_from(TAGS),
+       st.integers(0, 6), st.integers(0, 10 ** 9))
+@example(q=4, p=2, csym="none", dsym="sym", r=6, seed=0)
+def test_block_tables_visit_only_the_level_sums_a_lift_reads(q, p, csym, dsym, r, seed):
+    # a q-slot block visits its C(r+q, q) level tuples with sum <= r, the
+    # terms _lift_sizes counts for a unit coefficient on q slots, never all
+    # (r+1)^q; up and down blocks of one tag share a count
+    t = fraction_tensor(random.Random(seed), E4, q, p, csym, dsym)
+    tables = ({(up, t.contra_sym, True) for up, _ in t.components}
+              | {(down, t.cov_sym, False) for _, down in t.components})
+    calls = Counter()
+    lifted_block = lifts._lifted_block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lifts, "_lifted_block", lambda key, base, sym:
+                      calls.update([(base, sym)]) or lifted_block(key, base, sym))
+        lift_tensor(t, r, LiftContext(E4, r))
+    want = Counter()
+    for block, sym, _ in tables:
+        want[(block, sym)] += comb(r + len(block), len(block))
+    assert calls == want
+    terms = sum(n for n, _ in lifts._lift_sizes(t, r))
+    assert all(comb(r + len(block), len(block)) <= terms for block, _, _ in tables)
 
 
 # -- the per-context monomial-jet cache ------------------------------------------
