@@ -60,7 +60,7 @@ from .oracle import (evaluate_tensor_at, identity_spot_check,
 from .poly import ANY_DEGREE, Poly, _cleared
 from .render import (LEAST_DIGIT_LIMIT, chart_to_json, digit_limit, json_document,
                      key_text, number_str, render_poly, tensor_to_json)
-from .tensor import (TensorField, _sum, coordinate_one_form,
+from .tensor import (TensorField, _expanded_size, _sum, coordinate_one_form,
                      coordinate_vector_field, degree_of_tensor, insert_form,
                      scalar_field, tagged, tensor_product, wedge)
 
@@ -578,29 +578,38 @@ def _power_work(coefs, e: int) -> int:
     return work
 
 
-# Largest size the lifts of one script statement may reach, in entries
-# summed over levels 0..r (_check_lift): a lift builds the jets of its
-# coefficients at every level, and each lifted term stores its
-# prolonged variables and its indices (lifts._lift_sizes), so a count of
-# terms alone misses long monomials.  Measured on a 2-core machine, the
-# lifts that run: lift f lambda=20 r=20 of x^3*y^3*z^3 + x*y*z
-# (1,673,148 entries) takes 1.3 s and 85 MB, lift-connection of
-# G x x y = x^3*y^3 at r=20 (1,635,040) 0.1 s, the lift of a product of
-# 1,500 variables at r=1 (2,251,500) 3.2 s and 139 MB, and oracle lift
-# of the function above at r=5 (1,581,192) 3 s.  A product of 700
-# variables at r=2 (172,235,700 entries in only 246,051 terms) ran out
-# of 1.5 GB of address space.
-_MAX_LIFT_ENTRIES = 4_000_000
+# Largest size one script statement may store, in entries: a lift's
+# prolonged variables and indices summed over levels 0..r (_check_lift),
+# or the indices of the components an ox writes or an eval lists
+# (_check_entries).  A lift builds the jets of its coefficients at every
+# level, and each lifted term stores its prolonged variables and its
+# indices (lifts._lift_sizes), so a count of terms alone misses long
+# monomials.  Measured on a 2-core machine, the lifts that run: lift f
+# lambda=20 r=20 of x^3*y^3*z^3 + x*y*z (1,673,148 entries) takes 1.3 s
+# and 85 MB, lift-connection of G x x y = x^3*y^3 at r=20 (1,635,040)
+# 0.1 s, the lift of a product of 1,500 variables at r=1 (2,251,500)
+# 3.2 s and 139 MB, and oracle lift of the function above at r=5
+# (1,581,192) 3 s.  A product of 700 variables at r=2 (172,235,700
+# entries in only 246,051 terms) ran out of 1.5 GB of address space.
+# The ox of two 6-forms on 6 variables (6,220,800 entries) took 14.9 s
+# and printed 210 MB of JSON, and the eval of a 10-form on 10 variables
+# (36,288,000) 101 s; two 5-forms (144,000) take 0.46 s.
+_MAX_ENTRIES = 4_000_000
+
+
+def _check_entries(what: str, entries: int, parts: str) -> None:
+    """GradcalcError if what may store more than _MAX_ENTRIES entries, parts
+    saying of what and in how many holders."""
+    if entries > _MAX_ENTRIES:
+        raise GradcalcError(f"{what} may store {entries} {parts}, which exceeds the "
+                            f"limit {_MAX_ENTRIES}")
 
 
 def _check_lift(r: int, sizes: list) -> None:
-    """GradcalcError if a statement's lifts, whose (terms, entries) sum over
-    sizes, may store more than _MAX_LIFT_ENTRIES entries."""
+    """_check_entries of a statement's lifts, whose (terms, entries) sum
+    over sizes."""
     terms, entries = sum(n for n, _ in sizes), sum(k for _, k in sizes)
-    if entries > _MAX_LIFT_ENTRIES:
-        raise GradcalcError(f"a lift to order r={r} may store {entries} variables and "
-                            f"indices in {terms} terms, which exceeds the limit "
-                            f"{_MAX_LIFT_ENTRIES}")
+    _check_entries(f"a lift to order r={r}", entries, f"variables and indices in {terms} terms")
 
 
 class _Env:
@@ -651,7 +660,8 @@ def _eval_expr(program: list, chart: Chart) -> TensorField:
 
     One work meter bounds the expression's products: each ^ charges its
     _power_work, and each *, ox or ^^ its _product_work before it runs.
-    GradcalcError once the sum passes _MAX_POWER_WORK.
+    GradcalcError once the sum passes _MAX_POWER_WORK, or when an ox would
+    write more than _MAX_ENTRIES indices (_check_entries).
     """
     def take(x):
         return _sum(x) if type(x) is list else x
@@ -705,6 +715,9 @@ def _eval_expr(program: list, chart: Chart) -> TensorField:
             a, b = take(stack[-2]), take(stack.pop())
             charge(_product_work(a, b))
             if op == "ox":
+                n = _expanded_size(a) * _expanded_size(b)
+                _check_entries("a tensor product", n * (a.q + a.p + b.q + b.p),
+                               f"indices in {n} components")
                 a = tensor_product(a, b)
             elif op == "wedge":
                 a = wedge(a, b)
@@ -854,6 +867,8 @@ def _run_degree(st: CmdStmt, env: _Env, a: dict) -> tuple:
 
 def _run_eval(st: CmdStmt, env: _Env, a: dict) -> tuple:
     t = a["name"]
+    n = _expanded_size(t)
+    _check_entries("an evaluation", n * (t.q + t.p), f"indices in {n} components")
     values = evaluate_tensor_at(t, dict(a["point"]))
     names = t.chart.names
     rows = []

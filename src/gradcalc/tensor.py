@@ -32,9 +32,11 @@ Insertion operators pair against the leading slots of the other block.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from .charts import Chart
 from .errors import ChartMismatchError, ValenceError
@@ -115,6 +117,28 @@ def _block_expansion(idx: tuple, sym: str) -> list:
         s, _ = _sort_with_parity(p)
         out.append((s, p))
     return out
+
+
+def _expanded_size(t: "TensorField") -> int:
+    """len(t.expand()), read off the table once it is built and otherwise
+    counted from the stored keys without building it: a tagged block of q
+    indices stands for its distinct orders (_block_expansion), q! over the
+    factorials of its index multiplicities, all 1 under antisym."""
+    if t._expanded is not None:
+        return len(t._expanded)
+    if t.contra_sym == t.cov_sym == "none":
+        return len(t.components)
+    n = 0
+    for key in t.components:
+        orders = 1
+        for idx, sym in zip(key, (t.contra_sym, t.cov_sym)):
+            if sym != "none":
+                orders *= factorial(len(idx))
+            if sym == "sym":
+                for m in Counter(idx).values():
+                    orders //= factorial(m)
+        n += orders
+    return n
 
 
 class TensorField:

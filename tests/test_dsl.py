@@ -367,6 +367,42 @@ def test_oracle_lift_work_bound(e, code, message):
                                                  "message": message}}
 
 
+def _form(n: int) -> str:
+    """The wedge of the first n coordinate one-forms of the chart N below."""
+    return " ^^ ".join(f"d{v}" for v in "abcdefghij"[:n])
+
+
+# What an ox writes and an eval lists is bounded by the lift bound's limit
+# on stored entries: expanded components times their indices, counted
+# from the stored keys before anything is expanded: (line 2, exit code,
+# message).  The ox of two 6-forms took 14.9 s and printed 210 MB of
+# JSON, and the eval of a 10-form listed 3,628,800 components in 101 s.
+ENTRY_BOUND = {
+    "ox-6-forms": (f"tensor(0,12) P on N = ({_form(6)}) ox ({_form(6)})", 3,
+                   "a tensor product may store 6220800 indices in 518400 components, "
+                   "which exceeds the limit 4000000"),
+    "ox-5-forms": (f"tensor(0,10) P on N = ({_form(5)}) ox ({_form(5)})", 0, None),
+    "eval-10-form": (f"form w on N = {_form(10)}\neval w at ("
+                     + ", ".join(f"{v}=1" for v in "abcdefghij") + ")", 3,
+                     "an evaluation may store 36288000 indices in 3628800 components, "
+                     "which exceeds the limit 4000000"),
+}
+
+
+@pytest.mark.parametrize("line,code,message", ENTRY_BOUND.values(), ids=ENTRY_BOUND)
+def test_entry_bound(line, code, message):
+    start = time.perf_counter()
+    chart = "chart N { " + ", ".join(f"{v}:0" for v in "abcdefghij") + " }\n"
+    records, got = run(chart + line + "\n")
+    assert got == code
+    if message is not None:
+        # rejected before anything is expanded
+        assert time.perf_counter() - start < 1.0
+        assert records[-1].payload == {"error": {"kind": "semantic",
+                                                 "line": line.count("\n") + 2,
+                                                 "message": message}}
+
+
 # Numbers past the interpreter's int <-> str digit limit, and powers too big
 # to build, end in exit 3 (2 for a literal) with a message, never in a
 # traceback: (script, exit code, line, message).  The limit is pinned to

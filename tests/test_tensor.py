@@ -26,6 +26,7 @@ from gradcalc.sampling import (random_form, random_multivector, random_one_form,
 from gradcalc.tensor import (
     TensorField,
     _SYMS,
+    _expanded_size,
     _from_expanded,
     _sort_with_parity,
     _sum,
@@ -575,6 +576,18 @@ def test_eq_agrees_with_expanded_tables(seed, valence):
     if c:
         # a nonzero perturbation, of a's tags or of others, is seen
         assert a != a + c and untag(a) != a + c and a != untag(a + c)
+
+
+@given(st.integers(0, 10 ** 9), st.integers(0, 4), st.integers(0, 4),
+       st.sampled_from(_SYMS), st.sampled_from(_SYMS))
+@settings(max_examples=80, deadline=None)
+def test_expanded_size_counts_the_expanded_table(seed, q, p, contra_sym, cov_sym):
+    # counted from the stored keys, repeated sym indices included, then
+    # read off the built table
+    t = fraction_tensor(random.Random(seed), E3, q, p, contra_sym, cov_sym, size=4)
+    n = _expanded_size(t)
+    assert t._expanded is None
+    assert n == len(t.expand()) == _expanded_size(t)
 
 
 @given(st.integers(0, 10 ** 9), st.sampled_from(sorted(EQ_MAKERS)), st.integers(1, 8))
