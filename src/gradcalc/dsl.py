@@ -591,9 +591,9 @@ def _power_work(coefs, e: int) -> int:
 # 3.2 s and 139 MB, and oracle lift of the function above at r=5
 # (1,581,192) 3 s.  A product of 700 variables at r=2 (172,235,700
 # entries in only 246,051 terms) ran out of 1.5 GB of address space.
-# The ox of two 6-forms on 6 variables (6,220,800 entries) took 14.9 s
+# The ox of two 6-forms on 6 variables (6,220,800 entries) took 13.7 s
 # and printed 210 MB of JSON, and the eval of a 10-form on 10 variables
-# (36,288,000) 101 s; two 5-forms (144,000) take 0.46 s.
+# (36,288,000) 101 s; two 5-forms (144,000) take 0.5 s.
 _MAX_ENTRIES = 4_000_000
 
 

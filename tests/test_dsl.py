@@ -375,7 +375,7 @@ def _form(n: int) -> str:
 # What an ox writes and an eval lists is bounded by the lift bound's limit
 # on stored entries: expanded components times their indices, counted
 # from the stored keys before anything is expanded: (line 2, exit code,
-# message).  The ox of two 6-forms took 14.9 s and printed 210 MB of
+# message).  The ox of two 6-forms took 13.7 s and printed 210 MB of
 # JSON, and the eval of a 10-form listed 3,628,800 components in 101 s.
 ENTRY_BOUND = {
     "ox-6-forms": (f"tensor(0,12) P on N = ({_form(6)}) ox ({_form(6)})", 3,
