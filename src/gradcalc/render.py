@@ -4,7 +4,8 @@ The text forms round-trip through the DSL parser: polynomials render with
 explicit * and ^, contravariant basis factors as d/dx, covariant ones as
 dx, tensor products as ox, and wedge blocks as ^^ (binding tighter than
 ox).  Components are emitted in sorted order so rendering is deterministic;
-a sym block is written as each of its distinct index orders.
+a sym block is written as each of its distinct index orders, as
+tensor._block_expansion lists them.
 
 `dumps` is the one JSON writer for output documents.  Its bytes equal
 `json.dumps(doc, indent=2)`, but with `indent` the standard library falls
@@ -16,10 +17,10 @@ escapes strings with the C `encode_basestring_ascii`.
 from __future__ import annotations
 
 import sys
-from itertools import permutations
 
 from . import __version__
 from .errors import GradcalcError
+from .tensor import _block_expansion
 
 __all__ = ["render_poly", "render_tensor", "poly_to_json", "tensor_to_json",
            "chart_to_json", "json_document", "dumps"]
@@ -112,6 +113,10 @@ def _render_components(t) -> tuple:
     names = t.chart.names
     contra_join = " ^^ " if t.contra_sym == "antisym" else " ox "
     cov_join = " ^^ " if t.cov_sym == "antisym" else " ox "
+    # a sym block is written as the sum of its distinct index orders, so
+    # the text declared again as sym passes the symmetry check
+    contra = "sym" if t.contra_sym == "sym" else "none"
+    cov = "sym" if t.cov_sym == "sym" else "none"
     terms = []
     for up, down, parts in comps:
         # the coefficient as a prefix with its trailing *: a unit constant
@@ -121,10 +126,8 @@ def _render_components(t) -> tuple:
             prefix = "" if body == "1" else body + "*"
         else:
             neg, prefix = False, "(" + _join_signed(parts) + ")*"
-        # a sym block is written as the sum of its distinct index orders,
-        # so the text declared again as sym passes the symmetry check
-        for u in _orders(up, t.contra_sym):
-            for d in _orders(down, t.cov_sym):
+        for _, u in _block_expansion(up, contra):
+            for _, d in _block_expansion(down, cov):
                 blocks = []
                 if u:
                     blocks.append(contra_join.join(f"d/d{names[i]}" for i in u))
@@ -132,10 +135,6 @@ def _render_components(t) -> tuple:
                     blocks.append(cov_join.join(f"d{names[j]}" for j in d))
                 terms.append((neg, prefix + " ox ".join(blocks)))
     return comps, _join_signed(terms)
-
-
-def _orders(idx: tuple, sym: str) -> list:
-    return sorted(set(permutations(idx))) if sym == "sym" else [idx]
 
 
 def render_tensor(t) -> str:

@@ -10,7 +10,7 @@ which keys are stored:
 * sym: non-decreasing index tuples;
 * none: every key.
 
-expand() materializes the full component table (all permutations, signs
+expand() materializes the component table (every distinct index order, signs
 applied); two tensors are equal iff their expanded tables agree, so a
 wedge and its explicit tensor-product expansion compare equal.  Every
 public result stores canonical keys and no zero component, so tensors
@@ -35,7 +35,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 
 from .charts import Chart
@@ -107,23 +106,35 @@ def _is_canonical(idx: tuple, sym: str) -> bool:
 
 
 def _block_expansion(idx: tuple, sym: str) -> list:
-    """All (sign, permuted key) pairs representing one stored block."""
+    """The (sign, index order) pairs one stored block stands for: each
+    distinct order once, in lexicographic order from the sorted key
+    (Knuth's Algorithm L).  A step takes the last i with a[i] < a[i+1],
+    swaps a[i] with the last larger a[j] and reverses the tail after i:
+    1 + (n-i-1)//2 transpositions, which flip the antisym sign when odd."""
     if sym == "none" or len(idx) < 2:
         return [(1, idx)]
-    if sym == "sym":
-        return [(1, p) for p in set(permutations(idx))]
-    out = []
-    for p in permutations(idx):
-        s, _ = _sort_with_parity(p)
-        out.append((s, p))
-    return out
+    a, n, sign, out = list(idx), len(idx), 1, [(1, idx)]
+    while True:
+        i = n - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1:] = a[:i:-1]
+        if sym == "antisym" and (n - i - 1) // 2 % 2 == 0:
+            sign = -sign
+        out.append((sign, tuple(a)))
 
 
 def _expanded_size(t: "TensorField") -> int:
     """len(t.expand()), read off the table once it is built and otherwise
     counted from the stored keys without building it: a tagged block of q
-    indices stands for its distinct orders (_block_expansion), q! over the
-    factorials of its index multiplicities, all 1 under antisym."""
+    indices stands for the distinct orders _block_expansion lists, q! over
+    the factorials of its index multiplicities, all 1 under antisym."""
     if t._expanded is not None:
         return len(t._expanded)
     if t.contra_sym == t.cov_sym == "none":

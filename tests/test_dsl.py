@@ -578,6 +578,23 @@ def test_render_parse_round_trip():
         assert records[-1].text == [s]
 
 
+def test_wide_sym_block_prints_and_declares_back():
+    # 11 slots of one index: one stored component with one index order,
+    # printed without visiting the 11! permutations of its key; with one
+    # dy among them, its 11 orders in lexicographic order
+    one = " ox ".join(["dx"] * 11)
+    eleven = " + ".join(" ox ".join("dy" if k == i else "dx" for k in range(11))
+                        for i in reversed(range(11)))
+    for body in (one, eleven):
+        script = f"chart M {{ x:0, y:1 }}\ntensor(0,11) sym T on M = {body}\nprint T\n"
+        records, code = run(script)
+        assert code == 0
+        assert records[-1].text == [body]
+        records, code = run(script + f"tensor(0,11) sym U on M = {body}\nprint U\n")
+        assert code == 0
+        assert records[-1].text == [body]
+
+
 def test_printed_lift_declares_back():
     # the README's round trip on a large tensor: 1,527 printed terms
     prelude = ("chart M { x:0, y:0, z:0 }\nfn f on M = x^3*y^3*z^3 + x*y*z\n"

@@ -26,6 +26,7 @@ from gradcalc.sampling import (random_form, random_multivector, random_one_form,
 from gradcalc.tensor import (
     TensorField,
     _SYMS,
+    _block_expansion,
     _expanded_size,
     _from_expanded,
     _sort_with_parity,
@@ -448,6 +449,9 @@ def test_render_frozen():
     assert render_tensor(t * -2) == "-2*d/dx ox dy"
     assert render_tensor(TensorField.zero(M, 1, 1)) == "0"
     assert render_tensor(scalar_field(M, x * x)) == "x^2"
+    # a sym block prints as its distinct index orders, in lexicographic order
+    s = TensorField.from_components(M, 0, 3, {((), (0, 0, 1)): 1}, cov_sym="sym")
+    assert render_tensor(s) == "dx ox dx ox dy + dx ox dy ox dx + dy ox dx ox dx"
 
 
 def test_json_forms():
@@ -588,6 +592,32 @@ def test_expanded_size_counts_the_expanded_table(seed, q, p, contra_sym, cov_sym
     n = _expanded_size(t)
     assert t._expanded is None
     assert n == len(t.expand()) == _expanded_size(t)
+
+
+EIGHT = make_chart([f"v{i}" for i in range(8)], [0] * 8, label="V")
+
+
+@given(st.sampled_from(_SYMS), st.lists(st.integers(0, 7), max_size=7))
+@settings(max_examples=150, deadline=None)
+def test_block_expansion_lists_each_order_once_in_lexicographic_order(sym, drawn):
+    # a stored key: strictly increasing under antisym, sorted with repeats
+    # under sym, and as drawn, repeats included, untagged
+    idx = tuple(sorted(set(drawn)) if sym == "antisym" else
+                sorted(drawn) if sym == "sym" else drawn)
+    pairs = _block_expansion(idx, sym)
+    # the reference: every permutation, deduplicated and sorted
+    orders = [order for _, order in pairs]
+    assert orders == ([idx] if sym == "none" else sorted(set(itertools.permutations(idx))))
+    for sign, order in pairs:
+        assert sign == (_sort_with_parity(order)[0] if sym == "antisym" else 1)
+    t = TensorField.from_components(EIGHT, len(idx), 0, {(idx, ()): 1}, contra_sym=sym)
+    assert _expanded_size(t) == len(pairs)
+
+
+def test_block_expansion_of_equal_indices_is_one_order():
+    # 12! permutations, one distinct order
+    idx = (3,) * 12
+    assert _block_expansion(idx, "sym") == [(1, idx)]
 
 
 @given(st.integers(0, 10 ** 9), st.sampled_from(sorted(EQ_MAKERS)), st.integers(1, 8))
